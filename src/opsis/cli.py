@@ -94,7 +94,7 @@ def _tolerance(cfg: ExperimentConfig, key: str, default: float | None = None):
     if not isinstance(tols, dict):
         raise ConfigError("'tolerances' must be an object")
     val = tols.get(key, default)
-    if val is not None and not isinstance(val, (int, float)):
+    if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
         raise ConfigError(f"'tolerances.{key}' must be a number")
     return val
 
@@ -106,7 +106,7 @@ def _dual_perturbation(cfg: ExperimentConfig, K: int, N: int, M: int):
     if not (isinstance(spec, dict) and spec.get("enabled")):
         return None
     scale = spec.get("scale", 1.0)
-    if not isinstance(scale, (int, float)):
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
         raise ConfigError("'dual_perturbation.scale' must be a number")
     return scale * PortableRng(cfg.dual_seed).complex_normal((K, N, M))
 

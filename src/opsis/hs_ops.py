@@ -8,8 +8,13 @@ Operator translation conjugates with a time-frequency shift,
 
 an honest group action (the shift phases cancel).  The module provides the
 two unitary symbol transforms (Kohn-Nirenberg for every L, Weyl for odd L),
-the raw spreading transform tr[shift(-z) S], Gabor multipliers, and the
-convolution of a phase-space function with an operator.
+the raw spreading transform tr[shift(-z) S] with its inverse, Gabor
+multipliers, and the convolution of a phase-space function with an operator.
+
+Translate sums and trace pairings over a lattice are computed in the
+spreading domain (:func:`lattice_series`, :func:`lattice_pairing`), where
+translation is a pointwise multiplication by a character; :func:`op_translate`
+builds one translate as a dense kernel.
 
 Normalizations are pinned by exact unitarity: with the L^{-1/2} prefactor
 below, kn_symbol satisfies <sigma_S, sigma_T> = <S, T> identically, and the
@@ -114,22 +119,76 @@ def weyl_operator(a) -> np.ndarray:
     return E[(h * (u + v)) % L, (u - v) % L] / np.sqrt(L)
 
 
-def fourier_wigner(S) -> np.ndarray:
-    """Raw spreading transform F[x, w] = tr[shift(-(x, w)) S].
+def _as_kernels(S) -> np.ndarray:
+    S = np.asarray(S, dtype=complex)
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+        raise ValueError(f"kernels must be square in the last two axes, got shape {S.shape}")
+    return S
 
+
+def fourier_wigner(S) -> np.ndarray:
+    """Raw spreading transform F[x, w] = tr[shift(-(x, w)) S], over any leading batch axes.
+
+    Row x is the DFT of the x-th cyclic diagonal, D[x, t] = kernel[t + x, t].
     The half phase that sometimes decorates this transform is ill-defined
     for even L and cancels in every product F_n(z) conj(F_m(z)) used here,
     so the raw trace is stored.  Satisfies
     F(translate(lam, S))(z) = e^{2 pi i sigma(lam, z)/L} F(S)(z) and
     sum_z |F(z)|^2 = L ||S||^2.
     """
-    S = _as_kernel(S)
-    L = S.shape[0]
-    F = np.empty((L, L), dtype=complex)
-    for x in range(L):
-        d = np.diagonal(np.roll(S, -x, axis=0))
-        F[x] = np.fft.fft(d)
-    return F
+    S = _as_kernels(S)
+    L = S.shape[-1]
+    t = np.arange(L)
+    return np.fft.fft(S[..., (t[:, None] + t) % L, t], axis=-1)
+
+
+def inverse_fourier_wigner(F) -> np.ndarray:
+    """Inverse of :func:`fourier_wigner`: kernel[r, t] = D[r - t, t] with D = ifft(F) along w."""
+    F = _as_kernels(F)
+    L = F.shape[-1]
+    t = np.arange(L)
+    return np.fft.ifft(F, axis=-1)[..., (t[:, None] - t) % L, t]
+
+
+# The spreading-domain engine.  By covariance, the spreading transform of
+# sum_lam c(lam) translate(lam, H) is C * F(H) with the symplectic series
+# C(z) = sum_lam c(lam) e^{2 pi i sigma(lam, z)/L}, and by Parseval
+# <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L}.
+# Both sums are 2-D DFTs over the grid indexed [lam.w, lam.x], O(L^2 log L)
+# per operator, whatever the lattice.
+
+def _pairing_grid(P) -> np.ndarray:
+    """G[a, b] = (1/L) sum_{x, w} P[x, w] e^{-2 pi i (a x - b w)/L}."""
+    return np.fft.fft(np.fft.ifft(P, axis=-1), axis=-2)
+
+
+def _series_grid(E) -> np.ndarray:
+    """C[x, w] = sum_{a, b} E[a, b] e^{2 pi i (a x - b w)/L}."""
+    return E.shape[-1] * np.fft.fft(np.fft.ifft(E, axis=-2), axis=-1)
+
+
+def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
+    """Trace pairings <T, translate(lam, Q)> for every lam of the lattice, shape (..., |lattice|).
+
+    Takes the spreading transforms F_T and F_Q, which broadcast against each
+    other over leading axes.
+    """
+    G = _pairing_grid(np.asarray(FT) * np.conj(FQ))
+    return G[..., lattice.ws, lattice.xs]
+
+
+def lattice_series(c, lattice) -> np.ndarray:
+    """Symplectic series C[x, w] = sum_lam c(lam) e^{2 pi i sigma(lam, (x, w))/L} on the whole grid.
+
+    The multiplier of a translate sum in the spreading domain:
+    fourier_wigner(sum_lam c(lam) translate(lam, H)) = C * fourier_wigner(H).
+    Leading axes of c are kept; the last one runs over the lattice points.
+    """
+    c = np.asarray(c, dtype=complex)
+    L = lattice.modulus
+    E = np.zeros(c.shape[:-1] + (L, L), dtype=complex)
+    E[..., lattice.ws, lattice.xs] = c
+    return _series_grid(E)
 
 
 def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
@@ -142,12 +201,8 @@ def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
     mask = np.asarray(mask, dtype=complex)
     if mask.shape != (lattice.size,):
         raise ValueError(f"mask shape {mask.shape} does not match lattice of size {lattice.size}")
-    base = rank_one(phi, psi)
-    out = np.zeros_like(base)
-    for c, p in zip(mask, lattice.points):
-        if c != 0:
-            out += c * op_translate(p, base)
-    return out
+    F = fourier_wigner(rank_one(phi, psi))
+    return inverse_fourier_wigner(lattice_series(mask, lattice) * F)
 
 
 def fn_op_convolve(g, S) -> np.ndarray:
@@ -161,13 +216,8 @@ def fn_op_convolve(g, S) -> np.ndarray:
     L = S.shape[0]
     if g.shape != (L, L):
         raise ValueError(f"phase-space function shape {g.shape} does not match L={L}")
-    out = np.zeros_like(S)
-    for x in range(L):
-        for w in range(L):
-            c = g[x, w]
-            if c != 0:
-                out += c * op_translate((x, w), S)
-    return out
+    # g[x, w] sits at grid index [w, x] of the series
+    return inverse_fourier_wigner(_series_grid(g.T) * fourier_wigner(S))
 
 
 def shift_operator_matrix(z: Point, L: int) -> np.ndarray:

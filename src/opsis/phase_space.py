@@ -24,6 +24,7 @@ Conventions relied on throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -61,8 +62,8 @@ def point_add(z: Point, zp: Point, L: int) -> Point:
 class Lattice:
     """A subgroup of Z_L x Z_L with elements in lexicographic order.
 
-    Construct through :func:`build_lattice`; direct construction assumes the
-    point tuple is already a sorted subgroup.
+    Construct through :func:`build_lattice`; direct construction needs the
+    point tuple to be a sorted subgroup and raises LatticeError otherwise.
     """
 
     modulus: int
@@ -80,6 +81,15 @@ class Lattice:
             _check_point(p, L)
         if (L * L) % len(self.points) != 0:
             raise LatticeError("subgroup order must divide L^2")
+        # The autocorrelation of the indicator counts |H & (H - p)|, an integer
+        # up to |H| computed to far better than 1/2; H is a subgroup exactly
+        # when H - p = H for every p in H.
+        mask = np.zeros((L, L))
+        mask[self.xs, self.ws] = 1.0
+        f = np.fft.fft2(mask)
+        overlap = np.fft.ifft2(f * f.conj()).real[self.xs, self.ws]
+        if (overlap < self.size - 0.5).any():
+            raise LatticeError("point set is not closed under subtraction")
 
     def __repr__(self):
         return f"Lattice(modulus={self.modulus}, size={self.size})"
@@ -113,13 +123,16 @@ class Lattice:
         L = self.modulus
         dx = (self.xs[:, None] - self.xs[None, :]) % L
         dw = (self.ws[:, None] - self.ws[None, :]) % L
-        table = self._grid_index[dx, dw]
-        if (table < 0).any():
-            raise LatticeError("point set is not closed under subtraction")
-        return table
+        return self._grid_index[dx, dw]
 
     def __contains__(self, p) -> bool:
         return tuple(p) in self.index
+
+
+def _as_int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise LatticeError(f"lattice descriptor entries must be integers, got {v!r}")
+    return int(v)
 
 
 def build_lattice(descriptor, L: int) -> Lattice:
@@ -129,13 +142,13 @@ def build_lattice(descriptor, L: int) -> Lattice:
     and b | L; a generator list produces the subgroup it generates.
     """
     descriptor = tuple(descriptor)
-    if len(descriptor) == 2 and all(isinstance(d, int) for d in descriptor):
-        a, b = descriptor
+    if len(descriptor) == 2 and all(isinstance(d, numbers.Integral) for d in descriptor):
+        a, b = (_as_int(d) for d in descriptor)
         if a < 1 or b < 1 or L % a or L % b:
             raise LatticeError(f"separable descriptor ({a}, {b}) needs a | L and b | L with L={L}")
         pts = tuple((x, w) for x in range(0, L, a) for w in range(0, L, b))
         return Lattice(L, pts)
-    gens = [(x % L, w % L) for x, w in descriptor]
+    gens = [(_as_int(x) % L, _as_int(w) % L) for x, w in descriptor]
     closure = {(0, 0)}
     frontier = [(0, 0)]
     while frontier:
@@ -220,7 +233,10 @@ def symp_character_matrix(lat: Lattice) -> np.ndarray:
     tx = np.array([p[0] for p in trans])
     tw = np.array([p[1] for p in trans])
     s = (tx[:, None] * lat.ws[None, :] - tw[:, None] * lat.xs[None, :]) % L
-    return np.exp(2j * np.pi * s / L)
+    phi = np.exp(2j * np.pi * s / L)
+    # shared by every caller through the cache
+    phi.setflags(write=False)
+    return phi
 
 
 def _as_seq(c, lat: Lattice) -> np.ndarray:

@@ -18,21 +18,37 @@ operators H_m, and
     T = sum_m sum_lam s[m](lam) translate(lam, H_m)
 
 recovers every T in the span exactly.
+
+Production routes run in the spreading domain: every sample is a lattice
+pairing of F_T = fourier_wigner(T) with the scheme's cached averager
+transforms, and reconstruction multiplies the kit's cached transforms of the
+H_m by the symplectic series of the samples before one inverse transform
+(see :mod:`opsis.hs_ops`).  Window schemes sample through their averagers
+gt_m (x) g_m.  The per-translate loops survive as oracles in tests/oracle.py;
+:func:`berezin` evaluates the sampling pairing on the whole phase space by
+its own direct sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hs_ops import hs_inner, op_translate, rank_one
+from .hs_ops import (
+    fourier_wigner,
+    inverse_fourier_wigner,
+    lattice_pairing,
+    lattice_series,
+    op_translate,
+    rank_one,
+)
 from .phase_space import (
     Lattice,
     coset_transversal,
     inv_symp_fourier,
     lattice_convolve,
-    point_neg,
     symp_character_matrix,
 )
 from .si_space import GeneratorSystem, NotRieszError, riesz_check, synthesize
@@ -76,6 +92,13 @@ class SamplingScheme:
             return self.averagers
         return tuple(rank_one(gt, g) for g, gt in self.windows)
 
+    @cached_property
+    def spreading(self) -> np.ndarray:
+        """Spreading transforms of the averagers, shape (M, L, L), read-only."""
+        F = fourier_wigner(np.array(self.average_operators()))
+        F.setflags(write=False)
+        return F
+
 
 def window_scheme(pairs) -> SamplingScheme:
     return SamplingScheme(windows=tuple(pairs))
@@ -93,25 +116,12 @@ def diag_channel_samples(T, scheme: SamplingScheme, lattice: Lattice) -> np.ndar
     """
     if scheme.windows is None:
         raise ValueError("scheme has no window pairs; use avg_samples")
-    T = np.asarray(T, dtype=complex)
-    L = lattice.modulus
-    out = np.empty((scheme.num_channels, lattice.size), dtype=complex)
-    for j, p in enumerate(lattice.points):
-        Tt = op_translate(point_neg(p, L), T)
-        for m, (g, gt) in enumerate(scheme.windows):
-            out[m, j] = np.vdot(gt, Tt @ g)
-    return out
+    return lattice_pairing(fourier_wigner(T), scheme.spreading, lattice)
 
 
 def avg_samples(T, scheme: SamplingScheme, lattice: Lattice) -> np.ndarray:
     """Average samples s[m, j] = <T, translate(lam_j, Q_m)>."""
-    T = np.asarray(T, dtype=complex)
-    Qs = scheme.average_operators()
-    out = np.empty((len(Qs), lattice.size), dtype=complex)
-    for m, Q in enumerate(Qs):
-        for j, p in enumerate(lattice.points):
-            out[m, j] = hs_inner(T, op_translate(p, Q))
-    return out
+    return lattice_pairing(fourier_wigner(T), scheme.spreading, lattice)
 
 
 def berezin(T, g, gt) -> np.ndarray:
@@ -152,20 +162,12 @@ def channel_matrix(H, g, gt, lattice: Lattice) -> np.ndarray:
 def cross_seq(system: GeneratorSystem, scheme: SamplingScheme) -> np.ndarray:
     """Generator sample sequences a[m, n, j], channel m against generator n.
 
-    Window schemes use the diagonal-channel definition, averager schemes the
-    trace pairing; for Q_m = gt_m (x) g_m the two coincide.
+    a[m, n, j] = <S_n, translate(lam_j, Q_m)>, the trace pairing with the
+    averagers; for window schemes Q_m = gt_m (x) g_m, so this is the
+    diagonal-channel definition.
     """
-    lat = system.lattice
-    N = system.num_generators
-    M = scheme.num_channels
-    A = np.empty((M, N, lat.size), dtype=complex)
-    if scheme.windows is not None:
-        for n, S in enumerate(system.generators):
-            A[:, n, :] = diag_channel_samples(S, scheme, lat)
-    else:
-        for n, S in enumerate(system.generators):
-            A[:, n, :] = avg_samples(S, scheme, lat)
-    return A
+    return lattice_pairing(system.spreading[None, :], scheme.spreading[:, None],
+                           system.lattice)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,16 +237,13 @@ def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
         detail = fb.diagnostic or f"alpha = {fb.alpha:.3e}"
         raise NotAFrameError(f"transfer matrix is not a frame ({detail})")
     K, M, N = tm.fibers.shape
-    B = np.stack([np.linalg.pinv(F, rcond=rcond) for F in tm.fibers])
+    B = np.linalg.pinv(tm.fibers, rcond=rcond)
     if C is not None:
         C = np.asarray(C, dtype=complex)
         if C.shape != (K, N, M):
             raise ValueError(f"C must have shape {(K, N, M)}, got {C.shape}")
-        eye = np.eye(M)
-        B = B + np.stack([C[k] @ (eye - tm.fibers[k] @ B[k]) for k in range(K)])
-    worst = max(
-        float(np.abs(B[k] @ tm.fibers[k] - np.eye(N)).max()) for k in range(K)
-    )
+        B = B + C @ (np.eye(M) - tm.fibers @ B)
+    worst = float(np.abs(B @ tm.fibers - np.eye(N)).max())
     if worst > 1e-10:
         raise NotAFrameError(f"left-inverse residual {worst:.3e} exceeds 1e-10")
     return B
@@ -267,6 +266,13 @@ class ReconstructionKit:
     dual_fibers: np.ndarray  # (K, N, M)
     b: np.ndarray  # (N, M, K_lattice)
     recon_ops: tuple[np.ndarray, ...]
+
+    @cached_property
+    def spreading(self) -> np.ndarray:
+        """Spreading transforms of the reconstruction operators H_m, shape (M, L, L), read-only."""
+        F = fourier_wigner(np.array(self.recon_ops))
+        F.setflags(write=False)
+        return F
 
 
 def reconstruction_kit(system: GeneratorSystem, scheme: SamplingScheme,
@@ -307,13 +313,8 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
     M = len(kit.recon_ops)
     if samples.shape != (M, lat.size):
         raise ValueError(f"sample array shape {samples.shape}, expected {(M, lat.size)}")
-    L = lat.modulus
-    out = np.zeros((L, L), dtype=complex)
-    for m, H in enumerate(kit.recon_ops):
-        for s, p in zip(samples[m], lat.points):
-            if s != 0:
-                out += s * op_translate(p, H)
-    return out
+    C = lattice_series(samples, lat)
+    return inverse_fourier_wigner((C * kit.spreading).sum(axis=0))
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:
@@ -366,14 +367,8 @@ def interpolation_deviation(kit: ReconstructionKit) -> float:
     of generators and the fibers are invertible.
     """
     lat = kit.system.lattice
-    M = len(kit.recon_ops)
-    dev = 0.0
-    for m, H in enumerate(kit.recon_ops):
-        if kit.scheme.windows is not None:
-            s = diag_channel_samples(H, kit.scheme, lat)
-        else:
-            s = avg_samples(H, kit.scheme, lat)
-        target = np.zeros_like(s)
-        target[m, lat.index[(0, 0)]] = 1.0
-        dev = max(dev, float(np.abs(s - target).max()))
-    return dev
+    s = lattice_pairing(kit.spreading[:, None], kit.scheme.spreading[None, :], lat)
+    target = np.zeros_like(s)
+    M = s.shape[0]
+    target[np.arange(M), np.arange(M), lat.index[(0, 0)]] = 1.0
+    return float(np.abs(s - target).max())

@@ -15,15 +15,30 @@ the direct sum of the Ghat(xi).  Two independent cross-checks are kept: the
 dense Gram matrix itself, and the annihilator-periodized outer products of
 the spreading transforms, which equal Ghat up to the single constant
 |lattice| / L.
+
+Production routes run in the spreading domain: synthesis, the correlation
+sequences and the analysis step of :func:`coefficients` are pointwise
+products with the generators' cached spreading transforms followed by one
+2-D FFT (see :mod:`opsis.hs_ops`); no translate is ever formed.  The dense
+routes are oracles: :func:`brute_gram` (through
+:meth:`GeneratorSystem.translate_stack`) here, and the per-translate loops
+of tests/oracle.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hs_ops import fourier_wigner, hs_inner, op_translate
+from .hs_ops import (
+    fourier_wigner,
+    inverse_fourier_wigner,
+    lattice_pairing,
+    lattice_series,
+    op_translate,
+)
 from .phase_space import (
     Lattice,
     Point,
@@ -61,6 +76,13 @@ class GeneratorSystem:
     def num_generators(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def spreading(self) -> np.ndarray:
+        """Spreading transforms of the generators, shape (N, L, L), read-only."""
+        F = fourier_wigner(np.array(self.generators))
+        F.setflags(write=False)
+        return F
+
     def translate_stack(self) -> np.ndarray:
         """All translates as rows, shape (N * |lattice|, L^2), (n, lam) n-major."""
         L = self.lattice.modulus
@@ -86,13 +108,8 @@ class RieszReport:
 def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
     """Sum coefs[n, j] * translate(lattice.points[j], S_n) over all n, j."""
     coefs = _as_coefs(system, coefs)
-    L = system.lattice.modulus
-    out = np.zeros((L, L), dtype=complex)
-    for n, S in enumerate(system.generators):
-        for c, p in zip(coefs[n], system.lattice.points):
-            if c != 0:
-                out += c * op_translate(p, S)
-    return out
+    C = lattice_series(coefs, system.lattice)
+    return inverse_fourier_wigner((C * system.spreading).sum(axis=0))
 
 
 def _as_coefs(system: GeneratorSystem, coefs) -> np.ndarray:
@@ -105,15 +122,8 @@ def _as_coefs(system: GeneratorSystem, coefs) -> np.ndarray:
 
 def correlation_sequences(system: GeneratorSystem) -> np.ndarray:
     """r[n, n', j] = <S_n, translate(lattice.points[j], S_n')>."""
-    N = system.num_generators
-    K = system.lattice.size
-    L = system.lattice.modulus
-    gen_vec = np.array([S.reshape(L * L) for S in system.generators])
-    trans_vec = np.empty((N, K, L * L), dtype=complex)
-    for n, S in enumerate(system.generators):
-        for j, p in enumerate(system.lattice.points):
-            trans_vec[n, j] = op_translate(p, S).reshape(L * L)
-    return np.einsum("na,mja->nmj", gen_vec, trans_vec.conj())
+    F = system.spreading
+    return lattice_pairing(F[:, None], F[None, :], system.lattice)
 
 
 def gram_fibers(system: GeneratorSystem) -> np.ndarray:
@@ -151,7 +161,7 @@ def gw_matrix(system: GeneratorSystem, xi: Point) -> np.ndarray:
     """
     L = system.lattice.modulus
     ann = annihilator(system.lattice)
-    F = np.array([fourier_wigner(S) for S in system.generators])
+    F = system.spreading
     pts = [point_add(xi, a, L) for a in ann.points]
     W = np.array([[F[n][p] for p in pts] for n in range(system.num_generators)])
     return W @ W.conj().T
@@ -161,7 +171,7 @@ def gw_fibers(system: GeneratorSystem) -> np.ndarray:
     """gw_matrix evaluated on the whole dual transversal, shape (K, N, N)."""
     L = system.lattice.modulus
     ann = annihilator(system.lattice)
-    F = np.array([fourier_wigner(S) for S in system.generators])
+    F = system.spreading
     out = []
     for xi in dual_transversal(system.lattice):
         pts = [point_add(xi, a, L) for a in ann.points]
@@ -208,13 +218,9 @@ def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.nda
     if not report.is_riesz:
         detail = report.diagnostic or f"lower fiber bound {report.lower:.3e}"
         raise NotRieszError(f"generator translates are not a Riesz sequence ({detail})")
-    T = np.asarray(T, dtype=complex)
     lat = system.lattice
     N, K = system.num_generators, lat.size
-    q = np.empty((N, K), dtype=complex)
-    for n, S in enumerate(system.generators):
-        for j, p in enumerate(lat.points):
-            q[n, j] = hs_inner(T, op_translate(p, S))
+    q = lattice_pairing(fourier_wigner(T), system.spreading, lat)
     qhat = np.array([symp_fourier(q[n], lat) for n in range(N)])
     fibers = gram_fibers(system)
     chat = np.empty((N, K), dtype=complex)

@@ -1,0 +1,84 @@
+"""Kernel-domain oracles: the direct per-translate sums that the
+spreading-domain engine replaces.
+
+Every function here forms each translate as a dense L x L kernel with
+op_translate and sums or pairs in the kernel domain, O(|lattice| L^2) per
+operator.  None of them calls fourier_wigner, so they stay independent of the
+engine and of the periodized ("gw") Riesz route, which share that transform.
+"""
+
+import numpy as np
+
+from opsis.hs_ops import hs_inner, op_translate
+from opsis.phase_space import inv_symp_fourier, point_neg, symp_character_matrix, symp_fourier
+
+
+def translate_sum(coefs, kernels, lattice):
+    """sum_n sum_j coefs[n, j] * translate(lattice.points[j], kernels[n])."""
+    L = lattice.modulus
+    out = np.zeros((L, L), dtype=complex)
+    for n, S in enumerate(kernels):
+        for c, p in zip(coefs[n], lattice.points):
+            out += c * op_translate(p, S)
+    return out
+
+
+def synthesize(system, coefs):
+    return translate_sum(np.asarray(coefs, dtype=complex), system.generators, system.lattice)
+
+
+def reconstruct(samples, kit):
+    return translate_sum(np.asarray(samples, dtype=complex), kit.recon_ops, kit.system.lattice)
+
+
+def pairings(T, kernels, lattice):
+    """out[m, j] = <T, translate(lattice.points[j], kernels[m])>."""
+    return np.array([[hs_inner(T, op_translate(p, Q)) for p in lattice.points]
+                     for Q in kernels])
+
+
+def avg_samples(T, scheme, lattice):
+    return pairings(T, scheme.average_operators(), lattice)
+
+
+def diag_channel_samples(T, scheme, lattice):
+    """s[m, j] = <translate(-lam_j, T) g_m, gt_m>, straight from the definition."""
+    T = np.asarray(T, dtype=complex)
+    L = lattice.modulus
+    out = np.empty((scheme.num_channels, lattice.size), dtype=complex)
+    for j, p in enumerate(lattice.points):
+        Tt = op_translate(point_neg(p, L), T)
+        for m, (g, gt) in enumerate(scheme.windows):
+            out[m, j] = np.vdot(gt, Tt @ g)
+    return out
+
+
+def correlation_sequences(system):
+    """r[n, n', j] = <S_n, translate(lattice.points[j], S_n')>."""
+    return np.array([pairings(S, system.generators, system.lattice)
+                     for S in system.generators])
+
+
+def gram_fibers(system):
+    phi = symp_character_matrix(system.lattice)
+    return np.einsum("nmj,kj->knm", correlation_sequences(system), phi)
+
+
+def coefficients(system, T):
+    """Orthogonal-projection coefficients, solved fiber by fiber (no Riesz gate)."""
+    lat = system.lattice
+    q = pairings(T, system.generators, lat)
+    qhat = np.array([symp_fourier(row, lat) for row in q])
+    fibers = gram_fibers(system)
+    chat = np.array([np.linalg.solve(fibers[k].T, qhat[:, k]) for k in range(lat.size)]).T
+    return np.array([inv_symp_fourier(row, lat) for row in chat])
+
+
+def fn_op_convolve(g, S):
+    """sum_z g[z] translate(z, S) over the whole phase space."""
+    L = S.shape[0]
+    out = np.zeros((L, L), dtype=complex)
+    for x in range(L):
+        for w in range(L):
+            out += g[x, w] * op_translate((x, w), S)
+    return out

@@ -79,6 +79,16 @@ def test_riesz_check_invalid_divisor_exits_3(tmp_path):
     assert main(["riesz-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("command, cfg, extra", [
+    ("riesz-check", GAUSSIAN_RIESZ, {"tolerances": {"riesz": True}}),
+    ("reconstruct", RECON_OK, {"tolerances": {"frame": True}}),
+    ("reconstruct", RECON_OK, {"dual_perturbation": {"enabled": True, "scale": True}}),
+])
+def test_boolean_for_a_number_exits_3(tmp_path, command, cfg, extra):
+    path = write_config(tmp_path / "c.json", dict(cfg, **extra))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 3
+
+
 def test_missing_config_file_exits_3(tmp_path):
     assert main(["riesz-check", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")]) == 3

@@ -1,0 +1,151 @@
+"""The spreading-domain engine against the kernel-domain oracles of oracle.py,
+on random lattices (separable or not) from random generator lists, odd and
+even L, and random numbers of generators and channels."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
+from opsis.hs_ops import (
+    fn_op_convolve,
+    fourier_wigner,
+    gabor_multiplier,
+    inverse_fourier_wigner,
+    rank_one,
+)
+from opsis.phase_space import build_lattice
+from opsis.sampling import (
+    avg_samples,
+    average_scheme,
+    cross_seq,
+    diag_channel_samples,
+    reconstruct,
+    reconstruction_kit,
+    window_scheme,
+)
+from opsis.si_space import GeneratorSystem, coefficients, correlation_sequences, synthesize
+
+from conftest import rand_kernel, rand_seq, rand_signal
+
+# derandomized, so every run of the suite checks the same examples
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def assert_agrees(fast, slow, tol=1e-12):
+    scale = max(1.0, float(np.abs(slow).max()))
+    assert fast.shape == slow.shape
+    assert float(np.abs(fast - slow).max()) <= tol * scale
+
+
+@st.composite
+def setups(draw, max_L=12):
+    """(system, window scheme, rng) on the lattice generated by 1-3 random points."""
+    L = draw(st.integers(2, max_L))
+    point = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+    lat = build_lattice(draw(st.lists(point, min_size=1, max_size=3)), L)
+    N = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(N)))
+    scheme = window_scheme([(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(M)])
+    return system, scheme, rng
+
+
+@SETTINGS
+@given(st.integers(2, 13), st.lists(st.integers(1, 3), max_size=2), st.integers(0, 2**32 - 1))
+def test_inverse_fourier_wigner_round_trip(L, batch, seed):
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((*batch, L, L)) + 1j * rng.standard_normal((*batch, L, L))
+    F = fourier_wigner(S)
+    assert F.shape == S.shape
+    assert_agrees(inverse_fourier_wigner(F), S, 1e-14)
+    for index in np.ndindex(*batch):
+        assert np.array_equal(F[index], fourier_wigner(S[index]))
+
+
+@SETTINGS
+@given(setups())
+def test_synthesize_matches_oracle(setup):
+    system, _, rng = setup
+    c = rand_seq(rng, (system.num_generators, system.lattice.size))
+    assert_agrees(synthesize(system, c), oracle.synthesize(system, c))
+
+
+@SETTINGS
+@given(setups())
+def test_samples_match_oracle(setup):
+    system, scheme, rng = setup
+    lat = system.lattice
+    T = rand_kernel(rng, lat.modulus)
+    want = oracle.diag_channel_samples(T, scheme, lat)
+    assert_agrees(diag_channel_samples(T, scheme, lat), want)
+    assert_agrees(avg_samples(T, scheme, lat), oracle.avg_samples(T, scheme, lat))
+    averagers = average_scheme([rand_kernel(rng, lat.modulus) for _ in range(2)])
+    assert_agrees(avg_samples(T, averagers, lat), oracle.avg_samples(T, averagers, lat))
+    A = cross_seq(system, averagers)
+    for n, S in enumerate(system.generators):
+        assert_agrees(A[:, n], oracle.avg_samples(S, averagers, lat))
+
+
+@SETTINGS
+@given(setups())
+def test_correlation_sequences_match_oracle(setup):
+    system, _, _ = setup
+    assert_agrees(correlation_sequences(system), oracle.correlation_sequences(system))
+
+
+@SETTINGS
+@given(setups())
+def test_coefficients_match_oracle(setup):
+    system, _, rng = setup
+    lat = system.lattice
+    L = lat.modulus
+    # the generic random system is a Riesz sequence when N |lattice| < L^2
+    system = GeneratorSystem(lat, system.generators[: max(1, (L * L - 1) // lat.size)])
+    T = rand_kernel(rng, L)
+    assert_agrees(coefficients(system, T), oracle.coefficients(system, T), 1e-10)
+
+
+@SETTINGS
+@given(setups())
+def test_reconstruct_matches_oracle(setup):
+    system, scheme, rng = setup
+    lat = system.lattice
+    L = lat.modulus
+    # a kit needs a Riesz system (N |lattice| < L^2) and at least N channels
+    N = min(system.num_generators, max(1, (L * L - 1) // lat.size), scheme.num_channels)
+    system = GeneratorSystem(lat, system.generators[:N])
+    kit = reconstruction_kit(system, scheme)
+    s = rand_seq(rng, (scheme.num_channels, lat.size))
+    assert_agrees(reconstruct(s, kit), oracle.reconstruct(s, kit))
+
+
+@SETTINGS
+@given(setups(max_L=9))
+def test_multipliers_match_oracle(setup):
+    system, scheme, rng = setup
+    lat = system.lattice
+    L = lat.modulus
+    g = rand_kernel(rng, L, False)
+    S = system.generators[0]
+    assert_agrees(fn_op_convolve(g, S), oracle.fn_op_convolve(g, S))
+    mask = rand_seq(rng, lat.size)
+    psi, phi = scheme.windows[0]
+    want = oracle.translate_sum(mask[None], [rank_one(phi, psi)], lat)
+    assert_agrees(gabor_multiplier(mask, lat, psi, phi), want)
+
+
+def test_cached_spreading_transforms_are_read_only():
+    rng = np.random.default_rng(5)
+    L = 8
+    lat = build_lattice([(2, 2), (0, 4)], L)
+    system = GeneratorSystem(lat, (rand_kernel(rng, L),))
+    scheme = window_scheme([(rand_signal(rng, L), rand_signal(rng, L))])
+    kit = reconstruction_kit(system, scheme)
+    for F in (system.spreading, scheme.spreading, kit.spreading):
+        assert not F.flags.writeable
+        with pytest.raises(ValueError):
+            F[0, 0, 0] = 0
+    assert system.spreading is system.spreading

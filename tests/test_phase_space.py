@@ -10,6 +10,7 @@ from opsis.phase_space import (
     dual_transversal,
     inv_symp_fourier,
     lattice_convolve,
+    symp_character_matrix,
     symp_fourier,
     symplectic_form,
 )
@@ -77,6 +78,26 @@ def test_invalid_separable_descriptor():
         build_lattice((3, 2), 4)
 
 
+def test_descriptor_accepts_numpy_integers():
+    lat = build_lattice((np.int64(4), np.int64(4)), 16)
+    assert lat == build_lattice((4, 4), 16)
+    assert all(type(v) is int for p in lat.points for v in p)
+    assert build_lattice([(np.int32(2), np.int64(6))], 16) == build_lattice([(2, 6)], 16)
+
+
+@pytest.mark.parametrize("desc", [(True, 2), (2, False), [(1, True)], [(1.0, 2)]])
+def test_descriptor_rejects_booleans_and_floats(desc):
+    with pytest.raises(LatticeError):
+        build_lattice(desc, 4)
+
+
+def test_direct_construction_rejects_non_subgroup():
+    with pytest.raises(LatticeError, match="not closed"):
+        Lattice(8, ((0, 0), (1, 0), (3, 0), (5, 0)))
+    # a non-separable subgroup passes
+    assert Lattice(4, ((0, 0), (1, 1), (2, 2), (3, 3))).size == 4
+
+
 def test_lattice_order_divides_group_order():
     for lat in zoo():
         assert (lat.modulus ** 2) % lat.size == 0
@@ -126,6 +147,12 @@ def test_dual_transversal_reps_are_distinct_mod_annihilator():
 
 
 # ---------------------------------------------------------------- symplectic Fourier
+
+def test_symp_character_matrix_is_read_only():
+    phi = symp_character_matrix(build_lattice((2, 2), 4))
+    with pytest.raises(ValueError):
+        phi[0, 0] = 0
+
 
 def test_symp_fourier_delta_at_origin():
     lat = build_lattice((2, 2), 4)

@@ -7,7 +7,7 @@ Reads a JSON config (schema in the README), writes a metrics.json plus CSV
 tables into the output directory, and exits with
 
     0  success (a negative mathematical verdict is still a success),
-    2  the requested pipeline needs a frame / Riesz system and got none,
+    2  the pipeline needs a Riesz system and a frame; metrics.json says which failed,
     3  invalid configuration,
     4  internal numerical failure (non-finite values detected).
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,22 +27,19 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, PortableRng, load_config, parse_config
+from .hs_ops import hs_norm, identity
 from .phase_space import LatticeError, build_lattice, dual_transversal
 from .sampling import (
     NotAFrameError,
-    cross_seq,
+    ReconstructionKit,
+    avg_samples,
     channel_matrix,
     diag_channel_samples,
-    avg_samples,
-    frame_bounds,
     interpolation_deviation,
     reconstruct,
-    reconstruction_kit,
     sublattice_inflate,
-    transfer_matrix,
 )
-from .si_space import GeneratorSystem, NotRieszError, gram_fibers, riesz_check, synthesize
-from .hs_ops import hs_norm, identity
+from .si_space import GeneratorSystem, NotRieszError, riesz_check, synthesize
 
 
 class NumericalError(RuntimeError):
@@ -71,12 +69,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_metrics(outdir: Path, metrics: dict) -> None:
-    (outdir / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-    )
-
-
 def _need(cfg: ExperimentConfig, attr, what):
     val = getattr(cfg, attr)
     if val is None:
@@ -84,25 +76,23 @@ def _need(cfg: ExperimentConfig, attr, what):
     return val
 
 
-def _coefficients(cfg: ExperimentConfig, system: GeneratorSystem) -> np.ndarray:
-    rng = PortableRng(cfg.coef_seed)
-    return rng.complex_normal((system.num_generators, system.lattice.size))
+def _coefficients(seed: int, system: GeneratorSystem) -> np.ndarray:
+    return PortableRng(seed).complex_normal((system.num_generators, system.lattice.size))
 
 
-def _tolerance(cfg: ExperimentConfig, key: str, default: float | None = None):
+def _tolerance(cfg: ExperimentConfig, key: str) -> float | None:
     tols = cfg.options.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("'tolerances' must be an object")
-    val = tols.get(key, default)
-    if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
-        raise ConfigError(f"'tolerances.{key}' must be a number")
+    val = tols.get(key)
+    if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))
+                            or not 0 <= val < math.inf):
+        raise ConfigError(f"'tolerances.{key}' must be a finite number >= 0")
     return val
 
 
 def _dual_perturbation(cfg: ExperimentConfig, K: int, N: int, M: int):
     spec = cfg.options.get("dual_perturbation")
-    if not spec:
-        return None
     if not (isinstance(spec, dict) and spec.get("enabled")):
         return None
     scale = spec.get("scale", 1.0)
@@ -111,22 +101,59 @@ def _dual_perturbation(cfg: ExperimentConfig, K: int, N: int, M: int):
     return scale * PortableRng(cfg.dual_seed).complex_normal((K, N, M))
 
 
+def _kit(cfg: ExperimentConfig, system: GeneratorSystem, scheme, C=None) -> ReconstructionKit:
+    """The pipeline at the configured tolerances, after a finiteness check of its fibers."""
+    kit = ReconstructionKit(system, scheme, C=C, tol=_tolerance(cfg, "frame"),
+                            riesz_tol=_tolerance(cfg, "riesz"))
+    _ensure_finite("fibers", system.riesz_fibers, kit.transfer.fibers)
+    return kit
+
+
+def _gate(kit: ReconstructionKit) -> dict | None:
+    """The metrics error entry of the first gate the kit fails, or None."""
+    try:
+        kit.recon_ops
+    except NotRieszError:
+        return {"kind": "not_riesz", "detail": kit.riesz.diagnostic or "zero lower bound"}
+    except NotAFrameError as exc:
+        return {"kind": "not_a_frame", "detail": str(exc)}
+    return None
+
+
+def _rel_error(kit: ReconstructionKit, T) -> float:
+    """Relative HS error of reconstructing T from its samples through the kit."""
+    samples = avg_samples(T, kit.scheme, kit.system.lattice)
+    rel = hs_norm(T - reconstruct(samples, kit)) / hs_norm(T)
+    _ensure_finite("reconstruction", rel)
+    return rel
+
+
+def _fiber_rows(lattice, values) -> list[tuple]:
+    """CSV rows (xi_x, xi_w, index, value), one per value of every fiber."""
+    return [(xi[0], xi[1], i, float(v))
+            for xi, row in zip(dual_transversal(lattice), values)
+            for i, v in enumerate(row)]
+
+
+def _riesz_metrics(report) -> dict:
+    return {"m": report.lower, "M": report.upper, "is_riesz": report.is_riesz,
+            "diagnostic": report.diagnostic}
+
+
+def _frame_metrics(kit: ReconstructionKit) -> dict:
+    fb = kit.transfer.bounds
+    return {"alpha_A": fb.alpha, "beta_A": fb.beta, "M": kit.scheme.num_channels,
+            "N": kit.system.num_generators, "diagnostic": fb.diagnostic}
+
+
 def run_riesz_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     system = _need(cfg, "system", "lattice + generators")
-    fibers = gram_fibers(system)
-    _ensure_finite("riesz fibers", fibers)
+    _ensure_finite("riesz fibers", system.riesz_fibers)
     report = riesz_check(system, tol=_tolerance(cfg, "riesz"))
-    eigs = np.linalg.eigvalsh(fibers)
-    trans = dual_transversal(system.lattice)
-    rows = [
-        (xi[0], xi[1], i, float(eigs[k, i]))
-        for k, xi in enumerate(trans)
-        for i in range(eigs.shape[1])
-    ]
-    _write_csv(outdir / "riesz_fibers.csv", ["xi_x", "xi_w", "index", "eigenvalue"], rows)
+    _write_csv(outdir / "riesz_fibers.csv", ["xi_x", "xi_w", "index", "eigenvalue"],
+               _fiber_rows(system.lattice, system.riesz_spectrum))
     metrics = {
-        "riesz": {"m": report.lower, "M": report.upper, "is_riesz": report.is_riesz,
-                  "route": report.route, "diagnostic": report.diagnostic},
+        "riesz": dict(_riesz_metrics(report), route=report.route),
         "config": {"L": cfg.L, "N": system.num_generators, "lattice_size": system.lattice.size},
         "tables": {"fibers": "riesz_fibers.csv"},
     }
@@ -135,23 +162,13 @@ def run_riesz_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 
 def run_frame_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     system = _need(cfg, "system", "lattice + generators")
-    scheme = _need(cfg, "scheme", "scheme")
-    A = cross_seq(system, scheme)
-    tm = transfer_matrix(A, system.lattice)
+    kit = ReconstructionKit(system, _need(cfg, "scheme", "scheme"))
+    tm = kit.transfer
     _ensure_finite("transfer fibers", tm.fibers)
-    fb = frame_bounds(tm)
-    sv = np.linalg.svd(tm.fibers, compute_uv=False)
-    trans = dual_transversal(system.lattice)
-    rows = [
-        (xi[0], xi[1], i, float(sv[k, i]))
-        for k, xi in enumerate(trans)
-        for i in range(sv.shape[1])
-    ]
-    _write_csv(outdir / "frame_fibers.csv", ["xi_x", "xi_w", "index", "singular_value"], rows)
+    _write_csv(outdir / "frame_fibers.csv", ["xi_x", "xi_w", "index", "singular_value"],
+               _fiber_rows(system.lattice, tm.singular_values))
     metrics = {
-        "frame": {"alpha_A": fb.alpha, "beta_A": fb.beta,
-                  "M": scheme.num_channels, "N": system.num_generators,
-                  "diagnostic": fb.diagnostic},
+        "frame": _frame_metrics(kit),
         "config": {"L": cfg.L, "lattice_size": system.lattice.size},
         "tables": {"fibers": "frame_fibers.csv"},
     }
@@ -161,48 +178,23 @@ def run_frame_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 def run_reconstruct(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     system = _need(cfg, "system", "lattice + generators")
     scheme = _need(cfg, "scheme", "scheme")
-    coefs = _coefficients(cfg, system)
-    T = synthesize(system, coefs)
-
-    work_system = system
+    T = synthesize(system, _coefficients(cfg.coef_seed, system))
     if cfg.sublattice is not None:
-        work_system = sublattice_inflate(system, cfg.sublattice)
-
-    A = cross_seq(work_system, scheme)
-    tm = transfer_matrix(A, work_system.lattice)
-    _ensure_finite("transfer fibers", tm.fibers, gram_fibers(work_system))
-    report = riesz_check(work_system, tol=_tolerance(cfg, "riesz"))
-    fb = frame_bounds(tm)
+        system = sublattice_inflate(system, cfg.sublattice)
+    N, M = system.num_generators, scheme.num_channels
+    kit = _kit(cfg, system, scheme, _dual_perturbation(cfg, system.lattice.size, N, M))
     metrics = {
-        "riesz": {"m": report.lower, "M": report.upper, "is_riesz": report.is_riesz,
-                  "diagnostic": report.diagnostic},
-        "frame": {"alpha_A": fb.alpha, "beta_A": fb.beta,
-                  "M": scheme.num_channels, "N": work_system.num_generators,
-                  "diagnostic": fb.diagnostic},
-        "config": {"L": cfg.L, "lattice_size": work_system.lattice.size,
+        "riesz": _riesz_metrics(kit.riesz),
+        "frame": _frame_metrics(kit),
+        "config": {"L": cfg.L, "lattice_size": system.lattice.size,
                    "sublattice": cfg.sublattice is not None},
     }
-    frame_tol = _tolerance(cfg, "frame", 1e-10 * fb.beta)
-    if not report.is_riesz:
-        metrics["error"] = {"kind": "not_riesz", "detail": report.diagnostic or "zero lower bound"}
+    error = _gate(kit)
+    if error is not None:
+        metrics["error"] = error
         return 2, metrics
-    if not fb.alpha > frame_tol:
-        metrics["error"] = {"kind": "not_a_frame",
-                            "detail": fb.diagnostic or f"alpha_A = {fb.alpha:.3e}"}
-        return 2, metrics
-
-    K = tm.fibers.shape[0]
-    C = _dual_perturbation(cfg, K, work_system.num_generators, scheme.num_channels)
-    kit = reconstruction_kit(work_system, scheme, C=C)
-    if scheme.windows is not None:
-        samples = diag_channel_samples(T, scheme, work_system.lattice)
-    else:
-        samples = avg_samples(T, scheme, work_system.lattice)
-    T_rec = reconstruct(samples, kit)
-    rel_err = hs_norm(T - T_rec) / hs_norm(T)
-    _ensure_finite("reconstruction", rel_err)
-    metrics["reconstruction"] = {"rel_hs_error": rel_err}
-    if scheme.num_channels == work_system.num_generators:
+    metrics["reconstruction"] = {"rel_hs_error": _rel_error(kit, T)}
+    if M == N:
         metrics["reconstruction"]["interp_max_dev"] = interpolation_deviation(kit)
     return 0, metrics
 
@@ -222,7 +214,7 @@ def run_channel_demo(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         H = identity(cfg.L)
     elif channel_kind in (None, "synthesized"):
         system = _need(cfg, "system", "lattice + generators")
-        H = synthesize(system, _coefficients(cfg, system))
+        H = synthesize(system, _coefficients(cfg.coef_seed, system))
     else:
         raise ConfigError(f"unknown channel kind {channel_kind!r}")
 
@@ -257,9 +249,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     sweep = cfg.options.get("sweep")
     if not isinstance(sweep, dict) or "a" not in sweep or "b" not in sweep:
         raise ConfigError("sweep needs 'sweep': {'a': [...], 'b': [...]}")
-    kernels = cfg.generator_kernels
-    if kernels is None:
-        raise ConfigError("sweep needs 'generators'")
+    kernels = _need(cfg, "generator_kernels", "generators")
     scheme = _need(cfg, "scheme", "scheme")
     a_list, b_list = sweep["a"], sweep["b"]
     for label, vals in (("a", a_list), ("b", b_list)):
@@ -273,35 +263,17 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     for row_index, (a, b) in enumerate((a, b) for a in a_list for b in b_list):
         cells: list = [cfg.L, a, b, len(kernels), scheme.num_channels]
         try:
-            lattice = build_lattice((a, b), cfg.L)
-            system = GeneratorSystem(lattice, kernels)
-            _ensure_finite("sweep fibers", gram_fibers(system))
-            report = riesz_check(system)
-            cells += [report.lower, report.upper]
-            tm = transfer_matrix(cross_seq(system, scheme), lattice)
-            _ensure_finite("sweep transfer", tm.fibers)
-            fb = frame_bounds(tm)
-            cells += [fb.alpha, fb.beta]
-            if not report.is_riesz:
-                rows.append(cells + ["", "not_riesz"])
+            kit = _kit(cfg, GeneratorSystem(build_lattice((a, b), cfg.L), kernels), scheme)
+            fb = kit.transfer.bounds
+            cells += [kit.riesz.lower, kit.riesz.upper, fb.alpha, fb.beta]
+            error = _gate(kit)
+            if error is not None:
+                rows.append(cells + ["", error["kind"]])
                 continue
-            if not fb.alpha > 1e-10 * fb.beta:
-                rows.append(cells + ["", "not_a_frame"])
-                continue
-            kit = reconstruction_kit(system, scheme)
-            rng = PortableRng(cfg.coef_seed + row_index)
-            coefs = rng.complex_normal((system.num_generators, lattice.size))
-            T = synthesize(system, coefs)
-            if scheme.windows is not None:
-                samples = diag_channel_samples(T, scheme, lattice)
-            else:
-                samples = avg_samples(T, scheme, lattice)
-            rel = hs_norm(T - reconstruct(samples, kit)) / hs_norm(T)
-            _ensure_finite("sweep row", rel)
-            rows.append(cells + [rel, "ok"])
-        except (LatticeError, NotRieszError, NotAFrameError, NumericalError) as exc:
-            while len(cells) < len(header) - 2:
-                cells.append("")
+            T = synthesize(kit.system, _coefficients(cfg.coef_seed + row_index, kit.system))
+            rows.append(cells + [_rel_error(kit, T), "ok"])
+        except (LatticeError, NumericalError) as exc:
+            cells += [""] * (len(header) - 2 - len(cells))
             rows.append(cells + ["", type(exc).__name__])
     _write_csv(outdir / "sweep.csv", header, rows)
     metrics = {
@@ -344,15 +316,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"opsis: invalid configuration: {exc}", file=sys.stderr)
         return 3
-    except (NotAFrameError, NotRieszError) as exc:
-        print(f"opsis: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"opsis: numerical failure: {exc}", file=sys.stderr)
         return 4
     metrics["command"] = args.command
     metrics["seed"] = cfg.seed
-    _write_metrics(outdir, metrics)
+    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     elapsed = time.perf_counter() - started
     print(f"opsis {args.command}: done in {elapsed:.3f}s -> {outdir}", file=sys.stderr)
     return code

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .phase_space import Point
-from .timefreq import UnsupportedModulusError, tf_shift_matrix
+from .timefreq import UnsupportedModulusError
 
 
 def _as_kernel(S) -> np.ndarray:
@@ -219,7 +219,3 @@ def fn_op_convolve(g, S) -> np.ndarray:
     # g[x, w] sits at grid index [w, x] of the series
     return inverse_fourier_wigner(_series_grid(g.T) * fourier_wigner(S))
 
-
-def shift_operator_matrix(z: Point, L: int) -> np.ndarray:
-    """The shift by z as an explicit Hilbert-Schmidt kernel (alias of the shift matrix)."""
-    return tf_shift_matrix(z, L)

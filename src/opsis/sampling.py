@@ -19,14 +19,21 @@ operators H_m, and
 
 recovers every T in the span exactly.
 
+:class:`ReconstructionKit` is this chain as one staged pipeline: the Riesz
+report, the generator samples and their transfer matrix, the frame bounds,
+the dual fibers, b, the H_m and their spreading transforms are each
+computed once, on first use, and cached; the dual stage gates on the Riesz
+and frame tolerances the kit was built with.
+
 Production routes run in the spreading domain: every sample is a lattice
 pairing of F_T = fourier_wigner(T) with the scheme's cached averager
-transforms, and reconstruction multiplies the kit's cached transforms of the
-H_m by the symplectic series of the samples before one inverse transform
-(see :mod:`opsis.hs_ops`).  Window schemes sample through their averagers
-gt_m (x) g_m.  The per-translate loops survive as oracles in tests/oracle.py;
-:func:`berezin` evaluates the sampling pairing on the whole phase space by
-its own direct sum.
+transforms (window schemes sample through their averagers gt_m (x) g_m),
+and reconstruction multiplies the kit's cached transforms of the H_m by the
+symplectic series of the samples before one inverse transform (see
+:mod:`opsis.hs_ops`).  The per-translate loops and per-channel lattice
+convolutions survive as oracles in tests/oracle.py; :func:`berezin`
+evaluates the sampling pairing on the whole phase space by its own direct
+sum.
 """
 
 from __future__ import annotations
@@ -48,15 +55,15 @@ from .phase_space import (
     Lattice,
     coset_transversal,
     inv_symp_fourier,
-    lattice_convolve,
+    point_add,
     symp_character_matrix,
 )
-from .si_space import GeneratorSystem, NotRieszError, riesz_check, synthesize
+from .si_space import GeneratorSystem, RieszReport, riesz_check, synthesize
 from .timefreq import tf_shift
 
 
 class NotAFrameError(RuntimeError):
-    """The transfer matrix has no positive lower frame bound."""
+    """The transfer matrix has no positive lower frame bound, or no usable left inverse."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +196,18 @@ class TransferMatrix:
     def num_generators(self) -> int:
         return self.fibers.shape[2]
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of every fiber, descending, shape (K, min(M, N)), read-only."""
+        sv = np.linalg.svd(self.fibers, compute_uv=False)
+        sv.setflags(write=False)
+        return sv
+
+    @cached_property
+    def bounds(self) -> FrameBounds:
+        """The frame bounds of :func:`frame_bounds`."""
+        return frame_bounds(self)
+
 
 def transfer_matrix(A, lattice: Lattice) -> TransferMatrix:
     """Fiber matrices Ahat[k, m, n] = symp_fourier(a[m, n])(xi_k)."""
@@ -213,7 +232,7 @@ def frame_bounds(tm: TransferMatrix) -> FrameBounds:
     Fewer channels than generators forces a zero lower bound; a zero alpha is
     a result, not an error.
     """
-    sv = np.linalg.svd(tm.fibers, compute_uv=False)
+    sv = tm.singular_values
     beta = float((sv[:, 0] ** 2).max())
     if tm.num_channels < tm.num_generators:
         return FrameBounds(0.0, beta, "rank deficient: M < N")
@@ -228,14 +247,15 @@ def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
     Default is the Moore-Penrose pseudoinverse (singular values below
     rcond * largest are treated as zero).  An optional C of shape (K, N, M)
     selects the family member Ahat+ + C (I_M - Ahat Ahat+).  Raises
-    NotAFrameError when the lower frame bound is not positive.
+    NotAFrameError when the lower frame bound does not exceed tol (default
+    1e-10 times the upper bound), or when the result misses I_N by more than
+    1e-10 in some entry.
     """
-    fb = frame_bounds(tm)
+    fb = tm.bounds
     if tol is None:
         tol = 1e-10 * fb.beta
     if not fb.alpha > tol:
-        detail = fb.diagnostic or f"alpha = {fb.alpha:.3e}"
-        raise NotAFrameError(f"transfer matrix is not a frame ({detail})")
+        raise NotAFrameError(fb.diagnostic or f"alpha_A = {fb.alpha:.3e}")
     K, M, N = tm.fibers.shape
     B = np.linalg.pinv(tm.fibers, rcond=rcond)
     if C is not None:
@@ -251,21 +271,54 @@ def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionKit:
-    """Everything needed to reconstruct from samples on one lattice.
+    """The staged pipeline from a generator system and a scheme to the H_m.
 
-    Carries the frame bounds, the dual fibers Bhat, the dual coefficient
-    sequences b[n, m] (inverse transforms of the Bhat entries) and the
-    reconstruction operators H_m synthesized from them.
+    Each stage is a cached attribute, computed on first use.  dual_fibers
+    (the left inverse selected by C) raises NotRieszError unless the system
+    passes riesz_check at riesz_tol, and NotAFrameError unless
+    dual_left_inverse succeeds at the frame tolerance tol; None means the
+    default of either.  b[n, m] are the inverse transforms of the Bhat
+    entries, and recon_ops the H_m synthesized from them.
     """
 
     system: GeneratorSystem
     scheme: SamplingScheme
-    transfer: TransferMatrix
-    alpha: float
-    beta: float
-    dual_fibers: np.ndarray  # (K, N, M)
-    b: np.ndarray  # (N, M, K_lattice)
-    recon_ops: tuple[np.ndarray, ...]
+    C: np.ndarray | None = None
+    tol: float | None = None
+    riesz_tol: float | None = None
+
+    @cached_property
+    def riesz(self) -> RieszReport:
+        return riesz_check(self.system, tol=self.riesz_tol)
+
+    @cached_property
+    def transfer(self) -> TransferMatrix:
+        return transfer_matrix(cross_seq(self.system, self.scheme), self.system.lattice)
+
+    @property
+    def alpha(self) -> float:
+        return self.transfer.bounds.alpha
+
+    @property
+    def beta(self) -> float:
+        return self.transfer.bounds.beta
+
+    @cached_property
+    def dual_fibers(self) -> np.ndarray:
+        """Left inverses Bhat of the transfer fibers, shape (K, N, M)."""
+        self.riesz.require()
+        return dual_left_inverse(self.transfer, C=self.C, tol=self.tol)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """Dual coefficient sequences, shape (N, M, |lattice|)."""
+        B, lat = self.dual_fibers, self.system.lattice
+        return np.array([[inv_symp_fourier(B[:, n, m], lat) for m in range(B.shape[2])]
+                         for n in range(B.shape[1])])
+
+    @cached_property
+    def recon_ops(self) -> tuple[np.ndarray, ...]:
+        return tuple(synthesize(self.system, self.b[:, m, :]) for m in range(self.b.shape[1]))
 
     @cached_property
     def spreading(self) -> np.ndarray:
@@ -276,29 +329,16 @@ class ReconstructionKit:
 
 
 def reconstruction_kit(system: GeneratorSystem, scheme: SamplingScheme,
-                       C=None, tol: float | None = None) -> ReconstructionKit:
-    """Build dual sequences and reconstruction operators for a system and scheme.
+                       C=None, tol: float | None = None,
+                       riesz_tol: float | None = None) -> ReconstructionKit:
+    """Build the kit and run it through the reconstruction operators H_m.
 
-    Gates on the Riesz property of the generators and on a positive lower
-    frame bound of the transfer matrix, then sets
-    b[n, m] = inv_symp_fourier(Bhat[:, n, m]) and H_m = synthesize(b[:, m]).
+    Raises at once when the generators fail the Riesz gate at riesz_tol or
+    the transfer matrix fails the frame gate at tol.
     """
-    report = riesz_check(system)
-    if not report.is_riesz:
-        detail = report.diagnostic or f"lower fiber bound {report.lower:.3e}"
-        raise NotRieszError(f"generator translates are not a Riesz sequence ({detail})")
-    lat = system.lattice
-    A = cross_seq(system, scheme)
-    tm = transfer_matrix(A, lat)
-    fb = frame_bounds(tm)
-    B = dual_left_inverse(tm, C=C, tol=tol)
-    N, M = system.num_generators, scheme.num_channels
-    b = np.empty((N, M, lat.size), dtype=complex)
-    for n in range(N):
-        for m in range(M):
-            b[n, m] = inv_symp_fourier(B[:, n, m], lat)
-    recon_ops = tuple(synthesize(system, b[:, m, :]) for m in range(M))
-    return ReconstructionKit(system, scheme, tm, fb.alpha, fb.beta, B, b, recon_ops)
+    kit = ReconstructionKit(system, scheme, C, tol, riesz_tol)
+    kit.recon_ops  # runs the gates now
+    return kit
 
 
 def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
@@ -318,15 +358,17 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:
-    """Coefficient recovery c[n] = sum_m samples[m] * b[n, m] (lattice convolutions)."""
+    """Coefficient recovery c[n] = sum_m samples[m] * b[n, m] (lattice convolutions).
+
+    Computed fiberwise, chat(xi) = Bhat(xi) shat(xi), then one inverse
+    symplectic series per generator.
+    """
     samples = np.asarray(samples, dtype=complex)
     lat = kit.system.lattice
-    N, M = kit.b.shape[0], kit.b.shape[1]
-    out = np.zeros((N, lat.size), dtype=complex)
-    for n in range(N):
-        for m in range(M):
-            out[n] += lattice_convolve(samples[m], kit.b[n, m], lat)
-    return out
+    phi = symp_character_matrix(lat)
+    chat = np.einsum("knm,mk->nk", kit.dual_fibers, samples @ phi.T)
+    # chat @ conj(phi), with the conjugates outside the product so phi is not copied
+    return np.conj(np.conj(chat) @ phi) / lat.size
 
 
 def sublattice_inflate(system: GeneratorSystem, sub: Lattice) -> GeneratorSystem:
@@ -346,18 +388,10 @@ def sublattice_inflate(system: GeneratorSystem, sub: Lattice) -> GeneratorSystem
 
 def inflate_coefficients(system: GeneratorSystem, sub: Lattice, coefs) -> np.ndarray:
     """Re-index coefficients for an inflated system: c'[n, i](mu) = c[n](lam_i + mu)."""
-    coefs = np.asarray(coefs, dtype=complex)
     lat = system.lattice
-    reps = coset_transversal(lat, sub)
-    N = system.num_generators
-    out = np.empty((N * len(reps), sub.size), dtype=complex)
-    for n in range(N):
-        for i, rep in enumerate(reps):
-            for j, mu in enumerate(sub.points):
-                x = (rep[0] + mu[0]) % lat.modulus
-                w = (rep[1] + mu[1]) % lat.modulus
-                out[n * len(reps) + i, j] = coefs[n, lat.index[(x, w)]]
-    return out
+    index = [[lat.index[point_add(rep, mu, lat.modulus)] for mu in sub.points]
+             for rep in coset_transversal(lat, sub)]
+    return np.asarray(coefs, dtype=complex)[:, index].reshape(-1, sub.size)
 
 
 def interpolation_deviation(kit: ReconstructionKit) -> float:

@@ -19,10 +19,12 @@ the spreading transforms, which equal Ghat up to the single constant
 Production routes run in the spreading domain: synthesis, the correlation
 sequences and the analysis step of :func:`coefficients` are pointwise
 products with the generators' cached spreading transforms followed by one
-2-D FFT (see :mod:`opsis.hs_ops`); no translate is ever formed.  The dense
-routes are oracles: :func:`brute_gram` (through
-:meth:`GeneratorSystem.translate_stack`) here, and the per-translate loops
-of tests/oracle.py.
+2-D FFT (see :mod:`opsis.hs_ops`); no translate is ever formed.  A system
+caches its spreading transforms, its Riesz fibers and their spectrum, so
+:func:`riesz_check`, :func:`coefficients` and the reconstruction kit compute
+each of them once.  The dense routes are oracles: :func:`brute_gram`
+(through :meth:`GeneratorSystem.translate_stack`) here, and the
+per-translate loops of tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .phase_space import (
     annihilator,
     dual_transversal,
     inv_symp_fourier,
-    point_add,
     symp_character_matrix,
     symp_fourier,
 )
@@ -83,6 +84,20 @@ class GeneratorSystem:
         F.setflags(write=False)
         return F
 
+    @cached_property
+    def riesz_fibers(self) -> np.ndarray:
+        """The fibers of :func:`gram_fibers`, shape (K, N, N), read-only."""
+        G = gram_fibers(self)
+        G.setflags(write=False)
+        return G
+
+    @cached_property
+    def riesz_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of every Riesz fiber, shape (K, N), read-only."""
+        eigs = np.linalg.eigvalsh(self.riesz_fibers)
+        eigs.setflags(write=False)
+        return eigs
+
     def translate_stack(self) -> np.ndarray:
         """All translates as rows, shape (N * |lattice|, L^2), (n, lam) n-major."""
         L = self.lattice.modulus
@@ -104,20 +119,21 @@ class RieszReport:
     route: str
     diagnostic: str | None = None
 
+    def require(self) -> None:
+        """Raise NotRieszError unless the translates form a Riesz sequence."""
+        if not self.is_riesz:
+            detail = self.diagnostic or f"lower fiber bound {self.lower:.3e}"
+            raise NotRieszError(f"generator translates are not a Riesz sequence ({detail})")
+
 
 def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
     """Sum coefs[n, j] * translate(lattice.points[j], S_n) over all n, j."""
-    coefs = _as_coefs(system, coefs)
-    C = lattice_series(coefs, system.lattice)
-    return inverse_fourier_wigner((C * system.spreading).sum(axis=0))
-
-
-def _as_coefs(system: GeneratorSystem, coefs) -> np.ndarray:
     coefs = np.asarray(coefs, dtype=complex)
     want = (system.num_generators, system.lattice.size)
     if coefs.shape != want:
         raise ValueError(f"coefficient array shape {coefs.shape}, expected {want}")
-    return coefs
+    C = lattice_series(coefs, system.lattice)
+    return inverse_fourier_wigner((C * system.spreading).sum(axis=0))
 
 
 def correlation_sequences(system: GeneratorSystem) -> np.ndarray:
@@ -161,41 +177,31 @@ def gw_matrix(system: GeneratorSystem, xi: Point) -> np.ndarray:
     """
     L = system.lattice.modulus
     ann = annihilator(system.lattice)
-    F = system.spreading
-    pts = [point_add(xi, a, L) for a in ann.points]
-    W = np.array([[F[n][p] for p in pts] for n in range(system.num_generators)])
+    W = system.spreading[:, (xi[0] + ann.xs) % L, (xi[1] + ann.ws) % L]
     return W @ W.conj().T
 
 
 def gw_fibers(system: GeneratorSystem) -> np.ndarray:
     """gw_matrix evaluated on the whole dual transversal, shape (K, N, N)."""
-    L = system.lattice.modulus
-    ann = annihilator(system.lattice)
-    F = system.spreading
-    out = []
-    for xi in dual_transversal(system.lattice):
-        pts = [point_add(xi, a, L) for a in ann.points]
-        W = np.array([[F[n][p] for p in pts] for n in range(system.num_generators)])
-        out.append(W @ W.conj().T)
-    return np.array(out)
+    return np.array([gw_matrix(system, xi) for xi in dual_transversal(system.lattice)])
 
 
 def riesz_check(system: GeneratorSystem, tol: float | None = None, route: str = "fibers") -> RieszReport:
     """Decide the Riesz property from the extreme eigenvalues over all fibers.
 
-    Default tolerance is 1e-10 times the upper bound.  route="gw" uses the
-    periodized spreading transforms scaled by |lattice| / L instead of the
-    correlation fibers; both agree to rounding.
+    Default tolerance is 1e-10 times the upper bound.  route="fibers" reads
+    the system's cached Riesz spectrum.  route="gw" uses the periodized
+    spreading transforms scaled by |lattice| / L instead of the correlation
+    fibers; both agree to rounding.
     """
     L = system.lattice.modulus
     N, K = system.num_generators, system.lattice.size
     if route == "fibers":
-        fibers = gram_fibers(system)
+        eigs = system.riesz_spectrum
     elif route == "gw":
-        fibers = gw_fibers(system) * (K / L)
+        eigs = np.linalg.eigvalsh(gw_fibers(system) * (K / L))
     else:
         raise ValueError(f"unknown route {route!r}")
-    eigs = np.linalg.eigvalsh(fibers)
     # fibers are PSD; tiny negative eigenvalues are rounding noise
     lower = max(float(eigs[:, 0].min()), 0.0)
     upper = float(eigs[:, -1].max())
@@ -214,16 +220,10 @@ def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.nda
     fiber.  Round trip: synthesize(coefficients(T)) returns T whenever T lies
     in the span.  Raises NotRieszError when the system fails riesz_check.
     """
-    report = riesz_check(system, tol=tol)
-    if not report.is_riesz:
-        detail = report.diagnostic or f"lower fiber bound {report.lower:.3e}"
-        raise NotRieszError(f"generator translates are not a Riesz sequence ({detail})")
+    riesz_check(system, tol=tol).require()
     lat = system.lattice
-    N, K = system.num_generators, lat.size
     q = lattice_pairing(fourier_wigner(T), system.spreading, lat)
-    qhat = np.array([symp_fourier(q[n], lat) for n in range(N)])
-    fibers = gram_fibers(system)
-    chat = np.empty((N, K), dtype=complex)
-    for k in range(K):
-        chat[:, k] = np.linalg.solve(fibers[k].T, qhat[:, k])
-    return np.array([inv_symp_fourier(chat[n], lat) for n in range(N)])
+    qhat = np.array([symp_fourier(row, lat) for row in q])
+    # Ghat(xi)^T chat(xi) = qhat(xi), solved on every fiber at once
+    chat = np.linalg.solve(np.swapaxes(system.riesz_fibers, 1, 2), qhat.T[..., None])[..., 0]
+    return np.array([inv_symp_fourier(row, lat) for row in chat.T])

@@ -1,5 +1,6 @@
 """Kernel-domain oracles: the direct per-translate sums that the
-spreading-domain engine replaces.
+spreading-domain engine replaces, and the per-channel lattice convolutions
+that the fiberwise coefficient expansion replaces.
 
 Every function here forms each translate as a dense L x L kernel with
 op_translate and sums or pairs in the kernel domain, O(|lattice| L^2) per
@@ -10,7 +11,13 @@ engine and of the periodized ("gw") Riesz route, which share that transform.
 import numpy as np
 
 from opsis.hs_ops import hs_inner, op_translate
-from opsis.phase_space import inv_symp_fourier, point_neg, symp_character_matrix, symp_fourier
+from opsis.phase_space import (
+    inv_symp_fourier,
+    lattice_convolve,
+    point_neg,
+    symp_character_matrix,
+    symp_fourier,
+)
 
 
 def translate_sum(coefs, kernels, lattice):
@@ -29,6 +36,14 @@ def synthesize(system, coefs):
 
 def reconstruct(samples, kit):
     return translate_sum(np.asarray(samples, dtype=complex), kit.recon_ops, kit.system.lattice)
+
+
+def coefficient_frame_expansion(samples, kit):
+    """c[n] = sum_m samples[m] * b[n, m], one lattice convolution per (n, m)."""
+    lat = kit.system.lattice
+    N, M = kit.b.shape[:2]
+    return np.array([sum(lattice_convolve(samples[m], kit.b[n, m], lat) for m in range(M))
+                     for n in range(N)])
 
 
 def pairings(T, kernels, lattice):

@@ -1,8 +1,14 @@
 import json
+import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import opsis
+from opsis import cli, sampling, si_space
 from opsis.cli import main
+from opsis.hs_ops import inverse_fourier_wigner
 
 
 def write_config(path, cfg):
@@ -166,6 +172,107 @@ def test_reconstruct_respects_frame_tolerance_override(tmp_path):
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
     assert read_metrics(out)["error"]["kind"] == "not_a_frame"
+
+
+def spreading_kernel(L, point, value):
+    """explicit_kernel spec of an operator whose spreading transform is 1 except at `point`."""
+    F = np.ones((L, L), dtype=complex)
+    F[point] = value
+    rows = inverse_fourier_wigner(F)
+    return {"kind": "explicit_kernel", "kernel": [[[z.real, z.imag] for z in row] for row in rows]}
+
+
+# Riesz lower bound about 4e-14 and alpha_A about 7e-14: both pass a zero
+# tolerance and fail the default gate of 1e-10 times the upper bound.
+NEAR_SINGULAR = {
+    "L": 4,
+    "seed": 0,
+    "lattice": {"a": 1, "b": 1},
+    "generators": [spreading_kernel(4, (1, 2), 1e-7)],
+    "scheme": {"windows": [{"g": {"kind": "random"}, "g_tilde": {"kind": "random"}}]},
+}
+
+
+def test_configured_tolerances_gate_every_stage(tmp_path):
+    loose = dict(NEAR_SINGULAR, tolerances={"riesz": 0, "frame": 0},
+                 sweep={"a": [1], "b": [1]})
+    cfg = write_config(tmp_path / "c.json", loose)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+    metrics = read_metrics(out)
+    assert 0 < metrics["riesz"]["m"] < 1e-10 * metrics["riesz"]["M"]
+    assert 0 < metrics["frame"]["alpha_A"] < 1e-10 * metrics["frame"]["beta_A"]
+    assert metrics["reconstruction"]["rel_hs_error"] < 1e-6
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    row = (out / "sweep.csv").read_text().splitlines()[1]
+    assert row.endswith(",ok")
+
+    cfg = write_config(tmp_path / "d.json", NEAR_SINGULAR)
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "default")]) == 2
+    assert read_metrics(tmp_path / "default")["error"]["kind"] == "not_riesz"
+
+
+def test_left_inverse_failure_writes_metrics(tmp_path):
+    # two nearly equal channels: alpha_A is positive, so a zero frame
+    # tolerance passes the gate, but the pseudoinverse drops the tiny
+    # singular value and is no left inverse
+    nearly_equal = dict(RECON_OK, L=4, tolerances={"frame": 0}, scheme={"windows": [
+        {"g": {"kind": "gaussian"}, "g_tilde": {"kind": "delta"}},
+        {"g": {"kind": "gaussian"},
+         "g_tilde": {"kind": "explicit", "values": [[1, 0], [1e-12, 0], [0, 0], [0, 0]]}},
+    ]})
+    cfg = write_config(tmp_path / "c.json", nearly_equal)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+    metrics = read_metrics(out)
+    assert metrics["frame"]["alpha_A"] > 0
+    assert metrics["error"]["kind"] == "not_a_frame"
+    assert metrics["error"]["detail"].startswith("left-inverse residual")
+
+
+@pytest.mark.parametrize("key", ["riesz", "frame"])
+@pytest.mark.parametrize("value", [-1, -1e-300, math.nan, math.inf, -math.inf])
+def test_negative_or_non_finite_tolerance_exits_3(tmp_path, key, value):
+    cfg = write_config(tmp_path / "c.json", dict(RECON_OK, tolerances={key: value}))
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
+
+STAGES = {"gram_fibers": si_space, "riesz_check": si_space,
+          "cross_seq": sampling, "frame_bounds": sampling}
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Counts of calls to the pipeline's stage functions, through every binding."""
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, home in STAGES.items():
+        original = getattr(home, name)
+        wrapper = counting(name, original)
+        for module in (opsis, si_space, sampling, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_reconstruct_computes_each_stage_once(tmp_path, stage_calls):
+    cfg = write_config(tmp_path / "c.json", RECON_OK)
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert stage_calls == {name: 1 for name in STAGES}
+
+
+def test_sweep_row_computes_each_stage_once(tmp_path, stage_calls):
+    cfg = write_config(tmp_path / "c.json", dict(SWEEP, sweep={"a": [2], "b": [2]}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_text().splitlines()[1].endswith(",ok")
+    assert stage_calls == {name: 1 for name in STAGES}
 
 
 def test_console_script_is_installed(tmp_path):

@@ -19,6 +19,7 @@ from opsis.phase_space import build_lattice
 from opsis.sampling import (
     avg_samples,
     average_scheme,
+    coefficient_frame_expansion,
     cross_seq,
     diag_channel_samples,
     reconstruct,
@@ -108,18 +109,29 @@ def test_coefficients_match_oracle(setup):
     assert_agrees(coefficients(system, T), oracle.coefficients(system, T), 1e-10)
 
 
-@SETTINGS
-@given(setups())
-def test_reconstruct_matches_oracle(setup):
+def kit_and_samples(setup):
+    """A kit on a prefix of the generators, and random samples for it."""
     system, scheme, rng = setup
     lat = system.lattice
     L = lat.modulus
     # a kit needs a Riesz system (N |lattice| < L^2) and at least N channels
     N = min(system.num_generators, max(1, (L * L - 1) // lat.size), scheme.num_channels)
-    system = GeneratorSystem(lat, system.generators[:N])
-    kit = reconstruction_kit(system, scheme)
-    s = rand_seq(rng, (scheme.num_channels, lat.size))
+    kit = reconstruction_kit(GeneratorSystem(lat, system.generators[:N]), scheme)
+    return kit, rand_seq(rng, (scheme.num_channels, lat.size))
+
+
+@SETTINGS
+@given(setups())
+def test_reconstruct_matches_oracle(setup):
+    kit, s = kit_and_samples(setup)
     assert_agrees(reconstruct(s, kit), oracle.reconstruct(s, kit))
+
+
+@SETTINGS
+@given(setups())
+def test_coefficient_frame_expansion_matches_oracle(setup):
+    kit, s = kit_and_samples(setup)
+    assert_agrees(coefficient_frame_expansion(s, kit), oracle.coefficient_frame_expansion(s, kit))
 
 
 @SETTINGS

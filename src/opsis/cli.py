@@ -102,11 +102,10 @@ def _dual_perturbation(cfg: ExperimentConfig, K: int, N: int, M: int):
 
 
 def _kit(cfg: ExperimentConfig, system: GeneratorSystem, scheme, C=None) -> ReconstructionKit:
-    """The pipeline at the configured tolerances, after a finiteness check of its fibers."""
-    kit = ReconstructionKit(system, scheme, C=C, tol=_tolerance(cfg, "frame"),
-                            riesz_tol=_tolerance(cfg, "riesz"))
-    _ensure_finite("fibers", system.riesz_fibers, kit.transfer.fibers)
-    return kit
+    """The pipeline at the configured tolerances, after a finiteness check of the Riesz fibers."""
+    _ensure_finite("riesz fibers", system.riesz_fibers)
+    return ReconstructionKit(system, scheme, C=C, tol=_tolerance(cfg, "frame"),
+                             riesz_tol=_tolerance(cfg, "riesz"))
 
 
 def _gate(kit: ReconstructionKit) -> dict | None:
@@ -141,6 +140,8 @@ def _riesz_metrics(report) -> dict:
 
 
 def _frame_metrics(kit: ReconstructionKit) -> dict:
+    """The frame bounds entry, after a finiteness check of the transfer fibers."""
+    _ensure_finite("transfer fibers", kit.transfer.fibers)
     fb = kit.transfer.bounds
     return {"alpha_A": fb.alpha, "beta_A": fb.beta, "M": kit.scheme.num_channels,
             "N": kit.system.num_generators, "diagnostic": fb.diagnostic}
@@ -163,12 +164,11 @@ def run_riesz_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 def run_frame_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     system = _need(cfg, "system", "lattice + generators")
     kit = ReconstructionKit(system, _need(cfg, "scheme", "scheme"))
-    tm = kit.transfer
-    _ensure_finite("transfer fibers", tm.fibers)
+    frame = _frame_metrics(kit)
     _write_csv(outdir / "frame_fibers.csv", ["xi_x", "xi_w", "index", "singular_value"],
-               _fiber_rows(system.lattice, tm.singular_values))
+               _fiber_rows(system.lattice, kit.transfer.singular_values))
     metrics = {
-        "frame": _frame_metrics(kit),
+        "frame": frame,
         "config": {"L": cfg.L, "lattice_size": system.lattice.size},
         "tables": {"fibers": "frame_fibers.csv"},
     }
@@ -264,8 +264,9 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         cells: list = [cfg.L, a, b, len(kernels), scheme.num_channels]
         try:
             kit = _kit(cfg, GeneratorSystem(build_lattice((a, b), cfg.L), kernels), scheme)
-            fb = kit.transfer.bounds
-            cells += [kit.riesz.lower, kit.riesz.upper, fb.alpha, fb.beta]
+            cells += [kit.riesz.lower, kit.riesz.upper]
+            frame = _frame_metrics(kit)
+            cells += [frame["alpha_A"], frame["beta_A"]]
             error = _gate(kit)
             if error is not None:
                 rows.append(cells + ["", error["kind"]])

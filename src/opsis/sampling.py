@@ -329,14 +329,13 @@ class ReconstructionKit:
 
 
 def reconstruction_kit(system: GeneratorSystem, scheme: SamplingScheme,
-                       C=None, tol: float | None = None,
-                       riesz_tol: float | None = None) -> ReconstructionKit:
+                       C=None, tol: float | None = None) -> ReconstructionKit:
     """Build the kit and run it through the reconstruction operators H_m.
 
-    Raises at once when the generators fail the Riesz gate at riesz_tol or
-    the transfer matrix fails the frame gate at tol.
+    Raises at once when the generators fail the Riesz gate at its default
+    tolerance or the transfer matrix fails the frame gate at tol.
     """
-    kit = ReconstructionKit(system, scheme, C, tol, riesz_tol)
+    kit = ReconstructionKit(system, scheme, C, tol)
     kit.recon_ops  # runs the gates now
     return kit
 

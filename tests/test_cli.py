@@ -373,6 +373,26 @@ def test_sweep_grid_rows(tmp_path):
     assert len(rows) == 1 + 9
 
 
+def test_sweep_row_keeps_riesz_bounds_when_transfer_fibers_overflow(tmp_path):
+    big = [[1e200, 0.0]] * 4
+    window = {"kind": "explicit", "values": big}
+    cfg = write_config(tmp_path / "c.json", {
+        "L": 4,
+        "seed": 0,
+        "generators": [
+            {"kind": "rank_one", "left": {"kind": "gaussian"}, "right": {"kind": "gaussian"}}
+        ],
+        "scheme": {"windows": [{"g": window, "g_tilde": window}]},
+        "sweep": {"a": [2], "b": [2]},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[:5] == ["4", "2", "2", "1", "1"]
+    assert math.isfinite(float(row[5])) and math.isfinite(float(row[6]))
+    assert row[7:] == ["", "", "", "NumericalError"]
+
+
 def test_sweep_is_byte_deterministic(tmp_path):
     cfg = write_config(tmp_path / "c.json", SWEEP)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

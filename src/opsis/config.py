@@ -82,7 +82,6 @@ class PortableRng:
 class ExperimentConfig:
     """Resolved experiment inputs plus raw options for the runners."""
 
-    raw: dict
     L: int
     seed: int
     lattice: Lattice | None
@@ -120,8 +119,11 @@ def _build_lattice(spec, L, label):
         raise ConfigError(f"'{label}' must be an object")
     try:
         if "generators" in spec:
-            pts = [tuple(int(v) for v in p) for p in spec["generators"]]
-            return build_lattice(pts, L)
+            gens = spec["generators"]
+            pairs = isinstance(gens, list) and all(isinstance(p, list) and len(p) == 2 for p in gens)
+            if not pairs:
+                raise ConfigError(f"'{label}.generators' must be a list of [x, w] integer pairs")
+            return build_lattice([tuple(p) for p in gens], L)
         a = _require_int(spec, "a", minimum=1)
         b = _require_int(spec, "b", minimum=1)
         return build_lattice((a, b), L)
@@ -147,7 +149,7 @@ def _window(spec, L, master: PortableRng, label):
         return gaussian_window(L)
     if kind == "delta":
         at = spec.get("at", 0)
-        if not isinstance(at, int) or not 0 <= at < L:
+        if isinstance(at, bool) or not isinstance(at, int) or not 0 <= at < L:
             raise ConfigError(f"'{label}.at' must be an integer in [0, {L})")
         vec = np.zeros(L, dtype=complex)
         vec[at] = 1.0
@@ -254,7 +256,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         if k in raw
     }
     return ExperimentConfig(
-        raw=raw,
         L=L,
         seed=seed,
         lattice=lattice,

@@ -12,9 +12,10 @@ the raw spreading transform tr[shift(-z) S] with its inverse, Gabor
 multipliers, and the convolution of a phase-space function with an operator.
 
 Translate sums and trace pairings over a lattice are computed in the
-spreading domain (:func:`lattice_series`, :func:`lattice_pairing`), where
-translation is a pointwise multiplication by a character; :func:`op_translate`
-builds one translate as a dense kernel.
+spreading domain, where translation is a pointwise multiplication by a
+character: :func:`lattice_pairing` here, on the grid series that
+:mod:`opsis.phase_space` owns.  :func:`op_translate` builds one translate
+as a dense kernel.
 
 Normalizations are pinned by exact unitarity: with the L^{-1/2} prefactor
 below, kn_symbol satisfies <sigma_S, sigma_T> = <S, T> identically, and the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .phase_space import Point
+from .phase_space import Point, _pairing_grid, _series_grid, lattice_series
 from .timefreq import UnsupportedModulusError
 
 
@@ -152,20 +153,9 @@ def inverse_fourier_wigner(F) -> np.ndarray:
 
 # The spreading-domain engine.  By covariance, the spreading transform of
 # sum_lam c(lam) translate(lam, H) is C * F(H) with the symplectic series
-# C(z) = sum_lam c(lam) e^{2 pi i sigma(lam, z)/L}, and by Parseval
-# <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L}.
-# Both sums are 2-D DFTs over the grid indexed [lam.w, lam.x], O(L^2 log L)
-# per operator, whatever the lattice.
-
-def _pairing_grid(P) -> np.ndarray:
-    """G[a, b] = (1/L) sum_{x, w} P[x, w] e^{-2 pi i (a x - b w)/L}."""
-    return np.fft.fft(np.fft.ifft(P, axis=-1), axis=-2)
-
-
-def _series_grid(E) -> np.ndarray:
-    """C[x, w] = sum_{a, b} E[a, b] e^{2 pi i (a x - b w)/L}."""
-    return E.shape[-1] * np.fft.fft(np.fft.ifft(E, axis=-2), axis=-1)
-
+# C = lattice_series(c), and by Parseval
+# <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L},
+# the grid pairing of F_T conj(F_Q) read at [lam.w, lam.x].
 
 def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
     """Trace pairings <T, translate(lam, Q)> for every lam of the lattice, shape (..., |lattice|).
@@ -177,20 +167,6 @@ def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
     return G[..., lattice.ws, lattice.xs]
 
 
-def lattice_series(c, lattice) -> np.ndarray:
-    """Symplectic series C[x, w] = sum_lam c(lam) e^{2 pi i sigma(lam, (x, w))/L} on the whole grid.
-
-    The multiplier of a translate sum in the spreading domain:
-    fourier_wigner(sum_lam c(lam) translate(lam, H)) = C * fourier_wigner(H).
-    Leading axes of c are kept; the last one runs over the lattice points.
-    """
-    c = np.asarray(c, dtype=complex)
-    L = lattice.modulus
-    E = np.zeros(c.shape[:-1] + (L, L), dtype=complex)
-    E[..., lattice.ws, lattice.xs] = c
-    return _series_grid(E)
-
-
 def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
     """Operator sum_lam mask(lam) translate(lam, phi (x) psi) for a mask on a lattice.
 
@@ -198,9 +174,6 @@ def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
     analyze with window psi, reweight on the lattice, resynthesize with
     atom phi.
     """
-    mask = np.asarray(mask, dtype=complex)
-    if mask.shape != (lattice.size,):
-        raise ValueError(f"mask shape {mask.shape} does not match lattice of size {lattice.size}")
     F = fourier_wigner(rank_one(phi, psi))
     return inverse_fourier_wigner(lattice_series(mask, lattice) * F)
 

@@ -13,6 +13,12 @@ points pairing trivially with every lattice element; one canonical
 representative per annihilator coset then serves as the dual group of the
 lattice, and there are exactly |lattice| of them.
 
+This module owns the grid series (:func:`lattice_series`, :func:`_series_grid`,
+:func:`_pairing_grid`), 2-D FFTs on the L x L grid that :func:`symp_fourier`,
+:func:`inv_symp_fourier`, :func:`annihilator` and :mod:`opsis.hs_ops` run on.
+:func:`symp_character_matrix` and :func:`lattice_convolve` are dense
+|lattice| x |lattice| references with no production caller.
+
 Conventions relied on throughout the package:
 
 * lattice elements and transversal points are enumerated in lexicographic
@@ -81,13 +87,11 @@ class Lattice:
             _check_point(p, L)
         if (L * L) % len(self.points) != 0:
             raise LatticeError("subgroup order must divide L^2")
-        # The autocorrelation of the indicator counts |H & (H - p)|, an integer
-        # up to |H| computed to far better than 1/2; H is a subgroup exactly
-        # when H - p = H for every p in H.
-        mask = np.zeros((L, L))
-        mask[self.xs, self.ws] = 1.0
-        f = np.fft.fft2(mask)
-        overlap = np.fft.ifft2(f * f.conj()).real[self.xs, self.ws]
+        # The autocorrelation of the indicator, the grid pairing of its squared
+        # series, counts |H & (H - p)|, an integer up to |H| computed to far
+        # better than 1/2; H is a subgroup exactly when H - p = H for every p in H.
+        S = lattice_series(np.ones(self.size), self)
+        overlap = _pairing_grid(np.abs(S) ** 2).real[self.ws, self.xs] / L
         if (overlap < self.size - 0.5).any():
             raise LatticeError("point set is not closed under subtraction")
 
@@ -109,6 +113,18 @@ class Lattice:
     @cached_property
     def ws(self) -> np.ndarray:
         return np.array([p[1] for p in self.points])
+
+    @cached_property
+    def _block(self) -> tuple[int, int]:
+        """(a, b): the block [0, a) x [0, b) holds the least member of every coset.
+
+        Least is lexicographic.  The x coordinates of the subgroup are the
+        multiples of some a | L, and its points on the line x = 0 those of some b | L.
+        """
+        L = self.modulus
+        a = int(self.xs[self.xs > 0].min(initial=L))
+        b = int(self.ws[(self.xs == 0) & (self.ws > 0)].min(initial=L))
+        return a, b
 
     @cached_property
     def _grid_index(self) -> np.ndarray:
@@ -165,16 +181,13 @@ def build_lattice(descriptor, L: int) -> Lattice:
 def annihilator(lat: Lattice) -> Lattice:
     """All points pairing trivially with the lattice under the symplectic character.
 
-    Exhaustive test over the L^2 candidates: mu is kept when
-    sigma(mu, lam) = 0 mod L for every lattice element lam.
+    The symplectic series of the lattice's indicator is |lat| on the
+    annihilator and 0 elsewhere; np.nonzero lists its support in
+    lexicographic order.
     """
-    L = lat.modulus
-    cand_x = np.repeat(np.arange(L), L)
-    cand_w = np.tile(np.arange(L), L)
-    pair = (np.outer(cand_w, lat.xs) - np.outer(cand_x, lat.ws)) % L
-    keep = ~pair.any(axis=1)
-    pts = tuple((int(x), int(w)) for x, w in zip(cand_x[keep], cand_w[keep]))
-    return Lattice(L, pts)
+    keep = lattice_series(np.ones(lat.size), lat).real > lat.size / 2
+    xs, ws = np.nonzero(keep)
+    return Lattice(lat.modulus, tuple(zip(xs.tolist(), ws.tolist())))
 
 
 @lru_cache(maxsize=64)
@@ -182,20 +195,10 @@ def dual_transversal(lat: Lattice) -> tuple[Point, ...]:
     """One canonical representative per annihilator coset, in lexicographic order.
 
     The representative of a coset is its lexicographically smallest member;
-    there are exactly |lat| of them.
+    there are exactly |lat| of them, filling a block [0, a) x [0, b).
     """
-    ann = annihilator(lat)
-    L = lat.modulus
-    seen = bytearray(L * L)
-    reps = []
-    for x in range(L):
-        for w in range(L):
-            if seen[x * L + w]:
-                continue
-            reps.append((x, w))
-            for ax, aw in ann.points:
-                seen[((x + ax) % L) * L + (w + aw) % L] = 1
-    return tuple(reps)
+    a, b = annihilator(lat)._block
+    return tuple((x, w) for x in range(a) for w in range(b))
 
 
 def coset_transversal(lat: Lattice, sub: Lattice) -> tuple[Point, ...]:
@@ -206,19 +209,10 @@ def coset_transversal(lat: Lattice, sub: Lattice) -> tuple[Point, ...]:
     """
     if sub.modulus != lat.modulus:
         raise LatticeError("sub-lattice must share the modulus of the parent lattice")
-    parent = set(lat.points)
-    if not set(sub.points) <= parent:
+    if not all(p in lat for p in sub.points):
         raise LatticeError("sub-lattice is not contained in the parent lattice")
-    L = lat.modulus
-    seen: set[Point] = set()
-    reps = []
-    for p in lat.points:
-        if p in seen:
-            continue
-        reps.append(p)
-        for q in sub.points:
-            seen.add(point_add(p, q, L))
-    return tuple(reps)
+    a, b = sub._block
+    return tuple((x, w) for x in range(a) for w in range(b) if (x, w) in lat)
 
 
 @lru_cache(maxsize=4)
@@ -226,12 +220,11 @@ def symp_character_matrix(lat: Lattice) -> np.ndarray:
     """Matrix Phi[k, j] = exp(2 pi i sigma(lam_j, xi_k) / L) over the dual transversal.
 
     Row k is the character attached to transversal point xi_k, column j runs
-    over the lattice elements.  Forward transforms are `Phi @ seq`.
+    over the lattice elements; `Phi @ seq` is the dense reference for
+    :func:`symp_fourier`.
     """
     L = lat.modulus
-    trans = dual_transversal(lat)
-    tx = np.array([p[0] for p in trans])
-    tw = np.array([p[1] for p in trans])
+    tx, tw = np.array(dual_transversal(lat)).T
     s = (tx[:, None] * lat.ws[None, :] - tw[:, None] * lat.xs[None, :]) % L
     phi = np.exp(2j * np.pi * s / L)
     # shared by every caller through the cache
@@ -246,23 +239,65 @@ def _as_seq(c, lat: Lattice) -> np.ndarray:
     return c
 
 
+def _as_seqs(c, lat: Lattice, what: str) -> np.ndarray:
+    """c as a complex array whose last axis runs over |lat| points."""
+    c = np.asarray(c, dtype=complex)
+    if c.shape[-1:] != (lat.size,):
+        raise LatticeError(f"{what} shape {c.shape} does not match lattice of size {lat.size}")
+    return c
+
+
+# The grid series: with lam at grid index [lam.w, lam.x], sums over the
+# characters e^{+-2 pi i sigma(lam, z)/L} are 2-D DFTs, O(L^2 log L) per sequence.
+
+def _pairing_grid(P) -> np.ndarray:
+    """G[a, b] = (1/L) sum_{x, w} P[x, w] e^{-2 pi i (a x - b w)/L}."""
+    return np.fft.fft(np.fft.ifft(P, axis=-1), axis=-2)
+
+
+def _series_grid(E) -> np.ndarray:
+    """C[x, w] = sum_{a, b} E[a, b] e^{2 pi i (a x - b w)/L}."""
+    return E.shape[-1] * np.fft.fft(np.fft.ifft(E, axis=-2), axis=-1)
+
+
+def lattice_series(c, lattice: Lattice) -> np.ndarray:
+    """Symplectic series C[x, w] = sum_lam c(lam) e^{2 pi i sigma(lam, (x, w))/L} on the whole grid.
+
+    The multiplier of a translate sum in the spreading domain:
+    fourier_wigner(sum_lam c(lam) translate(lam, H)) = C * fourier_wigner(H).
+    Leading axes of c are kept; the last one runs over the lattice points.
+    """
+    c = _as_seqs(c, lattice, "sequence")
+    L = lattice.modulus
+    E = np.zeros(c.shape[:-1] + (L, L), dtype=complex)
+    E[..., lattice.ws, lattice.xs] = c
+    return _series_grid(E)
+
+
 def symp_fourier(c, lat: Lattice) -> np.ndarray:
-    """Symplectic Fourier series of a lattice sequence, on the dual transversal.
+    """Symplectic Fourier series of lattice sequences, on the dual transversal.
 
     F(xi) = sum_lam c(lam) exp(2 pi i sigma(lam, xi) / L); the value depends
-    only on the annihilator coset of xi.  Output is aligned with
-    :func:`dual_transversal`.
+    only on the annihilator coset of xi.  The last axis of c runs over the
+    lattice, that of the output is aligned with :func:`dual_transversal`;
+    leading axes are kept.
     """
-    return symp_character_matrix(lat) @ _as_seq(c, lat)
+    a, b = annihilator(lat)._block
+    C = lattice_series(c, lat)[..., :a, :b]
+    return C.reshape(C.shape[:-2] + (a * b,))
 
 
 def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
-    """Inverse of :func:`symp_fourier`: c(lam) = (1/|lat|) sum_xi F(xi) e^{-2 pi i sigma(lam, xi)/L}."""
-    F = np.asarray(F, dtype=complex)
-    trans = dual_transversal(lat)
-    if F.shape != (len(trans),):
-        raise LatticeError(f"fiber data shape {F.shape} does not match transversal of size {len(trans)}")
-    return symp_character_matrix(lat).conj().T @ F / lat.size
+    """Inverse of :func:`symp_fourier`: c(lam) = (1/|lat|) sum_xi F(xi) e^{-2 pi i sigma(lam, xi)/L}.
+
+    The last axis of F runs over the dual transversal; leading axes are kept.
+    """
+    F = _as_seqs(F, lat, "fiber data")
+    L = lat.modulus
+    a, b = annihilator(lat)._block
+    P = np.zeros(F.shape[:-1] + (L, L), dtype=complex)
+    P[..., :a, :b] = F.reshape(F.shape[:-1] + (a, b))
+    return _pairing_grid(P)[..., lat.ws, lat.xs] * (L / lat.size)
 
 
 def lattice_convolve(c, d, lat: Lattice) -> np.ndarray:

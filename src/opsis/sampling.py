@@ -47,7 +47,6 @@ from .hs_ops import (
     fourier_wigner,
     inverse_fourier_wigner,
     lattice_pairing,
-    lattice_series,
     op_translate,
     rank_one,
 )
@@ -55,8 +54,9 @@ from .phase_space import (
     Lattice,
     coset_transversal,
     inv_symp_fourier,
+    lattice_series,
     point_add,
-    symp_character_matrix,
+    symp_fourier,
 )
 from .si_space import GeneratorSystem, RieszReport, riesz_check, synthesize
 from .timefreq import tf_shift
@@ -211,10 +211,7 @@ class TransferMatrix:
 
 def transfer_matrix(A, lattice: Lattice) -> TransferMatrix:
     """Fiber matrices Ahat[k, m, n] = symp_fourier(a[m, n])(xi_k)."""
-    A = np.asarray(A, dtype=complex)
-    phi = symp_character_matrix(lattice)
-    fibers = np.einsum("mnj,kj->kmn", A, phi)
-    return TransferMatrix(lattice, fibers)
+    return TransferMatrix(lattice, np.moveaxis(symp_fourier(A, lattice), -1, 0))
 
 
 @dataclass(frozen=True)
@@ -312,9 +309,7 @@ class ReconstructionKit:
     @cached_property
     def b(self) -> np.ndarray:
         """Dual coefficient sequences, shape (N, M, |lattice|)."""
-        B, lat = self.dual_fibers, self.system.lattice
-        return np.array([[inv_symp_fourier(B[:, n, m], lat) for m in range(B.shape[2])]
-                         for n in range(B.shape[1])])
+        return inv_symp_fourier(np.moveaxis(self.dual_fibers, 0, -1), self.system.lattice)
 
     @cached_property
     def recon_ops(self) -> tuple[np.ndarray, ...]:
@@ -359,15 +354,12 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:
     """Coefficient recovery c[n] = sum_m samples[m] * b[n, m] (lattice convolutions).
 
-    Computed fiberwise, chat(xi) = Bhat(xi) shat(xi), then one inverse
-    symplectic series per generator.
+    Computed fiberwise, chat(xi) = Bhat(xi) shat(xi), between one batched
+    symplectic series and its inverse.
     """
-    samples = np.asarray(samples, dtype=complex)
     lat = kit.system.lattice
-    phi = symp_character_matrix(lat)
-    chat = np.einsum("knm,mk->nk", kit.dual_fibers, samples @ phi.T)
-    # chat @ conj(phi), with the conjugates outside the product so phi is not copied
-    return np.conj(np.conj(chat) @ phi) / lat.size
+    chat = np.einsum("knm,mk->nk", kit.dual_fibers, symp_fourier(samples, lat))
+    return inv_symp_fourier(chat, lat)
 
 
 def sublattice_inflate(system: GeneratorSystem, sub: Lattice) -> GeneratorSystem:

@@ -19,12 +19,13 @@ the spreading transforms, which equal Ghat up to the single constant
 Production routes run in the spreading domain: synthesis, the correlation
 sequences and the analysis step of :func:`coefficients` are pointwise
 products with the generators' cached spreading transforms followed by one
-2-D FFT (see :mod:`opsis.hs_ops`); no translate is ever formed.  A system
-caches its spreading transforms, its Riesz fibers and their spectrum, so
-:func:`riesz_check`, :func:`coefficients` and the reconstruction kit compute
-each of them once.  The dense routes are oracles: :func:`brute_gram`
-(through :meth:`GeneratorSystem.translate_stack`) here, and the
-per-translate loops of tests/oracle.py.
+2-D FFT (see :mod:`opsis.hs_ops`), and the Riesz fibers are their grid
+series (see :mod:`opsis.phase_space`); no translate is ever formed.  A
+system caches its spreading transforms, its Riesz fibers and their
+spectrum, so :func:`riesz_check`, :func:`coefficients` and the
+reconstruction kit compute each of them once.  The dense routes are
+oracles: :func:`brute_gram` (through :meth:`GeneratorSystem.translate_stack`)
+here, and the per-translate loops of tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .hs_ops import (
     fourier_wigner,
     inverse_fourier_wigner,
     lattice_pairing,
-    lattice_series,
     op_translate,
 )
 from .phase_space import (
@@ -47,7 +47,7 @@ from .phase_space import (
     annihilator,
     dual_transversal,
     inv_symp_fourier,
-    symp_character_matrix,
+    lattice_series,
     symp_fourier,
 )
 
@@ -148,9 +148,7 @@ def gram_fibers(system: GeneratorSystem) -> np.ndarray:
     One Hermitian PSD N x N matrix per dual-transversal point; their spectra,
     unioned over k, reproduce the spectrum of the dense Gram matrix.
     """
-    r = correlation_sequences(system)
-    phi = symp_character_matrix(system.lattice)
-    return np.einsum("nmj,kj->knm", r, phi)
+    return np.moveaxis(symp_fourier(correlation_sequences(system), system.lattice), -1, 0)
 
 
 def brute_gram(system: GeneratorSystem):
@@ -223,7 +221,7 @@ def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.nda
     riesz_check(system, tol=tol).require()
     lat = system.lattice
     q = lattice_pairing(fourier_wigner(T), system.spreading, lat)
-    qhat = np.array([symp_fourier(row, lat) for row in q])
+    qhat = symp_fourier(q, lat)
     # Ghat(xi)^T chat(xi) = qhat(xi), solved on every fiber at once
     chat = np.linalg.solve(np.swapaxes(system.riesz_fibers, 1, 2), qhat.T[..., None])[..., 0]
-    return np.array([inv_symp_fourier(row, lat) for row in chat.T])
+    return inv_symp_fourier(chat.T, lat)

@@ -1,23 +1,54 @@
 """Kernel-domain oracles: the direct per-translate sums that the
-spreading-domain engine replaces, and the per-channel lattice convolutions
-that the fiberwise coefficient expansion replaces.
+spreading-domain engine replaces, the per-channel lattice convolutions
+that the fiberwise coefficient expansion replaces, and the exhaustive
+lattice duality that the grid series replaces.
 
-Every function here forms each translate as a dense L x L kernel with
-op_translate and sums or pairs in the kernel domain, O(|lattice| L^2) per
+The operator oracles form each translate as a dense L x L kernel with
+op_translate and sum or pair in the kernel domain, O(|lattice| L^2) per
 operator.  None of them calls fourier_wigner, so they stay independent of the
 engine and of the periodized ("gw") Riesz route, which share that transform.
+Symplectic series are products with the dense symp_character_matrix, never
+the grid series of symp_fourier and inv_symp_fourier.
 """
 
 import numpy as np
 
 from opsis.hs_ops import hs_inner, op_translate
-from opsis.phase_space import (
-    inv_symp_fourier,
-    lattice_convolve,
-    point_neg,
-    symp_character_matrix,
-    symp_fourier,
-)
+from opsis.phase_space import lattice_convolve, point_neg, symp_character_matrix
+
+
+def annihilator(lat):
+    """Points mu with sigma(mu, lam) = 0 mod L for every lam, tested over all L^2 candidates."""
+    L = lat.modulus
+    cand_x = np.repeat(np.arange(L), L)
+    cand_w = np.tile(np.arange(L), L)
+    pair = (np.outer(cand_w, lat.xs) - np.outer(cand_x, lat.ws)) % L
+    keep = ~pair.any(axis=1)
+    return tuple((int(x), int(w)) for x, w in zip(cand_x[keep], cand_w[keep]))
+
+
+def dual_transversal(lat):
+    """Lexicographically smallest member of every annihilator coset, by marking the cosets."""
+    L = lat.modulus
+    ann = annihilator(lat)
+    seen = set()
+    reps = []
+    for x in range(L):
+        for w in range(L):
+            if (x, w) not in seen:
+                reps.append((x, w))
+                seen.update(((x + ax) % L, (w + aw) % L) for ax, aw in ann)
+    return tuple(reps)
+
+
+def symp_fourier(c, lat):
+    """Phi @ c over the last axis, Phi the dense character matrix."""
+    return np.asarray(c, dtype=complex) @ symp_character_matrix(lat).T
+
+
+def inv_symp_fourier(F, lat):
+    """Phi^* @ F / |lat| over the last axis."""
+    return np.asarray(F, dtype=complex) @ symp_character_matrix(lat).conj() / lat.size
 
 
 def translate_sum(coefs, kernels, lattice):
@@ -74,19 +105,23 @@ def correlation_sequences(system):
                      for S in system.generators])
 
 
+def fibers(seqs, lattice):
+    """Fiber matrices out[k, m, n] = sum_j seqs[m, n, j] Phi[k, j]."""
+    return np.moveaxis(symp_fourier(seqs, lattice), -1, 0)
+
+
 def gram_fibers(system):
-    phi = symp_character_matrix(system.lattice)
-    return np.einsum("nmj,kj->knm", correlation_sequences(system), phi)
+    return fibers(correlation_sequences(system), system.lattice)
 
 
 def coefficients(system, T):
     """Orthogonal-projection coefficients, solved fiber by fiber (no Riesz gate)."""
     lat = system.lattice
     q = pairings(T, system.generators, lat)
-    qhat = np.array([symp_fourier(row, lat) for row in q])
+    qhat = symp_fourier(q, lat)
     fibers = gram_fibers(system)
     chat = np.array([np.linalg.solve(fibers[k].T, qhat[:, k]) for k in range(lat.size)]).T
-    return np.array([inv_symp_fourier(row, lat) for row in chat])
+    return inv_symp_fourier(chat, lat)
 
 
 def fn_op_convolve(g, S):

@@ -95,6 +95,20 @@ def test_boolean_for_a_number_exits_3(tmp_path, command, cfg, extra):
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("change", [
+    {"lattice": {"generators": [[1.5, 0], [0, 2]]}},
+    {"lattice": {"generators": [["1", 0], [0, 2]]}},
+    {"lattice": {"generators": [[True, 0], [0, 2]]}},
+    {"lattice": {"generators": [[1, 0, 5], [0, 2]]}},
+    {"lattice": {"generators": [2, 2]}},
+    {"generators": [{"kind": "rank_one", "left": {"kind": "delta", "at": True},
+                     "right": {"kind": "gaussian"}}]},
+])
+def test_malformed_lattice_generator_or_delta_exits_3(tmp_path, change):
+    cfg = write_config(tmp_path / "c.json", dict(GAUSSIAN_RIESZ, **change))
+    assert main(["riesz-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
+
 def test_missing_config_file_exits_3(tmp_path):
     assert main(["riesz-check", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")]) == 3
@@ -433,3 +447,28 @@ def test_overflowing_kernel_exits_4(tmp_path):
     }
     cfg = write_config(tmp_path / "c.json", cfg_dict)
     assert main(["riesz-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("command", ["frame-check", "reconstruct", "channel-demo", "sweep"])
+def test_non_finite_window_exits_4(tmp_path, command, value):
+    # json.load reads the NaN and Infinity that json.dumps writes here
+    window = {"kind": "explicit", "values": [[value, 0.0]] + [[0.0, 0.0]] * 3}
+    cfg = write_config(tmp_path / "c.json", {
+        "L": 4,
+        "seed": 0,
+        "lattice": {"a": 2, "b": 2},
+        "generators": [
+            {"kind": "rank_one", "left": {"kind": "gaussian"}, "right": {"kind": "gaussian"}}
+        ],
+        "scheme": {"windows": [{"g": window, "g_tilde": {"kind": "gaussian"}}]},
+        "sweep": {"a": [2], "b": [2]},
+    })
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    if command == "sweep":
+        assert code == 0
+        assert (out / "sweep.csv").read_text().splitlines()[1].endswith(",NumericalError")
+    else:
+        assert code == 4
+        assert not (out / "metrics.json").exists()

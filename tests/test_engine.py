@@ -1,6 +1,7 @@
-"""The spreading-domain engine against the kernel-domain oracles of oracle.py,
-on random lattices (separable or not) from random generator lists, odd and
-even L, and random numbers of generators and channels."""
+"""The spreading-domain engine and the grid series against the kernel-domain
+and dense-character oracles of oracle.py, on random lattices (separable or
+not) from random generator lists, odd and even L, and random numbers of
+generators and channels."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from opsis.hs_ops import (
     inverse_fourier_wigner,
     rank_one,
 )
-from opsis.phase_space import build_lattice
+from opsis.phase_space import (
+    annihilator,
+    build_lattice,
+    dual_transversal,
+    inv_symp_fourier,
+    symp_fourier,
+)
 from opsis.sampling import (
     avg_samples,
     average_scheme,
@@ -24,9 +31,16 @@ from opsis.sampling import (
     diag_channel_samples,
     reconstruct,
     reconstruction_kit,
+    transfer_matrix,
     window_scheme,
 )
-from opsis.si_space import GeneratorSystem, coefficients, correlation_sequences, synthesize
+from opsis.si_space import (
+    GeneratorSystem,
+    coefficients,
+    correlation_sequences,
+    gram_fibers,
+    synthesize,
+)
 
 from conftest import rand_kernel, rand_seq, rand_signal
 
@@ -64,6 +78,35 @@ def test_inverse_fourier_wigner_round_trip(L, batch, seed):
     assert_agrees(inverse_fourier_wigner(F), S, 1e-14)
     for index in np.ndindex(*batch):
         assert np.array_equal(F[index], fourier_wigner(S[index]))
+
+
+@SETTINGS
+@given(setups())
+def test_lattice_duality_matches_oracle(setup):
+    lat = setup[0].lattice
+    assert annihilator(lat).points == oracle.annihilator(lat)
+    assert dual_transversal(lat) == oracle.dual_transversal(lat)
+
+
+@SETTINGS
+@given(setups(), st.lists(st.integers(1, 3), max_size=2))
+def test_batched_symp_fourier_matches_oracle(setup, batch):
+    system, _, rng = setup
+    lat = system.lattice
+    c = rand_seq(rng, (*batch, lat.size))
+    F = symp_fourier(c, lat)
+    assert_agrees(F, oracle.symp_fourier(c, lat))
+    assert_agrees(inv_symp_fourier(F, lat), oracle.inv_symp_fourier(F, lat))
+    assert_agrees(inv_symp_fourier(F, lat), c)
+
+
+@SETTINGS
+@given(setups())
+def test_fibers_match_oracle(setup):
+    system, scheme, _ = setup
+    assert_agrees(gram_fibers(system), oracle.gram_fibers(system))
+    A = cross_seq(system, scheme)
+    assert_agrees(transfer_matrix(A, system.lattice).fibers, oracle.fibers(A, system.lattice))
 
 
 @SETTINGS

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,19 @@ def test_double_annihilator_is_identity():
 def test_annihilator_order_product():
     for lat in zoo():
         assert lat.size * annihilator(lat).size == lat.modulus ** 2
+
+
+def test_annihilator_peak_memory():
+    # an exhaustive test of the L^2 candidates holds L^2 x |lat| integers, 270 MB here
+    lat = build_lattice((4, 4), 128)
+    annihilator.cache_clear()
+    tracemalloc.start()
+    try:
+        assert annihilator(lat).size == 16
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_dual_transversal_sizes():

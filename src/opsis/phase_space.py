@@ -13,9 +13,17 @@ points pairing trivially with every lattice element; one canonical
 representative per annihilator coset then serves as the dual group of the
 lattice, and there are exactly |lattice| of them.
 
+A lattice is fixed by its Hermite normal form (a, b, c): generators (a, c)
+and (0, b) with a | L, b | L, 0 <= c < b and b | (L/a) c, and points
+(k a, (k c mod b) + j b) in lexicographic order.  Lattices are built,
+checked and dualized by exact integer arithmetic on this form, with no walk
+over the points and no FFT: the annihilator is not the support of a grid
+series but the lattice of form (L/b, L/a, c L/(a b)), and the dual
+transversal is the block [0, L/b) x [0, L/a).
+
 This module owns the grid series (:func:`lattice_series`, :func:`_series_grid`,
 :func:`_pairing_grid`), 2-D FFTs on the L x L grid that :func:`symp_fourier`,
-:func:`inv_symp_fourier`, :func:`annihilator` and :mod:`opsis.hs_ops` run on.
+:func:`inv_symp_fourier` and :mod:`opsis.hs_ops` run on.
 :func:`symp_character_matrix` and :func:`lattice_convolve` are dense
 |lattice| x |lattice| references with no production caller.
 
@@ -33,6 +41,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -79,21 +88,20 @@ class Lattice:
         L = self.modulus
         if L < 2:
             raise LatticeError(f"modulus must be >= 2, got {L}")
-        if not self.points or self.points[0] != (0, 0):
-            raise LatticeError("lattice must contain (0, 0) as its first element")
-        if list(self.points) != sorted(set(self.points)):
-            raise LatticeError("lattice points must be unique and lexicographically sorted")
-        for p in self.points:
-            _check_point(p, L)
-        if (L * L) % len(self.points) != 0:
-            raise LatticeError("subgroup order must divide L^2")
-        # The autocorrelation of the indicator, the grid pairing of its squared
-        # series, counts |H & (H - p)|, an integer up to |H| computed to far
-        # better than 1/2; H is a subgroup exactly when H - p = H for every p in H.
-        S = lattice_series(np.ones(self.size), self)
-        overlap = _pairing_grid(np.abs(S) ** 2).real[self.ws, self.xs] / L
-        if (overlap < self.size - 0.5).any():
-            raise LatticeError("point set is not closed under subtraction")
+        try:
+            a, b, c = self._hnf
+        except (TypeError, ValueError, IndexError, OverflowError) as e:
+            raise LatticeError(f"points must be pairs of integers ({e})") from None
+        pts = None if L % a or L % b or (L // a) * c % b else _hnf_points(L, a, b, c)
+        if tuple(self.points) != pts:
+            raise LatticeError("points are not a subgroup in lexicographic order "
+                               "(not closed under subtraction, or out of range, repeated or unsorted)")
+        # the same points, as a tuple of Python ints
+        object.__setattr__(self, "points", pts)
+
+    def __hash__(self):
+        # equal lattices have equal normal forms; hashing the points is O(|lattice|)
+        return hash((self.modulus, self._hnf))
 
     def __repr__(self):
         return f"Lattice(modulus={self.modulus}, size={self.size})"
@@ -108,23 +116,26 @@ class Lattice:
 
     @cached_property
     def xs(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
+        return np.array([p[0] for p in self.points], dtype=int)
 
     @cached_property
     def ws(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
+        return np.array([p[1] for p in self.points], dtype=int)
 
     @cached_property
-    def _block(self) -> tuple[int, int]:
-        """(a, b): the block [0, a) x [0, b) holds the least member of every coset.
+    def _hnf(self) -> tuple[int, int, int]:
+        """The normal form (a, b, c) read off the points; see the module docstring.
 
-        Least is lexicographic.  The x coordinates of the subgroup are the
-        multiples of some a | L, and its points on the line x = 0 those of some b | L.
+        a is the least x > 0, b the least w > 0 on the line x = 0, and c the
+        least w on the line x = a, taken mod b; a and b are L when there is
+        no such point.
         """
         L = self.modulus
-        a = int(self.xs[self.xs > 0].min(initial=L))
-        b = int(self.ws[(self.xs == 0) & (self.ws > 0)].min(initial=L))
-        return a, b
+        xs, ws = self.xs, self.ws
+        a = int(xs[xs > 0].min(initial=L))
+        b = int(ws[(xs == 0) & (ws > 0)].min(initial=L))
+        c = int(ws[xs == a].min(initial=L)) % b
+        return a, b, c
 
     @cached_property
     def _grid_index(self) -> np.ndarray:
@@ -151,6 +162,14 @@ def _as_int(v) -> int:
     return int(v)
 
 
+def _hnf_points(L: int, a: int, b: int, c: int) -> tuple[Point, ...]:
+    """The points (k a, (k c mod b) + j b) of the normal form (a, b, c), lexicographically."""
+    k = np.arange(L // a)[:, None]
+    xs = np.broadcast_to(k * a, (L // a, L // b))
+    ws = k * c % b + np.arange(0, L, b)
+    return tuple(zip(xs.ravel().tolist(), ws.ravel().tolist()))
+
+
 def build_lattice(descriptor, L: int) -> Lattice:
     """Build a lattice from a separable pair (a, b) or from a generator list.
 
@@ -162,32 +181,31 @@ def build_lattice(descriptor, L: int) -> Lattice:
         a, b = (_as_int(d) for d in descriptor)
         if a < 1 or b < 1 or L % a or L % b:
             raise LatticeError(f"separable descriptor ({a}, {b}) needs a | L and b | L with L={L}")
-        pts = tuple((x, w) for x in range(0, L, a) for w in range(0, L, b))
-        return Lattice(L, pts)
+        return Lattice(L, _hnf_points(L, a, b, 0))
     gens = [(_as_int(x) % L, _as_int(w) % L) for x, w in descriptor]
-    closure = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = point_add(p, g, L)
-            if q not in closure:
-                closure.add(q)
-                frontier.append(q)
-    return Lattice(L, tuple(sorted(closure)))
+    # Row-reduce (L, 0), (0, L) and the generators over Z: Euclid on the x
+    # coordinates keeps the row (a, c) and leaves (0, w), which joins (0, b).
+    a, b, c = L, L, 0
+    for x, w in gens:
+        while x:
+            q = a // x
+            a, c, x, w = x, w, a - q * x, c - q * w
+        b = gcd(b, w)
+    return Lattice(L, _hnf_points(L, a, b, c % b))
 
 
 @lru_cache(maxsize=64)
 def annihilator(lat: Lattice) -> Lattice:
     """All points pairing trivially with the lattice under the symplectic character.
 
-    The symplectic series of the lattice's indicator is |lat| on the
-    annihilator and 0 elsewhere; np.nonzero lists its support in
-    lexicographic order.
+    For the normal form (a, b, c) it has the normal form
+    (L/b, L/a, c L/(a b)): sigma vanishes on (0, b) exactly when L/b
+    divides x, and on (a, c) exactly when a w = c x mod L.  As c < b, the
+    last entry is below L/a.
     """
-    keep = lattice_series(np.ones(lat.size), lat).real > lat.size / 2
-    xs, ws = np.nonzero(keep)
-    return Lattice(lat.modulus, tuple(zip(xs.tolist(), ws.tolist())))
+    L = lat.modulus
+    a, b, c = lat._hnf
+    return Lattice(L, _hnf_points(L, L // b, L // a, (L // a) * c // b))
 
 
 @lru_cache(maxsize=64)
@@ -197,7 +215,7 @@ def dual_transversal(lat: Lattice) -> tuple[Point, ...]:
     The representative of a coset is its lexicographically smallest member;
     there are exactly |lat| of them, filling a block [0, a) x [0, b).
     """
-    a, b = annihilator(lat)._block
+    a, b, _ = annihilator(lat)._hnf
     return tuple((x, w) for x in range(a) for w in range(b))
 
 
@@ -211,7 +229,7 @@ def coset_transversal(lat: Lattice, sub: Lattice) -> tuple[Point, ...]:
         raise LatticeError("sub-lattice must share the modulus of the parent lattice")
     if not all(p in lat for p in sub.points):
         raise LatticeError("sub-lattice is not contained in the parent lattice")
-    a, b = sub._block
+    a, b, _ = sub._hnf
     return tuple((x, w) for x in range(a) for w in range(b) if (x, w) in lat)
 
 
@@ -282,7 +300,7 @@ def symp_fourier(c, lat: Lattice) -> np.ndarray:
     lattice, that of the output is aligned with :func:`dual_transversal`;
     leading axes are kept.
     """
-    a, b = annihilator(lat)._block
+    a, b, _ = annihilator(lat)._hnf
     C = lattice_series(c, lat)[..., :a, :b]
     return C.reshape(C.shape[:-2] + (a * b,))
 
@@ -294,7 +312,7 @@ def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
     """
     F = _as_seqs(F, lat, "fiber data")
     L = lat.modulus
-    a, b = annihilator(lat)._block
+    a, b, _ = annihilator(lat)._hnf
     P = np.zeros(F.shape[:-1] + (L, L), dtype=complex)
     P[..., :a, :b] = F.reshape(F.shape[:-1] + (a, b))
     return _pairing_grid(P)[..., lat.ws, lat.xs] * (L / lat.size)

@@ -27,13 +27,12 @@ and frame tolerances the kit was built with.
 
 Production routes run in the spreading domain: every sample is a lattice
 pairing of F_T = fourier_wigner(T) with the scheme's cached averager
-transforms (window schemes sample through their averagers gt_m (x) g_m),
-and reconstruction multiplies the kit's cached transforms of the H_m by the
+transforms (a window scheme's averagers are gt_m (x) g_m), and
+reconstruction multiplies the kit's cached transforms of the H_m by the
 symplectic series of the samples before one inverse transform (see
-:mod:`opsis.hs_ops`).  The per-translate loops and per-channel lattice
-convolutions survive as oracles in tests/oracle.py; :func:`berezin`
-evaluates the sampling pairing on the whole phase space by its own direct
-sum.
+:mod:`opsis.hs_ops`); :func:`berezin` is the same pairing on the full
+lattice Z_L x Z_L.  The per-translate loops and per-channel lattice
+convolutions survive as oracles in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from .hs_ops import (
 )
 from .phase_space import (
     Lattice,
+    build_lattice,
     coset_transversal,
     inv_symp_fourier,
     lattice_series,
@@ -68,51 +68,34 @@ class NotAFrameError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SamplingScheme:
-    """M sampling channels: window pairs (g_m, gt_m), or averager kernels Q_m.
+    """M sampling channels, given by averager kernels Q_m.
 
-    Window-pair schemes convert to averager schemes with Q_m = gt_m (x) g_m;
-    both give the same samples.
+    A scheme built by :func:`window_scheme` also keeps its window pairs
+    (g_m, gt_m); its averagers Q_m = gt_m (x) g_m give the same samples.
     """
 
+    averagers: tuple[np.ndarray, ...]
     windows: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
-    averagers: tuple[np.ndarray, ...] | None = None
-
-    def __post_init__(self):
-        if (self.windows is None) == (self.averagers is None):
-            raise ValueError("provide exactly one of windows or averagers")
-        if self.windows is not None:
-            pairs = tuple(
-                (np.asarray(g, dtype=complex), np.asarray(gt, dtype=complex))
-                for g, gt in self.windows
-            )
-            object.__setattr__(self, "windows", pairs)
-        else:
-            ops = tuple(np.asarray(Q, dtype=complex) for Q in self.averagers)
-            object.__setattr__(self, "averagers", ops)
 
     @property
     def num_channels(self) -> int:
-        return len(self.windows) if self.windows is not None else len(self.averagers)
-
-    def average_operators(self) -> tuple[np.ndarray, ...]:
-        if self.averagers is not None:
-            return self.averagers
-        return tuple(rank_one(gt, g) for g, gt in self.windows)
+        return len(self.averagers)
 
     @cached_property
     def spreading(self) -> np.ndarray:
         """Spreading transforms of the averagers, shape (M, L, L), read-only."""
-        F = fourier_wigner(np.array(self.average_operators()))
+        F = fourier_wigner(np.array(self.averagers))
         F.setflags(write=False)
         return F
 
 
 def window_scheme(pairs) -> SamplingScheme:
-    return SamplingScheme(windows=tuple(pairs))
+    pairs = tuple((np.asarray(g, dtype=complex), np.asarray(gt, dtype=complex)) for g, gt in pairs)
+    return SamplingScheme(tuple(rank_one(gt, g) for g, gt in pairs), pairs)
 
 
 def average_scheme(ops) -> SamplingScheme:
-    return SamplingScheme(averagers=tuple(ops))
+    return SamplingScheme(tuple(np.asarray(Q, dtype=complex) for Q in ops))
 
 
 def diag_channel_samples(T, scheme: SamplingScheme, lattice: Lattice) -> np.ndarray:
@@ -136,20 +119,10 @@ def berezin(T, g, gt) -> np.ndarray:
 
     Restricted to a lattice this reproduces the diagonal channel samples.
     """
-    T = np.asarray(T, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    gt = np.asarray(gt, dtype=complex)
-    L = T.shape[0]
-    B = np.empty((L, L), dtype=complex)
-    rows = np.arange(L)[:, None]
-    wrap = (rows + np.arange(L)[None, :]) % L
-    for x in range(L):
-        gx = np.roll(g, x)
-        gtx = np.roll(gt, x)
-        Mx = np.conj(gtx)[:, None] * T * gx[None, :]
-        diag_sums = Mx[rows, wrap].sum(axis=0)
-        B[x] = np.fft.ifft(diag_sums) * L
-    return B
+    L = np.shape(T)[0]
+    # the full lattice's points, in x-major order, are the [x, w] table
+    full = build_lattice((1, 1), L)
+    return lattice_pairing(fourier_wigner(T), fourier_wigner(rank_one(gt, g)), full).reshape(L, L)
 
 
 def channel_matrix(H, g, gt, lattice: Lattice) -> np.ndarray:

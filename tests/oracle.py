@@ -1,7 +1,8 @@
 """Kernel-domain oracles: the direct per-translate sums that the
 spreading-domain engine replaces, the per-channel lattice convolutions
-that the fiberwise coefficient expansion replaces, and the exhaustive
-lattice duality that the grid series replaces.
+that the fiberwise coefficient expansion replaces, and the closure walk,
+subgroup test and exhaustive lattice duality that the Hermite normal form
+replaces.
 
 The operator oracles form each translate as a dense L x L kernel with
 op_translate and sum or pair in the kernel domain, O(|lattice| L^2) per
@@ -14,7 +15,32 @@ the grid series of symp_fourier and inv_symp_fourier.
 import numpy as np
 
 from opsis.hs_ops import hs_inner, op_translate
-from opsis.phase_space import lattice_convolve, point_neg, symp_character_matrix
+from opsis.phase_space import lattice_convolve, point_add, point_neg, symp_character_matrix
+
+
+def closure(generators, L):
+    """The subgroup generated by the points, walked point by point, sorted."""
+    gens = [(x % L, w % L) for x, w in generators]
+    points = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = point_add(p, g, L)
+            if q not in points:
+                points.add(q)
+                frontier.append(q)
+    return tuple(sorted(points))
+
+
+def is_subgroup(points, L):
+    """True when the tuple lists a subgroup of Z_L x Z_L once each, lexicographically."""
+    found = set(points)
+    return (list(points) == sorted(found)
+            and (0, 0) in found
+            and all(0 <= x < L and 0 <= w < L for x, w in found)
+            and all(((px - qx) % L, (pw - qw) % L) in found
+                    for px, pw in found for qx, qw in found))
 
 
 def annihilator(lat):
@@ -84,7 +110,7 @@ def pairings(T, kernels, lattice):
 
 
 def avg_samples(T, scheme, lattice):
-    return pairings(T, scheme.average_operators(), lattice)
+    return pairings(T, scheme.averagers, lattice)
 
 
 def diag_channel_samples(T, scheme, lattice):

@@ -17,6 +17,8 @@ from opsis.hs_ops import (
     rank_one,
 )
 from opsis.phase_space import (
+    Lattice,
+    LatticeError,
     annihilator,
     build_lattice,
     dual_transversal,
@@ -36,9 +38,11 @@ from opsis.sampling import (
 )
 from opsis.si_space import (
     GeneratorSystem,
+    brute_gram,
     coefficients,
     correlation_sequences,
     gram_fibers,
+    riesz_check,
     synthesize,
 )
 
@@ -88,6 +92,45 @@ def test_lattice_duality_matches_oracle(setup):
     assert dual_transversal(lat) == oracle.dual_transversal(lat)
 
 
+@st.composite
+def generator_lists(draw, max_L=30):
+    """(L, 1-3 generators with entries in [-2L, 2L])."""
+    L = draw(st.integers(2, max_L))
+    entry = st.integers(-2 * L, 2 * L)
+    return L, draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=3))
+
+
+@SETTINGS
+@given(generator_lists())
+def test_build_lattice_matches_closure_walk(case):
+    L, gens = case
+    assert build_lattice(gens, L).points == oracle.closure(gens, L)
+
+
+@st.composite
+def point_tuples(draw, max_L=8):
+    """(L, points): a random sorted subset of the grid, or a subgroup with at most one point removed."""
+    L = draw(st.integers(2, max_L))
+    point = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+    if draw(st.booleans()):
+        return L, tuple(sorted(draw(st.sets(point, max_size=2 * L))))
+    group = list(oracle.closure(draw(st.lists(point, min_size=1, max_size=3)), L))
+    if draw(st.booleans()):
+        del group[draw(st.integers(0, len(group) - 1))]
+    return L, tuple(group)
+
+
+@SETTINGS
+@given(point_tuples())
+def test_direct_construction_accepts_exactly_the_subgroups(case):
+    L, points = case
+    try:
+        accepted = Lattice(L, points).points == points
+    except LatticeError:
+        accepted = False
+    assert accepted == oracle.is_subgroup(points, L)
+
+
 @SETTINGS
 @given(setups(), st.lists(st.integers(1, 3), max_size=2))
 def test_batched_symp_fourier_matches_oracle(setup, batch):
@@ -107,6 +150,19 @@ def test_fibers_match_oracle(setup):
     assert_agrees(gram_fibers(system), oracle.gram_fibers(system))
     A = cross_seq(system, scheme)
     assert_agrees(transfer_matrix(A, system.lattice).fibers, oracle.fibers(A, system.lattice))
+
+
+@SETTINGS
+@given(setups())
+def test_riesz_routes_match_brute_gram(setup):
+    system = setup[0]
+    # N |lattice| <= 3 * 12^2, inside brute_gram's 4096 vectors
+    _, lower, upper = brute_gram(system)
+    lower = max(lower, 0.0)
+    for report in (riesz_check(system), riesz_check(system, route="gw")):
+        assert abs(report.lower - lower) <= 1e-10 * upper
+        assert abs(report.upper - upper) <= 1e-10 * upper
+        assert report.is_riesz == (lower > 1e-10 * upper)
 
 
 @SETTINGS

@@ -100,6 +100,42 @@ def test_direct_construction_rejects_non_subgroup():
     assert Lattice(4, ((0, 0), (1, 1), (2, 2), (3, 3))).size == 4
 
 
+@pytest.mark.parametrize("points", [
+    (),
+    ((0, 2), (0, 0)),                  # (0, 0) not first
+    ((0, 0), (0, 2), (0, 2)),          # a duplicate
+    ((0, 0), (2, 0), (0, 2), (2, 2)),  # unsorted
+    ((0, 0), (4, 0)),                  # (L, 0)
+    ((0, 0), (0, -2)),                 # a negative coordinate
+    ((0, 0), (2**64, 0)),              # beyond any machine integer
+    ((0, 0), (0, "2")),
+    ((0, 0), (2, 1)),                  # (2, 1) + (2, 1) = (0, 2) is missing
+])
+def test_direct_construction_rejects_malformed_points(points):
+    with pytest.raises(LatticeError):
+        Lattice(4, points)
+
+
+@pytest.mark.parametrize("L, desc, form, dual_form", [
+    (4, [], (4, 4, 0), (1, 1, 0)),
+    (8, (2, 4), (2, 4, 0), (2, 4, 0)),
+    (8, [(2, 1)], (2, 4, 1), (2, 4, 1)),
+    (12, [(2, 3), (0, 4)], (2, 2, 1), (6, 6, 3)),
+])
+def test_normal_form_and_its_dual(L, desc, form, dual_form):
+    lat = build_lattice(desc, L)
+    assert lat._hnf == form
+    assert annihilator(lat)._hnf == dual_form
+
+
+def test_equal_lattices_share_hash_and_annihilator():
+    separable = build_lattice((2, 2), 8)
+    generated = build_lattice([(2, 0), (0, 2)], 8)
+    assert separable == generated
+    assert hash(separable) == hash(generated)
+    assert annihilator(separable) is annihilator(generated)
+
+
 def test_lattice_order_divides_group_order():
     for lat in zoo():
         assert (lat.modulus ** 2) % lat.size == 0

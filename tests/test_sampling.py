@@ -86,7 +86,7 @@ def test_samples_of_translated_generator_are_shifted():
 
 def test_diag_samples_require_windows():
     system, scheme, _ = seeded_setup(3)
-    avg = average_scheme(scheme.average_operators())
+    avg = average_scheme(scheme.averagers)
     with pytest.raises(ValueError):
         diag_channel_samples(system.generators[0], avg, system.lattice)
 
@@ -112,7 +112,7 @@ def test_avg_samples_single_point_norm():
 def test_avg_samples_linear_in_operator():
     system, scheme, rng = seeded_setup(6)
     lat = system.lattice
-    avg = average_scheme(scheme.average_operators())
+    avg = average_scheme(scheme.averagers)
     A = rand_kernel(rng, 8)
     B = rand_kernel(rng, 8)
     lhs = avg_samples(A + 2j * B, avg, lat)
@@ -483,7 +483,7 @@ def test_norm_equivalence_of_samples():
 def test_average_and_window_pipelines_agree():
     system, scheme, rng = seeded_setup(31)
     lat = system.lattice
-    avg = average_scheme(scheme.average_operators())
+    avg = average_scheme(scheme.averagers)
     kit_w = reconstruction_kit(system, scheme)
     kit_a = reconstruction_kit(system, avg)
     assert np.abs(kit_w.b - kit_a.b).max() < 1e-11

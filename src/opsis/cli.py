@@ -18,6 +18,7 @@ reported on stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -96,8 +97,9 @@ def _dual_perturbation(cfg: ExperimentConfig, K: int, N: int, M: int):
     if not (isinstance(spec, dict) and spec.get("enabled")):
         return None
     scale = spec.get("scale", 1.0)
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-        raise ConfigError("'dual_perturbation.scale' must be a number")
+    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+            or not abs(scale) <= sys.float_info.max):
+        raise ConfigError("'dual_perturbation.scale' must be a finite number")
     return scale * PortableRng(cfg.dual_seed).complex_normal((K, N, M))
 
 
@@ -294,7 +296,8 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opsis",
         description="Operator sampling experiments on the finite phase space Z_L x Z_L.",
@@ -305,7 +308,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     started = time.perf_counter()
     try:

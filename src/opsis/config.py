@@ -13,6 +13,13 @@ fixtures reproduce across implementations and platforms:
   (sqrt(-2 ln u1) cos(2 pi u2) + i sqrt(-2 ln u1) sin(2 pi u2)) / sqrt(2),
   with u1 in (0, 1] from ((out >> 11) + 1) * 2^-53, so E|z|^2 = 1.
 
+The state after k steps is seed + k * 0x9E3779B97F4A7C15 mod 2^64, so
+complex_normal computes a block of outputs at once in wrapping uint64
+arithmetic.  The logarithm, cosine and sine are math.log, math.cos and
+math.sin, applied per value: numpy's SIMD versions may differ from the C
+library in the last bit, which would tie the stream to the numpy build.
+The blocked draw is bit-identical to drawing value by value with next_u64.
+
 A master stream seeded with the config seed hands one 64-bit subseed to
 every random item that does not carry its own "seed" key, walking the
 config in a fixed order: generators first, then scheme entries, then the
@@ -35,6 +42,7 @@ from .timefreq import gaussian_window
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 8192  # complex normals per vectorised block; bounds the temporaries
 
 
 class ConfigError(ValueError):
@@ -69,13 +77,40 @@ class PortableRng:
     def complex_normal(self, shape) -> np.ndarray:
         n = int(np.prod(shape))
         out = np.empty(n, dtype=complex)
-        for i in range(n):
-            u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-            u2 = (self.next_u64() >> 11) * 2.0 ** -53
-            r = math.sqrt(-2.0 * math.log(u1))
-            out[i] = complex(r * math.cos(2 * math.pi * u2),
-                             r * math.sin(2 * math.pi * u2)) / math.sqrt(2)
+        for start in range(0, n, _BLOCK):
+            self._box_muller(out[start:start + _BLOCK])
         return out.reshape(shape)
+
+    def _box_muller(self, out: np.ndarray) -> None:
+        """Fill out with the next len(out) complex normals, advancing the state.
+
+        The state after k steps is state + k * GAMMA mod 2^64, so the block's
+        2 len(out) outputs are computed at once in wrapping uint64 arithmetic.
+        """
+        count = 2 * len(out)
+        z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + count * _GAMMA) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        u1 = (z[0::2] + np.uint64(1)).astype(float) * 2.0 ** -53
+        u2 = z[1::2].astype(float) * 2.0 ** -53
+        r = np.sqrt(-2.0 * _per_value(math.log, u1))
+        angle = 2 * math.pi * u2
+        re = r * _per_value(math.cos, angle)
+        im = r * _per_value(math.sin, angle)
+        # The per-value loop's complex / float divided by complex(sqrt(2), 0.0); the
+        # "+- 0.0 *" terms keep its signs of zero when u1 = 1 makes r = -0.0.
+        out.real = (re + im * 0.0) / math.sqrt(2)
+        out.imag = (im - re * 0.0) / math.sqrt(2)
+
+
+def _per_value(func, x: np.ndarray) -> np.ndarray:
+    """func applied to each float of x; math's functions, not numpy's (see module docs)."""
+    return np.fromiter(map(func, x.tolist()), float, len(x))
 
 
 @dataclass

@@ -234,7 +234,7 @@ def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
             raise ValueError(f"C must have shape {(K, N, M)}, got {C.shape}")
         B = B + C @ (np.eye(M) - tm.fibers @ B)
     worst = float(np.abs(B @ tm.fibers - np.eye(N)).max())
-    if worst > 1e-10:
+    if not worst <= 1e-10:
         raise NotAFrameError(f"left-inverse residual {worst:.3e} exceeds 1e-10")
     return B
 

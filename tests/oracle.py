@@ -2,7 +2,8 @@
 spreading-domain engine replaces, the per-channel lattice convolutions
 that the fiberwise coefficient expansion replaces, and the closure walk,
 subgroup test and exhaustive lattice duality that the Hermite normal form
-replaces.
+replaces, and the per-value SplitMix64/Box-Muller loop that the blocked
+uint64 draw of PortableRng.complex_normal replaces.
 
 The operator oracles form each translate as a dense L x L kernel with
 op_translate and sum or pair in the kernel domain, O(|lattice| L^2) per
@@ -11,6 +12,8 @@ engine and of the periodized ("gw") Riesz route, which share that transform.
 Symplectic series are products with the dense symp_character_matrix, never
 the grid series of symp_fourier and inv_symp_fourier.
 """
+
+import math
 
 import numpy as np
 
@@ -158,3 +161,16 @@ def fn_op_convolve(g, S):
         for w in range(L):
             out += g[x, w] * op_translate((x, w), S)
     return out
+
+
+def portable_complex_normal(rng, shape):
+    """Complex standard normals drawn one value, two next_u64 calls, at a time from rng."""
+    n = int(np.prod(shape))
+    out = np.empty(n, dtype=complex)
+    for i in range(n):
+        u1 = ((rng.next_u64() >> 11) + 1) * 2.0 ** -53
+        u2 = (rng.next_u64() >> 11) * 2.0 ** -53
+        r = math.sqrt(-2.0 * math.log(u1))
+        out[i] = complex(r * math.cos(2 * math.pi * u2),
+                         r * math.sin(2 * math.pi * u2)) / math.sqrt(2)
+    return out.reshape(shape)

@@ -251,6 +251,28 @@ def test_negative_or_non_finite_tolerance_exits_3(tmp_path, key, value):
     assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                     pytest.param("1" + "0" * 400, id="int_1e400")])
+def test_non_finite_dual_perturbation_scale_exits_3(tmp_path, literal):
+    # json.load reads NaN and Infinity, 1e400 as inf and 1 followed by 400 zeros as an int
+    text = json.dumps(dict(RECON_OK, dual_perturbation={"enabled": True, "scale": "SCALE"}))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text.replace('"SCALE"', literal))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
+
+
+def test_overflowing_dual_perturbation_fails_the_left_inverse_gate(tmp_path):
+    # a finite scale whose family member overflows: the residual is NaN, not small
+    perturbed = dict(RECON_OK, dual_perturbation={"enabled": True, "scale": 1e308})
+    cfg = write_config(tmp_path / "c.json", perturbed)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+    assert read_metrics(out)["error"] == {"kind": "not_a_frame",
+                                          "detail": "left-inverse residual nan exceeds 1e-10"}
+
+
 STAGES = {"gram_fibers": si_space, "riesz_check": si_space,
           "cross_seq": sampling, "frame_bounds": sampling}
 

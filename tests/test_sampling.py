@@ -353,6 +353,15 @@ def test_dual_left_inverse_raises_without_frame():
         dual_left_inverse(tm)
 
 
+def test_dual_left_inverse_rejects_non_finite_family_member():
+    # a NaN residual compares False against any bound, so it must fail the gate
+    system, scheme, _ = seeded_setup(22, L=16, desc=(4, 4), N=2, M=3)
+    tm = transfer_matrix(cross_seq(system, scheme), system.lattice)
+    C = np.full((tm.fibers.shape[0], 2, 3), np.nan)
+    with pytest.raises(NotAFrameError, match="left-inverse residual nan"):
+        dual_left_inverse(tm, C=C)
+
+
 # ---------------------------------------------------------------- reconstruction kits
 
 def test_kit_biorthogonal_averagers_reproduce_generators():

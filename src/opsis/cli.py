@@ -113,7 +113,7 @@ def _kit(cfg: ExperimentConfig, system: GeneratorSystem, scheme, C=None) -> Reco
 def _gate(kit: ReconstructionKit) -> dict | None:
     """The metrics error entry of the first gate the kit fails, or None."""
     try:
-        kit.recon_ops
+        kit.dual_fibers
     except NotRieszError:
         return {"kind": "not_riesz", "detail": kit.riesz.diagnostic or "zero lower bound"}
     except NotAFrameError as exc:

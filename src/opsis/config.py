@@ -169,7 +169,7 @@ def _build_lattice(spec, L, label):
 def _complex_vector(values, L, label):
     try:
         vec = np.array([complex(re, im) for re, im in values])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"'{label}' must be a list of [re, im] pairs: {exc}") from exc
     if vec.shape != (L,):
         raise ConfigError(f"'{label}' must have length {L}, got {vec.shape}")

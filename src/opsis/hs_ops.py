@@ -13,8 +13,13 @@ multipliers, and the convolution of a phase-space function with an operator.
 
 Translate sums and trace pairings over a lattice are computed in the
 spreading domain, where translation is a pointwise multiplication by a
-character: :func:`lattice_pairing` here, on the grid series that
-:mod:`opsis.phase_space` owns.  :func:`op_translate` builds one translate
+character and the lattice enters through the annihilator fold and tile of
+:mod:`opsis.phase_space`: :func:`lattice_pairing` is the inverse
+symplectic series of a fold, and a translate sum multiplies the spreading
+transform by the tiled symplectic series of its coefficients.  Every
+lattice Fourier step runs on the lattice's own size, never on an L x L grid
+FFT; :func:`fn_op_convolve` runs the same code on the full lattice Z_L^2,
+where it is the plain 2-D DFT.  :func:`op_translate` builds one translate
 as a dense kernel.
 
 Normalizations are pinned by exact unitarity: with the L^{-1/2} prefactor
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .phase_space import Point, _pairing_grid, _series_grid, lattice_series
+from .phase_space import Point, build_lattice, fold, inv_symp_fourier, lattice_series
 from .timefreq import UnsupportedModulusError
 
 
@@ -155,7 +160,8 @@ def inverse_fourier_wigner(F) -> np.ndarray:
 # sum_lam c(lam) translate(lam, H) is C * F(H) with the symplectic series
 # C = lattice_series(c), and by Parseval
 # <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L},
-# the grid pairing of F_T conj(F_Q) read at [lam.w, lam.x].
+# which Poisson summation over the annihilator turns into the inverse
+# symplectic series of the fold of F_T conj(F_Q).
 
 def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
     """Trace pairings <T, translate(lam, Q)> for every lam of the lattice, shape (..., |lattice|).
@@ -163,8 +169,7 @@ def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
     Takes the spreading transforms F_T and F_Q, which broadcast against each
     other over leading axes.
     """
-    G = _pairing_grid(np.asarray(FT) * np.conj(FQ))
-    return G[..., lattice.ws, lattice.xs]
+    return inv_symp_fourier(fold(np.asarray(FT) * np.conj(FQ), lattice), lattice)
 
 
 def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
@@ -189,6 +194,7 @@ def fn_op_convolve(g, S) -> np.ndarray:
     L = S.shape[0]
     if g.shape != (L, L):
         raise ValueError(f"phase-space function shape {g.shape} does not match L={L}")
-    # g[x, w] sits at grid index [w, x] of the series
-    return inverse_fourier_wigner(_series_grid(g.T) * fourier_wigner(S))
+    # the points of the full lattice, in x-major order, are the [x, w] table
+    full = build_lattice((1, 1), L)
+    return inverse_fourier_wigner(lattice_series(g.reshape(L * L), full) * fourier_wigner(S))
 

@@ -1,5 +1,6 @@
 """Finite phase space Z_L x Z_L: lattices, annihilators, dual transversals,
-symplectic Fourier series and lattice convolution.
+symplectic Fourier series, the annihilator fold and tile, and lattice
+convolution.
 
 A phase-space point is a pair (x, w) of residues mod L: x is a cyclic time
 shift, w a frequency shift.  All Fourier analysis on lattices runs through
@@ -15,17 +16,32 @@ lattice, and there are exactly |lattice| of them.
 
 A lattice is fixed by its Hermite normal form (a, b, c): generators (a, c)
 and (0, b) with a | L, b | L, 0 <= c < b and b | (L/a) c, and points
-(k a, (k c mod b) + j b) in lexicographic order.  Lattices are built,
-checked and dualized by exact integer arithmetic on this form, with no walk
-over the points and no FFT: the annihilator is not the support of a grid
-series but the lattice of form (L/b, L/a, c L/(a b)), and the dual
-transversal is the block [0, L/b) x [0, L/a).
+(k a, (k c mod b) + j b) in lexicographic order, point (k, j) at index
+k Q + j with P = L/a and Q = L/b.  Lattices are built, checked and dualized
+by exact integer arithmetic on this form, with no walk over the points and
+no FFT: the annihilator is the lattice of form (Q, P, c L/(a b)), and the
+dual transversal is the block [0, Q) x [0, P).
 
-This module owns the grid series (:func:`lattice_series`, :func:`_series_grid`,
-:func:`_pairing_grid`), 2-D FFTs on the L x L grid that :func:`symp_fourier`,
-:func:`inv_symp_fourier` and :mod:`opsis.hs_ops` run on.
-:func:`symp_character_matrix` and :func:`lattice_convolve` are dense
-|lattice| x |lattice| references with no production caller.
+The Fourier analysis of a lattice runs on the lattice's own size K = P Q.
+With xi = (x, w) in the transversal, sigma(lam, xi)/L splits as
+j x/Q + (k c mod b) x/L - k w/P, so :func:`symp_fourier` is a length-Q FFT
+over j, a twiddle e^{2 pi i (k c mod b) x/L} and a length-P FFT over k, and
+:func:`inv_symp_fourier` runs the same steps backwards: O(K log K) each.
+Functions on the L x L grid meet the lattice through two maps (Poisson
+summation over the annihilator):
+
+* :func:`fold` sums a grid function over every annihilator coset,
+  fold(G)(xi) = (|lat|/L) sum_{alpha in ann} G(xi + alpha), so a trace
+  pairing over the lattice is inv_symp_fourier(fold(...));
+* :func:`tile` is its broadcast adjoint, the annihilator-periodic extension
+  of fiber data to the grid, so the symplectic series of a sequence on the
+  whole grid is :func:`lattice_series` = tile(symp_fourier(c)).
+
+Both are a zero-copy reshape of the grid to (b, Q, a, P), x = k' Q + x0 and
+w = j' P + w1, plus one cached shear gather w0 -> (w0 + k' c') mod P along
+the annihilator's generator (Q, c'), c' = c L/(a b).  :func:`symp_character_matrix` and
+:func:`lattice_convolve` are dense |lattice| x |lattice| references with no
+production caller.
 
 Conventions relied on throughout the package:
 
@@ -92,12 +108,26 @@ class Lattice:
             a, b, c = self._hnf
         except (TypeError, ValueError, IndexError, OverflowError) as e:
             raise LatticeError(f"points must be pairs of integers ({e})") from None
-        pts = None if L % a or L % b or (L // a) * c % b else _hnf_points(L, a, b, c)
-        if tuple(self.points) != pts:
-            raise LatticeError("points are not a subgroup in lexicographic order "
-                               "(not closed under subtraction, or out of range, repeated or unsorted)")
-        # the same points, as a tuple of Python ints
-        object.__setattr__(self, "points", pts)
+        if not (L % a or L % b or (L // a) * c % b):
+            xs, ws = _hnf_points(L, a, b, c)
+            pts = tuple(zip(xs.tolist(), ws.tolist()))
+            if tuple(self.points) == pts:
+                # the same points, as a tuple of Python ints
+                object.__setattr__(self, "points", pts)
+                self.__dict__.update(xs=xs, ws=ws)
+                return
+        raise LatticeError("points are not a subgroup in lexicographic order "
+                           "(not closed under subtraction, or out of range, repeated or unsorted)")
+
+    @classmethod
+    def _from_hnf(cls, L: int, a: int, b: int, c: int) -> Lattice:
+        """The lattice of a valid normal form, from its one enumeration and with no check."""
+        xs, ws = _hnf_points(L, a, b, c)
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "modulus", L)
+        object.__setattr__(lat, "points", tuple(zip(xs.tolist(), ws.tolist())))
+        lat.__dict__.update(xs=xs, ws=ws, _hnf=(a, b, c))
+        return lat
 
     def __hash__(self):
         # equal lattices have equal normal forms; hashing the points is O(|lattice|)
@@ -138,6 +168,37 @@ class Lattice:
         return a, b, c
 
     @cached_property
+    def _twiddle(self) -> np.ndarray:
+        """twiddle[k, x] = e^{2 pi i (k c mod b) x/L} of the lattice transforms, shape (P, Q), read-only."""
+        L = self.modulus
+        a, b, c = self._hnf
+        k = np.arange(L // a)[:, None]
+        twiddle = np.exp(2j * np.pi * ((k * c % b) * np.arange(L // b) % L) / L)
+        twiddle.setflags(write=False)
+        return twiddle
+
+    @cached_property
+    def _shears(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shear gathers of :func:`fold` and :func:`tile`, shape (b, Q, P) each, read-only.
+
+        The annihilator is generated by (Q, c') and (0, P), c' = c L/(a b).
+        fold's gather points at row (k', x0), column (w0 + k' c') mod P of
+        the a-summed grid (b, Q, P), and tile's at transversal point
+        (x0, (w1 - k' c') mod P).
+        """
+        L = self.modulus
+        a, b, c = self._hnf
+        P, Q = L // a, L // b
+        shear = np.arange(b)[:, None, None] * (P * c // b)
+        w = np.arange(P)
+        rows = np.arange(Q)[:, None] * P
+        gathers = (np.arange(b)[:, None, None] * (Q * P) + rows + (w + shear) % P,
+                   rows + (w - shear) % P)
+        for g in gathers:
+            g.setflags(write=False)
+        return gathers
+
+    @cached_property
     def _grid_index(self) -> np.ndarray:
         # dense (L, L) -> element index, -1 off the lattice
         g = np.full((self.modulus, self.modulus), -1, dtype=np.int64)
@@ -162,12 +223,14 @@ def _as_int(v) -> int:
     return int(v)
 
 
-def _hnf_points(L: int, a: int, b: int, c: int) -> tuple[Point, ...]:
-    """The points (k a, (k c mod b) + j b) of the normal form (a, b, c), lexicographically."""
+def _hnf_points(L: int, a: int, b: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """xs and ws of the points (k a, (k c mod b) + j b) of the normal form, lexicographically, read-only."""
     k = np.arange(L // a)[:, None]
-    xs = np.broadcast_to(k * a, (L // a, L // b))
-    ws = k * c % b + np.arange(0, L, b)
-    return tuple(zip(xs.ravel().tolist(), ws.ravel().tolist()))
+    xs = np.repeat(np.arange(0, L, a), L // b)
+    ws = (k * c % b + np.arange(0, L, b)).ravel()
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
 
 
 def build_lattice(descriptor, L: int) -> Lattice:
@@ -177,11 +240,13 @@ def build_lattice(descriptor, L: int) -> Lattice:
     and b | L; a generator list produces the subgroup it generates.
     """
     descriptor = tuple(descriptor)
+    if L < 2:
+        raise LatticeError(f"modulus must be >= 2, got {L}")
     if len(descriptor) == 2 and all(isinstance(d, numbers.Integral) for d in descriptor):
         a, b = (_as_int(d) for d in descriptor)
         if a < 1 or b < 1 or L % a or L % b:
             raise LatticeError(f"separable descriptor ({a}, {b}) needs a | L and b | L with L={L}")
-        return Lattice(L, _hnf_points(L, a, b, 0))
+        return Lattice._from_hnf(L, a, b, 0)
     gens = [(_as_int(x) % L, _as_int(w) % L) for x, w in descriptor]
     # Row-reduce (L, 0), (0, L) and the generators over Z: Euclid on the x
     # coordinates keeps the row (a, c) and leaves (0, w), which joins (0, b).
@@ -191,7 +256,7 @@ def build_lattice(descriptor, L: int) -> Lattice:
             q = a // x
             a, c, x, w = x, w, a - q * x, c - q * w
         b = gcd(b, w)
-    return Lattice(L, _hnf_points(L, a, b, c % b))
+    return Lattice._from_hnf(L, a, b, c % b)
 
 
 @lru_cache(maxsize=64)
@@ -205,7 +270,7 @@ def annihilator(lat: Lattice) -> Lattice:
     """
     L = lat.modulus
     a, b, c = lat._hnf
-    return Lattice(L, _hnf_points(L, L // b, L // a, (L // a) * c // b))
+    return Lattice._from_hnf(L, L // b, L // a, (L // a) * c // b)
 
 
 @lru_cache(maxsize=64)
@@ -213,10 +278,11 @@ def dual_transversal(lat: Lattice) -> tuple[Point, ...]:
     """One canonical representative per annihilator coset, in lexicographic order.
 
     The representative of a coset is its lexicographically smallest member;
-    there are exactly |lat| of them, filling a block [0, a) x [0, b).
+    there are exactly |lat| of them, filling a block [0, L/b) x [0, L/a).
     """
-    a, b, _ = annihilator(lat)._hnf
-    return tuple((x, w) for x in range(a) for w in range(b))
+    L = lat.modulus
+    a, b, _ = lat._hnf
+    return tuple((x, w) for x in range(L // b) for w in range(L // a))
 
 
 def coset_transversal(lat: Lattice, sub: Lattice) -> tuple[Point, ...]:
@@ -265,17 +331,68 @@ def _as_seqs(c, lat: Lattice, what: str) -> np.ndarray:
     return c
 
 
-# The grid series: with lam at grid index [lam.w, lam.x], sums over the
-# characters e^{+-2 pi i sigma(lam, z)/L} are 2-D DFTs, O(L^2 log L) per sequence.
+def symp_fourier(c, lat: Lattice) -> np.ndarray:
+    """Symplectic Fourier series of lattice sequences, on the dual transversal.
 
-def _pairing_grid(P) -> np.ndarray:
-    """G[a, b] = (1/L) sum_{x, w} P[x, w] e^{-2 pi i (a x - b w)/L}."""
-    return np.fft.fft(np.fft.ifft(P, axis=-1), axis=-2)
+    F(xi) = sum_lam c(lam) exp(2 pi i sigma(lam, xi) / L); the value depends
+    only on the annihilator coset of xi.  The last axis of c runs over the
+    lattice, that of the output is aligned with :func:`dual_transversal`;
+    leading axes are kept.
+    """
+    c = _as_seqs(c, lat, "sequence")
+    twiddle = lat._twiddle
+    # D[k, x] = sum_j c[k, j] e^{2 pi i j x/Q}, then F[w, x] by a DFT over k
+    D = np.fft.ifft(c.reshape(c.shape[:-1] + twiddle.shape), axis=-1, norm="forward")
+    F = np.fft.fft(D * twiddle, axis=-2)
+    return np.swapaxes(F, -1, -2).reshape(c.shape)
 
 
-def _series_grid(E) -> np.ndarray:
-    """C[x, w] = sum_{a, b} E[a, b] e^{2 pi i (a x - b w)/L}."""
-    return E.shape[-1] * np.fft.fft(np.fft.ifft(E, axis=-2), axis=-1)
+def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
+    """Inverse of :func:`symp_fourier`: c(lam) = (1/|lat|) sum_xi F(xi) e^{-2 pi i sigma(lam, xi)/L}.
+
+    The last axis of F runs over the dual transversal; leading axes are kept.
+    """
+    F = _as_seqs(F, lat, "fiber data")
+    untwiddle = np.conj(lat._twiddle.T)
+    # E[x, k] = (1/P) sum_w F[x, w] e^{2 pi i k w/P}, then c[j, k] by a DFT over x
+    E = np.fft.ifft(F.reshape(F.shape[:-1] + untwiddle.shape), axis=-1)
+    c = np.fft.fft(E * untwiddle, axis=-2, norm="forward")
+    return np.swapaxes(c, -1, -2).reshape(F.shape)
+
+
+def fold(G, lat: Lattice) -> np.ndarray:
+    """Annihilator fold fold(G)(xi) = (|lat|/L) sum_{alpha in ann} G[xi + alpha] on the dual transversal.
+
+    G is a function on the grid, indexed [x, w] in its last two axes;
+    leading axes are kept.  By Poisson summation over the annihilator,
+    inv_symp_fourier(fold(G)) is the lattice pairing
+    (1/L) sum_z G[z] e^{-2 pi i sigma(lam, z)/L}.
+    """
+    G = np.asarray(G)
+    L = lat.modulus
+    a, b, _ = lat._hnf
+    P, Q = L // a, L // b
+    lead = G.shape[:-2]
+    # sum the a cosets of P Z_L in w, then shear and sum the b rows of the annihilator
+    R = G.reshape(lead + (b, Q, a, P))
+    R = (R[..., 0, :] if a == 1 else R.sum(axis=-2)).reshape(lead + (b * Q * P,))
+    F = np.take(R, lat._shears[0], axis=-1).sum(axis=-3)
+    return F.reshape(lead + (Q * P,)) * (lat.size / L)
+
+
+def tile(F, lat: Lattice) -> np.ndarray:
+    """Annihilator-periodic extension of fiber data to the grid, shape (..., L, L).
+
+    tile(F)[z] = F(xi) for every z in the annihilator coset of xi; the last
+    axis of F runs over the dual transversal.  The adjoint of :func:`fold`
+    up to the factor |lat|/L.
+    """
+    F = _as_seqs(F, lat, "fiber data")
+    L = lat.modulus
+    a, b, _ = lat._hnf
+    lead = F.shape[:-1]
+    block = np.take(F, lat._shears[1], axis=-1)[..., None, :]
+    return np.broadcast_to(block, lead + (b, L // b, a, L // a)).reshape(lead + (L, L))
 
 
 def lattice_series(c, lattice: Lattice) -> np.ndarray:
@@ -285,37 +402,7 @@ def lattice_series(c, lattice: Lattice) -> np.ndarray:
     fourier_wigner(sum_lam c(lam) translate(lam, H)) = C * fourier_wigner(H).
     Leading axes of c are kept; the last one runs over the lattice points.
     """
-    c = _as_seqs(c, lattice, "sequence")
-    L = lattice.modulus
-    E = np.zeros(c.shape[:-1] + (L, L), dtype=complex)
-    E[..., lattice.ws, lattice.xs] = c
-    return _series_grid(E)
-
-
-def symp_fourier(c, lat: Lattice) -> np.ndarray:
-    """Symplectic Fourier series of lattice sequences, on the dual transversal.
-
-    F(xi) = sum_lam c(lam) exp(2 pi i sigma(lam, xi) / L); the value depends
-    only on the annihilator coset of xi.  The last axis of c runs over the
-    lattice, that of the output is aligned with :func:`dual_transversal`;
-    leading axes are kept.
-    """
-    a, b, _ = annihilator(lat)._hnf
-    C = lattice_series(c, lat)[..., :a, :b]
-    return C.reshape(C.shape[:-2] + (a * b,))
-
-
-def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
-    """Inverse of :func:`symp_fourier`: c(lam) = (1/|lat|) sum_xi F(xi) e^{-2 pi i sigma(lam, xi)/L}.
-
-    The last axis of F runs over the dual transversal; leading axes are kept.
-    """
-    F = _as_seqs(F, lat, "fiber data")
-    L = lat.modulus
-    a, b, _ = annihilator(lat)._hnf
-    P = np.zeros(F.shape[:-1] + (L, L), dtype=complex)
-    P[..., :a, :b] = F.reshape(F.shape[:-1] + (a, b))
-    return _pairing_grid(P)[..., lat.ws, lat.xs] * (L / lat.size)
+    return tile(symp_fourier(c, lattice), lattice)
 
 
 def lattice_convolve(c, d, lat: Lattice) -> np.ndarray:

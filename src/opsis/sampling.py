@@ -21,18 +21,21 @@ recovers every T in the span exactly.
 
 :class:`ReconstructionKit` is this chain as one staged pipeline: the Riesz
 report, the generator samples and their transfer matrix, the frame bounds,
-the dual fibers, b, the H_m and their spreading transforms are each
-computed once, on first use, and cached; the dual stage gates on the Riesz
-and frame tolerances the kit was built with.
+the dual fibers and the spreading transforms of the H_m are each computed
+once, on first use, and cached; the dual stage gates on the Riesz and frame
+tolerances the kit was built with.  The H_m and the sequences b are formed
+only when read.
 
-Production routes run in the spreading domain: every sample is a lattice
-pairing of F_T = fourier_wigner(T) with the scheme's cached averager
-transforms (a window scheme's averagers are gt_m (x) g_m), and
-reconstruction multiplies the kit's cached transforms of the H_m by the
-symplectic series of the samples before one inverse transform (see
-:mod:`opsis.hs_ops`); :func:`berezin` is the same pairing on the full
-lattice Z_L x Z_L.  The per-translate loops and per-channel lattice
-convolutions survive as oracles in tests/oracle.py.
+Production routes run in the spreading domain and on the fibers: every
+sample is a lattice pairing of F_T = fourier_wigner(T) with the scheme's
+cached averager transforms (a window scheme's averagers are gt_m (x) g_m),
+that is the inverse symplectic series of an annihilator fold (see
+:mod:`opsis.phase_space`).  Since lattice_series(b[n, m]) is the tile of
+Bhat[:, n, m], F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n), and reconstruction
+synthesizes the fiber data chat = Bhat shat over the generators: N tiles,
+with no H_m formed.  :func:`berezin` is the pairing on the full lattice
+Z_L x Z_L.  The per-translate loops and per-channel lattice convolutions
+survive as oracles in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -54,11 +57,10 @@ from .phase_space import (
     build_lattice,
     coset_transversal,
     inv_symp_fourier,
-    lattice_series,
     point_add,
     symp_fourier,
 )
-from .si_space import GeneratorSystem, RieszReport, riesz_check, synthesize
+from .si_space import GeneratorSystem, RieszReport, riesz_check, span_spreading
 from .timefreq import tf_shift
 
 
@@ -247,8 +249,9 @@ class ReconstructionKit:
     (the left inverse selected by C) raises NotRieszError unless the system
     passes riesz_check at riesz_tol, and NotAFrameError unless
     dual_left_inverse succeeds at the frame tolerance tol; None means the
-    default of either.  b[n, m] are the inverse transforms of the Bhat
-    entries, and recon_ops the H_m synthesized from them.
+    default of either.  spreading holds the transforms of the H_m, read off
+    the dual fibers; b[n, m] are the inverse transforms of the Bhat entries,
+    and recon_ops the H_m themselves, both formed only when read.
     """
 
     system: GeneratorSystem
@@ -263,6 +266,8 @@ class ReconstructionKit:
 
     @cached_property
     def transfer(self) -> TransferMatrix:
+        # through the generator samples a[m, n], a paper quantity; their
+        # round trip to the folded fibers costs two K-point transforms
         return transfer_matrix(cross_seq(self.system, self.scheme), self.system.lattice)
 
     @property
@@ -285,26 +290,29 @@ class ReconstructionKit:
         return inv_symp_fourier(np.moveaxis(self.dual_fibers, 0, -1), self.system.lattice)
 
     @cached_property
-    def recon_ops(self) -> tuple[np.ndarray, ...]:
-        return tuple(synthesize(self.system, self.b[:, m, :]) for m in range(self.b.shape[1]))
-
-    @cached_property
     def spreading(self) -> np.ndarray:
-        """Spreading transforms of the reconstruction operators H_m, shape (M, L, L), read-only."""
-        F = fourier_wigner(np.array(self.recon_ops))
+        """Spreading transforms of the reconstruction operators H_m, shape (M, L, L), read-only.
+
+        F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n).
+        """
+        F = span_spreading(self.system, self.dual_fibers.transpose(2, 1, 0))
         F.setflags(write=False)
         return F
+
+    @cached_property
+    def recon_ops(self) -> tuple[np.ndarray, ...]:
+        return tuple(inverse_fourier_wigner(self.spreading))
 
 
 def reconstruction_kit(system: GeneratorSystem, scheme: SamplingScheme,
                        C=None, tol: float | None = None) -> ReconstructionKit:
-    """Build the kit and run it through the reconstruction operators H_m.
+    """Build the kit and run it through the dual fibers.
 
     Raises at once when the generators fail the Riesz gate at its default
     tolerance or the transfer matrix fails the frame gate at tol.
     """
     kit = ReconstructionKit(system, scheme, C, tol)
-    kit.recon_ops  # runs the gates now
+    kit.dual_fibers  # runs the gates now
     return kit
 
 
@@ -313,15 +321,16 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
 
     Exact on the generator span.  Fed samples of an operator outside the
     span it returns the kit-induced consistent estimate, with no projection
-    property claimed.
+    property claimed.  Computed as the synthesis of the fiber data
+    chat(xi) = Bhat(xi) shat(xi) over the generators.
     """
     samples = np.asarray(samples, dtype=complex)
     lat = kit.system.lattice
-    M = len(kit.recon_ops)
+    M = kit.scheme.num_channels
     if samples.shape != (M, lat.size):
         raise ValueError(f"sample array shape {samples.shape}, expected {(M, lat.size)}")
-    C = lattice_series(samples, lat)
-    return inverse_fourier_wigner((C * kit.spreading).sum(axis=0))
+    chat = np.einsum("knm,mk->nk", kit.dual_fibers, symp_fourier(samples, lat))
+    return inverse_fourier_wigner(span_spreading(kit.system, chat))
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:
@@ -368,5 +377,6 @@ def interpolation_deviation(kit: ReconstructionKit) -> float:
     s = lattice_pairing(kit.spreading[:, None], kit.scheme.spreading[None, :], lat)
     target = np.zeros_like(s)
     M = s.shape[0]
-    target[np.arange(M), np.arange(M), lat.index[(0, 0)]] = 1.0
+    # the origin is the first lattice point in lexicographic order
+    target[np.arange(M), np.arange(M), 0] = 1.0
     return float(np.abs(s - target).max())

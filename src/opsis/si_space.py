@@ -16,16 +16,19 @@ dense Gram matrix itself, and the annihilator-periodized outer products of
 the spreading transforms, which equal Ghat up to the single constant
 |lattice| / L.
 
-Production routes run in the spreading domain: synthesis, the correlation
-sequences and the analysis step of :func:`coefficients` are pointwise
-products with the generators' cached spreading transforms followed by one
-2-D FFT (see :mod:`opsis.hs_ops`), and the Riesz fibers are their grid
-series (see :mod:`opsis.phase_space`); no translate is ever formed.  A
-system caches its spreading transforms, its Riesz fibers and their
-spectrum, so :func:`riesz_check`, :func:`coefficients` and the
-reconstruction kit compute each of them once.  The dense routes are
-oracles: :func:`brute_gram` (through :meth:`GeneratorSystem.translate_stack`)
-here, and the per-translate loops of tests/oracle.py.
+Production routes run in the spreading domain and on the fibers: the
+Riesz fibers are the annihilator fold of the products F_n conj(F_n') of
+the generators' cached spreading transforms, synthesis multiplies each F_n
+by the tiled symplectic series of its coefficients (:func:`span_spreading`),
+and the analysis step of :func:`coefficients` is a fold of F_T conj(F_n)
+(see :mod:`opsis.phase_space`); no translate is ever formed and no lattice
+Fourier step runs on the L x L grid.  A system caches its spreading
+transforms, its Riesz fibers and their spectrum, so :func:`riesz_check`,
+:func:`coefficients` and the reconstruction kit compute each of them once.
+:func:`correlation_sequences` stays as the sequences behind the fibers.
+The dense routes are oracles: :func:`brute_gram` (through
+:meth:`GeneratorSystem.translate_stack`) here, and the per-translate loops
+of tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ from .phase_space import (
     Point,
     annihilator,
     dual_transversal,
+    fold,
     inv_symp_fourier,
-    lattice_series,
     symp_fourier,
+    tile,
 )
 
 
@@ -132,8 +136,16 @@ def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
     want = (system.num_generators, system.lattice.size)
     if coefs.shape != want:
         raise ValueError(f"coefficient array shape {coefs.shape}, expected {want}")
-    C = lattice_series(coefs, system.lattice)
-    return inverse_fourier_wigner((C * system.spreading).sum(axis=0))
+    return inverse_fourier_wigner(span_spreading(system, symp_fourier(coefs, system.lattice)))
+
+
+def span_spreading(system: GeneratorSystem, chat) -> np.ndarray:
+    """Spreading transform of the span element with fiber data chat, shape (..., N, K) -> (..., L, L).
+
+    chat[..., n, :] = symp_fourier(c_n) gives
+    F(sum_n sum_lam c_n(lam) translate(lam, S_n)) = sum_n tile(chat_n) F(S_n).
+    """
+    return (tile(chat, system.lattice) * system.spreading).sum(axis=-3)
 
 
 def correlation_sequences(system: GeneratorSystem) -> np.ndarray:
@@ -146,9 +158,11 @@ def gram_fibers(system: GeneratorSystem) -> np.ndarray:
     """Fiber matrices Ghat[k, n, n'] = sum_j r[n, n', j] * chi_{xi_k}(lam_j).
 
     One Hermitian PSD N x N matrix per dual-transversal point; their spectra,
-    unioned over k, reproduce the spectrum of the dense Gram matrix.
+    unioned over k, reproduce the spectrum of the dense Gram matrix.  Read
+    directly as the fold of F_n conj(F_n'), without the sequences r.
     """
-    return np.moveaxis(symp_fourier(correlation_sequences(system), system.lattice), -1, 0)
+    F = system.spreading
+    return np.moveaxis(fold(F[:, None] * np.conj(F[None, :]), system.lattice), -1, 0)
 
 
 def brute_gram(system: GeneratorSystem):
@@ -220,8 +234,7 @@ def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.nda
     """
     riesz_check(system, tol=tol).require()
     lat = system.lattice
-    q = lattice_pairing(fourier_wigner(T), system.spreading, lat)
-    qhat = symp_fourier(q, lat)
+    qhat = fold(fourier_wigner(T) * np.conj(system.spreading), lat)
     # Ghat(xi)^T chat(xi) = qhat(xi), solved on every fiber at once
     chat = np.linalg.solve(np.swapaxes(system.riesz_fibers, 1, 2), qhat.T[..., None])[..., 0]
     return inv_symp_fourier(chat.T, lat)

@@ -1,16 +1,17 @@
 """Kernel-domain oracles: the direct per-translate sums that the
 spreading-domain engine replaces, the per-channel lattice convolutions
-that the fiberwise coefficient expansion replaces, and the closure walk,
+that the fiberwise coefficient expansion replaces, the closure walk,
 subgroup test and exhaustive lattice duality that the Hermite normal form
-replaces, and the per-value SplitMix64/Box-Muller loop that the blocked
-uint64 draw of PortableRng.complex_normal replaces.
+replaces, the L x L grid series and the coset sums that the lattice-size
+transforms, fold and tile replace, and the per-value SplitMix64/Box-Muller
+loop that the blocked uint64 draw of PortableRng.complex_normal replaces.
 
 The operator oracles form each translate as a dense L x L kernel with
 op_translate and sum or pair in the kernel domain, O(|lattice| L^2) per
 operator.  None of them calls fourier_wigner, so they stay independent of the
 engine and of the periodized ("gw") Riesz route, which share that transform.
-Symplectic series are products with the dense symp_character_matrix, never
-the grid series of symp_fourier and inv_symp_fourier.
+Symplectic series are products with the dense symp_character_matrix, or
+2-D FFTs on the L x L grid, never the transforms of opsis.phase_space.
 """
 
 import math
@@ -78,6 +79,55 @@ def symp_fourier(c, lat):
 def inv_symp_fourier(F, lat):
     """Phi^* @ F / |lat| over the last axis."""
     return np.asarray(F, dtype=complex) @ symp_character_matrix(lat).conj() / lat.size
+
+
+# The grid series: with lam at grid index [lam.w, lam.x], sums over the
+# characters e^{+-2 pi i sigma(lam, z)/L} are 2-D DFTs, O(L^2 log L) per sequence.
+
+def pairing_grid(P):
+    """G[a, b] = (1/L) sum_{x, w} P[x, w] e^{-2 pi i (a x - b w)/L}."""
+    return np.fft.fft(np.fft.ifft(P, axis=-1), axis=-2)
+
+
+def series_grid(E):
+    """C[x, w] = sum_{a, b} E[a, b] e^{2 pi i (a x - b w)/L}."""
+    return E.shape[-1] * np.fft.fft(np.fft.ifft(E, axis=-2), axis=-1)
+
+
+def lattice_series(c, lat):
+    """C[x, w] = sum_lam c(lam) e^{2 pi i sigma(lam, (x, w))/L}: c placed on the grid, one 2-D FFT."""
+    c = np.asarray(c, dtype=complex)
+    L = lat.modulus
+    E = np.zeros(c.shape[:-1] + (L, L), dtype=complex)
+    E[..., lat.ws, lat.xs] = c
+    return series_grid(E)
+
+
+def lattice_pairing(FT, FQ, lat):
+    """(1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L}, read off one 2-D FFT."""
+    return pairing_grid(np.asarray(FT) * np.conj(FQ))[..., lat.ws, lat.xs]
+
+
+def fold(G, lat):
+    """(|lat|/L) sum over the annihilator coset of every transversal point, from the exhaustive duality."""
+    L = lat.modulus
+    ann = np.array(annihilator(lat))
+    xi = np.array(dual_transversal(lat))
+    x = (xi[:, None, 0] + ann[None, :, 0]) % L
+    w = (xi[:, None, 1] + ann[None, :, 1]) % L
+    return np.asarray(G)[..., x, w].sum(axis=-1) * (lat.size / L)
+
+
+def tile(F, lat):
+    """out[z] = F[k] for every z in the annihilator coset of the k-th transversal point."""
+    L = lat.modulus
+    F = np.asarray(F)
+    ann = annihilator(lat)
+    out = np.empty(F.shape[:-1] + (L, L), dtype=F.dtype)
+    for k, (x, w) in enumerate(dual_transversal(lat)):
+        for ax, aw in ann:
+            out[..., (x + ax) % L, (w + aw) % L] = F[..., k]
+    return out
 
 
 def translate_sum(coefs, kernels, lattice):

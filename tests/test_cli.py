@@ -471,6 +471,25 @@ def test_overflowing_kernel_exits_4(tmp_path):
     assert main(["riesz-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
 
 
+def test_integer_beyond_the_float_range_in_a_window_exits_3(tmp_path):
+    # json.load reads 1 followed by 400 zeros as an int, which complex() cannot convert
+    window = {"kind": "explicit", "values": [["BIG", 0]] + [[0, 0]] * 3}
+    text = json.dumps({
+        "L": 4,
+        "seed": 0,
+        "lattice": {"a": 2, "b": 2},
+        "generators": [
+            {"kind": "rank_one", "left": {"kind": "gaussian"}, "right": {"kind": "gaussian"}}
+        ],
+        "scheme": {"windows": [{"g": window, "g_tilde": {"kind": "gaussian"}}]},
+    })
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text.replace('"BIG"', "1" + "0" * 400))
+    out = tmp_path / "out"
+    assert main(["frame-check", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("command", ["frame-check", "reconstruct", "channel-demo", "sweep"])
 def test_non_finite_window_exits_4(tmp_path, command, value):

@@ -1,19 +1,23 @@
-"""The spreading-domain engine and the grid series against the kernel-domain
-and dense-character oracles of oracle.py, on random lattices (separable or
-not) from random generator lists, odd and even L, and random numbers of
-generators and channels."""
+"""The spreading-domain engine and the lattice-size transforms, fold and
+tile against the kernel-domain, dense-character, grid-series and coset-sum
+oracles of oracle.py, on random lattices (separable or not) from random
+generator lists, odd, even and prime L, the edge shapes {0}, Z_L^2 and a
+diagonal lattice, and random numbers of generators and channels."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opsis
 import oracle
+from opsis import hs_ops, phase_space, sampling, si_space
 from opsis.hs_ops import (
     fn_op_convolve,
     fourier_wigner,
     gabor_multiplier,
     inverse_fourier_wigner,
+    lattice_pairing,
     rank_one,
 )
 from opsis.phase_space import (
@@ -22,8 +26,11 @@ from opsis.phase_space import (
     annihilator,
     build_lattice,
     dual_transversal,
+    fold,
     inv_symp_fourier,
+    lattice_series,
     symp_fourier,
+    tile,
 )
 from opsis.sampling import (
     avg_samples,
@@ -260,3 +267,176 @@ def test_cached_spreading_transforms_are_read_only():
         with pytest.raises(ValueError):
             F[0, 0, 0] = 0
     assert system.spreading is system.spreading
+
+
+# ---------------------------------------------------------------- lattice-size transforms, fold and tile
+
+# (L, descriptor): the trivial lattice {0} (a = b = L), the full Z_L^2, a
+# diagonal lattice with b = L, prime L, and L = 2
+EDGE_LATTICES = [
+    (6, []),
+    (2, []),
+    (5, (1, 1)),
+    (2, (1, 1)),
+    (12, [(1, 7)]),
+    (7, [(1, 3)]),
+    (11, [(0, 1)]),
+    (13, [(2, 5)]),
+    (2, [(1, 1)]),
+    (2, (1, 2)),
+]
+
+
+@st.composite
+def engine_lattices(draw, max_L=40):
+    """An edge-shape lattice, or the lattice generated by 1-2 random points (mostly non-separable)."""
+    if draw(st.booleans()):
+        L, desc = draw(st.sampled_from(EDGE_LATTICES))
+        return build_lattice(desc, L)
+    L = draw(st.integers(2, max_L))
+    point = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+    return build_lattice(draw(st.lists(point, min_size=1, max_size=2)), L)
+
+
+batches = st.lists(st.integers(1, 3), max_size=2)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@SETTINGS
+@given(engine_lattices(), batches, seeds)
+def test_symp_fourier_matches_character_matrix(lat, batch, seed):
+    rng = np.random.default_rng(seed)
+    c = rand_seq(rng, (*batch, lat.size))
+    F = symp_fourier(c, lat)
+    assert_agrees(F, oracle.symp_fourier(c, lat))
+    assert_agrees(inv_symp_fourier(F, lat), oracle.inv_symp_fourier(F, lat))
+    assert_agrees(inv_symp_fourier(F, lat), c)
+
+
+@SETTINGS
+@given(engine_lattices(), batches, seeds)
+def test_fold_matches_coset_sums_and_grid_pairing(lat, batch, seed):
+    rng = np.random.default_rng(seed)
+    L = lat.modulus
+    G = rand_seq(rng, (*batch, L, L))
+    assert_agrees(fold(G, lat), oracle.fold(G, lat))
+    assert_agrees(inv_symp_fourier(fold(G, lat), lat), oracle.pairing_grid(G)[..., lat.ws, lat.xs])
+
+
+@SETTINGS
+@given(engine_lattices(), batches, seeds)
+def test_tile_matches_cosets_and_grid_series(lat, batch, seed):
+    rng = np.random.default_rng(seed)
+    L = lat.modulus
+    F = rand_seq(rng, (*batch, lat.size))
+    assert_agrees(tile(F, lat), oracle.tile(F, lat))
+    assert_agrees(lattice_series(F, lat), oracle.lattice_series(F, lat))
+    # tile is the adjoint of fold up to |lat| / L
+    f = F.reshape(-1, lat.size)[0]
+    G = rand_seq(rng, (L, L))
+    lhs = np.vdot(f, fold(G, lat))
+    rhs = np.vdot(tile(f, lat), G) * (lat.size / L)
+    assert abs(lhs - rhs) <= 1e-12 * np.abs(f).sum() * np.abs(G).sum()
+
+
+@SETTINGS
+@given(engine_lattices(max_L=24), seeds)
+def test_lattice_pairing_matches_grid(lat, seed):
+    rng = np.random.default_rng(seed)
+    L = lat.modulus
+    FT = rand_seq(rng, (2, 1, L, L))
+    FQ = rand_seq(rng, (3, L, L))
+    assert_agrees(lattice_pairing(FT, FQ, lat), oracle.lattice_pairing(FT, FQ, lat))
+
+
+def test_lattice_transforms_run_ffts_of_lattice_size(monkeypatch):
+    rng = np.random.default_rng(11)
+    L = 24
+    lat = build_lattice([(2, 5), (0, 6)], L)
+    a, b, _ = lat._hnf
+    assert 1 < a < L and 1 < b < L
+    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(2)))
+    scheme = average_scheme([rand_kernel(rng, L) for _ in range(3)])
+    system.spreading, scheme.spreading  # the operator transforms are length-L FFTs
+    lengths = []
+
+    def recording(f):
+        def wrapper(x, *args, axis=-1, **kwargs):
+            lengths.append(np.shape(x)[axis])
+            return f(x, *args, axis=axis, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    c = rand_seq(rng, (2, lat.size))
+    inv_symp_fourier(symp_fourier(c, lat), lat)
+    lattice_series(c, lat)
+    lattice_pairing(system.spreading, scheme.spreading[:, None], lat)
+    gram_fibers(system)
+    kit = reconstruction_kit(system, scheme)
+    kit.spreading
+    assert lengths and set(lengths) <= {L // a, L // b}
+
+
+@SETTINGS
+@given(setups())
+def test_kit_spreading_is_the_transform_of_recon_ops(setup):
+    kit, _ = kit_and_samples(setup)
+    assert_agrees(kit.spreading, fourier_wigner(np.array(kit.recon_ops)))
+
+
+def test_reconstruction_kit_forms_no_operator(monkeypatch):
+    rng = np.random.default_rng(3)
+    L = 12
+    lat = build_lattice([(2, 1), (0, 6)], L)
+    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(2)))
+    scheme = window_scheme([(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(3)])
+    calls = []
+    original = inverse_fourier_wigner
+
+    def counting(F):
+        calls.append(np.shape(F))
+        return original(F)
+
+    for module in (opsis, hs_ops, si_space, sampling):
+        if getattr(module, "inverse_fourier_wigner", None) is original:
+            monkeypatch.setattr(module, "inverse_fourier_wigner", counting)
+    kit = reconstruction_kit(system, scheme)
+    assert calls == []
+    T = synthesize(system, rand_seq(rng, (2, lat.size)))
+    calls.clear()
+    assert_agrees(reconstruct(avg_samples(T, scheme, lat), kit), T)
+    assert calls == [(L, L)]
+
+
+# ---------------------------------------------------------------- lattice construction
+
+@SETTINGS
+@given(generator_lists())
+def test_origin_is_the_first_point(case):
+    L, gens = case
+    lat = build_lattice(gens, L)
+    assert lat.points[0] == (0, 0)
+    assert list(lat.points) == sorted(lat.points)
+    assert lat.index[(0, 0)] == 0
+
+
+def test_build_lattice_enumerates_the_normal_form_once(monkeypatch):
+    calls = []
+    original = phase_space._hnf_points
+
+    def counting(*form):
+        calls.append(form)
+        return original(*form)
+
+    monkeypatch.setattr(phase_space, "_hnf_points", counting)
+    lat = build_lattice([(2, 3), (0, 4)], 12)
+    assert calls == [(12, 2, 2, 1)]
+    annihilator.cache_clear()
+    ann = annihilator(lat)
+    assert calls[1:] == [(12, 6, 6, 3)]
+    for p in (lat, ann):
+        assert list(zip(p.xs.tolist(), p.ws.tolist())) == list(p.points)
+        for cached in (p.xs, p.ws, p._twiddle, *p._shears):
+            assert not cached.flags.writeable
+    assert Lattice(12, lat.points) == lat

@@ -30,8 +30,9 @@ symbol of the identity operator is the constant L^{-1/2}.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .phase_space import Point, build_lattice, fold, inv_symp_fourier, lattice_series
+from .phase_space import Point, build_lattice, fold_product, inv_symp_fourier, lattice_series
 from .timefreq import UnsupportedModulusError
 
 
@@ -132,28 +133,35 @@ def _as_kernels(S) -> np.ndarray:
     return S
 
 
+def _diagonals(A, step: int) -> np.ndarray:
+    """Read-only view V[..., x, t] = A[..., (x + step t) % L, t], step = +-1, with no index arrays.
+
+    V is a strided view of the doubled array [A; A], where row x + step t
+    needs no reduction mod L: it starts at row 0 for step 1 and at row L for
+    step -1.
+    """
+    L = A.shape[-1]
+    AA = np.concatenate([A, A], axis=-2)[..., (L if step < 0 else 0):, :]
+    *lead, row, col = AA.strides
+    return as_strided(AA, A.shape, (*lead, row, step * row + col), writeable=False)
+
+
 def fourier_wigner(S) -> np.ndarray:
     """Raw spreading transform F[x, w] = tr[shift(-(x, w)) S], over any leading batch axes.
 
-    Row x is the DFT of the x-th cyclic diagonal, D[x, t] = kernel[t + x, t].
-    The half phase that sometimes decorates this transform is ill-defined
-    for even L and cancels in every product F_n(z) conj(F_m(z)) used here,
-    so the raw trace is stored.  Satisfies
+    Row x is the DFT of the x-th cyclic diagonal, D[x, t] = kernel[t + x, t],
+    read as a strided view.  The half phase that sometimes decorates this
+    transform is ill-defined for even L and cancels in every product
+    F_n(z) conj(F_m(z)) used here, so the raw trace is stored.  Satisfies
     F(translate(lam, S))(z) = e^{2 pi i sigma(lam, z)/L} F(S)(z) and
     sum_z |F(z)|^2 = L ||S||^2.
     """
-    S = _as_kernels(S)
-    L = S.shape[-1]
-    t = np.arange(L)
-    return np.fft.fft(S[..., (t[:, None] + t) % L, t], axis=-1)
+    return np.fft.fft(_diagonals(_as_kernels(S), 1), axis=-1)
 
 
 def inverse_fourier_wigner(F) -> np.ndarray:
     """Inverse of :func:`fourier_wigner`: kernel[r, t] = D[r - t, t] with D = ifft(F) along w."""
-    F = _as_kernels(F)
-    L = F.shape[-1]
-    t = np.arange(L)
-    return np.fft.ifft(F, axis=-1)[..., (t[:, None] - t) % L, t]
+    return _diagonals(np.fft.ifft(_as_kernels(F), axis=-1), -1).copy()
 
 
 # The spreading-domain engine.  By covariance, the spreading transform of
@@ -161,7 +169,9 @@ def inverse_fourier_wigner(F) -> np.ndarray:
 # C = lattice_series(c), and by Parseval
 # <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L},
 # which Poisson summation over the annihilator turns into the inverse
-# symplectic series of the fold of F_T conj(F_Q).
+# symplectic series of the fold of F_T conj(F_Q).  That fold is contracted
+# coset by coset (:func:`opsis.phase_space.fold_product`), so the product
+# F_T conj(F_Q) over all pairs is never formed.
 
 def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
     """Trace pairings <T, translate(lam, Q)> for every lam of the lattice, shape (..., |lattice|).
@@ -169,7 +179,7 @@ def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
     Takes the spreading transforms F_T and F_Q, which broadcast against each
     other over leading axes.
     """
-    return inv_symp_fourier(fold(np.asarray(FT) * np.conj(FQ), lattice), lattice)
+    return inv_symp_fourier(fold_product(FT, FQ, lattice), lattice)
 
 
 def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
@@ -194,7 +204,8 @@ def fn_op_convolve(g, S) -> np.ndarray:
     L = S.shape[0]
     if g.shape != (L, L):
         raise ValueError(f"phase-space function shape {g.shape} does not match L={L}")
-    # the points of the full lattice, in x-major order, are the [x, w] table
+    # the full lattice Z_L^2 indexes its points x-major, as the [x, w] table;
+    # it is built from its normal form and never lists them
     full = build_lattice((1, 1), L)
     return inverse_fourier_wigner(lattice_series(g.reshape(L * L), full) * fourier_wigner(S))
 

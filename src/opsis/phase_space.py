@@ -20,7 +20,8 @@ and (0, b) with a | L, b | L, 0 <= c < b and b | (L/a) c, and points
 k Q + j with P = L/a and Q = L/b.  Lattices are built, checked and dualized
 by exact integer arithmetic on this form, with no walk over the points and
 no FFT: the annihilator is the lattice of form (Q, P, c L/(a b)), and the
-dual transversal is the block [0, Q) x [0, P).
+dual transversal is the block [0, Q) x [0, P).  A built lattice enumerates
+its points only when they are first read; nothing below needs them.
 
 The Fourier analysis of a lattice runs on the lattice's own size K = P Q.
 With xi = (x, w) in the transversal, sigma(lam, xi)/L splits as
@@ -37,11 +38,17 @@ summation over the annihilator):
   of fiber data to the grid, so the symplectic series of a sequence on the
   whole grid is :func:`lattice_series` = tile(symp_fourier(c)).
 
-Both are a zero-copy reshape of the grid to (b, Q, a, P), x = k' Q + x0 and
-w = j' P + w1, plus one cached shear gather w0 -> (w0 + k' c') mod P along
-the annihilator's generator (Q, c'), c' = c L/(a b).  :func:`symp_character_matrix` and
-:func:`lattice_convolve` are dense |lattice| x |lattice| references with no
-production caller.
+The annihilator is generated by (Q, c') and (0, P), c' = c L/(a b), so
+:func:`cosets` lays the grid out as (b, Q, a, P), entry [k', x0, j', w0] at
+(x0, w0) + k'(Q, c') + j'(0, P): a zero-copy reshape when c' = 0, and
+otherwise one cached shear gather along the contiguous w axis.  fold sums
+this layout over (k', j'), and :func:`fold_product` contracts two of them,
+fold(F_T conj(F_Q)), coset by coset with one einsum, so the product of every
+pair of operators is never formed: a bracket product (de Boor, DeVore and
+Ron, JFA 1994).  tile reads the transversal index of every grid point from a
+second cached shear gather, broadcast over j'.  :func:`symp_character_matrix`
+and :func:`lattice_convolve` are dense |lattice| x |lattice| references with
+no production caller.
 
 Conventions relied on throughout the package:
 
@@ -55,7 +62,6 @@ Conventions relied on throughout the package:
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -89,48 +95,53 @@ def point_add(z: Point, zp: Point, L: int) -> Point:
     return (z[0] + zp[0]) % L, (z[1] + zp[1]) % L
 
 
-@dataclass(frozen=True)
 class Lattice:
     """A subgroup of Z_L x Z_L with elements in lexicographic order.
 
     Construct through :func:`build_lattice`; direct construction needs the
     point tuple to be a sorted subgroup and raises LatticeError otherwise.
+    A lattice is fixed by its normal form, so a built lattice enumerates its
+    points only when they are first read.  Lattices are immutable.
     """
 
-    modulus: int
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        L = self.modulus
+    def __init__(self, modulus: int, points):
+        L = modulus
         if L < 2:
             raise LatticeError(f"modulus must be >= 2, got {L}")
         try:
-            a, b, c = self._hnf
+            xs = np.array([p[0] for p in points], dtype=int)
+            ws = np.array([p[1] for p in points], dtype=int)
+            a, b, c = _read_hnf(L, xs, ws)
         except (TypeError, ValueError, IndexError, OverflowError) as e:
             raise LatticeError(f"points must be pairs of integers ({e})") from None
         if not (L % a or L % b or (L // a) * c % b):
-            xs, ws = _hnf_points(L, a, b, c)
-            pts = tuple(zip(xs.tolist(), ws.tolist()))
-            if tuple(self.points) == pts:
+            lat = Lattice._from_hnf(L, a, b, c)
+            if tuple(points) == lat.points:
                 # the same points, as a tuple of Python ints
-                object.__setattr__(self, "points", pts)
-                self.__dict__.update(xs=xs, ws=ws)
+                self.__dict__.update(lat.__dict__)
                 return
         raise LatticeError("points are not a subgroup in lexicographic order "
                            "(not closed under subtraction, or out of range, repeated or unsorted)")
 
     @classmethod
     def _from_hnf(cls, L: int, a: int, b: int, c: int) -> Lattice:
-        """The lattice of a valid normal form, from its one enumeration and with no check."""
-        xs, ws = _hnf_points(L, a, b, c)
+        """The lattice of a valid normal form, with no check and no enumeration."""
         lat = object.__new__(cls)
-        object.__setattr__(lat, "modulus", L)
-        object.__setattr__(lat, "points", tuple(zip(xs.tolist(), ws.tolist())))
-        lat.__dict__.update(xs=xs, ws=ws, _hnf=(a, b, c))
+        lat.__dict__.update(modulus=L, _hnf=(a, b, c))
         return lat
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Lattice")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        # equal lattices have equal normal forms
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return (self.modulus, self._hnf) == (other.modulus, other._hnf)
+
     def __hash__(self):
-        # equal lattices have equal normal forms; hashing the points is O(|lattice|)
         return hash((self.modulus, self._hnf))
 
     def __repr__(self):
@@ -138,34 +149,28 @@ class Lattice:
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        a, b, _ = self._hnf
+        return (self.modulus // a) * (self.modulus // b)
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(zip(self.xs.tolist(), self.ws.tolist()))
 
     @cached_property
     def index(self) -> dict[Point, int]:
         return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
+    def _xy(self) -> tuple[np.ndarray, np.ndarray]:
+        return _hnf_points(self.modulus, *self._hnf)
+
+    @property
     def xs(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points], dtype=int)
+        return self._xy[0]
 
-    @cached_property
+    @property
     def ws(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points], dtype=int)
-
-    @cached_property
-    def _hnf(self) -> tuple[int, int, int]:
-        """The normal form (a, b, c) read off the points; see the module docstring.
-
-        a is the least x > 0, b the least w > 0 on the line x = 0, and c the
-        least w on the line x = a, taken mod b; a and b are L when there is
-        no such point.
-        """
-        L = self.modulus
-        xs, ws = self.xs, self.ws
-        a = int(xs[xs > 0].min(initial=L))
-        b = int(ws[(xs == 0) & (ws > 0)].min(initial=L))
-        c = int(ws[xs == a].min(initial=L)) % b
-        return a, b, c
+        return self._xy[1]
 
     @cached_property
     def _twiddle(self) -> np.ndarray:
@@ -178,25 +183,35 @@ class Lattice:
         return twiddle
 
     @cached_property
-    def _shears(self) -> tuple[np.ndarray, np.ndarray]:
-        """The shear gathers of :func:`fold` and :func:`tile`, shape (b, Q, P) each, read-only.
+    def _coset_gather(self) -> np.ndarray:
+        """Flat grid index of :func:`cosets` when c' != 0, read-only.
 
-        The annihilator is generated by (Q, c') and (0, P), c' = c L/(a b).
-        fold's gather points at row (k', x0), column (w0 + k' c') mod P of
-        the a-summed grid (b, Q, P), and tile's at transversal point
-        (x0, (w1 - k' c') mod P).
+        Entry [x0, w0, k', j'] is the grid point (x0, w0) + k'(Q, c') + j'(0, P),
+        c' = c L/(a b): the transversal runs outermost and each coset innermost.
+        """
+        L = self.modulus
+        a, b, c = self._hnf
+        P, Q = L // a, L // b
+        k = np.arange(b)[:, None]
+        w = (np.arange(P)[:, None, None] + k * (P * c // b) + np.arange(a) * P) % L
+        gather = (np.arange(Q)[:, None, None, None] + k * Q) * L + w
+        gather.setflags(write=False)
+        return gather
+
+    @cached_property
+    def _tile_gather(self) -> np.ndarray:
+        """Index of :func:`tile`, shape (b, Q, P), read-only.
+
+        Entry [k', x0, w1] is the transversal point (x0, (w1 - k' c') mod P),
+        whose annihilator coset holds the grid points (k' Q + x0, w1 + j' P).
         """
         L = self.modulus
         a, b, c = self._hnf
         P, Q = L // a, L // b
         shear = np.arange(b)[:, None, None] * (P * c // b)
-        w = np.arange(P)
-        rows = np.arange(Q)[:, None] * P
-        gathers = (np.arange(b)[:, None, None] * (Q * P) + rows + (w + shear) % P,
-                   rows + (w - shear) % P)
-        for g in gathers:
-            g.setflags(write=False)
-        return gathers
+        gather = np.arange(Q)[:, None] * P + (np.arange(P) - shear) % P
+        gather.setflags(write=False)
+        return gather
 
     @cached_property
     def _grid_index(self) -> np.ndarray:
@@ -221,6 +236,19 @@ def _as_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise LatticeError(f"lattice descriptor entries must be integers, got {v!r}")
     return int(v)
+
+
+def _read_hnf(L: int, xs: np.ndarray, ws: np.ndarray) -> tuple[int, int, int]:
+    """The normal form (a, b, c) read off the points; see the module docstring.
+
+    a is the least x > 0, b the least w > 0 on the line x = 0, and c the
+    least w on the line x = a, taken mod b; a and b are L when there is no
+    such point.
+    """
+    a = int(xs[xs > 0].min(initial=L))
+    b = int(ws[(xs == 0) & (ws > 0)].min(initial=L))
+    c = int(ws[xs == a].min(initial=L)) % b
+    return a, b, c
 
 
 def _hnf_points(L: int, a: int, b: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,6 +388,27 @@ def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
     return np.swapaxes(c, -1, -2).reshape(F.shape)
 
 
+def cosets(G, lat: Lattice) -> np.ndarray:
+    """The grid in annihilator-coset layout, shape (..., b, Q, a, P).
+
+    Entry [..., k', x0, j', w0] is G at (x0, w0) + k'(Q, c') + j'(0, P),
+    c' = c L/(a b): fixing (x0, w0) runs over the annihilator coset of that
+    transversal point, fixing (k', j') over the transversal.  G is indexed
+    [x, w] in its last two axes; leading axes are kept.  For c' = 0 this is
+    a zero-copy reshape, otherwise one cached gather.
+    """
+    G = np.asarray(G)
+    L = lat.modulus
+    a, b, c = lat._hnf
+    lead = G.shape[:-2]
+    if c == 0:
+        return G.reshape(lead + (b, L // b, a, L // a))
+    # the gather's memory runs over each coset innermost, which the fold reductions read fastest
+    C = np.take(G.reshape(lead + (L * L,)), lat._coset_gather, axis=-1)
+    n = len(lead)
+    return C.transpose(tuple(range(n)) + (n + 2, n, n + 3, n + 1))
+
+
 def fold(G, lat: Lattice) -> np.ndarray:
     """Annihilator fold fold(G)(xi) = (|lat|/L) sum_{alpha in ann} G[xi + alpha] on the dual transversal.
 
@@ -368,16 +417,18 @@ def fold(G, lat: Lattice) -> np.ndarray:
     inv_symp_fourier(fold(G)) is the lattice pairing
     (1/L) sum_z G[z] e^{-2 pi i sigma(lam, z)/L}.
     """
-    G = np.asarray(G)
-    L = lat.modulus
-    a, b, _ = lat._hnf
-    P, Q = L // a, L // b
-    lead = G.shape[:-2]
-    # sum the a cosets of P Z_L in w, then shear and sum the b rows of the annihilator
-    R = G.reshape(lead + (b, Q, a, P))
-    R = (R[..., 0, :] if a == 1 else R.sum(axis=-2)).reshape(lead + (b * Q * P,))
-    F = np.take(R, lat._shears[0], axis=-1).sum(axis=-3)
-    return F.reshape(lead + (Q * P,)) * (lat.size / L)
+    F = cosets(G, lat).sum(axis=(-4, -2))
+    return F.reshape(F.shape[:-2] + (lat.size,)) * (lat.size / lat.modulus)
+
+
+def fold_product(FT, FQ, lat: Lattice) -> np.ndarray:
+    """fold(FT * conj(FQ)), contracted coset by coset without forming the product.
+
+    FT and FQ broadcast against each other over leading axes; the result
+    has the broadcast leading shape and a last axis over the dual transversal.
+    """
+    F = np.einsum("...kxjw,...kxjw->...xw", cosets(FT, lat), np.conj(cosets(FQ, lat)))
+    return F.reshape(F.shape[:-2] + (lat.size,)) * (lat.size / lat.modulus)
 
 
 def tile(F, lat: Lattice) -> np.ndarray:
@@ -391,7 +442,7 @@ def tile(F, lat: Lattice) -> np.ndarray:
     L = lat.modulus
     a, b, _ = lat._hnf
     lead = F.shape[:-1]
-    block = np.take(F, lat._shears[1], axis=-1)[..., None, :]
+    block = np.take(F, lat._tile_gather, axis=-1)[..., None, :]
     return np.broadcast_to(block, lead + (b, L // b, a, L // a)).reshape(lead + (L, L))
 
 

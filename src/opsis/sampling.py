@@ -122,7 +122,8 @@ def berezin(T, g, gt) -> np.ndarray:
     Restricted to a lattice this reproduces the diagonal channel samples.
     """
     L = np.shape(T)[0]
-    # the full lattice's points, in x-major order, are the [x, w] table
+    # the full lattice Z_L^2 indexes its points x-major, as the [x, w] table;
+    # it is built from its normal form and never lists them
     full = build_lattice((1, 1), L)
     return lattice_pairing(fourier_wigner(T), fourier_wigner(rank_one(gt, g)), full).reshape(L, L)
 

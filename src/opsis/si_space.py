@@ -17,11 +17,13 @@ the spreading transforms, which equal Ghat up to the single constant
 |lattice| / L.
 
 Production routes run in the spreading domain and on the fibers: the
-Riesz fibers are the annihilator fold of the products F_n conj(F_n') of
-the generators' cached spreading transforms, synthesis multiplies each F_n
-by the tiled symplectic series of its coefficients (:func:`span_spreading`),
-and the analysis step of :func:`coefficients` is a fold of F_T conj(F_n)
-(see :mod:`opsis.phase_space`); no translate is ever formed and no lattice
+Riesz fibers are the annihilator folds of F_n conj(F_n') over the
+generators' cached spreading transforms, synthesis multiplies each F_n by
+the tiled symplectic series of its coefficients (:func:`span_spreading`),
+and the analysis step of :func:`coefficients` is the fold of F_T conj(F_n)
+(see :mod:`opsis.phase_space`).  Each fold is contracted coset by coset by
+:func:`~opsis.phase_space.fold_product`, so the N^2 or N products on the
+L x L grid are never formed; no translate is ever formed and no lattice
 Fourier step runs on the L x L grid.  A system caches its spreading
 transforms, its Riesz fibers and their spectrum, so :func:`riesz_check`,
 :func:`coefficients` and the reconstruction kit compute each of them once.
@@ -49,7 +51,7 @@ from .phase_space import (
     Point,
     annihilator,
     dual_transversal,
-    fold,
+    fold_product,
     inv_symp_fourier,
     symp_fourier,
     tile,
@@ -162,7 +164,7 @@ def gram_fibers(system: GeneratorSystem) -> np.ndarray:
     directly as the fold of F_n conj(F_n'), without the sequences r.
     """
     F = system.spreading
-    return np.moveaxis(fold(F[:, None] * np.conj(F[None, :]), system.lattice), -1, 0)
+    return np.moveaxis(fold_product(F[:, None], F[None, :], system.lattice), -1, 0)
 
 
 def brute_gram(system: GeneratorSystem):
@@ -234,7 +236,7 @@ def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.nda
     """
     riesz_check(system, tol=tol).require()
     lat = system.lattice
-    qhat = fold(fourier_wigner(T) * np.conj(system.spreading), lat)
+    qhat = fold_product(fourier_wigner(T), system.spreading, lat)
     # Ghat(xi)^T chat(xi) = qhat(xi), solved on every fiber at once
     chat = np.linalg.solve(np.swapaxes(system.riesz_fibers, 1, 2), qhat.T[..., None])[..., 0]
     return inv_symp_fourier(chat.T, lat)

@@ -3,12 +3,13 @@ spreading-domain engine replaces, the per-channel lattice convolutions
 that the fiberwise coefficient expansion replaces, the closure walk,
 subgroup test and exhaustive lattice duality that the Hermite normal form
 replaces, the L x L grid series and the coset sums that the lattice-size
-transforms, fold and tile replace, and the per-value SplitMix64/Box-Muller
-loop that the blocked uint64 draw of PortableRng.complex_normal replaces.
+transforms, fold and tile replace, the per-value SplitMix64/Box-Muller
+loop that the blocked uint64 draw of PortableRng.complex_normal replaces, and
+the index-gather spreading transforms that the strided diagonal views replace.
 
 The operator oracles form each translate as a dense L x L kernel with
 op_translate and sum or pair in the kernel domain, O(|lattice| L^2) per
-operator.  None of them calls fourier_wigner, so they stay independent of the
+operator.  None of them calls a spreading transform, so they stay independent of the
 engine and of the periodized ("gw") Riesz route, which share that transform.
 Symplectic series are products with the dense symp_character_matrix, or
 2-D FFTs on the L x L grid, never the transforms of opsis.phase_space.
@@ -128,6 +129,22 @@ def tile(F, lat):
         for ax, aw in ann:
             out[..., (x + ax) % L, (w + aw) % L] = F[..., k]
     return out
+
+
+def fourier_wigner(S):
+    """F[..., x, w]: the FFT of the cyclic diagonals D[x, t] = S[t + x, t], gathered by index arrays."""
+    S = np.asarray(S, dtype=complex)
+    L = S.shape[-1]
+    t = np.arange(L)
+    return np.fft.fft(S[..., (t[:, None] + t) % L, t], axis=-1)
+
+
+def inverse_fourier_wigner(F):
+    """kernel[..., r, t] = D[r - t, t] with D = ifft(F) along w, gathered by index arrays."""
+    F = np.asarray(F, dtype=complex)
+    L = F.shape[-1]
+    t = np.arange(L)
+    return np.fft.ifft(F, axis=-1)[..., (t[:, None] - t) % L, t]
 
 
 def translate_sum(coefs, kernels, lattice):

@@ -1,8 +1,11 @@
-"""The spreading-domain engine and the lattice-size transforms, fold and
-tile against the kernel-domain, dense-character, grid-series and coset-sum
-oracles of oracle.py, on random lattices (separable or not) from random
-generator lists, odd, even and prime L, the edge shapes {0}, Z_L^2 and a
-diagonal lattice, and random numbers of generators and channels."""
+"""The spreading-domain engine and the lattice-size transforms, coset
+layout, fold and tile against the kernel-domain, dense-character,
+grid-series, coset-sum and index-gather oracles of oracle.py, on random
+lattices (separable or not) from random generator lists, odd, even and
+prime L, the edge shapes {0}, Z_L^2 and a diagonal lattice, and random
+numbers of generators and channels."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +28,10 @@ from opsis.phase_space import (
     LatticeError,
     annihilator,
     build_lattice,
+    cosets,
     dual_transversal,
     fold,
+    fold_product,
     inv_symp_fourier,
     lattice_series,
     symp_fourier,
@@ -349,6 +354,92 @@ def test_lattice_pairing_matches_grid(lat, seed):
     assert_agrees(lattice_pairing(FT, FQ, lat), oracle.lattice_pairing(FT, FQ, lat))
 
 
+@SETTINGS
+@given(engine_lattices(), batches, seeds)
+def test_cosets_lays_the_grid_out_coset_by_coset(lat, batch, seed):
+    L = lat.modulus
+    a, b, c = lat._hnf
+    P, Q = L // a, L // b
+    flat = cosets(np.arange(L * L).reshape(L, L), lat)
+    assert flat.shape == (b, Q, a, P)
+    assert np.array_equal(np.sort(flat, axis=None), np.arange(L * L))
+    # fixing the transversal point xi, the (k', j') entries run over xi + ann
+    ann = oracle.annihilator(lat)
+    for x0, w0 in oracle.dual_transversal(lat):
+        members = {((x0 + ax) % L) * L + (w0 + aw) % L for ax, aw in ann}
+        assert sorted(flat[:, x0, :, w0].ravel().tolist()) == sorted(members)
+    # entry [k', x0, j', w0] is (x0, w0) + k'(Q, c') + j'(0, P)
+    k, x0, j, w0 = np.ix_(range(b), range(Q), range(a), range(P))
+    assert np.array_equal(flat, (x0 + k * Q) * L + (w0 + k * (P * c // b) + j * P) % L)
+    rng = np.random.default_rng(seed)
+    G = rand_seq(rng, (*batch, L, L))
+    assert np.array_equal(cosets(G, lat), G.reshape(*batch, L * L)[..., flat])
+    assert_agrees(cosets(G, lat).sum(axis=(-4, -2)).reshape(*batch, lat.size) * (lat.size / L),
+                  oracle.fold(G, lat))
+
+
+# (leading shape of F_T, leading shape of F_Q): a channel-by-generator
+# grid, one operator against a stack, a stack against one operator, pairs
+# and single operators
+PAIRING_SHAPES = [((2, 1), (1, 3)), ((1, 3), (2, 1)), ((), (3,)), ((3,), ()),
+                  ((2,), (2,)), ((), ()), ((2, 1, 2), (3, 1))]
+
+
+def check_fold_product(lat, shapes, seed):
+    rng = np.random.default_rng(seed)
+    L = lat.modulus
+    FT = rand_seq(rng, (*shapes[0], L, L))
+    FQ = rand_seq(rng, (*shapes[1], L, L))
+    assert_agrees(fold_product(FT, FQ, lat), oracle.fold(FT * np.conj(FQ), lat))
+
+
+@pytest.mark.parametrize("L, desc", EDGE_LATTICES)
+@pytest.mark.parametrize("shapes", PAIRING_SHAPES)
+def test_fold_product_on_edge_lattices(L, desc, shapes):
+    check_fold_product(build_lattice(desc, L), shapes, L)
+
+
+@SETTINGS
+@given(engine_lattices(max_L=24), st.sampled_from(PAIRING_SHAPES), seeds)
+def test_fold_product_is_the_fold_of_the_product(lat, shapes, seed):
+    check_fold_product(lat, shapes, seed)
+
+
+@pytest.mark.parametrize("desc", [(4, 4), [(1, 3), (0, 32)]])
+def test_pairings_and_fibers_never_form_the_product(desc):
+    # the N M L^2 product alone is 4.2 MB here; forming it and folding it
+    # takes either call past 7 MB, the coset-wise contraction needs under 3.5 MB
+    rng = np.random.default_rng(7)
+    L, N, M = 128, 4, 4
+    lat = build_lattice(desc, L)
+    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(N)))
+    scheme = average_scheme([rand_kernel(rng, L) for _ in range(M)])
+    system.spreading, scheme.spreading
+    for run in (lambda: cross_seq(system, scheme), lambda: gram_fibers(system)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
+@SETTINGS
+@given(st.integers(2, 15), batches, seeds, st.booleans())
+def test_strided_spreading_transforms_match_the_index_gather(L, batch, seed, transposed):
+    rng = np.random.default_rng(seed)
+    S = rand_seq(rng, (*batch, L, L))
+    if transposed:
+        S = np.swapaxes(S, -1, -2)  # a non-contiguous input
+    F = fourier_wigner(S)
+    K = inverse_fourier_wigner(F)
+    assert np.array_equal(F, oracle.fourier_wigner(S))
+    assert np.array_equal(K, oracle.inverse_fourier_wigner(F))
+    for out in (F, K):
+        assert out.flags.owndata and out.flags.writeable
+
+
 def test_lattice_transforms_run_ffts_of_lattice_size(monkeypatch):
     rng = np.random.default_rng(11)
     L = 24
@@ -421,7 +512,7 @@ def test_origin_is_the_first_point(case):
     assert lat.index[(0, 0)] == 0
 
 
-def test_build_lattice_enumerates_the_normal_form_once(monkeypatch):
+def test_lattices_enumerate_the_normal_form_once_on_first_read(monkeypatch):
     calls = []
     original = phase_space._hnf_points
 
@@ -431,12 +522,18 @@ def test_build_lattice_enumerates_the_normal_form_once(monkeypatch):
 
     monkeypatch.setattr(phase_space, "_hnf_points", counting)
     lat = build_lattice([(2, 3), (0, 4)], 12)
-    assert calls == [(12, 2, 2, 1)]
     annihilator.cache_clear()
     ann = annihilator(lat)
-    assert calls[1:] == [(12, 6, 6, 3)]
+    # building, sizing and the transforms need only the normal form
+    assert (lat.size, ann.size) == (36, 4)
+    inv_symp_fourier(symp_fourier(np.ones(lat.size), lat), lat)
+    tile(fold(np.ones((12, 12)), lat), lat)
+    assert calls == []
     for p in (lat, ann):
         assert list(zip(p.xs.tolist(), p.ws.tolist())) == list(p.points)
-        for cached in (p.xs, p.ws, p._twiddle, *p._shears):
+        for cached in (p.xs, p.ws, p._twiddle, p._coset_gather, p._tile_gather):
             assert not cached.flags.writeable
+    assert calls == [(12, 2, 2, 1), (12, 6, 6, 3)]
     assert Lattice(12, lat.points) == lat
+    with pytest.raises(AttributeError):
+        lat.modulus = 24

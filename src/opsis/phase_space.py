@@ -46,7 +46,10 @@ this layout over (k', j'), and :func:`fold_product` contracts two of them,
 fold(F_T conj(F_Q)), coset by coset with one einsum, so the product of every
 pair of operators is never formed: a bracket product (de Boor, DeVore and
 Ron, JFA 1994).  tile reads the transversal index of every grid point from a
-second cached shear gather, broadcast over j'.  :func:`symp_character_matrix`
+second cached shear gather, broadcast over j'; :func:`tile_block` is that
+block before the broadcast, laid out to meet the plain (b, Q, a, P) reshape
+of the grid (:func:`grid_blocks`), so a sum of tiled products runs block by
+block without a tiled copy.  :func:`symp_character_matrix`
 and :func:`lattice_convolve` are dense |lattice| x |lattice| references with
 no production caller.
 
@@ -388,6 +391,20 @@ def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
     return np.swapaxes(c, -1, -2).reshape(F.shape)
 
 
+def grid_blocks(G, lat: Lattice) -> np.ndarray:
+    """The grid as blocks, a reshape to shape (..., b, Q, a, P).
+
+    Entry [..., k', x0, j', w1] is G at (k' Q + x0, j' P + w1); G is indexed
+    [x, w] in its last two axes, and leading axes are kept.  This is the
+    layout that :func:`tile_block` broadcasts against, and for c' = 0 it is
+    also the layout of :func:`cosets`.
+    """
+    G = np.asarray(G)
+    L = lat.modulus
+    a, b, _ = lat._hnf
+    return G.reshape(G.shape[:-2] + (b, L // b, a, L // a))
+
+
 def cosets(G, lat: Lattice) -> np.ndarray:
     """The grid in annihilator-coset layout, shape (..., b, Q, a, P).
 
@@ -399,10 +416,10 @@ def cosets(G, lat: Lattice) -> np.ndarray:
     """
     G = np.asarray(G)
     L = lat.modulus
-    a, b, c = lat._hnf
+    c = lat._hnf[2]
     lead = G.shape[:-2]
     if c == 0:
-        return G.reshape(lead + (b, L // b, a, L // a))
+        return grid_blocks(G, lat)
     # the gather's memory runs over each coset innermost, which the fold reductions read fastest
     C = np.take(G.reshape(lead + (L * L,)), lat._coset_gather, axis=-1)
     n = len(lead)
@@ -438,12 +455,28 @@ def tile(F, lat: Lattice) -> np.ndarray:
     axis of F runs over the dual transversal.  The adjoint of :func:`fold`
     up to the factor |lat|/L.
     """
-    F = _as_seqs(F, lat, "fiber data")
+    block = tile_block(F, lat)
     L = lat.modulus
     a, b, _ = lat._hnf
-    lead = F.shape[:-1]
-    block = np.take(F, lat._tile_gather, axis=-1)[..., None, :]
+    lead = block.shape[:-4]
     return np.broadcast_to(block, lead + (b, L // b, a, L // a)).reshape(lead + (L, L))
+
+
+def tile_block(F, lat: Lattice) -> np.ndarray:
+    """:func:`tile` in the layout of :func:`grid_blocks`, without the grid-size copy.
+
+    Shape (..., b, Q, 1, P), or (..., 1, Q, 1, P) when c' = 0: the tile is
+    constant over j', and over k' too when c' = 0, so those axes broadcast.
+    Entry [..., k', x0, 0, w1] is F at the transversal point
+    (x0, (w1 - k' c') mod P).  For c' = 0 it is a reshape view of F,
+    otherwise one cached gather.
+    """
+    F = _as_seqs(F, lat, "fiber data")
+    L = lat.modulus
+    a, b, c = lat._hnf
+    if c == 0:
+        return F.reshape(F.shape[:-1] + (1, L // b, 1, L // a))
+    return np.take(F, lat._tile_gather, axis=-1)[..., None, :]
 
 
 def lattice_series(c, lattice: Lattice) -> np.ndarray:

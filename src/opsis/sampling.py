@@ -19,6 +19,14 @@ operators H_m, and
 
 recovers every T in the span exactly.
 
+The frame bounds are the extreme squared singular values over the
+transfer fibers Ahat(xi).  With at most 2 generators or 2 channels they
+are computed in closed form over all fibers at once, within a small
+multiple of eps times the fiber's largest singular value, LAPACK's bound;
+np.linalg.svd serves larger fibers (see
+:func:`~opsis.si_space.fiber_singular_values`).  The left inverses stay on
+np.linalg.pinv.
+
 :class:`ReconstructionKit` is this chain as one staged pipeline: the Riesz
 report, the generator samples and their transfer matrix, the frame bounds,
 the dual fibers and the spreading transforms of the H_m are each computed
@@ -60,7 +68,13 @@ from .phase_space import (
     point_add,
     symp_fourier,
 )
-from .si_space import GeneratorSystem, RieszReport, riesz_check, span_spreading
+from .si_space import (
+    GeneratorSystem,
+    RieszReport,
+    fiber_singular_values,
+    riesz_check,
+    span_spreading,
+)
 from .timefreq import tf_shift
 
 
@@ -174,8 +188,13 @@ class TransferMatrix:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Singular values of every fiber, descending, shape (K, min(M, N)), read-only."""
-        sv = np.linalg.svd(self.fibers, compute_uv=False)
+        """Singular values of every fiber, descending, shape (K, min(M, N)), read-only.
+
+        By :func:`~opsis.si_space.fiber_singular_values`: in closed form when
+        min(M, N) <= 2, within a small multiple of eps times the fiber's
+        largest singular value, and by np.linalg.svd above that.
+        """
+        sv = fiber_singular_values(self.fibers)
         sv.setflags(write=False)
         return sv
 
@@ -202,8 +221,12 @@ class FrameBounds:
 def frame_bounds(tm: TransferMatrix) -> FrameBounds:
     """alpha = min over fibers of the smallest eigenvalue of Ahat^* Ahat, beta the max.
 
-    Fewer channels than generators forces a zero lower bound; a zero alpha is
-    a result, not an error.
+    Read off the cached singular values (closed form when min(M, N) <= 2,
+    np.linalg.svd above), so both bounds are within a small multiple of eps
+    times beta.  Fewer channels than generators forces a zero lower bound;
+    a zero alpha is a result, not an error.  A fiber with a NaN entry makes
+    beta NaN, and alpha too unless M < N; one with an inf entry makes beta
+    non-finite.
     """
     sv = tm.singular_values
     beta = float((sv[:, 0] ** 2).max())

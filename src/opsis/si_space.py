@@ -19,8 +19,9 @@ the spreading transforms, which equal Ghat up to the single constant
 Production routes run in the spreading domain and on the fibers: the
 Riesz fibers are the annihilator folds of F_n conj(F_n') over the
 generators' cached spreading transforms, synthesis multiplies each F_n by
-the tiled symplectic series of its coefficients (:func:`span_spreading`),
-and the analysis step of :func:`coefficients` is the fold of F_T conj(F_n)
+the tiled symplectic series of its coefficients and sums over n in the
+grid's blocks, with no tiled copy (:func:`span_spreading`), and the
+analysis step of :func:`coefficients` is the fold of F_T conj(F_n)
 (see :mod:`opsis.phase_space`).  Each fold is contracted coset by coset by
 :func:`~opsis.phase_space.fold_product`, so the N^2 or N products on the
 L x L grid are never formed; no translate is ever formed and no lattice
@@ -28,6 +29,21 @@ Fourier step runs on the L x L grid.  A system caches its spreading
 transforms, its Riesz fibers and their spectrum, so :func:`riesz_check`,
 :func:`coefficients` and the reconstruction kit compute each of them once.
 :func:`correlation_sequences` stays as the sequences behind the fibers.
+
+The spectra of the fibers decide both sampling questions (the bracket
+product characterisation, Bownik, JFA 2000): the Riesz bounds are the
+extreme eigenvalues of the N x N Riesz fibers, and the frame bounds of
+:mod:`opsis.sampling` the extreme squared singular values of the M x N
+transfer fibers.  Both spectra are computed here, vectorised over all
+fibers at once, in closed form whenever the small dimension is at most 2
+(:func:`hermitian_spectrum`, :func:`fiber_singular_values`), and by LAPACK
+above that.  The closed forms have LAPACK's absolute error bound, a small
+multiple of eps times the fiber's largest value; the smaller singular
+value of an M x 2 fiber is read off the 2 x 2 minors of its columns, not
+off det(A^* A), so an s_min of 1e-12 s_max stays resolvable.  A fiber with
+a NaN or inf entry never gives a finite pair of bounds.  riesz_check's
+route="gw" stays on np.linalg.eigvalsh, as an independent check.
+
 The dense routes are oracles: :func:`brute_gram` (through
 :meth:`GeneratorSystem.translate_stack`) here, and the per-translate loops
 of tests/oracle.py.
@@ -35,8 +51,10 @@ of tests/oracle.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -52,14 +70,91 @@ from .phase_space import (
     annihilator,
     dual_transversal,
     fold_product,
+    grid_blocks,
     inv_symp_fourier,
     symp_fourier,
-    tile,
+    tile_block,
 )
 
 
 class NotRieszError(RuntimeError):
     """The generator translates do not form a Riesz sequence."""
+
+
+def _abs2(z):
+    return z.real ** 2 + z.imag ** 2
+
+
+def _eig2(a, d, b):
+    """Lower and upper eigenvalue of the Hermitian [[a, conj(b)], [b, d]], a and d real."""
+    m = (a + d) / 2
+    r = np.hypot((a - d) / 2, np.abs(b))
+    return m - r, m + r
+
+
+def hermitian_spectrum(G) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian matrices G[..., N, N], shape (..., N).
+
+    In closed form, vectorised over the leading axes, for N <= 2: the real
+    diagonal for N = 1, and m -+ hypot((a - d)/2, |b|) with m = (a + d)/2
+    for [[a, conj(b)], [b, d]].  np.linalg.eigvalsh serves N >= 3.  Only
+    the lower triangle and the real part of the diagonal are read, as by
+    eigvalsh.  The absolute error is a small multiple of eps times the
+    largest |eigenvalue|, LAPACK's bound.  A NaN or inf among the entries
+    read gives a non-finite lowest eigenvalue.
+    """
+    G = np.asarray(G)
+    N = G.shape[-1]
+    if N == 1:
+        return G[..., 0].real.astype(float)
+    if N == 2:
+        return np.stack(_eig2(G[..., 0, 0].real, G[..., 1, 1].real, G[..., 1, 0]), axis=-1)
+    return np.linalg.eigvalsh(G)
+
+
+def fiber_singular_values(A) -> np.ndarray:
+    """Descending singular values of matrices A[..., M, N], shape (..., min(M, N)).
+
+    In closed form, vectorised over the leading axes, when min(M, N) <= 2;
+    A is transposed first so that N <= M.  For N = 1 it is the column norm.
+    For N = 2, s_max = sqrt(lambda_max) of the 2 x 2 Gram matrix A^* A by
+    the formula of :func:`hermitian_spectrum`, and s_min = ||a_0 ^ a_1|| /
+    s_max, the wedge norm summed over the M(M-1)/2 minors
+    a_0[i] a_1[j] - a_0[j] a_1[i] of the columns.  The minors carry an
+    absolute error of eps s_max^2, where det(A^* A) would carry
+    eps s_max^4, so both values are within a small multiple of eps s_max,
+    LAPACK's bound, and an s_min of 1e-12 s_max stays resolvable.
+    np.linalg.svd serves min(M, N) >= 3.  So that the squared minors
+    neither overflow nor underflow, a finite batch whose largest squared
+    column norm leaves [2^-400, 2^400] is first rescaled by a power of two.
+    Relative to the batch's largest value the bound then holds throughout;
+    only a matrix more than 2^60 below it can lose relative precision to
+    underflow.  A zero matrix gives zeros; a matrix with a NaN or inf entry
+    gives non-finite values.
+    """
+    A = np.asarray(A)
+    if A.shape[-1] > A.shape[-2]:
+        A = np.swapaxes(A, -1, -2)
+    M, N = A.shape[-2:]
+    if N > 2:
+        return np.linalg.svd(A, compute_uv=False)
+    # X[m, n] is entry (m, n) over the leading axes: contiguous rows for
+    # fibers moved out of an (M, N, K) array
+    X = np.moveaxis(A, (-2, -1), (0, 1))
+    with np.errstate(over="ignore"):
+        norms2 = _abs2(X).sum(axis=0)
+    top = norms2.max(initial=0.0)
+    if not 2.0 ** -400 <= top <= 2.0 ** 400 and 0 < (big := np.abs(A).max()) < np.inf:
+        scale = np.ldexp(1.0, np.frexp(big)[1])
+        return fiber_singular_values(A / scale) * scale
+    if N == 1:
+        return np.sqrt(norms2[0])[..., None]
+    a0, a1 = X[:, 0], X[:, 1]
+    s_max = np.sqrt(_eig2(norms2[0], norms2[1], (a1 * a0.conj()).sum(axis=0))[1])
+    wedge = np.sqrt(sum(_abs2(a0[i] * a1[j] - a0[j] * a1[i]) for i, j in combinations(range(M), 2)))
+    # the guard divides 0 by 1 on a zero matrix only: NaN fails s_max == 0
+    s_min = np.minimum(wedge / np.where(s_max == 0, 1.0, s_max), s_max)
+    return np.stack([s_max, s_min], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +194,13 @@ class GeneratorSystem:
 
     @cached_property
     def riesz_spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of every Riesz fiber, shape (K, N), read-only."""
-        eigs = np.linalg.eigvalsh(self.riesz_fibers)
+        """Ascending eigenvalues of every Riesz fiber, shape (K, N), read-only.
+
+        By :func:`hermitian_spectrum`: in closed form for N <= 2, within a
+        small multiple of eps times the fiber's largest eigenvalue, and by
+        np.linalg.eigvalsh for N >= 3.
+        """
+        eigs = hermitian_spectrum(self.riesz_fibers)
         eigs.setflags(write=False)
         return eigs
 
@@ -146,8 +246,18 @@ def span_spreading(system: GeneratorSystem, chat) -> np.ndarray:
 
     chat[..., n, :] = symp_fourier(c_n) gives
     F(sum_n sum_lam c_n(lam) translate(lam, S_n)) = sum_n tile(chat_n) F(S_n).
+
+    Accumulated over n in the grid's blocks, where each tile is one
+    broadcast block (:func:`~opsis.phase_space.tile_block`), so neither
+    the tiles nor the N products on the grid are formed.
     """
-    return (tile(chat, system.lattice) * system.spreading).sum(axis=-3)
+    lat = system.lattice
+    blocks = np.moveaxis(tile_block(chat, lat), -5, 0)
+    F = grid_blocks(system.spreading, lat)
+    out = blocks[0] * F[0]
+    for block, F_n in zip(blocks[1:], F[1:], strict=True):
+        out += block * F_n
+    return out.reshape(out.shape[:-4] + (lat.modulus,) * 2)
 
 
 def correlation_sequences(system: GeneratorSystem) -> np.ndarray:
@@ -204,9 +314,11 @@ def riesz_check(system: GeneratorSystem, tol: float | None = None, route: str = 
     """Decide the Riesz property from the extreme eigenvalues over all fibers.
 
     Default tolerance is 1e-10 times the upper bound.  route="fibers" reads
-    the system's cached Riesz spectrum.  route="gw" uses the periodized
-    spreading transforms scaled by |lattice| / L instead of the correlation
-    fibers; both agree to rounding.
+    the system's cached Riesz spectrum (closed form for N <= 2, see
+    :func:`hermitian_spectrum`).  route="gw" uses the periodized spreading
+    transforms scaled by |lattice| / L instead of the correlation fibers,
+    with np.linalg.eigvalsh for every N; both agree to rounding.  A NaN or
+    inf fiber leaves a non-finite bound and fails the check.
     """
     L = system.lattice.modulus
     N, K = system.num_generators, system.lattice.size
@@ -216,15 +328,18 @@ def riesz_check(system: GeneratorSystem, tol: float | None = None, route: str = 
         eigs = np.linalg.eigvalsh(gw_fibers(system) * (K / L))
     else:
         raise ValueError(f"unknown route {route!r}")
-    # fibers are PSD; tiny negative eigenvalues are rounding noise
-    lower = max(float(eigs[:, 0].min()), 0.0)
+    lower = float(eigs[:, 0].min())
     upper = float(eigs[:, -1].max())
+    # fibers are PSD, so tiny negative eigenvalues are rounding noise; a
+    # non-finite bound from a NaN or inf fiber stays non-finite
+    if math.isfinite(lower):
+        lower = max(lower, 0.0)
     if tol is None:
         tol = 1e-10 * upper
     if N * K > L * L:
         return RieszReport(False, 0.0, upper, route,
                            f"dimension count: N*|lattice| = {N * K} exceeds L^2 = {L * L}")
-    return RieszReport(bool(lower > tol), lower, upper, route)
+    return RieszReport(bool(lower > tol and math.isfinite(upper)), lower, upper, route)
 
 
 def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.ndarray:

@@ -32,10 +32,12 @@ from opsis.phase_space import (
     dual_transversal,
     fold,
     fold_product,
+    grid_blocks,
     inv_symp_fourier,
     lattice_series,
     symp_fourier,
     tile,
+    tile_block,
 )
 from opsis.sampling import (
     avg_samples,
@@ -467,6 +469,39 @@ def test_lattice_transforms_run_ffts_of_lattice_size(monkeypatch):
     kit = reconstruction_kit(system, scheme)
     kit.spreading
     assert lengths and set(lengths) <= {L // a, L // b}
+
+
+@SETTINGS
+@given(engine_lattices(max_L=24), st.integers(1, 3), batches, seeds)
+def test_span_spreading_is_the_tiled_product_bit_for_bit(lat, N, batch, seed):
+    rng = np.random.default_rng(seed)
+    L = lat.modulus
+    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(N)))
+    chat = rand_seq(rng, (*batch, N, lat.size))
+    out = si_space.span_spreading(system, chat)
+    assert np.array_equal(out, (tile(chat, lat) * system.spreading).sum(axis=-3))
+    assert out.shape == (*batch, L, L)
+    tiles = grid_blocks(tile(chat, lat), lat)
+    assert np.array_equal(np.broadcast_to(tile_block(chat, lat), tiles.shape), tiles)
+
+
+@pytest.mark.parametrize("desc", [(4, 4), [(4, 3), (0, 4)]])
+def test_kit_spreading_forms_no_tiled_copy(desc):
+    # at L = 128, N = 2, M = 3 the tiles alone are 1.6 MB, and tiling then
+    # multiplying peaks at 3.3 MB; accumulating over the generators in the
+    # grid blocks needs the output and one product, 1.6 MB, plus the gathered
+    # block on the sheared lattice
+    rng = np.random.default_rng(7)
+    L = 128
+    system = GeneratorSystem(build_lattice(desc, L), tuple(rand_kernel(rng, L) for _ in range(2)))
+    kit = reconstruction_kit(system, average_scheme([rand_kernel(rng, L) for _ in range(3)]))
+    tracemalloc.start()
+    try:
+        kit.spreading
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6e6
 
 
 @SETTINGS

@@ -15,10 +15,13 @@ fixtures reproduce across implementations and platforms:
 
 The state after k steps is seed + k * 0x9E3779B97F4A7C15 mod 2^64, so
 complex_normal computes a block of outputs at once in wrapping uint64
-arithmetic.  The logarithm, cosine and sine are math.log, math.cos and
-math.sin, applied per value: numpy's SIMD versions may differ from the C
-library in the last bit, which would tie the stream to the numpy build.
-The blocked draw is bit-identical to drawing value by value with next_u64.
+arithmetic.  The logarithm, cosine and sine are the C library's, applied
+per value: math.log, and one cmath.exp(i angle) for the cosine and sine,
+which CPython computes as exp(0.0) cos(angle) + i exp(0.0) sin(angle), so
+it equals math.cos and math.sin bit for bit.  numpy's SIMD versions may
+differ from the C library in the last bit, which would tie the stream to
+the numpy build.  The blocked draw is bit-identical to drawing value by
+value with next_u64 and math.log, math.cos and math.sin.
 
 A master stream seeded with the config seed hands one 64-bit subseed to
 every random item that does not carry its own "seed" key, walking the
@@ -28,6 +31,7 @@ coefficient stream, then the dual-perturbation stream.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -99,18 +103,23 @@ class PortableRng:
         u1 = (z[0::2] + np.uint64(1)).astype(float) * 2.0 ** -53
         u2 = z[1::2].astype(float) * 2.0 ** -53
         r = np.sqrt(-2.0 * _per_value(math.log, u1))
-        angle = 2 * math.pi * u2
-        re = r * _per_value(math.cos, angle)
-        im = r * _per_value(math.sin, angle)
+        # exp(0.0) cos(y) + i exp(0.0) sin(y) with the C library's cos and
+        # sin: math.cos and math.sin in one call.  The real part must be an
+        # exact zero, hence zeros and not empty.
+        iangle = np.zeros(len(out), dtype=complex)
+        iangle.imag = 2 * math.pi * u2
+        unit = _per_value(cmath.exp, iangle, complex)
+        re = r * unit.real
+        im = r * unit.imag
         # The per-value loop's complex / float divided by complex(sqrt(2), 0.0); the
         # "+- 0.0 *" terms keep its signs of zero when u1 = 1 makes r = -0.0.
         out.real = (re + im * 0.0) / math.sqrt(2)
         out.imag = (im - re * 0.0) / math.sqrt(2)
 
 
-def _per_value(func, x: np.ndarray) -> np.ndarray:
-    """func applied to each float of x; math's functions, not numpy's (see module docs)."""
-    return np.fromiter(map(func, x.tolist()), float, len(x))
+def _per_value(func, x: np.ndarray, dtype=float) -> np.ndarray:
+    """func applied to each value of x; math's and cmath's functions, not numpy's (see module docs)."""
+    return np.fromiter(map(func, x.tolist()), dtype, len(x))
 
 
 @dataclass

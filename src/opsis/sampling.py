@@ -24,8 +24,11 @@ transfer fibers Ahat(xi).  With at most 2 generators or 2 channels they
 are computed in closed form over all fibers at once, within a small
 multiple of eps times the fiber's largest singular value, LAPACK's bound;
 np.linalg.svd serves larger fibers (see
-:func:`~opsis.si_space.fiber_singular_values`).  The left inverses stay on
-np.linalg.pinv.
+:func:`~opsis.si_space.fiber_singular_values`).  The Moore-Penrose left
+inverses are in closed form too when N <= 2 and those singular values show
+that no fiber is cut off by pinv's rcond
+(:func:`~opsis.si_space.fiber_left_inverse`), with pinv's residual bound of
+eps times the condition number; np.linalg.pinv serves every other case.
 
 :class:`ReconstructionKit` is this chain as one staged pipeline: the Riesz
 report, the generator samples and their transfer matrix, the frame bounds,
@@ -71,6 +74,7 @@ from .phase_space import (
 from .si_space import (
     GeneratorSystem,
     RieszReport,
+    fiber_left_inverse,
     fiber_singular_values,
     riesz_check,
     span_spreading,
@@ -237,15 +241,19 @@ def frame_bounds(tm: TransferMatrix) -> FrameBounds:
 
 
 def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
-                      tol: float | None = None) -> np.ndarray:
+                      tol: float | None = None, return_residual: bool = False):
     """Fiberwise left inverses Bhat[k] with Bhat[k] @ Ahat[k] = I_N.
 
     Default is the Moore-Penrose pseudoinverse (singular values below
-    rcond * largest are treated as zero).  An optional C of shape (K, N, M)
-    selects the family member Ahat+ + C (I_M - Ahat Ahat+).  Raises
-    NotAFrameError when the lower frame bound does not exceed tol (default
-    1e-10 times the upper bound), or when the result misses I_N by more than
-    1e-10 in some entry.
+    rcond * largest are treated as zero).  When N <= min(M, 2) and the
+    cached singular values show s_min > rcond * s_max on every fiber, the
+    cutoff removes nothing and it is taken in closed form
+    (:func:`~opsis.si_space.fiber_left_inverse`); otherwise from
+    np.linalg.pinv.  An optional C of shape (K, N, M) selects the family
+    member Ahat+ + C (I_M - Ahat Ahat+).  Raises NotAFrameError when the
+    lower frame bound does not exceed tol (default 1e-10 times the upper
+    bound), or when the result misses I_N by more than 1e-10 in some entry.
+    With return_residual, returns (Bhat, that largest miss).
     """
     fb = tm.bounds
     if tol is None:
@@ -253,7 +261,11 @@ def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
     if not fb.alpha > tol:
         raise NotAFrameError(fb.diagnostic or f"alpha_A = {fb.alpha:.3e}")
     K, M, N = tm.fibers.shape
-    B = np.linalg.pinv(tm.fibers, rcond=rcond)
+    sv = tm.singular_values
+    if N <= min(M, 2) and (sv[:, -1] > rcond * sv[:, 0]).all():
+        B = fiber_left_inverse(tm.fibers)
+    else:
+        B = np.linalg.pinv(tm.fibers, rcond=rcond)
     if C is not None:
         C = np.asarray(C, dtype=complex)
         if C.shape != (K, N, M):
@@ -262,7 +274,7 @@ def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
     worst = float(np.abs(B @ tm.fibers - np.eye(N)).max())
     if not worst <= 1e-10:
         raise NotAFrameError(f"left-inverse residual {worst:.3e} exceeds 1e-10")
-    return B
+    return (B, worst) if return_residual else B
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +285,8 @@ class ReconstructionKit:
     (the left inverse selected by C) raises NotRieszError unless the system
     passes riesz_check at riesz_tol, and NotAFrameError unless
     dual_left_inverse succeeds at the frame tolerance tol; None means the
-    default of either.  spreading holds the transforms of the H_m, read off
+    default of either.  left_inverse_residual is the residual that gate
+    measured.  spreading holds the transforms of the H_m, read off
     the dual fibers; b[n, m] are the inverse transforms of the Bhat entries,
     and recon_ops the H_m themselves, both formed only when read.
     """
@@ -303,10 +316,19 @@ class ReconstructionKit:
         return self.transfer.bounds.beta
 
     @cached_property
+    def _dual(self) -> tuple[np.ndarray, float]:
+        self.riesz.require()
+        return dual_left_inverse(self.transfer, C=self.C, tol=self.tol, return_residual=True)
+
+    @property
     def dual_fibers(self) -> np.ndarray:
         """Left inverses Bhat of the transfer fibers, shape (K, N, M)."""
-        self.riesz.require()
-        return dual_left_inverse(self.transfer, C=self.C, tol=self.tol)
+        return self._dual[0]
+
+    @property
+    def left_inverse_residual(self) -> float:
+        """max |Bhat(xi) Ahat(xi) - I_N| over all fibers and entries, as gated at 1e-10."""
+        return self._dual[1]
 
     @cached_property
     def b(self) -> np.ndarray:

@@ -42,7 +42,11 @@ multiple of eps times the fiber's largest value; the smaller singular
 value of an M x 2 fiber is read off the 2 x 2 minors of its columns, not
 off det(A^* A), so an s_min of 1e-12 s_max stays resolvable.  A fiber with
 a NaN or inf entry never gives a finite pair of bounds.  riesz_check's
-route="gw" stays on np.linalg.eigvalsh, as an independent check.
+route="gw" stays on np.linalg.eigvalsh, as an independent check.  The dual
+fibers of :mod:`opsis.sampling`, the left inverses of the transfer fibers,
+come from :func:`fiber_left_inverse` in the same closed form when N <= 2:
+each row is a column with the other projected out, divided by its squared
+norm.
 
 The dense routes are oracles: :func:`brute_gram` (through
 :meth:`GeneratorSystem.translate_stack`) here, and the per-translate loops
@@ -155,6 +159,47 @@ def fiber_singular_values(A) -> np.ndarray:
     # the guard divides 0 by 1 on a zero matrix only: NaN fails s_max == 0
     s_min = np.minimum(wedge / np.where(s_max == 0, 1.0, s_max), s_max)
     return np.stack([s_max, s_min], axis=-1)
+
+
+def fiber_left_inverse(A) -> np.ndarray:
+    """Moore-Penrose pseudoinverses of full-column-rank A[..., M, N], N <= min(M, 2), shape (..., N, M).
+
+    In closed form, vectorised over the leading axes.  Row n of the
+    pseudoinverse is p_n^* / ||p_n||^2, where p_n is column n with the other
+    column projected out: classical Gram-Schmidt plus one
+    reorthogonalisation, so p_n is orthogonal to it to rounding ("twice is
+    enough").  For N = 1, p_0 is the column itself.  The residual
+    B A - I_N is then a small multiple of eps times the condition number,
+    as for np.linalg.pinv; (A^* A)^{-1} A^* would give eps times its
+    square.  So that the squared norms neither overflow nor underflow, a
+    batch with a squared column norm outside [2^-400, 2^400] is first
+    rescaled fiber by fiber by a power of two.  The caller decides the
+    rank: a fiber with dependent columns gives non-finite rows.
+    """
+    A = np.asarray(A)
+    M, N = A.shape[-2:]
+    if not 1 <= N <= min(M, 2):
+        raise ValueError(f"closed-form left inverse needs 1 <= N <= min(M, 2), got M={M}, N={N}")
+    # X[m, n] is entry (m, n) over the leading axes, contiguous: the sums
+    # over m add rows instead of reducing a short strided axis
+    X = np.ascontiguousarray(np.moveaxis(A, (-2, -1), (0, 1)))
+    with np.errstate(over="ignore"):
+        norms2 = _abs2(X).sum(axis=0)
+    scale = 1.0
+    if not (2.0 ** -400 <= norms2.min(initial=1.0) and norms2.max(initial=1.0) <= 2.0 ** 400):
+        scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=(-2, -1)))[1])
+        X = X / scale
+        norms2 = _abs2(X).sum(axis=0)
+    P = X
+    if N == 2:
+        # column n against the other column, both projections at once
+        Q = X[:, ::-1]
+        Q_conj = Q.conj()
+        q_norms2 = norms2[::-1]
+        for _ in range(2):
+            P = P - Q * ((Q_conj * P).sum(axis=0) / q_norms2)
+        norms2 = _abs2(P).sum(axis=0)
+    return np.moveaxis(P.conj() / (norms2 * scale), (0, 1), (-1, -2))
 
 
 @dataclass(frozen=True, eq=False)

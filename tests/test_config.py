@@ -90,6 +90,28 @@ def test_complex_normal_matches_loop_at_the_ends_of_u1(first):
     assert (z[0] == 0) == (first >> 11 == (1 << 53) - 1)
 
 
+@pytest.mark.parametrize("second", [0, 0x7FF, MASK, MASK ^ 0x7FF])
+def test_complex_normal_matches_loop_at_the_ends_of_u2(second):
+    # second >> 11 = 0 gives u2 = 0, a zero angle whose sine, +0.0, sets the
+    # sign of the imaginary zero; 2^53 - 1 gives u2 = 1 - 2^-53
+    seed = (seed_with_first_output(second) - 0x9E3779B97F4A7C15) & MASK
+    rng = PortableRng(seed)
+    rng.next_u64()
+    assert rng.next_u64() == second
+    z = PortableRng(seed).complex_normal(3)
+    assert same_bits(z, portable_complex_normal(PortableRng(seed), 3))
+    if second >> 11 == 0:
+        assert z[0].imag == 0 and not np.signbit(z[0].imag)
+
+
+@pytest.mark.parametrize("seed", [5, 2**64 - 3])
+def test_complex_normal_matches_loop_on_many_values(seed):
+    # 16 blocks: every angle goes through cmath.exp, which must agree with
+    # math.cos and math.sin bit for bit
+    fast, slow = PortableRng(seed), PortableRng(seed)
+    assert same_bits(fast.complex_normal(2**17), portable_complex_normal(slow, 2**17))
+
+
 def test_complex_normal_memory_is_bounded_by_the_block():
     # the (512, 512) output alone is 4.2 MB; an unblocked draw peaks near 29 MB
     tracemalloc.start()

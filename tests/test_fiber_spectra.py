@@ -2,8 +2,9 @@
 np.linalg.eigvalsh and fiber_singular_values against np.linalg.svd on
 random batches of 1 x 1 to 3 x 3 fibers, ill-conditioned, rank-deficient
 and zero ones included; non-finite fibers in riesz_check and frame_bounds;
-and the size rule that keeps the Riesz and frame checks off LAPACK when
-the small dimension is at most 2."""
+the size rule that keeps the Riesz and frame checks off LAPACK when the
+small dimension is at most 2; and fiber_left_inverse against np.linalg.pinv,
+with the rule that keeps the dual fibers off LAPACK for N <= 2."""
 
 import math
 
@@ -20,12 +21,14 @@ from opsis.sampling import (
     cross_seq,
     dual_left_inverse,
     frame_bounds,
+    reconstruction_kit,
     sublattice_inflate,
     transfer_matrix,
     window_scheme,
 )
 from opsis.si_space import (
     GeneratorSystem,
+    fiber_left_inverse,
     fiber_singular_values,
     hermitian_spectrum,
     riesz_check,
@@ -259,3 +262,125 @@ def test_sublattice_system_runs_the_lapack_path_and_agrees(monkeypatch):
     eigs = np.linalg.eigvalsh(np.swapaxes(tm.fibers.conj(), 1, 2) @ tm.fibers)
     assert fb.alpha == pytest.approx(float(eigs[:, 0].min()), rel=0, abs=1e-13 * fb.beta)
     assert fb.beta == pytest.approx(float(eigs[:, -1].max()), rel=1e-13)
+
+
+# ---------------------------------------------------------------- left inverses
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def full_rank_batches(draw):
+    """K M x N fibers, N in {1, 2}, N <= M <= 4, s_min / s_max in [1e-8, 1e-1], one scale.
+
+    Returns the batch and its condition number.
+    """
+    N = draw(st.integers(1, 2))
+    M = draw(st.integers(N, 4))
+    K = draw(st.sampled_from([1, 2, 7]))
+    ratio = 10.0 ** draw(st.floats(-8, -1))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.array([fiber(rng, M, N, ratio) for _ in range(K)]) * scale
+    return A, (1 / ratio if N == 2 else 1.0)
+
+
+def residual(B, A):
+    return float(np.abs(B @ A - np.eye(A.shape[-1])).max())
+
+
+@SETTINGS
+@given(full_rank_batches())
+def test_fiber_left_inverse_matches_pinv(batch):
+    A, cond = batch
+    with np.errstate(all="raise", under="ignore"):
+        B = fiber_left_inverse(A)
+    P = np.linalg.pinv(A)
+    assert B.shape == P.shape
+    assert float(np.abs(B - P).max()) <= 16 * EPS * cond * float(np.abs(P).max())
+    # the projection form keeps pinv's eps * cond; both residuals are
+    # rounding noise below that
+    assert residual(B, A) <= 4 * max(residual(P, A), EPS * cond)
+
+
+@pytest.mark.parametrize("scales", [(1e-200,), (1e-120,), (1e120,), (1e200,), (1e-150, 1.0, 1e150)])
+@pytest.mark.parametrize("M, N", [(1, 1), (3, 1), (2, 2), (3, 2)])
+def test_left_inverse_of_tiny_and_huge_fibers(scales, M, N):
+    # squared column norms of such fibers leave the double range unless rescaled
+    rng = np.random.default_rng(13)
+    A = np.array([fiber(rng, M, N, 1e-3) * s for s in scales for _ in range(3)])
+    with np.errstate(all="raise", under="ignore"):
+        B = fiber_left_inverse(A)
+    for B_k, A_k in zip(B, A):
+        P_k = np.linalg.pinv(A_k)
+        assert float(np.abs(B_k - P_k).max()) <= 1e-12 * float(np.abs(P_k).max())
+
+
+def test_fiber_left_inverse_accepts_a_single_matrix():
+    A = np.array([[2.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
+    assert np.array_equal(fiber_left_inverse(A), [[0.5, 0.0, 0.0], [0.0, 0.25, 0.0]])
+    with pytest.raises(ValueError, match="N <= min"):
+        fiber_left_inverse(A.T)
+
+
+def counting_pinv(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+
+    def wrapper(*args, **kwargs):
+        calls.append("pinv")
+        return pinv(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "pinv", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("M, N, closed", [(1, 1, True), (3, 1, True), (2, 2, True), (4, 2, True),
+                                          (3, 3, False), (4, 3, False)])
+def test_dual_left_inverse_is_closed_form_up_to_two_generators(monkeypatch, M, N, closed):
+    rng = np.random.default_rng(14)
+    lat = build_lattice((2, 2), 4)
+    fibers = np.array([fiber(rng, M, N, 1e-3) for _ in range(lat.size)])
+    calls = counting_pinv(monkeypatch)
+    B = dual_left_inverse(TransferMatrix(lat, fibers))
+    assert calls == ([] if closed else ["pinv"])
+    P = np.linalg.pinv(fibers, rcond=1e-10)
+    assert float(np.abs(B - P).max()) <= 1e-11 * float(np.abs(P).max())
+
+
+def test_a_fiber_below_rcond_takes_pinv_and_fails_as_before(monkeypatch):
+    # s_min / s_max = 1e-12 on one fiber: alpha_A > 0 passes a zero frame
+    # tolerance, pinv drops that singular value, and its residual fails the gate
+    rng = np.random.default_rng(15)
+    lat = build_lattice((2, 2), 4)
+    fibers = np.array([fiber(rng, 3, 2, 1e-2) for _ in range(lat.size)])
+    fibers[1] = fiber(rng, 3, 2, 1e-12)
+    tm = TransferMatrix(lat, fibers)
+    worst = residual(np.linalg.pinv(fibers, rcond=1e-10), fibers)
+    calls = counting_pinv(monkeypatch)
+    with pytest.raises(NotAFrameError) as raised:
+        dual_left_inverse(tm, tol=0.0)
+    assert calls == ["pinv"]
+    assert str(raised.value) == f"left-inverse residual {worst:.3e} exceeds 1e-10"
+    # at the default tolerance the frame gate refuses first, with no left inverse
+    with pytest.raises(NotAFrameError, match="alpha_A"):
+        dual_left_inverse(tm)
+    assert calls == ["pinv"]
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("M, N", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+def test_reconstruction_kit_makes_no_linalg_call_up_to_two_generators(monkeypatch, M, N, perturbed):
+    rng = np.random.default_rng(10 * M + N)
+    L = 12
+    lat = build_lattice([(2, 1), (0, 6)], L)
+    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(N)))
+    scheme = window_scheme([(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(M)])
+    C = rng.standard_normal((lat.size, N, M)) if perturbed else None
+    forbid_linalg(monkeypatch)
+    kit = reconstruction_kit(system, scheme, C=C)
+    monkeypatch.undo()
+    A = kit.transfer.fibers
+    P = np.linalg.pinv(A, rcond=1e-10)
+    want = P if C is None else P + C @ (np.eye(M) - A @ P)
+    assert float(np.abs(kit.dual_fibers - want).max()) <= 1e-12 * float(np.abs(want).max())
+    assert kit.left_inverse_residual == residual(kit.dual_fibers, A) <= 1e-10

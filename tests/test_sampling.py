@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opsis import sampling
 from opsis.hs_ops import hs_inner, hs_norm, identity, op_translate, rank_one
 from opsis.phase_space import (
     Lattice,
@@ -407,6 +408,23 @@ def test_kit_gates_on_riesz():
     system = GeneratorSystem(lat, (rank_one(d, d),))
     with pytest.raises(NotRieszError):
         reconstruction_kit(system, window_scheme([(d, d)]))
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_kit_keeps_the_residual_its_left_inverse_gate_measured(monkeypatch, perturbed):
+    system, scheme, rng = seeded_setup(23, N=2, M=3)
+    C = rand_seq(rng, (system.lattice.size, 2, 3)) if perturbed else None
+    calls = []
+    original = sampling.dual_left_inverse
+
+    def counting(*args, **kwargs):
+        calls.append("dual_left_inverse")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(sampling, "dual_left_inverse", counting)
+    kit = reconstruction_kit(system, scheme, C=C)
+    B, A = kit.dual_fibers, kit.transfer.fibers
+    assert kit.left_inverse_residual == float(np.abs(B @ A - np.eye(2)).max()) <= 1e-10
+    assert calls == ["dual_left_inverse"]
 
 
 # ---------------------------------------------------------------- reconstruction

@@ -27,6 +27,10 @@ A master stream seeded with the config seed hands one 64-bit subseed to
 every random item that does not carry its own "seed" key, walking the
 config in a fixed order: generators first, then scheme entries, then the
 coefficient stream, then the dual-perturbation stream.
+
+:func:`parse_config` returns an :class:`ExperimentConfig`, a mutable
+SimpleNamespace subclass with an explicit constructor over its ten fields;
+it is not a dataclass, so importing this module generates no code.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -122,9 +126,11 @@ def _per_value(func, x: np.ndarray, dtype=float) -> np.ndarray:
     return np.fromiter(map(func, x.tolist()), dtype, len(x))
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved experiment inputs plus raw options for the runners."""
+class ExperimentConfig(SimpleNamespace):
+    """Resolved experiment inputs plus raw options for the runners.
+
+    Mutable; compares and prints field by field, as a SimpleNamespace does.
+    """
 
     L: int
     seed: int
@@ -135,7 +141,14 @@ class ExperimentConfig:
     scheme: SamplingScheme | None
     coef_seed: int
     dual_seed: int
-    options: dict = field(default_factory=dict)
+    options: dict
+
+    def __init__(self, L, seed, lattice, sublattice, generator_kernels, system, scheme,
+                 coef_seed, dual_seed, options=None):
+        super().__init__(L=L, seed=seed, lattice=lattice, sublattice=sublattice,
+                         generator_kernels=generator_kernels, system=system, scheme=scheme,
+                         coef_seed=coef_seed, dual_seed=dual_seed,
+                         options={} if options is None else options)
 
 
 def load_config(path) -> dict:

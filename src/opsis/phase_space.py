@@ -98,7 +98,24 @@ def point_add(z: Point, zp: Point, L: int) -> Point:
     return (z[0] + zp[0]) % L, (z[1] + zp[1]) % L
 
 
-class Lattice:
+class Immutable:
+    """Base of opsis's immutable records: fields are set once, through self.__dict__.
+
+    Assigning or deleting an attribute raises AttributeError.
+    functools.cached_property still caches, since it writes the instance
+    dict directly.  Records are plain classes and not frozen dataclasses,
+    because @dataclass generates and execs the source of its methods every
+    time the defining module runs, cached bytecode or not.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class Lattice(Immutable):
     """A subgroup of Z_L x Z_L with elements in lexicographic order.
 
     Construct through :func:`build_lattice`; direct construction needs the
@@ -132,11 +149,6 @@ class Lattice:
         lat = object.__new__(cls)
         lat.__dict__.update(modulus=L, _hnf=(a, b, c))
         return lat
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Lattice")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other):
         # equal lattices have equal normal forms

@@ -31,11 +31,17 @@ that no fiber is cut off by pinv's rcond
 eps times the condition number; np.linalg.pinv serves every other case.
 
 :class:`ReconstructionKit` is this chain as one staged pipeline: the Riesz
-report, the generator samples and their transfer matrix, the frame bounds,
-the dual fibers and the spreading transforms of the H_m are each computed
-once, on first use, and cached; the dual stage gates on the Riesz and frame
-tolerances the kit was built with.  The H_m and the sequences b are formed
-only when read.
+report, the transfer matrix, the frame bounds, the dual fibers and the
+spreading transforms of the H_m are each computed once, on first use, and
+cached; the dual stage gates on the Riesz and frame tolerances the kit was
+built with.  The H_m and the sequences b are formed only when read.  The
+kit's transfer fibers are the fold of F(S_n) conj(F(Q_m))
+(:func:`transfer_fibers`), without the round trip through the generator
+samples a[m, n] that :func:`cross_seq` returns.
+:class:`SamplingScheme`, :class:`TransferMatrix` and :class:`ReconstructionKit`
+are plain immutable classes (:class:`~opsis.phase_space.Immutable`), equal
+only to themselves, and :class:`FrameBounds` is a NamedTuple: no dataclass
+code is generated when this module is imported.
 
 Production routes run in the spreading domain and on the fibers: every
 sample is a lattice pairing of F_T = fourier_wigner(T) with the scheme's
@@ -51,8 +57,8 @@ survive as oracles in tests/oracle.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,9 +70,11 @@ from .hs_ops import (
     rank_one,
 )
 from .phase_space import (
+    Immutable,
     Lattice,
     build_lattice,
     coset_transversal,
+    fold_product,
     inv_symp_fourier,
     point_add,
     symp_fourier,
@@ -86,16 +94,19 @@ class NotAFrameError(RuntimeError):
     """The transfer matrix has no positive lower frame bound, or no usable left inverse."""
 
 
-@dataclass(frozen=True, eq=False)
-class SamplingScheme:
+class SamplingScheme(Immutable):
     """M sampling channels, given by averager kernels Q_m.
 
     A scheme built by :func:`window_scheme` also keeps its window pairs
     (g_m, gt_m); its averagers Q_m = gt_m (x) g_m give the same samples.
+    Immutable; equal only to itself.
     """
 
     averagers: tuple[np.ndarray, ...]
-    windows: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+    windows: tuple[tuple[np.ndarray, np.ndarray], ...] | None
+
+    def __init__(self, averagers, windows=None):
+        self.__dict__.update(averagers=averagers, windows=windows)
 
     @property
     def num_channels(self) -> int:
@@ -171,16 +182,19 @@ def cross_seq(system: GeneratorSystem, scheme: SamplingScheme) -> np.ndarray:
                            system.lattice)
 
 
-@dataclass(frozen=True, eq=False)
-class TransferMatrix:
+class TransferMatrix(Immutable):
     """Fiberwise transform of the generator sample sequences.
 
     fibers[k] is the M x N matrix [symp_fourier(a[m, n])(xi_k)] at the k-th
-    dual-transversal point; constant on annihilator cosets.
+    dual-transversal point; constant on annihilator cosets.  Immutable;
+    equal only to itself.
     """
 
     lattice: Lattice
     fibers: np.ndarray  # (K, M, N)
+
+    def __init__(self, lattice: Lattice, fibers: np.ndarray):
+        self.__dict__.update(lattice=lattice, fibers=fibers)
 
     @property
     def num_channels(self) -> int:
@@ -213,8 +227,17 @@ def transfer_matrix(A, lattice: Lattice) -> TransferMatrix:
     return TransferMatrix(lattice, np.moveaxis(symp_fourier(A, lattice), -1, 0))
 
 
-@dataclass(frozen=True)
-class FrameBounds:
+def transfer_fibers(system: GeneratorSystem, scheme: SamplingScheme) -> np.ndarray:
+    """The fibers of transfer_matrix(cross_seq(system, scheme)), shape (K, M, N).
+
+    Read directly as the fold of F(S_n) conj(F(Q_m)), without the sequences
+    a[m, n] and their round trip through two lattice transforms.
+    """
+    F = fold_product(system.spreading[None, :], scheme.spreading[:, None], system.lattice)
+    return F.transpose(2, 0, 1)
+
+
+class FrameBounds(NamedTuple):
     """Extreme eigenvalues of Ahat(xi)^* Ahat(xi) over all fibers."""
 
     alpha: float
@@ -277,8 +300,7 @@ def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
     return (B, worst) if return_residual else B
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionKit:
+class ReconstructionKit(Immutable):
     """The staged pipeline from a generator system and a scheme to the H_m.
 
     Each stage is a cached attribute, computed on first use.  dual_fibers
@@ -289,13 +311,18 @@ class ReconstructionKit:
     measured.  spreading holds the transforms of the H_m, read off
     the dual fibers; b[n, m] are the inverse transforms of the Bhat entries,
     and recon_ops the H_m themselves, both formed only when read.
+    Immutable; equal only to itself.
     """
 
     system: GeneratorSystem
     scheme: SamplingScheme
-    C: np.ndarray | None = None
-    tol: float | None = None
-    riesz_tol: float | None = None
+    C: np.ndarray | None
+    tol: float | None
+    riesz_tol: float | None
+
+    def __init__(self, system: GeneratorSystem, scheme: SamplingScheme, C=None,
+                 tol: float | None = None, riesz_tol: float | None = None):
+        self.__dict__.update(system=system, scheme=scheme, C=C, tol=tol, riesz_tol=riesz_tol)
 
     @cached_property
     def riesz(self) -> RieszReport:
@@ -303,9 +330,7 @@ class ReconstructionKit:
 
     @cached_property
     def transfer(self) -> TransferMatrix:
-        # through the generator samples a[m, n], a paper quantity; their
-        # round trip to the folded fibers costs two K-point transforms
-        return transfer_matrix(cross_seq(self.system, self.scheme), self.system.lattice)
+        return TransferMatrix(self.system.lattice, transfer_fibers(self.system, self.scheme))
 
     @property
     def alpha(self) -> float:

@@ -51,6 +51,12 @@ norm.
 The dense routes are oracles: :func:`brute_gram` (through
 :meth:`GeneratorSystem.translate_stack`) here, and the per-translate loops
 of tests/oracle.py.
+
+:class:`GeneratorSystem` is a plain immutable class on
+:class:`~opsis.phase_space.Immutable`, equal only to itself, and not a
+frozen dataclass, whose generated methods are exec'd on every import.
+:class:`RieszReport` stays a frozen dataclass, with value equality and
+dataclasses.replace, for callers that build amended reports.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from .hs_ops import (
     op_translate,
 )
 from .phase_space import (
+    Immutable,
     Lattice,
     Point,
     annihilator,
@@ -202,22 +209,24 @@ def fiber_left_inverse(A) -> np.ndarray:
     return np.moveaxis(P.conj() / (norms2 * scale), (0, 1), (-1, -2))
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorSystem:
-    """A lattice plus an ordered tuple of generator kernels."""
+class GeneratorSystem(Immutable):
+    """A lattice plus an ordered tuple of generator kernels.
+
+    Immutable; equal only to itself.
+    """
 
     lattice: Lattice
     generators: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, lattice: Lattice, generators):
+        if not generators:
             raise ValueError("at least one generator is required")
-        gens = tuple(np.asarray(S, dtype=complex) for S in self.generators)
-        object.__setattr__(self, "generators", gens)
-        L = self.lattice.modulus
+        gens = tuple(np.asarray(S, dtype=complex) for S in generators)
+        L = lattice.modulus
         for S in gens:
             if S.shape != (L, L):
                 raise ValueError(f"generator shape {S.shape} does not match L={L}")
+        self.__dict__.update(lattice=lattice, generators=gens)
 
     @property
     def num_generators(self) -> int:

@@ -274,7 +274,7 @@ def test_overflowing_dual_perturbation_fails_the_left_inverse_gate(tmp_path):
 
 
 STAGES = {"gram_fibers": si_space, "riesz_check": si_space,
-          "cross_seq": sampling, "frame_bounds": sampling}
+          "transfer_fibers": sampling, "frame_bounds": sampling}
 
 
 @pytest.fixture

@@ -299,6 +299,18 @@ def test_transfer_matrix_coset_invariance():
             assert np.abs(fiber - tm.fibers[k]).max() < 1e-11
 
 
+@pytest.mark.parametrize("desc", [(2, 2), [(2, 1), (0, 4)], [(1, 3), (0, 4)]])
+@pytest.mark.parametrize("N, M", [(1, 1), (2, 3), (3, 2)])
+def test_transfer_fibers_are_the_transform_of_the_generator_samples(desc, N, M):
+    system, scheme, _ = seeded_setup(25, desc=desc, N=N, M=M)
+    via_samples = transfer_matrix(cross_seq(system, scheme), system.lattice).fibers
+    direct = sampling.transfer_fibers(system, scheme)
+    assert direct.shape == (system.lattice.size, M, N)
+    assert np.abs(direct - via_samples).max() <= 1e-14 * np.abs(via_samples).max()
+    kit = sampling.ReconstructionKit(system, scheme)
+    np.testing.assert_array_equal(kit.transfer.fibers, direct)
+
+
 # ---------------------------------------------------------------- frame bounds / duals
 
 def test_frame_bounds_delta_transfer():
@@ -418,13 +430,14 @@ def test_kit_keeps_the_residual_its_left_inverse_gate_measured(monkeypatch, pert
     original = sampling.dual_left_inverse
 
     def counting(*args, **kwargs):
-        calls.append("dual_left_inverse")
-        return original(*args, **kwargs)
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
     monkeypatch.setattr(sampling, "dual_left_inverse", counting)
     kit = reconstruction_kit(system, scheme, C=C)
     B, A = kit.dual_fibers, kit.transfer.fibers
+    [(gate_B, gate_residual)] = calls
+    assert gate_B is B and kit.left_inverse_residual == gate_residual
     assert kit.left_inverse_residual == float(np.abs(B @ A - np.eye(2)).max()) <= 1e-10
-    assert calls == ["dual_left_inverse"]
 
 
 # ---------------------------------------------------------------- reconstruction

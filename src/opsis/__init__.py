@@ -82,4 +82,4 @@ from .sampling import (
     window_scheme,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -2,26 +2,28 @@
 and construction of lattices, generator systems and sampling schemes.
 
 Randomness is driven by a portable, fully documented generator so that
-fixtures reproduce across implementations and platforms:
+fixtures reproduce across implementations and platforms (seeding contract
+v2, from opsis 0.2.0):
 
 * the core stream is SplitMix64: state advances by 0x9E3779B97F4A7C15 mod
   2^64, and each output is the state passed through the standard finalizer
   (z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
   z *= 0x94D049BB133111EB; z ^= z >> 31);
 * uniforms in [0, 1) take the top 53 bits, u = (out >> 11) * 2^-53;
-* complex standard normals come from one Box-Muller step per value,
-  (sqrt(-2 ln u1) cos(2 pi u2) + i sqrt(-2 ln u1) sin(2 pi u2)) / sqrt(2),
-  with u1 in (0, 1] from ((out >> 11) + 1) * 2^-53, so E|z|^2 = 1.
+* complex standard normals come from one Box-Muller step per value on two
+  outputs, u1 = ((out1 >> 11) + 1) * 2^-53 in (0, 1] and
+  u2 = (out2 >> 11) * 2^-53, as z = sqrt(-ln u1) (cos 2 pi u2 + i sin 2 pi u2),
+  so E|z|^2 = 1.
 
-The state after k steps is seed + k * 0x9E3779B97F4A7C15 mod 2^64, so
-complex_normal computes a block of outputs at once in wrapping uint64
-arithmetic.  The logarithm, cosine and sine are the C library's, applied
-per value: math.log, and one cmath.exp(i angle) for the cosine and sine,
-which CPython computes as exp(0.0) cos(angle) + i exp(0.0) sin(angle), so
-it equals math.cos and math.sin bit for bit.  numpy's SIMD versions may
-differ from the C library in the last bit, which would tie the stream to
-the numpy build.  The blocked draw is bit-identical to drawing value by
-value with next_u64 and math.log, math.cos and math.sin.
+The logarithm, cosine and sine are fixed polynomial kernels built from
++ - * /, sqrt, frexp, floor and exact integer-float conversions, each exact
+or correctly rounded under IEEE-754, so a numpy block and a loop over
+Python floats give the same bits on every platform (see _box_muller).  No
+C-library log, cos or sin is called: those are not correctly rounded, and
+the 0.1.0 stream, which used them, could differ in the last bit between C
+libraries.  The state after k steps is seed + k * 0x9E3779B97F4A7C15 mod
+2^64, so complex_normal computes a block of outputs at once in wrapping
+uint64 arithmetic.
 
 A master stream seeded with the config seed hands one 64-bit subseed to
 every random item that does not carry its own "seed" key, walking the
@@ -35,9 +37,7 @@ it is not a dataclass, so importing this module generates no code.
 
 from __future__ import annotations
 
-import cmath
 import json
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +51,50 @@ from .timefreq import gaussian_window
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 8192  # complex normals per vectorised block; bounds the temporaries
+_U_GAMMA, _U_MUL1, _U_MUL2 = map(np.uint64, (_GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_U11, _U27, _U30, _U31 = map(np.uint64, (11, 27, 30, 31))
+
+# Seeding contract v2.  ln 2 = LN2_HI + LN2_LO, LN2_HI being ln 2 cut to 32
+# bits, so k * LN2_HI is exact for every k <= 53; SQRT_HALF is the double
+# nearest sqrt(1/2).  The series are Taylor series, lowest order first, each
+# coefficient the double nearest its exact value:
+#   ATANH[k] = 2 / (2k + 1)                   2 atanh(s) = s sum ATANH[k] s^2k
+#   SIN[k] = (-1)^k (2 pi)^(2k+1) / (2k+1)!   sin(2 pi f) = f sum SIN[k] f^2k
+#   COS[k] = (-1)^k (2 pi)^2k / (2k)!         cos(2 pi f) = sum COS[k] f^2k
+# Each series keeps every term whose largest value on its range, |s| <=
+# (sqrt(2) - 1) / (sqrt(2) + 1) or |f| <= 1/8, is at least 2^-55 of its leading term.
+_LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+_SQRT_HALF = float.fromhex("0x1.6a09e667f3bcdp-1")
+_ATANH = tuple(map(float.fromhex, (
+    "0x1.0000000000000p+1", "0x1.5555555555555p-1", "0x1.999999999999ap-2",
+    "0x1.2492492492492p-2", "0x1.c71c71c71c71cp-3", "0x1.745d1745d1746p-3",
+    "0x1.3b13b13b13b14p-3", "0x1.1111111111111p-3", "0x1.e1e1e1e1e1e1ep-4",
+    "0x1.af286bca1af28p-4")))
+_SIN = tuple(map(float.fromhex, (
+    "0x1.921fb54442d18p+2", "-0x1.4abbce625be53p+5", "0x1.466bc6775aae2p+6",
+    "-0x1.32d2cce62bd86p+6", "0x1.50783487ee782p+5", "-0x1.e3074fde8871fp+3",
+    "0x1.e8f434d018d63p+1", "-0x1.6fadb9f155744p-1", "0x1.aaec32af93359p-4")))
+_COS = tuple(map(float.fromhex, (
+    "0x1.0000000000000p+0", "-0x1.3bd3cc9be45dep+4", "0x1.03c1f081b5ac4p+6",
+    "-0x1.55d3c7e3cbffap+6", "0x1.e1f506891babbp+5", "-0x1.a6d1f2a204a8cp+4",
+    "0x1.f9d38a3763cc3p+2", "-0x1.b6e24f44b128fp+0", "0x1.20c62c2f2d7f5p-2")))
+
+
+def _horner_table(*series):
+    """One Horner table for several series: highest order first, a row per series.
+
+    Shorter series are padded with leading zeros, which leave Horner's rule
+    bit for bit as it is without them: 0 x + 0 = +0 for x >= 0, and
+    +0 x + c = c.
+    """
+    table = np.zeros((max(map(len, series)), len(series), 1))
+    for row, coefs in enumerate(series):
+        table[len(table) - len(coefs):, row, 0] = coefs[::-1]
+    return table
+
+
+_HORNER = _horner_table(_SIN, _COS, _ATANH)
 
 
 class ConfigError(ValueError):
@@ -83,47 +127,96 @@ class PortableRng:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def complex_normal(self, shape) -> np.ndarray:
-        n = int(np.prod(shape))
-        out = np.empty(n, dtype=complex)
-        for start in range(0, n, _BLOCK):
-            self._box_muller(out[start:start + _BLOCK])
-        return out.reshape(shape)
+        out = np.empty(shape, dtype=complex)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _BLOCK):
+            block = flat[start:start + _BLOCK]
+            _box_muller(self._top_bits(2 * len(block)), block)
+        return out
 
-    def _box_muller(self, out: np.ndarray) -> None:
-        """Fill out with the next len(out) complex normals, advancing the state.
+    def _top_bits(self, count: int) -> np.ndarray:
+        """out >> 11 for the next count outputs, as uint64, advancing the state.
 
-        The state after k steps is state + k * GAMMA mod 2^64, so the block's
-        2 len(out) outputs are computed at once in wrapping uint64 arithmetic.
+        The state after k steps is state + k * GAMMA mod 2^64, so the outputs
+        are computed at once in wrapping uint64 arithmetic.
         """
-        count = 2 * len(out)
-        z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _U_GAMMA
+        z += np.uint64(self._state)
         self._state = (self._state + count * _GAMMA) & _MASK
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        z >>= np.uint64(11)
-        u1 = (z[0::2] + np.uint64(1)).astype(float) * 2.0 ** -53
-        u2 = z[1::2].astype(float) * 2.0 ** -53
-        r = np.sqrt(-2.0 * _per_value(math.log, u1))
-        # exp(0.0) cos(y) + i exp(0.0) sin(y) with the C library's cos and
-        # sin: math.cos and math.sin in one call.  The real part must be an
-        # exact zero, hence zeros and not empty.
-        iangle = np.zeros(len(out), dtype=complex)
-        iangle.imag = 2 * math.pi * u2
-        unit = _per_value(cmath.exp, iangle, complex)
-        re = r * unit.real
-        im = r * unit.imag
-        # The per-value loop's complex / float divided by complex(sqrt(2), 0.0); the
-        # "+- 0.0 *" terms keep its signs of zero when u1 = 1 makes r = -0.0.
-        out.real = (re + im * 0.0) / math.sqrt(2)
-        out.imag = (im - re * 0.0) / math.sqrt(2)
+        z ^= z >> _U30
+        z *= _U_MUL1
+        z ^= z >> _U27
+        z *= _U_MUL2
+        z ^= z >> _U31
+        z >>= _U11
+        return z
 
 
-def _per_value(func, x: np.ndarray, dtype=float) -> np.ndarray:
-    """func applied to each value of x; math's and cmath's functions, not numpy's (see module docs)."""
-    return np.fromiter(map(func, x.tolist()), dtype, len(x))
+def _box_muller(bits: np.ndarray, out: np.ndarray) -> None:
+    """Fill out with complex normals, one from each pair of 53-bit integers in bits.
+
+    bits[2i] and bits[2i + 1] give u1 = (bits[2i] + 1) 2^-53 in (0, 1] and
+    u2 = bits[2i + 1] 2^-53 in [0, 1), and out[i] is
+    sqrt(-ln u1) (cos 2 pi u2 + i sin 2 pi u2):
+
+    * ln: frexp gives u1 = m 2^e, m in [1/2, 1); m < SQRT_HALF takes m to 2m
+      and e to e - 1, so m lies in [sqrt(1/2), sqrt(2)).  With k = -e and
+      s = (m - 1) / (m + 1), -ln u1 = k LN2_HI + (k LN2_LO - 2 atanh(s)).
+    * cos and sin: j = floor(4 u2 + 1/2) and f = u2 - j/4, exact and in
+      [-1/8, 1/8]; the series give c = cos 2 pi f and s = sin 2 pi f, and
+      (cos, sin) of the angle is (c, s), (-s, c), (-c, -s) or (s, -c) for
+      j mod 4 = 0, 1, 2 or 3.
+
+    Every step is exact or one correctly rounded +, -, *, / or sqrt, so the
+    per-value transcription in Python floats (tests/oracle.py) gives the same
+    bits.  The three series share one Horner pass over a (3, n) array, and
+    the quadrant is one gather from the rows (s, c, -s, -c, s) of r (c, s):
+    for q = j mod 4 the real part sits in row q + 1 and the imaginary part in
+    row q.  out must be C-contiguous.
+    """
+    n = len(out)
+    u = bits.astype(float)
+    u[0::2] += 1.0
+    u *= 2.0 ** -53
+    u1, u2 = u[0::2], u[1::2]
+    m, e = np.frexp(u1)
+    low = m < _SQRT_HALF
+    k = np.subtract(low, e, dtype=float)
+    m += m * low
+    s = m - 1.0
+    m += 1.0
+    s /= m
+    j = u2 * 4.0
+    j += 0.5
+    np.floor(j, out=j)
+    f = j * -0.25
+    f += u2
+    x = np.empty((3, n))
+    np.multiply(f, f, out=x[:2])
+    np.multiply(s, s, out=x[2])
+    rows = np.empty((5, n))
+    series = rows[:3]
+    np.multiply(x, _HORNER[0], out=series)
+    series += _HORNER[1]
+    for coef in _HORNER[2:]:
+        series *= x
+        series += coef
+    s *= rows[2]
+    r = k * _LN2_HI
+    k *= _LN2_LO
+    k -= s
+    r += k
+    np.sqrt(r, out=r)
+    rows[0] *= f
+    rows[:2] *= r
+    np.negative(rows[:2], out=rows[2:4])
+    rows[4] = rows[0]
+    q = j.astype(np.intp)
+    q &= 3
+    q *= n
+    q += np.arange(n)
+    rows.take(q[:, None] + np.array((n, 0)), out=out.view(float).reshape(n, 2), mode="clip")
 
 
 class ExperimentConfig(SimpleNamespace):

@@ -99,14 +99,22 @@ class SamplingScheme(Immutable):
 
     A scheme built by :func:`window_scheme` also keeps its window pairs
     (g_m, gt_m); its averagers Q_m = gt_m (x) g_m give the same samples.
-    Immutable; equal only to itself.
+    Immutable; equal only to itself.  Averagers and windows are read-only
+    views of stacked copies taken at construction, so changing the caller's
+    arrays afterwards changes neither them nor any cached stage.
     """
 
     averagers: tuple[np.ndarray, ...]
     windows: tuple[tuple[np.ndarray, np.ndarray], ...] | None
 
     def __init__(self, averagers, windows=None):
-        self.__dict__.update(averagers=averagers, windows=windows)
+        stack = np.array(averagers, dtype=complex)
+        stack.setflags(write=False)
+        if windows is not None:
+            pairs = np.array(windows, dtype=complex)
+            pairs.setflags(write=False)
+            windows = tuple((g, gt) for g, gt in pairs)
+        self.__dict__.update(averagers=tuple(stack), windows=windows, _stack=stack)
 
     @property
     def num_channels(self) -> int:
@@ -115,7 +123,7 @@ class SamplingScheme(Immutable):
     @cached_property
     def spreading(self) -> np.ndarray:
         """Spreading transforms of the averagers, shape (M, L, L), read-only."""
-        F = fourier_wigner(np.array(self.averagers))
+        F = fourier_wigner(self._stack)
         F.setflags(write=False)
         return F
 
@@ -224,7 +232,7 @@ class TransferMatrix(Immutable):
 
 def transfer_matrix(A, lattice: Lattice) -> TransferMatrix:
     """Fiber matrices Ahat[k, m, n] = symp_fourier(a[m, n])(xi_k)."""
-    return TransferMatrix(lattice, np.moveaxis(symp_fourier(A, lattice), -1, 0))
+    return TransferMatrix(lattice, symp_fourier(A, lattice).transpose(2, 0, 1))
 
 
 def transfer_fibers(system: GeneratorSystem, scheme: SamplingScheme) -> np.ndarray:
@@ -358,7 +366,7 @@ class ReconstructionKit(Immutable):
     @cached_property
     def b(self) -> np.ndarray:
         """Dual coefficient sequences, shape (N, M, |lattice|)."""
-        return inv_symp_fourier(np.moveaxis(self.dual_fibers, 0, -1), self.system.lattice)
+        return inv_symp_fourier(self.dual_fibers.transpose(1, 2, 0), self.system.lattice)
 
     @cached_property
     def spreading(self) -> np.ndarray:

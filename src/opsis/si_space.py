@@ -151,7 +151,7 @@ def fiber_singular_values(A) -> np.ndarray:
         return np.linalg.svd(A, compute_uv=False)
     # X[m, n] is entry (m, n) over the leading axes: contiguous rows for
     # fibers moved out of an (M, N, K) array
-    X = np.moveaxis(A, (-2, -1), (0, 1))
+    X = A.transpose(-2, -1, *range(A.ndim - 2))
     with np.errstate(over="ignore"):
         norms2 = _abs2(X).sum(axis=0)
     top = norms2.max(initial=0.0)
@@ -189,7 +189,7 @@ def fiber_left_inverse(A) -> np.ndarray:
         raise ValueError(f"closed-form left inverse needs 1 <= N <= min(M, 2), got M={M}, N={N}")
     # X[m, n] is entry (m, n) over the leading axes, contiguous: the sums
     # over m add rows instead of reducing a short strided axis
-    X = np.ascontiguousarray(np.moveaxis(A, (-2, -1), (0, 1)))
+    X = np.ascontiguousarray(A.transpose(-2, -1, *range(A.ndim - 2)))
     with np.errstate(over="ignore"):
         norms2 = _abs2(X).sum(axis=0)
     scale = 1.0
@@ -206,13 +206,16 @@ def fiber_left_inverse(A) -> np.ndarray:
         for _ in range(2):
             P = P - Q * ((Q_conj * P).sum(axis=0) / q_norms2)
         norms2 = _abs2(P).sum(axis=0)
-    return np.moveaxis(P.conj() / (norms2 * scale), (0, 1), (-1, -2))
+    B = P.conj() / (norms2 * scale)
+    return B.transpose(*range(2, B.ndim), 1, 0)
 
 
 class GeneratorSystem(Immutable):
     """A lattice plus an ordered tuple of generator kernels.
 
-    Immutable; equal only to itself.
+    Immutable; equal only to itself.  The generators are read-only views of
+    one stacked copy taken at construction, so changing the caller's arrays
+    afterwards changes neither them nor any cached stage.
     """
 
     lattice: Lattice
@@ -226,7 +229,9 @@ class GeneratorSystem(Immutable):
         for S in gens:
             if S.shape != (L, L):
                 raise ValueError(f"generator shape {S.shape} does not match L={L}")
-        self.__dict__.update(lattice=lattice, generators=gens)
+        stack = np.array(gens)
+        stack.setflags(write=False)
+        self.__dict__.update(lattice=lattice, generators=tuple(stack), _stack=stack)
 
     @property
     def num_generators(self) -> int:
@@ -235,7 +240,7 @@ class GeneratorSystem(Immutable):
     @cached_property
     def spreading(self) -> np.ndarray:
         """Spreading transforms of the generators, shape (N, L, L), read-only."""
-        F = fourier_wigner(np.array(self.generators))
+        F = fourier_wigner(self._stack)
         F.setflags(write=False)
         return F
 
@@ -306,7 +311,8 @@ def span_spreading(system: GeneratorSystem, chat) -> np.ndarray:
     the tiles nor the N products on the grid are formed.
     """
     lat = system.lattice
-    blocks = np.moveaxis(tile_block(chat, lat), -5, 0)
+    blocks = tile_block(chat, lat)
+    blocks = blocks.transpose(-5, *range(blocks.ndim - 5), -4, -3, -2, -1)
     F = grid_blocks(system.spreading, lat)
     out = blocks[0] * F[0]
     for block, F_n in zip(blocks[1:], F[1:], strict=True):
@@ -328,7 +334,7 @@ def gram_fibers(system: GeneratorSystem) -> np.ndarray:
     directly as the fold of F_n conj(F_n'), without the sequences r.
     """
     F = system.spreading
-    return np.moveaxis(fold_product(F[:, None], F[None, :], system.lattice), -1, 0)
+    return fold_product(F[:, None], F[None, :], system.lattice).transpose(2, 0, 1)
 
 
 def brute_gram(system: GeneratorSystem):

@@ -4,8 +4,10 @@ that the fiberwise coefficient expansion replaces, the closure walk,
 subgroup test and exhaustive lattice duality that the Hermite normal form
 replaces, the L x L grid series and the coset sums that the lattice-size
 transforms, fold and tile replace, the per-value SplitMix64/Box-Muller
-loop that the blocked uint64 draw of PortableRng.complex_normal replaces, and
-the index-gather spreading transforms that the strided diagonal views replace.
+loop that the blocked uint64 draw of PortableRng.complex_normal replaces
+(seeding contract v2, transcribed value by value in Python floats with
+math.frexp, math.floor and math.sqrt), and the index-gather spreading
+transforms that the strided diagonal views replace.
 
 The operator oracles form each translate as a dense L x L kernel with
 op_translate and sum or pair in the kernel domain, O(|lattice| L^2) per
@@ -16,6 +18,7 @@ Symplectic series are products with the dense symp_character_matrix, or
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -230,14 +233,51 @@ def fn_op_convolve(g, S):
     return out
 
 
+# Seeding contract v2, derived here from its definitions rather than read
+# from opsis.config: pi and ln 2 to 50 digits, and every coefficient the
+# correctly rounded float of an exact rational (float(Fraction) rounds to
+# nearest), so a wrong hex digit in the production tables shows as a
+# mismatch.
+PI = Fraction("3.14159265358979323846264338327950288419716939937510")
+LN2 = Fraction("0.69314718055994530941723212145817656807550013436025")
+LN2_HI = math.floor(LN2 * 2**32) / 2**32
+LN2_LO = float(LN2 - Fraction(LN2_HI))
+SQRT_HALF = math.sqrt(0.5)
+ATANH = [float(Fraction(2, 2 * k + 1)) for k in range(10)]
+SIN = [float((-1) ** k * (2 * PI) ** (2 * k + 1) / math.factorial(2 * k + 1)) for k in range(9)]
+COS = [float((-1) ** k * (2 * PI) ** (2 * k) / math.factorial(2 * k)) for k in range(9)]
+
+
+def horner(coefs, x):
+    """sum coefs[k] x^k by Horner's rule, from the highest order down."""
+    p = coefs[-1]
+    for c in reversed(coefs[:-1]):
+        p = p * x + c
+    return p
+
+
+def box_muller(b1, b2):
+    """The complex normal of the 53-bit integers b1 = out1 >> 11 and b2 = out2 >> 11, in Python floats."""
+    u1 = (b1 + 1) * 2.0 ** -53
+    u2 = b2 * 2.0 ** -53
+    m, e = math.frexp(u1)
+    if m < SQRT_HALF:
+        m, e = 2 * m, e - 1
+    k = float(-e)
+    s = (m - 1) / (m + 1)
+    r = math.sqrt(k * LN2_HI + (k * LN2_LO - s * horner(ATANH, s * s)))
+    j = math.floor(4 * u2 + 0.5)
+    f = u2 - j / 4
+    c, s = horner(COS, f * f), f * horner(SIN, f * f)
+    re, im = [(c, s), (-s, c), (-c, -s), (s, -c)][j % 4]
+    return complex(r * re, r * im)
+
+
 def portable_complex_normal(rng, shape):
     """Complex standard normals drawn one value, two next_u64 calls, at a time from rng."""
     n = int(np.prod(shape))
     out = np.empty(n, dtype=complex)
     for i in range(n):
-        u1 = ((rng.next_u64() >> 11) + 1) * 2.0 ** -53
-        u2 = (rng.next_u64() >> 11) * 2.0 ** -53
-        r = math.sqrt(-2.0 * math.log(u1))
-        out[i] = complex(r * math.cos(2 * math.pi * u2),
-                         r * math.sin(2 * math.pi * u2)) / math.sqrt(2)
+        b1 = rng.next_u64() >> 11
+        out[i] = box_muller(b1, rng.next_u64() >> 11)
     return out.reshape(shape)

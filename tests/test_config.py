@@ -1,10 +1,14 @@
+import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opsis
 from opsis import config
 from opsis.config import ConfigError, PortableRng, parse_config
 from opsis.timefreq import gaussian_window
@@ -81,8 +85,8 @@ def seed_with_first_output(out):
 
 @pytest.mark.parametrize("first", [MASK, MASK ^ 0x7FF, 0, 0x7FF])
 def test_complex_normal_matches_loop_at_the_ends_of_u1(first):
-    # first >> 11 = 2^53 - 1 gives u1 = 1 and a zero radius r = -0.0, whose
-    # signs of zero the loop's complex / float decides; 0 gives u1 = 2^-53
+    # first >> 11 = 2^53 - 1 gives u1 = 1 and a zero radius r = +0.0, whose
+    # products with the cosine and sine set the signs of zero; 0 gives u1 = 2^-53
     seed = seed_with_first_output(first)
     assert PortableRng(seed).next_u64() == first
     z = PortableRng(seed).complex_normal(3)
@@ -106,10 +110,111 @@ def test_complex_normal_matches_loop_at_the_ends_of_u2(second):
 
 @pytest.mark.parametrize("seed", [5, 2**64 - 3])
 def test_complex_normal_matches_loop_on_many_values(seed):
-    # 16 blocks: every angle goes through cmath.exp, which must agree with
-    # math.cos and math.sin bit for bit
+    # 16 blocks: the numpy kernel must agree with the loop over Python
+    # floats bit for bit on every value
     fast, slow = PortableRng(seed), PortableRng(seed)
     assert same_bits(fast.complex_normal(2**17), portable_complex_normal(slow, 2**17))
+
+
+# The first 8 values of two seeds under seeding contract v2; the second seed's
+# first output gives u1 = 1, a zero radius.
+GOLDEN = {
+    2024: [
+        ("0x1.209cc7ccbc223p-1", "0x1.943ac3854a092p-2"),
+        ("0x1.a374131006962p-1", "0x1.7764b651e0be9p-1"),
+        ("-0x1.a179f61d26329p-2", "-0x1.1d6833a6c6beep-3"),
+        ("-0x1.28edc7d0a7dd5p+0", "-0x1.9af5b6c6e01adp-1"),
+        ("-0x1.31ffcf57d38afp+0", "0x1.2ee3681f58cdep-1"),
+        ("0x1.d3f78c59e62f7p-2", "-0x1.809d80ad35ec5p-1"),
+        ("-0x1.bd52125220273p-3", "-0x1.661993df20371p-2"),
+        ("-0x1.0abc532c8831ep-1", "-0x1.496a477cd68a9p+0"),
+    ],
+    seed_with_first_output(MASK): [
+        ("0x0.0p+0", "-0x0.0p+0"),
+        ("0x1.d7c4743e175c4p-2", "0x1.263906a14608ep-4"),
+        ("-0x1.573de39158f4dp-1", "-0x1.d2812f9401622p-3"),
+        ("-0x1.ef94cf86b607ep-5", "-0x1.c5d4e58086aafp-3"),
+        ("-0x1.b9862bed78a71p-1", "0x1.73c9d6f04c818p-5"),
+        ("-0x1.06818e1efa53bp-3", "0x1.be2cb8689b097p-1"),
+        ("-0x1.76a48e1e45dffp-3", "0x1.a3e9afae51f92p-1"),
+        ("0x1.fe004bf3269dap+0", "-0x1.4b5064e2a2688p-4"),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", GOLDEN)
+def test_complex_normal_golden_values(seed):
+    expected = GOLDEN[seed]
+    for z in (PortableRng(seed).complex_normal(8),
+              portable_complex_normal(PortableRng(seed), 8)):
+        assert [(v.real.hex(), v.imag.hex()) for v in z] == expected
+
+
+def _two_product(a, b):
+    """p, e with p + e = a b exactly: Dekker's product, with no fused multiply-add."""
+    def split(x):
+        t = 134217729.0 * x  # 2^27 + 1
+        hi = t - (t - x)
+        return hi, x - hi
+    p = a * b
+    (a1, a2), (b1, b2) = split(a), split(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def test_box_muller_is_within_four_eps_of_the_exact_value():
+    # A 320 x 320 grid of (u1, u2), random values plus every quadrant boundary
+    # u2 in {0, 1/8, ..., 7/8, 1 - 2^-53}, u1 in {2^-53, 1/2, 1}, u1 at the
+    # sqrt(1/2) renormalisation, and the neighbours of each.  The references
+    # sqrt(-ln u1) and cos, sin(2 pi u2) come from mpmath as double-double
+    # pairs hi + lo; the error of the kernel's output z is then exact to about
+    # eps^2 r, with p + e the exact product hi hi.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    top = (1 << 53) - 1
+    ends1 = [0, (1 << 52) - 1, top,
+             *(math.ceil(config._SQRT_HALF * 2.0 ** (53 - d)) - 1 for d in (0, 1, 30, 52))]
+    ends2 = [k << 50 for k in range(8)] + [top]
+    b1 = sorted({min(max(b + d, 0), top) for b in ends1 for d in (-1, 0, 1)})
+    b2 = sorted({min(max(b + d, 0), top) for b in ends2 for d in (-1, 0, 1)})
+    b1 += [int(v) for v in rng.integers(0, 1 << 53, 320 - len(b1), dtype=np.uint64)]
+    b2 += [int(v) for v in rng.integers(0, 1 << 53, 320 - len(b2), dtype=np.uint64)]
+
+    def pair(x):
+        hi = float(x)
+        return hi, float(x - hi)
+
+    with mpmath.workprec(120):
+        radius = np.array([pair(mpmath.sqrt(-mpmath.log(mpmath.mpf(b + 1) / 2**53))) for b in b1])
+        angle = [2 * mpmath.pi * mpmath.mpf(b) / 2**53 for b in b2]
+        cos = np.array([pair(mpmath.cos(a)) for a in angle])
+        sin = np.array([pair(mpmath.sin(a)) for a in angle])
+    bits = np.empty((len(b1), len(b2), 2), dtype=np.uint64)
+    bits[..., 0] = np.array(b1, dtype=np.uint64)[:, None]
+    bits[..., 1] = np.array(b2, dtype=np.uint64)
+    z = np.empty(bits.size // 2, dtype=complex)
+    config._box_muller(bits.reshape(-1), z)
+    z = z.reshape(len(b1), len(b2))
+
+    def error(part, unit):
+        (rh, rl), (uh, ul) = radius.T[:, :, None], unit.T[:, None, :]
+        p, e = _two_product(rh, uh)
+        return (part - p) - e - (rh * ul + rl * uh)
+
+    err = np.hypot(error(z.real, cos), error(z.imag, sin))
+    assert z.size >= 10**5
+    assert (err <= 4 * np.finfo(float).eps * radius[:, :1]).all()
+
+
+def test_complex_normal_pseudo_variance_vanishes():
+    # a circular normal has E z^2 = 0; 2^17 values give a standard error near 0.004
+    z = PortableRng(11).complex_normal(2**17)
+    assert abs((z * z).mean()) < 0.02
+
+
+def test_package_version_matches_pyproject():
+    # README dates each seeding contract by the package version (v2 from 0.2.0)
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"', text, re.M).group(1) == opsis.__version__
 
 
 def test_complex_normal_memory_is_bounded_by_the_block():

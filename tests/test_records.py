@@ -22,9 +22,10 @@ from opsis.sampling import (
     ReconstructionKit,
     SamplingScheme,
     TransferMatrix,
+    average_scheme,
     window_scheme,
 )
-from opsis.si_space import GeneratorSystem, RieszReport
+from opsis.si_space import GeneratorSystem, RieszReport, riesz_check
 from conftest import rand_kernel, rand_signal
 
 SRC = Path(opsis.__file__).resolve().parent.parent
@@ -99,7 +100,10 @@ def test_keyword_construction_and_defaults():
 
     averagers = scheme.averagers
     assert SamplingScheme(averagers=averagers).windows is None
-    assert SamplingScheme(averagers, scheme.windows).windows is scheme.windows
+    # a scheme keeps its own read-only copy of the windows, equal to the given ones
+    kept = SamplingScheme(averagers, scheme.windows).windows
+    assert kept is not scheme.windows
+    assert np.array_equal(np.array(kept), np.array(scheme.windows))
 
     C = np.zeros((lat.size, 2, 3))
     kit = ReconstructionKit(system=system, scheme=scheme, C=C, tol=1e-9, riesz_tol=1e-8)
@@ -136,6 +140,51 @@ def test_generator_system_validation(gens, message):
         GeneratorSystem(lat, gens)
     with pytest.raises(ValueError):
         GeneratorSystem(lattice=lat, generators=gens)
+
+
+def assert_read_only(arrays):
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_generator_system_keeps_its_own_read_only_generators():
+    rng = np.random.default_rng(9)
+    lat = build_lattice((2, 2), L)
+    S = rand_kernel(rng, L)
+    before = S.copy()
+    system = GeneratorSystem(lat, [S])
+    upper = riesz_check(system).upper
+    S *= 10
+    assert system.generators[0] is not S
+    assert np.array_equal(system.generators[0], before)
+    assert_read_only(system.generators)
+    assert riesz_check(system).upper == upper
+    assert riesz_check(GeneratorSystem(lat, system.generators)).upper == upper
+    assert riesz_check(GeneratorSystem(lat, [S])).upper > 50 * upper
+
+
+@pytest.mark.parametrize("kind", ["windows", "averagers"])
+def test_sampling_scheme_keeps_its_own_read_only_arrays(kind):
+    rng = np.random.default_rng(10)
+    if kind == "windows":
+        given = [rand_signal(rng, L), rand_signal(rng, L)]
+        scheme = window_scheme([given])
+        assert_read_only(scheme.windows[0])
+    else:
+        given = [rand_kernel(rng, L)]
+        scheme = average_scheme(given)
+    before = [a.copy() for a in given]
+    spreading = scheme.spreading.copy()
+    averager = scheme.averagers[0].copy()
+    for a in given:
+        a *= 10
+    assert_read_only(scheme.averagers)
+    assert np.array_equal(scheme.averagers[0], averager)
+    assert np.array_equal(scheme.spreading, spreading)
+    kept = scheme.windows[0] if kind == "windows" else scheme.averagers
+    assert all(a is not b and np.array_equal(a, b0) for a, b, b0 in zip(kept, given, before))
 
 
 def test_cached_stages_are_computed_once(monkeypatch):

@@ -44,6 +44,10 @@ print("round trip |inv(F(c)) - c|_max =",
       np.abs(inv_symp_fourier(F, lat) - c).max())
 print("Parseval  sum|F|^2 - |lat| sum|c|^2 =",
       abs((np.abs(F)**2).sum() - lat.size * (np.abs(c)**2).sum()))
+# lattice_convolve is the convolution theorem, inv(F(c) F(d)); check one
+# value against the group convolution sum_mu c(mu) d(lam - mu)
 conv = lattice_convolve(c, d, lat)
-print("convolution theorem |F(c*d) - F(c)F(d)|_max =",
-      np.abs(symp_fourier(conv, lat) - F * symp_fourier(d, lat)).max())
+lam = lat.points[5]
+direct = sum(c[j] * d[lat.index[((lam[0] - mu[0]) % L, (lam[1] - mu[1]) % L)]]
+             for j, mu in enumerate(lat.points))
+print(f"convolution at {lam}: via F {conv[5]:.6f}, direct sum {direct:.6f}")

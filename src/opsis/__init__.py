@@ -49,12 +49,9 @@ from .si_space import (
     GeneratorSystem,
     NotRieszError,
     RieszReport,
-    brute_gram,
     coefficients,
     correlation_sequences,
     gram_fibers,
-    gw_fibers,
-    gw_matrix,
     riesz_check,
     synthesize,
 )

@@ -394,7 +394,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     if "sublattice" in raw:
         sublattice = _build_lattice(raw["sublattice"], L, "sublattice")
         if lattice is not None:
-            if not set(sublattice.points) <= set(lattice.points):
+            if not lattice.contains_lattice(sublattice):
                 raise ConfigError("'sublattice' is not contained in 'lattice'")
 
     coef_seed = master.next_u64()

@@ -43,6 +43,24 @@ def _as_kernel(S) -> np.ndarray:
     return S
 
 
+def kernel_stack(kernels, what: str, L: int | None = None) -> np.ndarray:
+    """One read-only complex copy, shape (n, L, L), of n >= 1 kernels of shape (L, L).
+
+    L defaults to the first kernel's row count; any other shape raises ValueError.
+    """
+    ks = tuple(np.asarray(S, dtype=complex) for S in kernels)
+    if not ks:
+        raise ValueError(f"at least one {what} is required")
+    if L is None:
+        L = ks[0].shape[0] if ks[0].ndim else 0
+    for S in ks:
+        if S.shape != (L, L):
+            raise ValueError(f"{what} shape {S.shape} does not match L={L}")
+    stack = np.array(ks)
+    stack.setflags(write=False)
+    return stack
+
+
 def identity(L: int) -> np.ndarray:
     return np.eye(L, dtype=complex)
 

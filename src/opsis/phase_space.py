@@ -20,8 +20,10 @@ and (0, b) with a | L, b | L, 0 <= c < b and b | (L/a) c, and points
 k Q + j with P = L/a and Q = L/b.  Lattices are built, checked and dualized
 by exact integer arithmetic on this form, with no walk over the points and
 no FFT: the annihilator is the lattice of form (Q, P, c L/(a b)), and the
-dual transversal is the block [0, Q) x [0, P).  A built lattice enumerates
-its points only when they are first read; nothing below needs them.
+dual transversal is the block [0, Q) x [0, P).  Membership and the index
+of a point are read off the form too (:meth:`Lattice.locate`).  A built
+lattice enumerates its points only when they are first read; nothing
+below needs them.
 
 The Fourier analysis of a lattice runs on the lattice's own size K = P Q.
 With xi = (x, w) in the transversal, sigma(lam, xi)/L splits as
@@ -49,9 +51,9 @@ Ron, JFA 1994).  tile reads the transversal index of every grid point from a
 second cached shear gather, broadcast over j'; :func:`tile_block` is that
 block before the broadcast, laid out to meet the plain (b, Q, a, P) reshape
 of the grid (:func:`grid_blocks`), so a sum of tiled products runs block by
-block without a tiled copy.  :func:`symp_character_matrix`
-and :func:`lattice_convolve` are dense |lattice| x |lattice| references with
-no production caller.
+block without a tiled copy.  :func:`symp_character_matrix`, the dense
+|lattice| x |lattice| character matrix, has no production caller; the
+tests' reference series use it.
 
 Conventions relied on throughout the package:
 
@@ -228,23 +230,31 @@ class Lattice(Immutable):
         gather.setflags(write=False)
         return gather
 
-    @cached_property
-    def _grid_index(self) -> np.ndarray:
-        # dense (L, L) -> element index, -1 off the lattice
-        g = np.full((self.modulus, self.modulus), -1, dtype=np.int64)
-        g[self.xs, self.ws] = np.arange(self.size)
-        return g
+    def locate(self, x, w):
+        """(index, is a point) of each (x, w), elementwise over broadcast integer arrays.
 
-    @cached_property
-    def _sub_table(self) -> np.ndarray:
-        # [i, j] -> index of points[i] - points[j]
+        (x, w) in range is a point iff a | x and b | (w - k c), k = x/a, at
+        index k Q + (w - (k c mod b))/b; off the lattice the index means nothing.
+        """
         L = self.modulus
-        dx = (self.xs[:, None] - self.xs[None, :]) % L
-        dw = (self.ws[:, None] - self.ws[None, :]) % L
-        return self._grid_index[dx, dw]
+        a, b, c = self._hnf
+        k, r = np.divmod(x, a)
+        j, s = np.divmod(w - k * c % b, b)
+        inside = (0 <= x) & (x < L) & (0 <= w) & (w < L) & (r == 0) & (s == 0)
+        return k * (L // b) + j, inside
+
+    def contains_lattice(self, sub: Lattice) -> bool:
+        """True when sub is a sub-lattice: same modulus, and both generators of its normal form are points here."""
+        L = self.modulus
+        a, b, c = sub._hnf
+        return sub.modulus == L and (a % L, c) in self and (0, b % L) in self
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in self.index
+        try:
+            x, w = p
+            return bool(self.locate(x, w)[1])
+        except (TypeError, ValueError):
+            return False
 
 
 def _as_int(v) -> int:
@@ -336,10 +346,13 @@ def coset_transversal(lat: Lattice, sub: Lattice) -> tuple[Point, ...]:
     """
     if sub.modulus != lat.modulus:
         raise LatticeError("sub-lattice must share the modulus of the parent lattice")
-    if not all(p in lat for p in sub.points):
+    if not lat.contains_lattice(sub):
         raise LatticeError("sub-lattice is not contained in the parent lattice")
+    # every coset of sub meets the block [0, a') x [0, b') once
     a, b, _ = sub._hnf
-    return tuple((x, w) for x in range(a) for w in range(b) if (x, w) in lat)
+    x, w = np.divmod(np.arange(a * b), b)
+    keep = lat.locate(x, w)[1]
+    return tuple(zip(x[keep].tolist(), w[keep].tolist()))
 
 
 @lru_cache(maxsize=4)
@@ -357,13 +370,6 @@ def symp_character_matrix(lat: Lattice) -> np.ndarray:
     # shared by every caller through the cache
     phi.setflags(write=False)
     return phi
-
-
-def _as_seq(c, lat: Lattice) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (lat.size,):
-        raise LatticeError(f"sequence shape {c.shape} does not match lattice of size {lat.size}")
-    return c
 
 
 def _as_seqs(c, lat: Lattice, what: str) -> np.ndarray:
@@ -502,7 +508,5 @@ def lattice_series(c, lattice: Lattice) -> np.ndarray:
 
 
 def lattice_convolve(c, d, lat: Lattice) -> np.ndarray:
-    """Cyclic group convolution on the lattice: (c * d)(lam) = sum_mu c(mu) d(lam - mu)."""
-    c = _as_seq(c, lat)
-    d = _as_seq(d, lat)
-    return d[lat._sub_table] @ c
+    """Cyclic group convolution (c * d)(lam) = sum_mu c(mu) d(lam - mu), by the convolution theorem."""
+    return inv_symp_fourier(symp_fourier(c, lat) * symp_fourier(d, lat), lat)

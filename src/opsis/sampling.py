@@ -26,7 +26,7 @@ multiple of eps times the fiber's largest singular value, LAPACK's bound;
 np.linalg.svd serves larger fibers (see
 :func:`~opsis.si_space.fiber_singular_values`).  The Moore-Penrose left
 inverses are in closed form too when N <= 2 and those singular values show
-that no fiber is cut off by pinv's rcond
+that no fiber falls below pinv's cutoff (PINV_RCOND)
 (:func:`~opsis.si_space.fiber_left_inverse`), with pinv's residual bound of
 eps times the condition number; np.linalg.pinv serves every other case.
 
@@ -65,6 +65,7 @@ import numpy as np
 from .hs_ops import (
     fourier_wigner,
     inverse_fourier_wigner,
+    kernel_stack,
     lattice_pairing,
     op_translate,
     rank_one,
@@ -76,7 +77,6 @@ from .phase_space import (
     coset_transversal,
     fold_product,
     inv_symp_fourier,
-    point_add,
     symp_fourier,
 )
 from .si_space import (
@@ -88,6 +88,9 @@ from .si_space import (
     span_spreading,
 )
 from .timefreq import tf_shift
+
+
+PINV_RCOND = 1e-10
 
 
 class NotAFrameError(RuntimeError):
@@ -108,8 +111,7 @@ class SamplingScheme(Immutable):
     windows: tuple[tuple[np.ndarray, np.ndarray], ...] | None
 
     def __init__(self, averagers, windows=None):
-        stack = np.array(averagers, dtype=complex)
-        stack.setflags(write=False)
+        stack = kernel_stack(averagers, "averager")
         if windows is not None:
             pairs = np.array(windows, dtype=complex)
             pairs.setflags(write=False)
@@ -271,14 +273,15 @@ def frame_bounds(tm: TransferMatrix) -> FrameBounds:
     return FrameBounds(alpha, beta)
 
 
-def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
-                      tol: float | None = None, return_residual: bool = False):
+def dual_left_inverse(tm: TransferMatrix, C=None, tol: float | None = None,
+                      return_residual: bool = False):
     """Fiberwise left inverses Bhat[k] with Bhat[k] @ Ahat[k] = I_N.
 
     Default is the Moore-Penrose pseudoinverse (singular values below
-    rcond * largest are treated as zero).  When N <= min(M, 2) and the
-    cached singular values show s_min > rcond * s_max on every fiber, the
-    cutoff removes nothing and it is taken in closed form
+    PINV_RCOND = 1e-10 times the largest are treated as zero).  When
+    N <= min(M, 2) and the cached singular values show
+    s_min > PINV_RCOND * s_max on every fiber, the cutoff removes nothing
+    and it is taken in closed form
     (:func:`~opsis.si_space.fiber_left_inverse`); otherwise from
     np.linalg.pinv.  An optional C of shape (K, N, M) selects the family
     member Ahat+ + C (I_M - Ahat Ahat+).  Raises NotAFrameError when the
@@ -293,10 +296,10 @@ def dual_left_inverse(tm: TransferMatrix, C=None, rcond: float = 1e-10,
         raise NotAFrameError(fb.diagnostic or f"alpha_A = {fb.alpha:.3e}")
     K, M, N = tm.fibers.shape
     sv = tm.singular_values
-    if N <= min(M, 2) and (sv[:, -1] > rcond * sv[:, 0]).all():
+    if N <= min(M, 2) and (sv[:, -1] > PINV_RCOND * sv[:, 0]).all():
         B = fiber_left_inverse(tm.fibers)
     else:
-        B = np.linalg.pinv(tm.fibers, rcond=rcond)
+        B = np.linalg.pinv(tm.fibers, rcond=PINV_RCOND)
     if C is not None:
         C = np.asarray(C, dtype=complex)
         if C.shape != (K, N, M):
@@ -395,6 +398,16 @@ def reconstruction_kit(system: GeneratorSystem, scheme: SamplingScheme,
     return kit
 
 
+def _sample_fibers(samples, kit: ReconstructionKit) -> np.ndarray:
+    """Fiber data chat(xi) = Bhat(xi) shat(xi), shape (N, K), of samples checked to be (M, |lattice|)."""
+    samples = np.asarray(samples, dtype=complex)
+    lat = kit.system.lattice
+    want = (kit.scheme.num_channels, lat.size)
+    if samples.shape != want:
+        raise ValueError(f"sample array shape {samples.shape}, expected {want}")
+    return np.einsum("knm,mk->nk", kit.dual_fibers, symp_fourier(samples, lat))
+
+
 def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
     """Evaluate sum_m sum_lam samples[m](lam) translate(lam, H_m).
 
@@ -403,13 +416,7 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
     property claimed.  Computed as the synthesis of the fiber data
     chat(xi) = Bhat(xi) shat(xi) over the generators.
     """
-    samples = np.asarray(samples, dtype=complex)
-    lat = kit.system.lattice
-    M = kit.scheme.num_channels
-    if samples.shape != (M, lat.size):
-        raise ValueError(f"sample array shape {samples.shape}, expected {(M, lat.size)}")
-    chat = np.einsum("knm,mk->nk", kit.dual_fibers, symp_fourier(samples, lat))
-    return inverse_fourier_wigner(span_spreading(kit.system, chat))
+    return inverse_fourier_wigner(span_spreading(kit.system, _sample_fibers(samples, kit)))
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:
@@ -418,9 +425,7 @@ def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:
     Computed fiberwise, chat(xi) = Bhat(xi) shat(xi), between one batched
     symplectic series and its inverse.
     """
-    lat = kit.system.lattice
-    chat = np.einsum("knm,mk->nk", kit.dual_fibers, symp_fourier(samples, lat))
-    return inv_symp_fourier(chat, lat)
+    return inv_symp_fourier(_sample_fibers(samples, kit), kit.system.lattice)
 
 
 def sublattice_inflate(system: GeneratorSystem, sub: Lattice) -> GeneratorSystem:
@@ -441,8 +446,9 @@ def sublattice_inflate(system: GeneratorSystem, sub: Lattice) -> GeneratorSystem
 def inflate_coefficients(system: GeneratorSystem, sub: Lattice, coefs) -> np.ndarray:
     """Re-index coefficients for an inflated system: c'[n, i](mu) = c[n](lam_i + mu)."""
     lat = system.lattice
-    index = [[lat.index[point_add(rep, mu, lat.modulus)] for mu in sub.points]
-             for rep in coset_transversal(lat, sub)]
+    L = lat.modulus
+    reps = np.array(coset_transversal(lat, sub))
+    index, _ = lat.locate((reps[:, :1] + sub.xs) % L, (reps[:, 1:] + sub.ws) % L)
     return np.asarray(coefs, dtype=complex)[:, index].reshape(-1, sub.size)
 
 

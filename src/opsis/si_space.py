@@ -1,5 +1,5 @@
 """Lattice-shift-invariant operator subspaces: generator systems, synthesis,
-Riesz-sequence verification by three routes, and coefficient recovery.
+Riesz-sequence verification by two routes, and coefficient recovery.
 
 A generator system is a lattice together with operators S_1..S_N; the
 subspace it spans consists of all sums
@@ -11,10 +11,10 @@ Riesz sequence is decided on the fibers of the dual transversal: the
 correlation sequences r[n, n'](lam) = <S_n, translate(lam, S_n')> have
 symplectic Fourier transforms Ghat(xi), an N x N Hermitian PSD matrix per
 fiber, and the big Gram matrix of all translates is unitarily equivalent to
-the direct sum of the Ghat(xi).  Two independent cross-checks are kept: the
-dense Gram matrix itself, and the annihilator-periodized outer products of
-the spreading transforms, which equal Ghat up to the single constant
-|lattice| / L.
+the direct sum of the Ghat(xi).  The annihilator-periodized outer products
+of the spreading transforms equal Ghat up to the single constant
+|lattice| / L; riesz_check(route="gw") reads them by direct indexing, as a
+cross-check of the fibers that shares only the spreading transforms.
 
 Production routes run in the spreading domain and on the fibers: the
 Riesz fibers are the annihilator folds of F_n conj(F_n') over the
@@ -48,9 +48,10 @@ come from :func:`fiber_left_inverse` in the same closed form when N <= 2:
 each row is a column with the other projected out, divided by its squared
 norm.
 
-The dense routes are oracles: :func:`brute_gram` (through
-:meth:`GeneratorSystem.translate_stack`) here, and the per-translate loops
-of tests/oracle.py.
+Apart from riesz_check's gw cross-check, every job has one route here.
+The dense Gram matrix of all translates, the periodized outer products
+fiber by fiber and the per-translate loops are oracles, in
+tests/oracle.py.
 
 :class:`GeneratorSystem` is a plain immutable class on
 :class:`~opsis.phase_space.Immutable`, equal only to itself, and not a
@@ -71,15 +72,13 @@ import numpy as np
 from .hs_ops import (
     fourier_wigner,
     inverse_fourier_wigner,
+    kernel_stack,
     lattice_pairing,
-    op_translate,
 )
 from .phase_space import (
     Immutable,
     Lattice,
-    Point,
     annihilator,
-    dual_transversal,
     fold_product,
     grid_blocks,
     inv_symp_fourier,
@@ -222,15 +221,7 @@ class GeneratorSystem(Immutable):
     generators: tuple[np.ndarray, ...]
 
     def __init__(self, lattice: Lattice, generators):
-        if not generators:
-            raise ValueError("at least one generator is required")
-        gens = tuple(np.asarray(S, dtype=complex) for S in generators)
-        L = lattice.modulus
-        for S in gens:
-            if S.shape != (L, L):
-                raise ValueError(f"generator shape {S.shape} does not match L={L}")
-        stack = np.array(gens)
-        stack.setflags(write=False)
+        stack = kernel_stack(generators, "generator", lattice.modulus)
         self.__dict__.update(lattice=lattice, generators=tuple(stack), _stack=stack)
 
     @property
@@ -262,17 +253,6 @@ class GeneratorSystem(Immutable):
         eigs = hermitian_spectrum(self.riesz_fibers)
         eigs.setflags(write=False)
         return eigs
-
-    def translate_stack(self) -> np.ndarray:
-        """All translates as rows, shape (N * |lattice|, L^2), (n, lam) n-major."""
-        L = self.lattice.modulus
-        rows = [
-            op_translate(p, S).reshape(L * L)
-            for S in self.generators
-            for p in self.lattice.points
-        ]
-        return np.array(rows)
-
 
 @dataclass(frozen=True)
 class RieszReport:
@@ -337,55 +317,29 @@ def gram_fibers(system: GeneratorSystem) -> np.ndarray:
     return fold_product(F[:, None], F[None, :], system.lattice).transpose(2, 0, 1)
 
 
-def brute_gram(system: GeneratorSystem):
-    """Dense Gram matrix of all translates plus its extreme eigenvalues.
-
-    Independent oracle for the fiber route; refuses above 4096 vectors.
-    """
-    N, K = system.num_generators, system.lattice.size
-    if N * K > 4096:
-        raise ValueError(f"brute_gram limited to 4096 vectors, got {N * K}")
-    V = system.translate_stack()
-    G = V @ V.conj().T
-    eigs = np.linalg.eigvalsh(G)
-    return G, float(eigs[0]), float(eigs[-1])
-
-
-def gw_matrix(system: GeneratorSystem, xi: Point) -> np.ndarray:
-    """Annihilator-periodized outer product of the spreading transforms at xi.
-
-    G[n, n'] = sum over annihilator points of
-    F_n(xi + a) conj(F_n'(xi + a)) with F_n the raw spreading transform of
-    S_n.  Equals gram_fibers at the same fiber up to the constant
-    |lattice| / L; constant on annihilator cosets by construction.
-    """
-    L = system.lattice.modulus
-    ann = annihilator(system.lattice)
-    W = system.spreading[:, (xi[0] + ann.xs) % L, (xi[1] + ann.ws) % L]
-    return W @ W.conj().T
-
-
-def gw_fibers(system: GeneratorSystem) -> np.ndarray:
-    """gw_matrix evaluated on the whole dual transversal, shape (K, N, N)."""
-    return np.array([gw_matrix(system, xi) for xi in dual_transversal(system.lattice)])
-
-
 def riesz_check(system: GeneratorSystem, tol: float | None = None, route: str = "fibers") -> RieszReport:
     """Decide the Riesz property from the extreme eigenvalues over all fibers.
 
     Default tolerance is 1e-10 times the upper bound.  route="fibers" reads
     the system's cached Riesz spectrum (closed form for N <= 2, see
-    :func:`hermitian_spectrum`).  route="gw" uses the periodized spreading
-    transforms scaled by |lattice| / L instead of the correlation fibers,
-    with np.linalg.eigvalsh for every N; both agree to rounding.  A NaN or
-    inf fiber leaves a non-finite bound and fails the check.
+    :func:`hermitian_spectrum`).  route="gw" is the independent check: the
+    outer products F_n conj(F_n') of the spreading transforms summed over
+    the annihilator coset of every fiber by direct indexing, not through
+    :func:`~opsis.phase_space.cosets` or fold_product, scaled by
+    |lattice| / L, with np.linalg.eigvalsh for every N; both agree to
+    rounding.  A NaN or inf fiber leaves a non-finite bound and fails the
+    check.
     """
     L = system.lattice.modulus
     N, K = system.num_generators, system.lattice.size
     if route == "fibers":
         eigs = system.riesz_spectrum
     elif route == "gw":
-        eigs = np.linalg.eigvalsh(gw_fibers(system) * (K / L))
+        # (x, w) runs over the dual transversal, the block [0, Q) x [0, P)
+        ann = annihilator(system.lattice)
+        x, w = np.divmod(np.arange(K), L // system.lattice._hnf[0])
+        V = system.spreading[:, (x[:, None] + ann.xs) % L, (w[:, None] + ann.ws) % L]
+        eigs = np.linalg.eigvalsh(np.einsum("nka,mka->knm", V, V.conj()) * (K / L))
     else:
         raise ValueError(f"unknown route {route!r}")
     lower = float(eigs[:, 0].min())

@@ -1,20 +1,27 @@
 """Kernel-domain oracles: the direct per-translate sums that the
-spreading-domain engine replaces, the per-channel lattice convolutions
-that the fiberwise coefficient expansion replaces, the closure walk,
-subgroup test and exhaustive lattice duality that the Hermite normal form
-replaces, the L x L grid series and the coset sums that the lattice-size
-transforms, fold and tile replace, the per-value SplitMix64/Box-Muller
-loop that the blocked uint64 draw of PortableRng.complex_normal replaces
-(seeding contract v2, transcribed value by value in Python floats with
-math.frexp, math.floor and math.sqrt), and the index-gather spreading
-transforms that the strided diagonal views replace.
+spreading-domain engine replaces, the dense Gram matrix of all translates
+and the per-fiber periodized outer products that the Riesz fibers and
+riesz_check(route="gw") replace, the gather convolution and the
+per-channel lattice convolutions that the convolution theorem and the
+fiberwise coefficient expansion replace, the closure walk, subgroup test,
+exhaustive lattice duality, point-set membership and coset marking that
+the Hermite normal form replaces, the L x L grid series and the coset
+sums that the lattice-size transforms, fold and tile replace, the
+per-value SplitMix64/Box-Muller loop that the blocked uint64 draw of
+PortableRng.complex_normal replaces (seeding contract v2, transcribed
+value by value in Python floats with math.frexp, math.floor and
+math.sqrt), and the index-gather spreading transforms that the strided
+diagonal views replace.
 
 The operator oracles form each translate as a dense L x L kernel with
 op_translate and sum or pair in the kernel domain, O(|lattice| L^2) per
-operator.  None of them calls a spreading transform, so they stay independent of the
-engine and of the periodized ("gw") Riesz route, which share that transform.
-Symplectic series are products with the dense symp_character_matrix, or
-2-D FFTs on the L x L grid, never the transforms of opsis.phase_space.
+operator.  None of them calls a spreading transform, so they stay
+independent of the engine and of the periodized ("gw") Riesz route, which
+share that transform; the periodized oracle itself reads the index-gather
+transform below.  Symplectic series are products with the dense
+symp_character_matrix, or 2-D FFTs on the L x L grid, never the
+transforms of opsis.phase_space.  Point sets are tuples and dicts of the
+enumerated points, never the normal-form arithmetic of Lattice.locate.
 """
 
 import math
@@ -23,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from opsis.hs_ops import hs_inner, op_translate
-from opsis.phase_space import lattice_convolve, point_add, point_neg, symp_character_matrix
+from opsis.phase_space import point_add, point_neg, symp_character_matrix
 
 
 def closure(generators, L):
@@ -75,6 +82,27 @@ def dual_transversal(lat):
     return tuple(reps)
 
 
+def coset_transversal(lat, sub):
+    """Lexicographically smallest point of every coset of sub in lat, by marking the cosets."""
+    L = lat.modulus
+    seen = set()
+    reps = []
+    for p in lat.points:
+        if p not in seen:
+            reps.append(p)
+            seen.update(point_add(p, q, L) for q in sub.points)
+    return tuple(reps)
+
+
+def inflate_coefficients(system, sub, coefs):
+    """c'[n, i](mu) = c[n](lam_i + mu), each point looked up in the dict of the enumerated points."""
+    lat = system.lattice
+    index = {p: i for i, p in enumerate(lat.points)}
+    rows = [[index[point_add(rep, mu, lat.modulus)] for mu in sub.points]
+            for rep in coset_transversal(lat, sub)]
+    return np.asarray(coefs, dtype=complex)[:, rows].reshape(-1, sub.size)
+
+
 def symp_fourier(c, lat):
     """Phi @ c over the last axis, Phi the dense character matrix."""
     return np.asarray(c, dtype=complex) @ symp_character_matrix(lat).T
@@ -83,6 +111,15 @@ def symp_fourier(c, lat):
 def inv_symp_fourier(F, lat):
     """Phi^* @ F / |lat| over the last axis."""
     return np.asarray(F, dtype=complex) @ symp_character_matrix(lat).conj() / lat.size
+
+
+def lattice_convolve(c, d, lat):
+    """(c * d)(lam) = sum_mu c(mu) d(lam - mu), d gathered at every difference of two points."""
+    L = lat.modulus
+    grid = np.full((L, L), -1)
+    grid[lat.xs, lat.ws] = np.arange(lat.size)
+    table = grid[(lat.xs[:, None] - lat.xs) % L, (lat.ws[:, None] - lat.ws) % L]
+    return np.asarray(d, dtype=complex)[table] @ np.asarray(c, dtype=complex)
 
 
 # The grid series: with lam at grid index [lam.w, lam.x], sums over the
@@ -196,6 +233,41 @@ def diag_channel_samples(T, scheme, lattice):
         for m, (g, gt) in enumerate(scheme.windows):
             out[m, j] = np.vdot(gt, Tt @ g)
     return out
+
+
+def translate_stack(system):
+    """All translates as rows, shape (N |lattice|, L^2), (n, lam) n-major."""
+    L = system.lattice.modulus
+    return np.array([op_translate(p, S).reshape(L * L)
+                     for S in system.generators for p in system.lattice.points])
+
+
+def brute_gram(system):
+    """Dense Gram matrix of all translates plus its extreme eigenvalues; refuses above 4096 vectors."""
+    N, K = system.num_generators, system.lattice.size
+    if N * K > 4096:
+        raise ValueError(f"brute_gram limited to 4096 vectors, got {N * K}")
+    V = translate_stack(system)
+    G = V @ V.conj().T
+    eigs = np.linalg.eigvalsh(G)
+    return G, float(eigs[0]), float(eigs[-1])
+
+
+def gw_matrix(system, xi):
+    """G[n, n'] = sum over annihilator points a of F_n(xi + a) conj(F_n'(xi + a)).
+
+    F_n is the raw spreading transform of S_n, here the index-gather one.
+    Equals gram_fibers at the fiber of xi up to the constant |lattice| / L.
+    """
+    L = system.lattice.modulus
+    ann = np.array(annihilator(system.lattice))
+    W = fourier_wigner(system.generators)[:, (xi[0] + ann[:, 0]) % L, (xi[1] + ann[:, 1]) % L]
+    return W @ W.conj().T
+
+
+def gw_fibers(system):
+    """gw_matrix at every point of the dual transversal, shape (K, N, N)."""
+    return np.array([gw_matrix(system, xi) for xi in dual_transversal(system.lattice)])
 
 
 def correlation_sequences(system):

@@ -17,7 +17,7 @@ from opsis.hs_ops import (
     op_translate,
     rank_one,
 )
-from opsis.phase_space import build_lattice, coset_transversal, lattice_convolve
+from opsis.phase_space import build_lattice, coset_transversal
 from opsis.sampling import (
     cross_seq,
     diag_channel_samples,
@@ -31,16 +31,11 @@ from opsis.sampling import (
     transfer_matrix,
     window_scheme,
 )
-from opsis.si_space import (
-    GeneratorSystem,
-    brute_gram,
-    gram_fibers,
-    gw_fibers,
-    synthesize,
-)
+from opsis.si_space import GeneratorSystem, gram_fibers, riesz_check, synthesize
 from opsis.timefreq import tf_shift
 
 from conftest import rand_kernel, rand_seq, rand_signal
+from oracle import brute_gram, gw_fibers, lattice_convolve
 
 
 def make_setup(seed, L, desc, N, M):
@@ -119,15 +114,18 @@ def test_acceptance_03_samples_are_convolutions():
 
 
 def test_acceptance_04_riesz_route_agreement():
-    worst_spec = 0.0
+    worst_spec = worst_bounds = 0.0
     for seed, (L, desc, N, M) in enumerate(SHAPES):
         system, _, _ = make_setup(400 + seed, L, desc, N, M)
         fibers = gram_fibers(system)
-        G, _, _ = brute_gram(system)
+        G, lmin, lmax = brute_gram(system)
         lhs = np.sort(np.linalg.eigvalsh(fibers).ravel())
         rhs = np.sort(np.linalg.eigvalsh(G))
         worst_spec = max(worst_spec, float(np.abs(lhs - rhs).max()))
+        gw = riesz_check(system, route="gw")
+        worst_bounds = max(worst_bounds, abs(gw.lower - max(lmin, 0.0)), abs(gw.upper - lmax))
     assert worst_spec < 1e-9
+    assert worst_bounds < 1e-9
     worst_gw = 0.0
     for seed, (L, desc, N) in enumerate([(4, (2, 2), 1), (6, (2, 3), 2), (12, (3, 4), 2)]):
         system, _, _ = make_setup(450 + seed, L, desc, N, 1)
@@ -136,8 +134,8 @@ def test_acceptance_04_riesz_route_agreement():
         worst_gw = max(worst_gw, float(np.abs(lhs - rhs).max()))
     assert worst_gw < 1e-9
     print(f"\nACCEPTANCE 04: PASS - fiber spectra match dense Gram "
-          f"({worst_spec:.2e}), periodized route proportional by |lattice|/L "
-          f"on L in (4, 6, 12) ({worst_gw:.2e})")
+          f"({worst_spec:.2e}), so do the gw route's bounds ({worst_bounds:.2e}), "
+          f"periodized route proportional by |lattice|/L on L in (4, 6, 12) ({worst_gw:.2e})")
 
 
 def test_acceptance_05_frame_sandwich_and_necessity():

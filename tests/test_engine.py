@@ -28,12 +28,14 @@ from opsis.phase_space import (
     LatticeError,
     annihilator,
     build_lattice,
+    coset_transversal,
     cosets,
     dual_transversal,
     fold,
     fold_product,
     grid_blocks,
     inv_symp_fourier,
+    lattice_convolve,
     lattice_series,
     symp_fourier,
     tile,
@@ -45,6 +47,7 @@ from opsis.sampling import (
     coefficient_frame_expansion,
     cross_seq,
     diag_channel_samples,
+    inflate_coefficients,
     reconstruct,
     reconstruction_kit,
     transfer_matrix,
@@ -52,7 +55,6 @@ from opsis.sampling import (
 )
 from opsis.si_space import (
     GeneratorSystem,
-    brute_gram,
     coefficients,
     correlation_sequences,
     gram_fibers,
@@ -171,12 +173,34 @@ def test_fibers_match_oracle(setup):
 def test_riesz_routes_match_brute_gram(setup):
     system = setup[0]
     # N |lattice| <= 3 * 12^2, inside brute_gram's 4096 vectors
-    _, lower, upper = brute_gram(system)
+    _, lower, upper = oracle.brute_gram(system)
     lower = max(lower, 0.0)
     for report in (riesz_check(system), riesz_check(system, route="gw")):
         assert abs(report.lower - lower) <= 1e-10 * upper
         assert abs(report.upper - upper) <= 1e-10 * upper
         assert report.is_riesz == (lower > 1e-10 * upper)
+
+
+@SETTINGS
+@given(setups())
+def test_gw_route_matches_the_per_fiber_oracle(setup):
+    system = setup[0]
+    lat = system.lattice
+    L, N, K = lat.modulus, system.num_generators, lat.size
+    want = oracle.gw_fibers(system) * (K / L)
+    # the fibers riesz_check hands to eigvalsh, and the bounds it reads off
+    eigvalsh = np.linalg.eigvalsh
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", lambda G: seen.append(G) or eigvalsh(G))
+        report = riesz_check(system, route="gw")
+    [fibers] = seen
+    assert_agrees(fibers, want, 1e-13)
+    eigs = eigvalsh(want)
+    scale = max(1.0, float(np.abs(eigs).max()))
+    lower = 0.0 if N * K > L * L else max(float(eigs[:, 0].min()), 0.0)
+    assert abs(report.lower - lower) <= 1e-13 * scale
+    assert abs(report.upper - float(eigs[:, -1].max())) <= 1e-13 * scale
 
 
 @SETTINGS
@@ -536,6 +560,53 @@ def test_reconstruction_kit_forms_no_operator(monkeypatch):
 
 
 # ---------------------------------------------------------------- lattice construction
+
+@SETTINGS
+@given(setups(max_L=24))
+def test_lattice_convolve_matches_the_gather(setup):
+    system, _, rng = setup
+    lat = system.lattice
+    c, d = rand_seq(rng, (2, lat.size))
+    assert_agrees(lattice_convolve(c, d, lat), oracle.lattice_convolve(c, d, lat), 1e-13)
+
+
+@st.composite
+def lattice_pairs(draw, max_L=36):
+    """(lat, sub): a lattice from 1-3 random points, and the lattice of 1-2 of its points or of any points."""
+    L = draw(st.integers(2, max_L))
+    point = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+    lat = build_lattice(draw(st.lists(point, min_size=1, max_size=3)), L)
+    if draw(st.booleans()):
+        member = st.integers(0, lat.size - 1).map(lambda j: lat.points[j])
+        return lat, build_lattice(draw(st.lists(member, min_size=1, max_size=2)), L)
+    return lat, build_lattice(draw(st.lists(point, min_size=1, max_size=2)), L)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lattice_pairs())
+def test_membership_index_and_transversal_match_the_point_sets(pair):
+    lat, sub = pair
+    L = lat.modulus
+    points = set(lat.points)
+    x, w = np.divmod(np.arange(L * L), L)
+    index, inside = lat.locate(x, w)
+    grid = list(zip(x.tolist(), w.tolist()))
+    assert inside.tolist() == [p in points for p in grid]
+    # the grid runs lexicographically, so the members come in index order
+    assert index[inside].tolist() == [lat.index[p] for p in lat.points] == list(range(lat.size))
+    assert [p in lat for p in grid[::7]] == [p in points for p in grid[::7]]
+    assert not any((x + L, w) in lat or (x, w - L) in lat for x, w in lat.points)
+    contained = set(sub.points) <= points
+    assert lat.contains_lattice(sub) == contained
+    if not contained:
+        with pytest.raises(LatticeError):
+            coset_transversal(lat, sub)
+        return
+    assert coset_transversal(lat, sub) == oracle.coset_transversal(lat, sub)
+    system = GeneratorSystem(lat, [np.eye(L)] * 2)
+    c = np.arange(2 * lat.size).reshape(2, lat.size)
+    assert np.array_equal(inflate_coefficients(system, sub, c), oracle.inflate_coefficients(system, sub, c))
+
 
 @SETTINGS
 @given(generator_lists())

@@ -310,7 +310,17 @@ def test_convolution_theorem(rng):
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
 
 
-# ---------------------------------------------------------------- coset transversals
+# ---------------------------------------------------------------- membership and coset transversals
+
+def test_membership_is_read_off_the_normal_form():
+    lat = build_lattice([(2, 1), (0, 4)], 8)
+    assert (0, 0) in lat and (2, 1) in lat and (6, 7) in lat and np.array([4, 2]) in lat
+    assert (2, 0) not in lat and (1, 1) not in lat
+    # points outside the range stay outside, and so does anything that is not a pair
+    for p in [(8, 0), (0, 8), (10, 1), (-2, 7), (2, -3), (4,), (0, 0, 0), "ab", (0.5, 0)]:
+        assert p not in lat
+    assert lat.locate(6, 7) == (lat.index[(6, 7)], True)
+
 
 def test_coset_transversal_identity_case():
     lat = build_lattice((2, 2), 8)

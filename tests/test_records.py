@@ -142,6 +142,22 @@ def test_generator_system_validation(gens, message):
         GeneratorSystem(lattice=lat, generators=gens)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: average_scheme([]), "at least one averager is required"),
+    (lambda: average_scheme([np.ones((4, 3))]), "averager shape (4, 3) does not match L=4"),
+    (lambda: average_scheme([np.eye(4), np.eye(5)]), "averager shape (5, 5) does not match L=4"),
+    (lambda: average_scheme([np.ones(4)]), "averager shape (4,) does not match L=4"),
+    (lambda: window_scheme([(np.ones(4), np.ones(5))]), "averager shape (5, 4) does not match L=5"),
+    (lambda: window_scheme([(np.ones(4), np.ones(4)), (np.ones(5), np.ones(5))]),
+     "averager shape (5, 5) does not match L=4"),
+], ids=["empty", "non-square", "mixed-sizes", "not-a-matrix", "unequal-pair", "mixed-pairs"])
+def test_sampling_scheme_validates_its_averagers_when_built(build, message):
+    # the kernels are checked at construction, as a GeneratorSystem's are,
+    # not on the first read of a cached stage
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def assert_read_only(arrays):
     for a in arrays:
         assert not a.flags.writeable

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from opsis.phase_space import (
     build_lattice,
     coset_transversal,
     dual_transversal,
-    lattice_convolve,
 )
 from opsis.sampling import (
     NotAFrameError,
@@ -33,6 +34,7 @@ from opsis.si_space import GeneratorSystem, NotRieszError, coefficients, riesz_c
 from opsis.timefreq import stft, tf_shift
 
 from conftest import rand_kernel, rand_seq, rand_signal
+from oracle import lattice_convolve, translate_stack
 
 
 def delta_vec(L, at=0):
@@ -238,7 +240,7 @@ def test_cross_seq_vanishes_for_orthogonal_generator():
     g, gt = rand_signal(rng, L), rand_signal(rng, L)
     Q = rank_one(gt, g)
     averager_system = GeneratorSystem(lat, (Q,))
-    V = averager_system.translate_stack()
+    V = translate_stack(averager_system)
     T0 = rand_kernel(rng, L)
     x, *_ = np.linalg.lstsq(V.T, T0.reshape(L * L), rcond=None)
     S_perp = T0 - (V.T @ x).reshape(L, L)
@@ -420,6 +422,16 @@ def test_kit_gates_on_riesz():
     system = GeneratorSystem(lat, (rank_one(d, d),))
     with pytest.raises(NotRieszError):
         reconstruction_kit(system, window_scheme([(d, d)]))
+
+
+@pytest.mark.parametrize("shape", [(2, 16), (3, 15), (3, 16, 1), (48,)])
+def test_reconstruction_and_coefficient_expansion_check_the_sample_shape(shape):
+    system, scheme, _ = seeded_setup(24, N=2, M=3)
+    kit = reconstruction_kit(system, scheme)
+    message = f"sample array shape {shape}, expected {(3, 16)}"
+    for recover in (reconstruct, coefficient_frame_expansion):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            recover(np.ones(shape), kit)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])

@@ -6,18 +6,16 @@ from opsis.phase_space import Lattice, build_lattice
 from opsis.si_space import (
     GeneratorSystem,
     NotRieszError,
-    brute_gram,
     coefficients,
     correlation_sequences,
     gram_fibers,
-    gw_fibers,
-    gw_matrix,
     riesz_check,
     synthesize,
 )
 from opsis.timefreq import gaussian_window, stft
 
 from conftest import rand_kernel, rand_seq
+from oracle import brute_gram, gw_fibers, gw_matrix, translate_stack
 
 
 def delta_vec(L, at=0):
@@ -34,7 +32,7 @@ def seeded_system(seed, L, desc, N):
 
 def project_out(T, system):
     """Brute-force orthogonal residual of T against all translates (lstsq oracle)."""
-    V = system.translate_stack()
+    V = translate_stack(system)
     L = system.lattice.modulus
     x, *_ = np.linalg.lstsq(V.T, T.reshape(L * L), rcond=None)
     return T - (V.T @ x).reshape(L, L)

@@ -38,6 +38,8 @@ it is not a dataclass, so importing this module generates no code.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,7 +222,7 @@ def _box_muller(bits: np.ndarray, out: np.ndarray) -> None:
 
 
 class ExperimentConfig(SimpleNamespace):
-    """Resolved experiment inputs plus raw options for the runners.
+    """Resolved experiment inputs plus options for the runners, validated by :func:`parse_config`.
 
     Mutable; compares and prints field by field, as a SimpleNamespace does.
     """
@@ -331,6 +333,29 @@ def _generator(spec, L, master: PortableRng, label):
     raise ConfigError(f"unknown generator kind {kind!r} in '{label}'")
 
 
+def _tolerances(spec) -> dict:
+    """The 'riesz' and 'frame' gate overrides, each a finite number >= 0, or None for the default."""
+    if not isinstance(spec, dict):
+        raise ConfigError("'tolerances' must be an object")
+    tols = {key: spec.get(key) for key in ("riesz", "frame")}
+    for key, val in tols.items():
+        if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))
+                                or not 0 <= val < math.inf):
+            raise ConfigError(f"'tolerances.{key}' must be a finite number >= 0")
+    return tols
+
+
+def _dual_scale(spec):
+    """The scale of the seeded left-inverse family member, or None when the perturbation is disabled."""
+    if not (isinstance(spec, dict) and isinstance(spec.get("enabled"), bool)):
+        raise ConfigError("'dual_perturbation' must be an object with a boolean 'enabled'")
+    scale = spec.get("scale", 1.0)
+    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+            or not abs(scale) <= sys.float_info.max):
+        raise ConfigError("'dual_perturbation.scale' must be a finite number")
+    return scale if spec["enabled"] else None
+
+
 def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a raw config dict and build the experiment objects it describes.
 
@@ -400,11 +425,9 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     coef_seed = master.next_u64()
     dual_seed = master.next_u64()
 
-    options = {
-        k: raw[k]
-        for k in ("channel", "sweep", "tolerances", "dual_perturbation")
-        if k in raw
-    }
+    options = {k: raw[k] for k in ("channel", "sweep") if k in raw}
+    options["tolerances"] = _tolerances(raw.get("tolerances", {}))
+    options["dual_perturbation"] = _dual_scale(raw.get("dual_perturbation", {"enabled": False}))
     return ExperimentConfig(
         L=L,
         seed=seed,

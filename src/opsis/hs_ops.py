@@ -13,10 +13,11 @@ multipliers, and the convolution of a phase-space function with an operator.
 
 Translate sums and trace pairings over a lattice are computed in the
 spreading domain, where translation is a pointwise multiplication by a
-character and the lattice enters through the annihilator fold and tile of
+character and the lattice enters through the two grid-lattice maps of
 :mod:`opsis.phase_space`: :func:`lattice_pairing` is the inverse
-symplectic series of a fold, and a translate sum multiplies the spreading
-transform by the tiled symplectic series of its coefficients.  Every
+symplectic series of a fold_product, and a translate sum (a Gabor
+multiplier, or :func:`fn_op_convolve`) is the tile_product of the
+symplectic series of its coefficients with the spreading transform.  Every
 lattice Fourier step runs on the lattice's own size, never on an L x L grid
 FFT; :func:`fn_op_convolve` runs the same code on the full lattice Z_L^2,
 where it is the plain 2-D DFT.  :func:`op_translate` builds one translate
@@ -32,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .phase_space import Point, build_lattice, fold_product, inv_symp_fourier, lattice_series
+from .phase_space import Point, build_lattice, fold_product, inv_symp_fourier, symp_fourier, tile_product
 from .timefreq import UnsupportedModulusError
 
 
@@ -183,8 +184,8 @@ def inverse_fourier_wigner(F) -> np.ndarray:
 
 
 # The spreading-domain engine.  By covariance, the spreading transform of
-# sum_lam c(lam) translate(lam, H) is C * F(H) with the symplectic series
-# C = lattice_series(c), and by Parseval
+# sum_lam c(lam) translate(lam, H) is tile(symp_fourier(c)) * F(H), which
+# :func:`opsis.phase_space.tile_product` forms block by block, and by Parseval
 # <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L},
 # which Poisson summation over the annihilator turns into the inverse
 # symplectic series of the fold of F_T conj(F_Q).  That fold is contracted
@@ -207,8 +208,8 @@ def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
     analyze with window psi, reweight on the lattice, resynthesize with
     atom phi.
     """
-    F = fourier_wigner(rank_one(phi, psi))
-    return inverse_fourier_wigner(lattice_series(mask, lattice) * F)
+    chat = symp_fourier(mask, lattice)[..., None, :]
+    return inverse_fourier_wigner(tile_product(chat, fourier_wigner(rank_one(phi, psi))[None], lattice))
 
 
 def fn_op_convolve(g, S) -> np.ndarray:
@@ -225,5 +226,6 @@ def fn_op_convolve(g, S) -> np.ndarray:
     # the full lattice Z_L^2 indexes its points x-major, as the [x, w] table;
     # it is built from its normal form and never lists them
     full = build_lattice((1, 1), L)
-    return inverse_fourier_wigner(lattice_series(g.reshape(L * L), full) * fourier_wigner(S))
+    chat = symp_fourier(g.reshape(1, L * L), full)
+    return inverse_fourier_wigner(tile_product(chat, fourier_wigner(S)[None], full))
 

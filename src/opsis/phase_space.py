@@ -1,6 +1,6 @@
 """Finite phase space Z_L x Z_L: lattices, annihilators, dual transversals,
-symplectic Fourier series, the annihilator fold and tile, and lattice
-convolution.
+symplectic Fourier series, the fold and tile products between the grid and
+the lattice, and lattice convolution.
 
 A phase-space point is a pair (x, w) of residues mod L: x is a cyclic time
 shift, w a frequency shift.  All Fourier analysis on lattices runs through
@@ -31,29 +31,29 @@ j x/Q + (k c mod b) x/L - k w/P, so :func:`symp_fourier` is a length-Q FFT
 over j, a twiddle e^{2 pi i (k c mod b) x/L} and a length-P FFT over k, and
 :func:`inv_symp_fourier` runs the same steps backwards: O(K log K) each.
 Functions on the L x L grid meet the lattice through two maps (Poisson
-summation over the annihilator):
+summation over the annihilator), each run only inside a product:
 
-* :func:`fold` sums a grid function over every annihilator coset,
+* the fold sums a grid function over every annihilator coset,
   fold(G)(xi) = (|lat|/L) sum_{alpha in ann} G(xi + alpha), so a trace
-  pairing over the lattice is inv_symp_fourier(fold(...));
-* :func:`tile` is its broadcast adjoint, the annihilator-periodic extension
-  of fiber data to the grid, so the symplectic series of a sequence on the
-  whole grid is :func:`lattice_series` = tile(symp_fourier(c)).
+  pairing over the lattice is inv_symp_fourier(fold(F_T conj(F_Q)));
+  :func:`fold_product` computes that fold;
+* the tile is its adjoint, the annihilator-periodic extension of fiber
+  data to the grid, and by covariance a translate sum has the spreading
+  transform sum_n tile(chat_n) F_n; :func:`tile_product` computes that sum.
 
 The annihilator is generated by (Q, c') and (0, P), c' = c L/(a b), so
 :func:`cosets` lays the grid out as (b, Q, a, P), entry [k', x0, j', w0] at
 (x0, w0) + k'(Q, c') + j'(0, P): a zero-copy reshape when c' = 0, and
-otherwise one cached shear gather along the contiguous w axis.  fold sums
-this layout over (k', j'), and :func:`fold_product` contracts two of them,
-fold(F_T conj(F_Q)), coset by coset with one einsum, so the product of every
-pair of operators is never formed: a bracket product (de Boor, DeVore and
-Ron, JFA 1994).  tile reads the transversal index of every grid point from a
-second cached shear gather, broadcast over j'; :func:`tile_block` is that
-block before the broadcast, laid out to meet the plain (b, Q, a, P) reshape
-of the grid (:func:`grid_blocks`), so a sum of tiled products runs block by
-block without a tiled copy.  :func:`symp_character_matrix`, the dense
-|lattice| x |lattice| character matrix, has no production caller; the
-tests' reference series use it.
+otherwise one cached shear gather along the contiguous w axis.
+fold_product contracts two such layouts over (k', j') coset by coset with
+one einsum, so the product of every pair of operators is never formed: a
+bracket product (de Boor, DeVore and Ron, JFA 1994).  :func:`tile_block`
+reads the transversal index of every grid point from a second cached
+gather, one block before the broadcast over j', laid out to meet the plain
+(b, Q, a, P) reshape of the grid (:func:`grid_blocks`), so tile_product
+runs block by block without a tiled copy.  :func:`symp_character_matrix`,
+the dense |lattice| x |lattice| character matrix, has no production
+caller; the tests' reference series use it.
 
 Conventions relied on throughout the package:
 
@@ -120,30 +120,11 @@ class Immutable:
 class Lattice(Immutable):
     """A subgroup of Z_L x Z_L with elements in lexicographic order.
 
-    Construct through :func:`build_lattice`; direct construction needs the
-    point tuple to be a sorted subgroup and raises LatticeError otherwise.
-    A lattice is fixed by its normal form, so a built lattice enumerates its
-    points only when they are first read.  Lattices are immutable.
+    Built only by :func:`build_lattice`, from its normal form, so every
+    lattice is a subgroup by construction; Lattice(...) itself takes no
+    arguments and raises TypeError.  A lattice enumerates its points only
+    when they are first read.  Lattices are immutable.
     """
-
-    def __init__(self, modulus: int, points):
-        L = modulus
-        if L < 2:
-            raise LatticeError(f"modulus must be >= 2, got {L}")
-        try:
-            xs = np.array([p[0] for p in points], dtype=int)
-            ws = np.array([p[1] for p in points], dtype=int)
-            a, b, c = _read_hnf(L, xs, ws)
-        except (TypeError, ValueError, IndexError, OverflowError) as e:
-            raise LatticeError(f"points must be pairs of integers ({e})") from None
-        if not (L % a or L % b or (L // a) * c % b):
-            lat = Lattice._from_hnf(L, a, b, c)
-            if tuple(points) == lat.points:
-                # the same points, as a tuple of Python ints
-                self.__dict__.update(lat.__dict__)
-                return
-        raise LatticeError("points are not a subgroup in lexicographic order "
-                           "(not closed under subtraction, or out of range, repeated or unsorted)")
 
     @classmethod
     def _from_hnf(cls, L: int, a: int, b: int, c: int) -> Lattice:
@@ -217,7 +198,7 @@ class Lattice(Immutable):
 
     @cached_property
     def _tile_gather(self) -> np.ndarray:
-        """Index of :func:`tile`, shape (b, Q, P), read-only.
+        """Index of :func:`tile_block`, shape (b, Q, P), read-only.
 
         Entry [k', x0, w1] is the transversal point (x0, (w1 - k' c') mod P),
         whose annihilator coset holds the grid points (k' Q + x0, w1 + j' P).
@@ -261,19 +242,6 @@ def _as_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise LatticeError(f"lattice descriptor entries must be integers, got {v!r}")
     return int(v)
-
-
-def _read_hnf(L: int, xs: np.ndarray, ws: np.ndarray) -> tuple[int, int, int]:
-    """The normal form (a, b, c) read off the points; see the module docstring.
-
-    a is the least x > 0, b the least w > 0 on the line x = 0, and c the
-    least w on the line x = a, taken mod b; a and b are L when there is no
-    such point.
-    """
-    a = int(xs[xs > 0].min(initial=L))
-    b = int(ws[(xs == 0) & (ws > 0)].min(initial=L))
-    c = int(ws[xs == a].min(initial=L)) % b
-    return a, b, c
 
 
 def _hnf_points(L: int, a: int, b: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,18 +412,6 @@ def cosets(G, lat: Lattice) -> np.ndarray:
     return C.transpose(tuple(range(n)) + (n + 2, n, n + 3, n + 1))
 
 
-def fold(G, lat: Lattice) -> np.ndarray:
-    """Annihilator fold fold(G)(xi) = (|lat|/L) sum_{alpha in ann} G[xi + alpha] on the dual transversal.
-
-    G is a function on the grid, indexed [x, w] in its last two axes;
-    leading axes are kept.  By Poisson summation over the annihilator,
-    inv_symp_fourier(fold(G)) is the lattice pairing
-    (1/L) sum_z G[z] e^{-2 pi i sigma(lam, z)/L}.
-    """
-    F = cosets(G, lat).sum(axis=(-4, -2))
-    return F.reshape(F.shape[:-2] + (lat.size,)) * (lat.size / lat.modulus)
-
-
 def fold_product(FT, FQ, lat: Lattice) -> np.ndarray:
     """fold(FT * conj(FQ)), contracted coset by coset without forming the product.
 
@@ -466,22 +422,8 @@ def fold_product(FT, FQ, lat: Lattice) -> np.ndarray:
     return F.reshape(F.shape[:-2] + (lat.size,)) * (lat.size / lat.modulus)
 
 
-def tile(F, lat: Lattice) -> np.ndarray:
-    """Annihilator-periodic extension of fiber data to the grid, shape (..., L, L).
-
-    tile(F)[z] = F(xi) for every z in the annihilator coset of xi; the last
-    axis of F runs over the dual transversal.  The adjoint of :func:`fold`
-    up to the factor |lat|/L.
-    """
-    block = tile_block(F, lat)
-    L = lat.modulus
-    a, b, _ = lat._hnf
-    lead = block.shape[:-4]
-    return np.broadcast_to(block, lead + (b, L // b, a, L // a)).reshape(lead + (L, L))
-
-
 def tile_block(F, lat: Lattice) -> np.ndarray:
-    """:func:`tile` in the layout of :func:`grid_blocks`, without the grid-size copy.
+    """The tile of fiber data F in the layout of :func:`grid_blocks`, without the grid-size copy.
 
     Shape (..., b, Q, 1, P), or (..., 1, Q, 1, P) when c' = 0: the tile is
     constant over j', and over k' too when c' = 0, so those axes broadcast.
@@ -497,14 +439,20 @@ def tile_block(F, lat: Lattice) -> np.ndarray:
     return np.take(F, lat._tile_gather, axis=-1)[..., None, :]
 
 
-def lattice_series(c, lattice: Lattice) -> np.ndarray:
-    """Symplectic series C[x, w] = sum_lam c(lam) e^{2 pi i sigma(lam, (x, w))/L} on the whole grid.
+def tile_product(chat, F, lat: Lattice) -> np.ndarray:
+    """sum_n tile(chat[..., n, :]) F[n], shape (..., N, K) and (N, L, L) -> (..., L, L).
 
-    The multiplier of a translate sum in the spreading domain:
-    fourier_wigner(sum_lam c(lam) translate(lam, H)) = C * fourier_wigner(H).
-    Leading axes of c are kept; the last one runs over the lattice points.
+    With chat_n = symp_fourier(c_n) and F_n = F(S_n) this is
+    F(sum_n sum_lam c_n(lam) translate(lam, S_n)).  Accumulated over n in
+    the grid's blocks, so neither the tiles nor the N products are formed.
     """
-    return tile(symp_fourier(c, lattice), lattice)
+    blocks = tile_block(chat, lat)
+    blocks = blocks.transpose(-5, *range(blocks.ndim - 5), -4, -3, -2, -1)
+    F = grid_blocks(F, lat)
+    out = blocks[0] * F[0]
+    for block, F_n in zip(blocks[1:], F[1:], strict=True):
+        out += block * F_n
+    return out.reshape(out.shape[:-4] + (lat.modulus,) * 2)
 
 
 def lattice_convolve(c, d, lat: Lattice) -> np.ndarray:

@@ -47,10 +47,10 @@ Production routes run in the spreading domain and on the fibers: every
 sample is a lattice pairing of F_T = fourier_wigner(T) with the scheme's
 cached averager transforms (a window scheme's averagers are gt_m (x) g_m),
 that is the inverse symplectic series of an annihilator fold (see
-:mod:`opsis.phase_space`).  Since lattice_series(b[n, m]) is the tile of
-Bhat[:, n, m], F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n), and reconstruction
-synthesizes the fiber data chat = Bhat shat over the generators: N tiles,
-with no H_m formed.  :func:`berezin` is the pairing on the full lattice
+:mod:`opsis.phase_space`).  F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n), and
+reconstruction synthesizes the fiber data chat = Bhat shat over the
+generators with no H_m formed: one :func:`~opsis.phase_space.tile_product`
+each.  :func:`berezin` is the pairing on the full lattice
 Z_L x Z_L.  The per-translate loops and per-channel lattice convolutions
 survive as oracles in tests/oracle.py.
 """
@@ -78,14 +78,15 @@ from .phase_space import (
     fold_product,
     inv_symp_fourier,
     symp_fourier,
+    tile_product,
 )
 from .si_space import (
     GeneratorSystem,
     RieszReport,
+    coefficient_array,
     fiber_left_inverse,
     fiber_singular_values,
     riesz_check,
-    span_spreading,
 )
 from .timefreq import tf_shift
 
@@ -377,7 +378,7 @@ class ReconstructionKit(Immutable):
 
         F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n).
         """
-        F = span_spreading(self.system, self.dual_fibers.transpose(2, 1, 0))
+        F = tile_product(self.dual_fibers.transpose(2, 1, 0), self.system.spreading, self.system.lattice)
         F.setflags(write=False)
         return F
 
@@ -416,7 +417,8 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
     property claimed.  Computed as the synthesis of the fiber data
     chat(xi) = Bhat(xi) shat(xi) over the generators.
     """
-    return inverse_fourier_wigner(span_spreading(kit.system, _sample_fibers(samples, kit)))
+    chat = _sample_fibers(samples, kit)
+    return inverse_fourier_wigner(tile_product(chat, kit.system.spreading, kit.system.lattice))
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:
@@ -444,12 +446,13 @@ def sublattice_inflate(system: GeneratorSystem, sub: Lattice) -> GeneratorSystem
 
 
 def inflate_coefficients(system: GeneratorSystem, sub: Lattice, coefs) -> np.ndarray:
-    """Re-index coefficients for an inflated system: c'[n, i](mu) = c[n](lam_i + mu)."""
+    """Re-index (N, |lattice|) coefficients for an inflated system: c'[n, i](mu) = c[n](lam_i + mu)."""
+    coefs = coefficient_array(system, coefs)
     lat = system.lattice
     L = lat.modulus
     reps = np.array(coset_transversal(lat, sub))
     index, _ = lat.locate((reps[:, :1] + sub.xs) % L, (reps[:, 1:] + sub.ws) % L)
-    return np.asarray(coefs, dtype=complex)[:, index].reshape(-1, sub.size)
+    return coefs[:, index].reshape(-1, sub.size)
 
 
 def interpolation_deviation(kit: ReconstructionKit) -> float:

@@ -16,14 +16,15 @@ of the spreading transforms equal Ghat up to the single constant
 |lattice| / L; riesz_check(route="gw") reads them by direct indexing, as a
 cross-check of the fibers that shares only the spreading transforms.
 
-Production routes run in the spreading domain and on the fibers: the
-Riesz fibers are the annihilator folds of F_n conj(F_n') over the
-generators' cached spreading transforms, synthesis multiplies each F_n by
-the tiled symplectic series of its coefficients and sums over n in the
-grid's blocks, with no tiled copy (:func:`span_spreading`), and the
-analysis step of :func:`coefficients` is the fold of F_T conj(F_n)
-(see :mod:`opsis.phase_space`).  Each fold is contracted coset by coset by
-:func:`~opsis.phase_space.fold_product`, so the N^2 or N products on the
+Production routes run in the spreading domain and on the fibers, through
+the two grid-lattice maps of :mod:`opsis.phase_space`.  The Riesz fibers
+are the annihilator folds of F_n conj(F_n') over the generators' cached
+spreading transforms, and the analysis step of :func:`coefficients` is the
+fold of F_T conj(F_n); each fold is contracted coset by coset by
+:func:`~opsis.phase_space.fold_product`.  Synthesis multiplies each F_n by
+the tiled symplectic series of its coefficients and sums over n,
+sum_n tile(chat_n) F_n, block by block in
+:func:`~opsis.phase_space.tile_product`.  So the N^2 or N products on the
 L x L grid are never formed; no translate is ever formed and no lattice
 Fourier step runs on the L x L grid.  A system caches its spreading
 transforms, its Riesz fibers and their spectrum, so :func:`riesz_check`,
@@ -80,10 +81,9 @@ from .phase_space import (
     Lattice,
     annihilator,
     fold_product,
-    grid_blocks,
     inv_symp_fourier,
     symp_fourier,
-    tile_block,
+    tile_product,
 )
 
 
@@ -271,33 +271,20 @@ class RieszReport:
             raise NotRieszError(f"generator translates are not a Riesz sequence ({detail})")
 
 
-def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
-    """Sum coefs[n, j] * translate(lattice.points[j], S_n) over all n, j."""
+def coefficient_array(system: GeneratorSystem, coefs) -> np.ndarray:
+    """coefs as a complex array, checked to have shape (N, |lattice|); ValueError otherwise."""
     coefs = np.asarray(coefs, dtype=complex)
     want = (system.num_generators, system.lattice.size)
     if coefs.shape != want:
         raise ValueError(f"coefficient array shape {coefs.shape}, expected {want}")
-    return inverse_fourier_wigner(span_spreading(system, symp_fourier(coefs, system.lattice)))
+    return coefs
 
 
-def span_spreading(system: GeneratorSystem, chat) -> np.ndarray:
-    """Spreading transform of the span element with fiber data chat, shape (..., N, K) -> (..., L, L).
-
-    chat[..., n, :] = symp_fourier(c_n) gives
-    F(sum_n sum_lam c_n(lam) translate(lam, S_n)) = sum_n tile(chat_n) F(S_n).
-
-    Accumulated over n in the grid's blocks, where each tile is one
-    broadcast block (:func:`~opsis.phase_space.tile_block`), so neither
-    the tiles nor the N products on the grid are formed.
-    """
+def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
+    """Sum coefs[n, j] * translate(lattice.points[j], S_n) over all n, j."""
+    coefs = coefficient_array(system, coefs)
     lat = system.lattice
-    blocks = tile_block(chat, lat)
-    blocks = blocks.transpose(-5, *range(blocks.ndim - 5), -4, -3, -2, -1)
-    F = grid_blocks(system.spreading, lat)
-    out = blocks[0] * F[0]
-    for block, F_n in zip(blocks[1:], F[1:], strict=True):
-        out += block * F_n
-    return out.reshape(out.shape[:-4] + (lat.modulus,) * 2)
+    return inverse_fourier_wigner(tile_product(symp_fourier(coefs, lat), system.spreading, lat))
 
 
 def correlation_sequences(system: GeneratorSystem) -> np.ndarray:

@@ -3,10 +3,10 @@ spreading-domain engine replaces, the dense Gram matrix of all translates
 and the per-fiber periodized outer products that the Riesz fibers and
 riesz_check(route="gw") replace, the gather convolution and the
 per-channel lattice convolutions that the convolution theorem and the
-fiberwise coefficient expansion replace, the closure walk, subgroup test,
-exhaustive lattice duality, point-set membership and coset marking that
-the Hermite normal form replaces, the L x L grid series and the coset
-sums that the lattice-size transforms, fold and tile replace, the
+fiberwise coefficient expansion replace, the closure walk, exhaustive
+lattice duality, point-set membership and coset marking that the Hermite
+normal form replaces, the L x L grid series and the coset sums that the
+lattice-size transforms, fold_product and tile_product replace, the
 per-value SplitMix64/Box-Muller loop that the blocked uint64 draw of
 PortableRng.complex_normal replaces (seeding contract v2, transcribed
 value by value in Python floats with math.frexp, math.floor and
@@ -46,16 +46,6 @@ def closure(generators, L):
                 points.add(q)
                 frontier.append(q)
     return tuple(sorted(points))
-
-
-def is_subgroup(points, L):
-    """True when the tuple lists a subgroup of Z_L x Z_L once each, lexicographically."""
-    found = set(points)
-    return (list(points) == sorted(found)
-            and (0, 0) in found
-            and all(0 <= x < L and 0 <= w < L for x, w in found)
-            and all(((px - qx) % L, (pw - qw) % L) in found
-                    for px, pw in found for qx, qw in found))
 
 
 def annihilator(lat):

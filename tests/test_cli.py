@@ -263,6 +263,50 @@ def test_non_finite_dual_perturbation_scale_exits_3(tmp_path, literal):
     assert not (out / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    True,
+    [1, 2],
+    "enabled",
+    {"enabled": "false"},
+    {"enabled": "no"},
+    {"enabled": 1},
+    {"enabled": None},
+    {"scale": 2.0},                          # no 'enabled'
+    {"enabled": False, "scale": "large"},    # scale is checked when disabled too
+])
+def test_malformed_dual_perturbation_exits_3(tmp_path, spec):
+    cfg = write_config(tmp_path / "c.json", dict(RECON_OK, dual_perturbation=spec))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
+
+
+def test_disabled_dual_perturbation_is_the_default_dual(tmp_path):
+    outputs = []
+    for name, extra in (("plain", {}), ("off", {"dual_perturbation": {"enabled": False, "scale": 5}})):
+        cfg = write_config(tmp_path / f"{name}.json", dict(RECON_OK, **extra))
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "metrics.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# a config every command runs on, with exit 0
+ALL_COMMANDS_OK = dict(RECON_OK, sweep={"a": [2], "b": [2]})
+
+
+@pytest.mark.parametrize("command", ["riesz-check", "frame-check", "reconstruct",
+                                     "channel-demo", "sweep"])
+@pytest.mark.parametrize("tolerances", ["bad", [1e-3], {"riesz": "1e-3"}, {"frame": -1}])
+def test_malformed_tolerances_exit_3_on_every_command(tmp_path, command, tolerances):
+    cfg = write_config(tmp_path / "ok.json", ALL_COMMANDS_OK)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    cfg = write_config(tmp_path / "c.json", dict(ALL_COMMANDS_OK, tolerances=tolerances))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_dual_perturbation_fails_the_left_inverse_gate(tmp_path):
     # a finite scale whose family member overflows: the residual is NaN, not small
     perturbed = dict(RECON_OK, dual_perturbation={"enabled": True, "scale": 1e308})
@@ -409,6 +453,7 @@ def test_sweep_grid_rows(tmp_path):
     assert len(rows) == 1 + 9
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_row_keeps_riesz_bounds_when_transfer_fibers_overflow(tmp_path):
     big = [[1e200, 0.0]] * 4
     window = {"kind": "explicit", "values": big}
@@ -458,6 +503,7 @@ def test_seed_override_changes_metrics(tmp_path):
 
 # ---------------------------------------------------------------- numerical failure
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_kernel_exits_4(tmp_path):
     big = 1e200
     kernel = [[[big, 0.0] for _ in range(4)] for _ in range(4)]
@@ -490,7 +536,8 @@ def test_integer_beyond_the_float_range_in_a_window_exits_3(tmp_path):
     assert not (out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [
+    math.nan, pytest.param(math.inf, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))])
 @pytest.mark.parametrize("command", ["frame-check", "reconstruct", "channel-demo", "sweep"])
 def test_non_finite_window_exits_4(tmp_path, command, value):
     # json.load reads the NaN and Infinity that json.dumps writes here

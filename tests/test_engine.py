@@ -1,9 +1,9 @@
 """The spreading-domain engine and the lattice-size transforms, coset
-layout, fold and tile against the kernel-domain, dense-character,
-grid-series, coset-sum and index-gather oracles of oracle.py, on random
-lattices (separable or not) from random generator lists, odd, even and
-prime L, the edge shapes {0}, Z_L^2 and a diagonal lattice, and random
-numbers of generators and channels."""
+layout, fold_product and tile_product against the kernel-domain,
+dense-character, grid-series, coset-sum and index-gather oracles of
+oracle.py, on random lattices (separable or not) from random generator
+lists, odd, even and prime L, the edge shapes {0}, Z_L^2 and a diagonal
+lattice, and random numbers of generators and channels."""
 
 import tracemalloc
 
@@ -24,22 +24,19 @@ from opsis.hs_ops import (
     rank_one,
 )
 from opsis.phase_space import (
-    Lattice,
     LatticeError,
     annihilator,
     build_lattice,
     coset_transversal,
     cosets,
     dual_transversal,
-    fold,
     fold_product,
     grid_blocks,
     inv_symp_fourier,
     lattice_convolve,
-    lattice_series,
     symp_fourier,
-    tile,
     tile_block,
+    tile_product,
 )
 from opsis.sampling import (
     avg_samples,
@@ -121,30 +118,6 @@ def generator_lists(draw, max_L=30):
 def test_build_lattice_matches_closure_walk(case):
     L, gens = case
     assert build_lattice(gens, L).points == oracle.closure(gens, L)
-
-
-@st.composite
-def point_tuples(draw, max_L=8):
-    """(L, points): a random sorted subset of the grid, or a subgroup with at most one point removed."""
-    L = draw(st.integers(2, max_L))
-    point = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
-    if draw(st.booleans()):
-        return L, tuple(sorted(draw(st.sets(point, max_size=2 * L))))
-    group = list(oracle.closure(draw(st.lists(point, min_size=1, max_size=3)), L))
-    if draw(st.booleans()):
-        del group[draw(st.integers(0, len(group) - 1))]
-    return L, tuple(group)
-
-
-@SETTINGS
-@given(point_tuples())
-def test_direct_construction_accepts_exactly_the_subgroups(case):
-    L, points = case
-    try:
-        accepted = Lattice(L, points).points == points
-    except LatticeError:
-        accepted = False
-    assert accepted == oracle.is_subgroup(points, L)
 
 
 @SETTINGS
@@ -300,7 +273,7 @@ def test_cached_spreading_transforms_are_read_only():
     assert system.spreading is system.spreading
 
 
-# ---------------------------------------------------------------- lattice-size transforms, fold and tile
+# ---------------------------------------------------------------- lattice-size transforms, fold and tile products
 
 # (L, descriptor): the trivial lattice {0} (a = b = L), the full Z_L^2, a
 # diagonal lattice with b = L, prime L, and L = 2
@@ -345,13 +318,19 @@ def test_symp_fourier_matches_character_matrix(lat, batch, seed):
 
 
 @SETTINGS
-@given(engine_lattices(), batches, seeds)
-def test_fold_matches_coset_sums_and_grid_pairing(lat, batch, seed):
+@given(engine_lattices(), st.integers(1, 3), batches, seeds)
+def test_span_spreading_is_the_tiled_product_bit_for_bit(lat, N, batch, seed):
+    # the spreading function of a span element sum_n c_n * g_n is
+    # tile_product of its fiber coefficients with the generators' spreading
     rng = np.random.default_rng(seed)
     L = lat.modulus
-    G = rand_seq(rng, (*batch, L, L))
-    assert_agrees(fold(G, lat), oracle.fold(G, lat))
-    assert_agrees(inv_symp_fourier(fold(G, lat), lat), oracle.pairing_grid(G)[..., lat.ws, lat.xs])
+    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(N)))
+    chat = rand_seq(rng, (*batch, N, lat.size))
+    out = tile_product(chat, system.spreading, lat)
+    assert out.shape == (*batch, L, L)
+    assert np.array_equal(out, (oracle.tile(chat, lat) * system.spreading).sum(axis=-3))
+    F = rand_seq(rng, (N, L, L))
+    assert np.array_equal(tile_product(chat, F, lat), (oracle.tile(chat, lat) * F).sum(axis=-3))
 
 
 @SETTINGS
@@ -360,13 +339,17 @@ def test_tile_matches_cosets_and_grid_series(lat, batch, seed):
     rng = np.random.default_rng(seed)
     L = lat.modulus
     F = rand_seq(rng, (*batch, lat.size))
-    assert_agrees(tile(F, lat), oracle.tile(F, lat))
-    assert_agrees(lattice_series(F, lat), oracle.lattice_series(F, lat))
+    tiles = grid_blocks(oracle.tile(F, lat), lat)
+    assert np.array_equal(np.broadcast_to(tile_block(F, lat), tiles.shape), tiles)
+    # the tile of a symplectic series is the series on the whole grid
+    ones = np.ones((1, L, L))
+    c = inv_symp_fourier(F[..., None, :], lat)
+    assert_agrees(tile_product(symp_fourier(c, lat), ones, lat), oracle.lattice_series(c, lat)[..., 0, :, :])
     # tile is the adjoint of fold up to |lat| / L
     f = F.reshape(-1, lat.size)[0]
     G = rand_seq(rng, (L, L))
-    lhs = np.vdot(f, fold(G, lat))
-    rhs = np.vdot(tile(f, lat), G) * (lat.size / L)
+    lhs = np.vdot(f, fold_product(G, np.ones((L, L)), lat))
+    rhs = np.vdot(oracle.tile(f, lat), G) * (lat.size / L)
     assert abs(lhs - rhs) <= 1e-12 * np.abs(f).sum() * np.abs(G).sum()
 
 
@@ -486,27 +469,13 @@ def test_lattice_transforms_run_ffts_of_lattice_size(monkeypatch):
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
     c = rand_seq(rng, (2, lat.size))
+    tile_product(symp_fourier(c, lat), system.spreading, lat)
     inv_symp_fourier(symp_fourier(c, lat), lat)
-    lattice_series(c, lat)
     lattice_pairing(system.spreading, scheme.spreading[:, None], lat)
     gram_fibers(system)
     kit = reconstruction_kit(system, scheme)
     kit.spreading
     assert lengths and set(lengths) <= {L // a, L // b}
-
-
-@SETTINGS
-@given(engine_lattices(max_L=24), st.integers(1, 3), batches, seeds)
-def test_span_spreading_is_the_tiled_product_bit_for_bit(lat, N, batch, seed):
-    rng = np.random.default_rng(seed)
-    L = lat.modulus
-    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(N)))
-    chat = rand_seq(rng, (*batch, N, lat.size))
-    out = si_space.span_spreading(system, chat)
-    assert np.array_equal(out, (tile(chat, lat) * system.spreading).sum(axis=-3))
-    assert out.shape == (*batch, L, L)
-    tiles = grid_blocks(tile(chat, lat), lat)
-    assert np.array_equal(np.broadcast_to(tile_block(chat, lat), tiles.shape), tiles)
 
 
 @pytest.mark.parametrize("desc", [(4, 4), [(4, 3), (0, 4)]])
@@ -633,13 +602,13 @@ def test_lattices_enumerate_the_normal_form_once_on_first_read(monkeypatch):
     # building, sizing and the transforms need only the normal form
     assert (lat.size, ann.size) == (36, 4)
     inv_symp_fourier(symp_fourier(np.ones(lat.size), lat), lat)
-    tile(fold(np.ones((12, 12)), lat), lat)
+    ones = np.ones((1, 12, 12))
+    tile_product(fold_product(ones, ones, lat), ones, lat)
     assert calls == []
     for p in (lat, ann):
         assert list(zip(p.xs.tolist(), p.ws.tolist())) == list(p.points)
         for cached in (p.xs, p.ws, p._twiddle, p._coset_gather, p._tile_gather):
             assert not cached.flags.writeable
     assert calls == [(12, 2, 2, 1), (12, 6, 6, 3)]
-    assert Lattice(12, lat.points) == lat
     with pytest.raises(AttributeError):
         lat.modulus = 24

@@ -94,10 +94,12 @@ def test_descriptor_rejects_booleans_and_floats(desc):
 
 
 def test_direct_construction_rejects_non_subgroup():
-    with pytest.raises(LatticeError, match="not closed"):
+    # build_lattice is the only constructor: a point list is refused even when it is a subgroup
+    with pytest.raises(TypeError):
         Lattice(8, ((0, 0), (1, 0), (3, 0), (5, 0)))
-    # a non-separable subgroup passes
-    assert Lattice(4, ((0, 0), (1, 1), (2, 2), (3, 3))).size == 4
+    with pytest.raises(TypeError):
+        Lattice(4, ((0, 0), (1, 1), (2, 2), (3, 3)))
+    assert build_lattice([(1, 1)], 4).points == ((0, 0), (1, 1), (2, 2), (3, 3))
 
 
 @pytest.mark.parametrize("points", [
@@ -112,7 +114,7 @@ def test_direct_construction_rejects_non_subgroup():
     ((0, 0), (2, 1)),                  # (2, 1) + (2, 1) = (0, 2) is missing
 ])
 def test_direct_construction_rejects_malformed_points(points):
-    with pytest.raises(LatticeError):
+    with pytest.raises(TypeError):
         Lattice(4, points)
 
 
@@ -151,7 +153,7 @@ def test_annihilator_self_adjoint_case():
 def test_annihilator_extremes():
     full = build_lattice((1, 1), 4)
     assert annihilator(full).points == ((0, 0),)
-    trivial = Lattice(4, ((0, 0),))
+    trivial = build_lattice([], 4)
     assert annihilator(trivial) == full
 
 

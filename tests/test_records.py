@@ -218,7 +218,7 @@ def test_cached_stages_are_computed_once(monkeypatch):
                          (si_space, "hermitian_spectrum"), (sampling, "fourier_wigner"),
                          (sampling, "transfer_fibers"), (sampling, "riesz_check"),
                          (sampling, "fiber_singular_values"), (sampling, "frame_bounds"),
-                         (sampling, "dual_left_inverse"), (sampling, "span_spreading"),
+                         (sampling, "dual_left_inverse"), (sampling, "tile_product"),
                          (sampling, "inverse_fourier_wigner")):
         counting(module, name)
     system, scheme = setup()

@@ -6,7 +6,6 @@ import pytest
 from opsis import sampling
 from opsis.hs_ops import hs_inner, hs_norm, identity, op_translate, rank_one
 from opsis.phase_space import (
-    Lattice,
     build_lattice,
     coset_transversal,
     dual_transversal,
@@ -107,7 +106,7 @@ def test_avg_samples_single_point_norm():
     L = 6
     rng = np.random.default_rng(5)
     Q = rand_kernel(rng, L, unit=False)
-    lat = Lattice(L, ((0, 0),))
+    lat = build_lattice([], L)
     s = avg_samples(Q, average_scheme([Q]), lat)
     assert abs(s[0, 0] - hs_norm(Q) ** 2) < 1e-12
 
@@ -384,7 +383,7 @@ def test_kit_biorthogonal_averagers_reproduce_generators():
     # their own averagers: the cross sequences are Kronecker deltas and the
     # reconstruction operators are the generators themselves
     L = 4
-    lat = Lattice(L, ((0, 0),))
+    lat = build_lattice([], L)
     gens = (rank_one(delta_vec(L, 0), delta_vec(L, 0)),
             rank_one(delta_vec(L, 1), delta_vec(L, 1)))
     system = GeneratorSystem(lat, gens)
@@ -567,6 +566,16 @@ def test_sublattice_resynthesis_identity():
     c = rand_seq(rng, (2, lat.size))
     ci = inflate_coefficients(system, sub, c)
     assert np.abs(synthesize(infl, ci) - synthesize(system, c)).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 16), (1, 15), (16,), (1, 16, 1)])
+def test_inflate_coefficients_rejects_a_wrong_shape(shape):
+    system, _, _ = seeded_setup(36, N=1)
+    assert system.lattice.size == 16
+    sub = build_lattice([(4, 0), (0, 2)], 8)
+    assert inflate_coefficients(system, sub, np.ones((1, 16))).shape == (2, 8)
+    with pytest.raises(ValueError, match=re.escape(f"coefficient array shape {shape}, expected (1, 16)")):
+        inflate_coefficients(system, sub, np.ones(shape))
 
 
 def test_sublattice_pipeline_reconstructs():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opsis.hs_ops import hs_norm, kn_symbol, op_translate, rank_one
-from opsis.phase_space import Lattice, build_lattice
+from opsis.phase_space import build_lattice
 from opsis.si_space import (
     GeneratorSystem,
     NotRieszError,
@@ -69,7 +69,7 @@ def test_synthesize_single_delta_translate():
 
 def test_gram_fiber_single_point_lattice(rng):
     L = 6
-    lat = Lattice(L, ((0, 0),))
+    lat = build_lattice([], L)
     S = rand_kernel(rng, L)
     fibers = gram_fibers(GeneratorSystem(lat, (S,)))
     assert fibers.shape == (1, 1, 1)
@@ -121,7 +121,7 @@ def test_fiber_spectra_match_brute_gram():
 
 def test_brute_gram_orthonormal_family():
     L = 4
-    lat = Lattice(L, ((0, 0),))
+    lat = build_lattice([], L)
     gens = (rank_one(delta_vec(L, 0), delta_vec(L, 0)),
             rank_one(delta_vec(L, 1), delta_vec(L, 1)))
     G, lmin, lmax = brute_gram(GeneratorSystem(lat, gens))

@@ -22,13 +22,18 @@ Python floats give the same bits on every platform (see _box_muller).  No
 C-library log, cos or sin is called: those are not correctly rounded, and
 the 0.1.0 stream, which used them, could differ in the last bit between C
 libraries.  The state after k steps is seed + k * 0x9E3779B97F4A7C15 mod
-2^64, so complex_normal computes a block of outputs at once in wrapping
-uint64 arithmetic.
+2^64, so a block of outputs is computed at once in wrapping uint64
+arithmetic, and one block may hold the outputs of several streams.
 
 A master stream seeded with the config seed hands one 64-bit subseed to
 every random item that does not carry its own "seed" key, walking the
 config in a fixed order: generators first, then scheme entries, then the
-coefficient stream, then the dual-perturbation stream.
+coefficient stream, then the dual-perturbation stream.  The walk only
+records each random item's subseed and shape; after it, one blocked pass
+of the kernel draws every item (see _complex_normals), and only then are
+the rank-one products, the generator system and the scheme formed.  The
+values are those of one PortableRng(subseed).complex_normal(shape) call
+per item.  Keys that the schema does not read are rejected.
 
 :func:`parse_config` returns an :class:`ExperimentConfig`, a mutable
 SimpleNamespace subclass with an explicit constructor over its ten fields;
@@ -103,13 +108,16 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-def _item_seed(spec, master: "PortableRng", label):
+def _random_item(spec, shape, master: "PortableRng", draws: list, label) -> int:
+    """Record a random item's subseed and shape in draws, in walk order; returns its index there."""
     if "seed" not in spec:
-        return master.next_u64()
-    seed = spec["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"'{label}.seed' must be an integer")
-    return seed
+        seed = master.next_u64()
+    else:
+        seed = spec["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError(f"'{label}.seed' must be an integer")
+    draws.append((seed & _MASK, shape))
+    return len(draws) - 1
 
 
 class PortableRng:
@@ -130,29 +138,39 @@ class PortableRng:
 
     def complex_normal(self, shape) -> np.ndarray:
         out = np.empty(shape, dtype=complex)
-        flat = out.reshape(-1)
-        for start in range(0, flat.size, _BLOCK):
-            block = flat[start:start + _BLOCK]
-            _box_muller(self._top_bits(2 * len(block)), block)
+        _complex_normals(out.reshape(-1), [(self._state, out.size)])
+        self._state = (self._state + 2 * out.size * _GAMMA) & _MASK
         return out
 
-    def _top_bits(self, count: int) -> np.ndarray:
-        """out >> 11 for the next count outputs, as uint64, advancing the state.
 
-        The state after k steps is state + k * GAMMA mod 2^64, so the outputs
-        are computed at once in wrapping uint64 arithmetic.
-        """
-        z = np.arange(1, count + 1, dtype=np.uint64)
+def _complex_normals(out: np.ndarray, streams) -> None:
+    """Fill the 1-D array out with the complex normals of several streams, one after another.
+
+    streams holds (state, count) pairs: the next count values of out are
+    the first count complex normals of the SplitMix64 stream at state.  out
+    is cut into blocks of _BLOCK values, which may straddle the boundaries
+    between streams, and each block takes one vectorised finalizer pass and
+    one _box_muller call.  Bit g of the block sequence, for a stream whose
+    values start at out[start], is that stream's output g - 2 start, whose
+    state is (g + 1) GAMMA + base with base = state - 2 start GAMMA mod 2^64.
+    """
+    for lo in range(0, len(out), _BLOCK):
+        hi = min(lo + _BLOCK, len(out))
+        z = np.arange(2 * lo + 1, 2 * hi + 1, dtype=np.uint64)
         z *= _U_GAMMA
-        z += np.uint64(self._state)
-        self._state = (self._state + count * _GAMMA) & _MASK
+        start = 0
+        for state, count in streams:
+            if start < hi and lo < start + count:
+                base = np.uint64((state - 2 * start * _GAMMA) & _MASK)
+                z[2 * (max(start, lo) - lo):2 * (min(start + count, hi) - lo)] += base
+            start += count
         z ^= z >> _U30
         z *= _U_MUL1
         z ^= z >> _U27
         z *= _U_MUL2
         z ^= z >> _U31
         z >>= _U11
-        return z
+        _box_muller(z, out[lo:hi])
 
 
 def _box_muller(bits: np.ndarray, out: np.ndarray) -> None:
@@ -266,9 +284,17 @@ def _require_int(raw, key, minimum=None):
     return val
 
 
+def _known_keys(spec: dict, label: str, keys) -> None:
+    """Raise ConfigError naming the first key of the object at label that the schema lacks."""
+    for key in spec:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{label}.{key}'" if label else f"unknown key '{key}'")
+
+
 def _build_lattice(spec, L, label):
     if not isinstance(spec, dict):
         raise ConfigError(f"'{label}' must be an object")
+    _known_keys(spec, label, ("generators",) if "generators" in spec else ("a", "b"))
     try:
         if "generators" in spec:
             gens = spec["generators"]
@@ -293,10 +319,52 @@ def _complex_vector(values, L, label):
     return vec
 
 
-def _window(spec, L, master: PortableRng, label):
+def _draw(draws) -> list:
+    """The unit-norm values of every (subseed, shape) item of a walk, from one kernel call.
+
+    The items are views of one buffer, each normalised in place.
+    """
+    counts = [math.prod(shape) for _, shape in draws]
+    flat = np.empty(sum(counts), dtype=complex)
+    _complex_normals(flat, [(seed, count) for (seed, _), count in zip(draws, counts)])
+    values, start = [], 0
+    for (_, shape), count in zip(draws, counts):
+        item = flat[start:start + count].reshape(shape)
+        item /= np.linalg.norm(item)
+        values.append(item)
+        start += count
+    return values
+
+
+def _built(item, values):
+    """The array a walk item stands for: an index into values, a rank_one pair, or itself."""
+    if isinstance(item, tuple):
+        return rank_one(_built(item[0], values), _built(item[1], values))
+    return values[item] if isinstance(item, int) else item
+
+
+_WINDOW_KEYS = {"gaussian": ("kind",), "delta": ("kind", "at"), "random": ("kind", "seed"),
+                "explicit": ("kind", "values")}
+_GENERATOR_KEYS = {"rank_one": ("kind", "left", "right"), "random": ("kind", "seed"),
+                   "explicit_kernel": ("kind", "kernel")}
+
+
+def _kind(spec, label, keys_by_kind, what):
+    """The 'kind' of an item spec, after checking the spec's keys against that kind's."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"'{label}' must be an object with a 'kind'")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in keys_by_kind:
+        raise ConfigError(f"unknown {what} kind {kind!r} in '{label}'")
+    _known_keys(spec, label, keys_by_kind[kind])
+    return kind
+
+
+def _window(spec, L, master, draws, label):
+    """The window's vector, or the index in draws of a random one."""
+    kind = _kind(spec, label, _WINDOW_KEYS, "window")
+    if kind == "random":
+        return _random_item(spec, (L,), master, draws, label)
     if kind == "gaussian":
         return gaussian_window(L)
     if kind == "delta":
@@ -306,37 +374,28 @@ def _window(spec, L, master: PortableRng, label):
         vec = np.zeros(L, dtype=complex)
         vec[at] = 1.0
         return vec
-    if kind == "random":
-        vec = PortableRng(_item_seed(spec, master, label)).complex_normal(L)
-        return vec / np.linalg.norm(vec)
-    if kind == "explicit":
-        return _complex_vector(spec.get("values"), L, f"{label}.values")
-    raise ConfigError(f"unknown window kind {kind!r} in '{label}'")
+    return _complex_vector(spec.get("values"), L, f"{label}.values")
 
 
-def _generator(spec, L, master: PortableRng, label):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"'{label}' must be an object with a 'kind'")
-    kind = spec["kind"]
+def _generator(spec, L, master, draws, label):
+    """The generator's kernel, the index in draws of a random one, or the pair of a rank_one."""
+    kind = _kind(spec, label, _GENERATOR_KEYS, "generator")
     if kind == "rank_one":
-        left = _window(spec.get("left"), L, master, f"{label}.left")
-        right = _window(spec.get("right"), L, master, f"{label}.right")
-        return rank_one(left, right)
+        return (_window(spec.get("left"), L, master, draws, f"{label}.left"),
+                _window(spec.get("right"), L, master, draws, f"{label}.right"))
     if kind == "random":
-        kern = PortableRng(_item_seed(spec, master, label)).complex_normal((L, L))
-        return kern / np.linalg.norm(kern)
-    if kind == "explicit_kernel":
-        rows = spec.get("kernel")
-        if not isinstance(rows, list) or len(rows) != L:
-            raise ConfigError(f"'{label}.kernel' must be a list of {L} rows")
-        return np.array([_complex_vector(row, L, f"{label}.kernel") for row in rows])
-    raise ConfigError(f"unknown generator kind {kind!r} in '{label}'")
+        return _random_item(spec, (L, L), master, draws, label)
+    rows = spec.get("kernel")
+    if not isinstance(rows, list) or len(rows) != L:
+        raise ConfigError(f"'{label}.kernel' must be a list of {L} rows")
+    return np.array([_complex_vector(row, L, f"{label}.kernel") for row in rows])
 
 
 def _tolerances(spec) -> dict:
     """The 'riesz' and 'frame' gate overrides, each a finite number >= 0, or None for the default."""
     if not isinstance(spec, dict):
         raise ConfigError("'tolerances' must be an object")
+    _known_keys(spec, "tolerances", ("riesz", "frame"))
     tols = {key: spec.get(key) for key in ("riesz", "frame")}
     for key, val in tols.items():
         if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))
@@ -349,6 +408,7 @@ def _dual_scale(spec):
     """The scale of the seeded left-inverse family member, or None when the perturbation is disabled."""
     if not (isinstance(spec, dict) and isinstance(spec.get("enabled"), bool)):
         raise ConfigError("'dual_perturbation' must be an object with a boolean 'enabled'")
+    _known_keys(spec, "dual_perturbation", ("enabled", "scale"))
     scale = spec.get("scale", 1.0)
     if (isinstance(scale, bool) or not isinstance(scale, (int, float))
             or not abs(scale) <= sys.float_info.max):
@@ -356,64 +416,91 @@ def _dual_scale(spec):
     return scale if spec["enabled"] else None
 
 
+def _sweep(spec) -> dict:
+    """The sweep grid: 'a' and 'b', each a non-empty list of integers."""
+    if not isinstance(spec, dict) or "a" not in spec or "b" not in spec:
+        raise ConfigError("'sweep' must be an object with 'a' and 'b' lists")
+    _known_keys(spec, "sweep", ("a", "b"))
+    for key in ("a", "b"):
+        vals = spec[key]
+        if not (isinstance(vals, list) and vals
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in vals)):
+            raise ConfigError(f"'sweep.{key}' must be a non-empty list of integers")
+    return spec
+
+
+def _channel(spec) -> dict:
+    """The channel-demo operator: 'kind' is 'synthesized' (the default) or 'identity'."""
+    if not isinstance(spec, dict):
+        raise ConfigError("'channel' must be an object with a 'kind'")
+    _known_keys(spec, "channel", ("kind",))
+    if spec.get("kind") not in (None, "synthesized", "identity"):
+        raise ConfigError(f"unknown channel kind {spec['kind']!r}")
+    return spec
+
+
+_TOP_KEYS = ("L", "seed", "lattice", "sublattice", "generators", "scheme", "channel", "sweep",
+             "tolerances", "dual_perturbation")
+
+
 def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a raw config dict and build the experiment objects it describes.
 
     Lattice, system and scheme are optional at this stage; runners demand
-    the pieces they actually need.
+    the pieces they actually need.  The walk takes the random items'
+    subseeds in order, then one kernel pass draws them all before any
+    object is built from them.
     """
+    _known_keys(raw, "", _TOP_KEYS)
     L = _require_int(raw, "L", minimum=2)
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"'seed' must be an integer, got {seed!r}")
     master = PortableRng(seed)
+    draws = []
 
     lattice = None
     if "lattice" in raw:
         lattice = _build_lattice(raw["lattice"], L, "lattice")
 
     kernels = None
-    system = None
     if "generators" in raw:
         if lattice is None and "sweep" not in raw:
             raise ConfigError("'generators' given without a 'lattice'")
         specs = raw["generators"]
         if not isinstance(specs, list) or not specs:
             raise ConfigError("'generators' must be a non-empty list")
-        kernels = tuple(
-            _generator(s, L, master, f"generators[{i}]") for i, s in enumerate(specs)
-        )
-        if lattice is not None:
-            system = GeneratorSystem(lattice, kernels)
+        kernels = [_generator(s, L, master, draws, f"generators[{i}]")
+                   for i, s in enumerate(specs)]
 
-    scheme = None
+    windows = averagers = None
     if "scheme" in raw:
         spec = raw["scheme"]
         if not isinstance(spec, dict):
             raise ConfigError("'scheme' must be an object")
+        _known_keys(spec, "scheme", ("windows", "averagers"))
         if ("windows" in spec) == ("averagers" in spec):
             raise ConfigError("'scheme' needs exactly one of 'windows' or 'averagers'")
         if "windows" in spec:
             items = spec["windows"]
             if not isinstance(items, list) or not items:
                 raise ConfigError("'scheme.windows' must be a non-empty list")
-            pairs = []
+            windows = []
             for i, item in enumerate(items):
+                label = f"scheme.windows[{i}]"
                 if not isinstance(item, dict):
-                    raise ConfigError(f"'scheme.windows[{i}]' must be an object")
-                g = _window(item.get("g"), L, master, f"scheme.windows[{i}].g")
-                gt = _window(item.get("g_tilde"), L, master, f"scheme.windows[{i}].g_tilde")
-                pairs.append((g, gt))
-            scheme = window_scheme(pairs)
+                    raise ConfigError(f"'{label}' must be an object")
+                _known_keys(item, label, ("g", "g_tilde"))
+                windows.append((_window(item.get("g"), L, master, draws, f"{label}.g"),
+                                _window(item.get("g_tilde"), L, master, draws, f"{label}.g_tilde")))
         else:
             items = spec["averagers"]
             if not isinstance(items, list) or not items:
                 raise ConfigError("'scheme.averagers' must be a non-empty list")
-            ops = [
-                _generator(item, L, master, f"scheme.averagers[{i}]")
+            averagers = [
+                _generator(item, L, master, draws, f"scheme.averagers[{i}]")
                 for i, item in enumerate(items)
             ]
-            scheme = average_scheme(ops)
 
     sublattice = None
     if "sublattice" in raw:
@@ -425,9 +512,24 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     coef_seed = master.next_u64()
     dual_seed = master.next_u64()
 
-    options = {k: raw[k] for k in ("channel", "sweep") if k in raw}
+    options = {}
+    if "channel" in raw:
+        options["channel"] = _channel(raw["channel"])
+    if "sweep" in raw:
+        options["sweep"] = _sweep(raw["sweep"])
     options["tolerances"] = _tolerances(raw.get("tolerances", {}))
     options["dual_perturbation"] = _dual_scale(raw.get("dual_perturbation", {"enabled": False}))
+
+    values = _draw(draws)
+    system = scheme = None
+    if kernels is not None:
+        kernels = tuple(_built(k, values) for k in kernels)
+        if lattice is not None:
+            system = GeneratorSystem(lattice, kernels)
+    if windows is not None:
+        scheme = window_scheme([(_built(g, values), _built(gt, values)) for g, gt in windows])
+    elif averagers is not None:
+        scheme = average_scheme([_built(q, values) for q in averagers])
     return ExperimentConfig(
         L=L,
         seed=seed,

@@ -306,7 +306,7 @@ def dual_left_inverse(tm: TransferMatrix, C=None, tol: float | None = None,
         if C.shape != (K, N, M):
             raise ValueError(f"C must have shape {(K, N, M)}, got {C.shape}")
         B = B + C @ (np.eye(M) - tm.fibers @ B)
-    worst = float(np.abs(B @ tm.fibers - np.eye(N)).max())
+    worst = float(np.abs((B[..., None] * tm.fibers[:, None]).sum(2) - np.eye(N)).max())
     if not worst <= 1e-10:
         raise NotAFrameError(f"left-inverse residual {worst:.3e} exceeds 1e-10")
     return (B, worst) if return_residual else B

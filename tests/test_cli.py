@@ -306,6 +306,79 @@ def test_malformed_tolerances_exit_3_on_every_command(tmp_path, command, toleran
     assert not (out / "metrics.json").exists()
 
 
+# every object of the schema, each window and generator kind included
+EVERY_OBJECT = {
+    "L": 8,
+    "seed": 42,
+    "lattice": {"a": 2, "b": 2},
+    "sublattice": {"a": 4, "b": 2},
+    "generators": [
+        {"kind": "random"},
+        {"kind": "rank_one", "left": {"kind": "delta", "at": 1},
+         "right": {"kind": "explicit", "values": [[1, 0]] * 8}},
+        {"kind": "explicit_kernel", "kernel": [[[1, 0]] * 8] * 8},
+    ],
+    "scheme": {"windows": [{"g": {"kind": "random"}, "g_tilde": {"kind": "gaussian"}}]},
+    "tolerances": {"riesz": 1e-10},
+    "dual_perturbation": {"enabled": False},
+    "sweep": {"a": [2], "b": [2]},
+    "channel": {"kind": "identity"},
+}
+
+
+@pytest.mark.parametrize("path, label", [
+    ((), "typo"),
+    (("lattice",), "lattice.typo"),
+    (("sublattice",), "sublattice.typo"),
+    (("generators", 0), "generators[0].typo"),
+    (("generators", 1), "generators[1].typo"),
+    (("generators", 1, "left"), "generators[1].left.typo"),
+    (("generators", 1, "right"), "generators[1].right.typo"),
+    (("generators", 2), "generators[2].typo"),
+    (("scheme",), "scheme.typo"),
+    (("scheme", "windows", 0), "scheme.windows[0].typo"),
+    (("scheme", "windows", 0, "g"), "scheme.windows[0].g.typo"),
+    (("scheme", "windows", 0, "g_tilde"), "scheme.windows[0].g_tilde.typo"),
+    (("tolerances",), "tolerances.typo"),
+    (("dual_perturbation",), "dual_perturbation.typo"),
+    (("sweep",), "sweep.typo"),
+    (("channel",), "channel.typo"),
+])
+def test_unknown_key_exits_3_and_names_its_path(tmp_path, capsys, path, label):
+    assert main(["frame-check", "--config", write_config(tmp_path / "ok.json", EVERY_OBJECT),
+                 "--out", str(tmp_path / "ok")]) == 0
+    raw = json.loads(json.dumps(EVERY_OBJECT))
+    obj = raw
+    for step in path:
+        obj = obj[step]
+    obj["typo"] = 1
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["frame-check", "--config", write_config(tmp_path / "c.json", raw),
+                 "--out", str(out)]) == 3
+    assert f"unknown key '{label}'" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    {"lattice": {"a": 2, "b": 2, "generators": [[2, 0], [0, 2]]}},  # 'a' and 'b' go unread
+    {"scheme": {"averagers": [{"kind": "random", "at": 3}]}},        # a key of another kind
+])
+def test_keys_the_schema_does_not_read_exit_3(tmp_path, extra):
+    cfg = write_config(tmp_path / "c.json", dict(RECON_OK, **extra))
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("extra", [
+    {"sweep": "bad"}, {"sweep": {"a": [2]}}, {"sweep": {"a": [], "b": [2]}},
+    {"sweep": {"a": [2], "b": [True]}}, {"channel": "identity"}, {"channel": {"kind": "noise"}},
+])
+def test_malformed_sweep_or_channel_exits_3_on_every_command(tmp_path, extra):
+    # both are validated with the rest of the config, not only by the command that reads them
+    cfg = write_config(tmp_path / "c.json", dict(RECON_OK, **extra))
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_dual_perturbation_fails_the_left_inverse_gate(tmp_path):
     # a finite scale whose family member overflows: the residual is NaN, not small

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import opsis
 from opsis import config
 from opsis.config import ConfigError, PortableRng, parse_config
+from opsis.hs_ops import rank_one
 from opsis.timefreq import gaussian_window
 from oracle import portable_complex_normal
 
@@ -68,6 +69,16 @@ def test_complex_normal_stream_matches_loop_across_draws(seed, shapes):
         assert same_bits(fast.complex_normal(shape), portable_complex_normal(slow, shape))
         assert fast.uniform() == slow.uniform()
     assert fast.next_u64() == slow.next_u64()
+
+
+@pytest.mark.parametrize("counts", [[0, 3, 0], [BLOCK - 1, 2, BLOCK + 3], [5, BLOCK, 1]])
+def test_multi_stream_kernel_matches_one_stream_at_a_time(counts):
+    # blocks run across the boundaries between streams
+    seeds = [3, 2**64 - 1, 12345]
+    out = np.empty(sum(counts), dtype=complex)
+    config._complex_normals(out, list(zip(seeds, counts)))
+    slow = [portable_complex_normal(PortableRng(s), c) for s, c in zip(seeds, counts)]
+    assert same_bits(out, np.concatenate(slow))
 
 
 def seed_with_first_output(out):
@@ -248,21 +259,81 @@ SCHEMES = [
 ]
 
 
+def oracle_walk(raw, seed_override):
+    """raw's kernels, window pairs, averagers and (coef_seed, dual_seed), from the per-value loop.
+
+    Every random item without its own seed takes the next output of the
+    master stream, in the walk order the seeding contract fixes, and is drawn
+    by oracle.portable_complex_normal and normalised on its own.
+    """
+    L = raw["L"]
+    master = PortableRng(raw["seed"] if seed_override is None else seed_override)
+
+    def draw(spec, shape):
+        seed = spec["seed"] if "seed" in spec else master.next_u64()
+        values = portable_complex_normal(PortableRng(seed), shape)
+        return values / np.linalg.norm(values)
+
+    def window(spec):
+        return draw(spec, L) if spec["kind"] == "random" else gaussian_window(L)
+
+    def generator(spec):
+        if spec["kind"] == "random":
+            return draw(spec, (L, L))
+        return rank_one(window(spec["left"]), window(spec["right"]))
+
+    kernels = [generator(spec) for spec in raw["generators"]]
+    scheme = raw["scheme"]
+    windows = [(window(item["g"]), window(item["g_tilde"])) for item in scheme.get("windows", [])]
+    averagers = [generator(spec) for spec in scheme.get("averagers", [])]
+    return kernels, windows, averagers, (master.next_u64(), master.next_u64())
+
+
 @pytest.mark.parametrize("seed_override", [None, 0, 99])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_parse_config_walk_matches_per_value_loop(monkeypatch, scheme, seed_override):
+def test_parse_config_walk_matches_per_value_loop(scheme, seed_override):
     raw = dict(RANDOM_ITEMS, scheme=scheme)
-    fast = parse_config(raw, seed_override)
-    monkeypatch.setattr(PortableRng, "complex_normal",
-                        lambda self, shape: portable_complex_normal(self, shape))
-    slow = parse_config(raw, seed_override)
-    assert (fast.coef_seed, fast.dual_seed) == (slow.coef_seed, slow.dual_seed)
-    pairs = [*zip(fast.generator_kernels, slow.generator_kernels),
-             *zip(fast.scheme.averagers, slow.scheme.averagers)]
-    if fast.scheme.windows is not None:
-        pairs += [(w, v) for f, s in zip(fast.scheme.windows, slow.scheme.windows)
-                  for w, v in zip(f, s)]
-    assert all(same_bits(f, s) for f, s in pairs)
+    cfg = parse_config(raw, seed_override)
+    kernels, windows, averagers, seeds = oracle_walk(raw, seed_override)
+    assert (cfg.coef_seed, cfg.dual_seed) == seeds
+    fast, slow = [*cfg.generator_kernels], kernels
+    if windows:
+        fast += [w for pair in cfg.scheme.windows for w in pair]
+        slow += [w for pair in windows for w in pair]
+    else:
+        fast += cfg.scheme.averagers
+        slow += averagers
+    assert len(fast) == len(slow) and all(same_bits(f, s) for f, s in zip(fast, slow))
+
+
+# The first entry of each generator kernel of RANDOM_ITEMS under seeding
+# contract v2, then its coefficient and dual-perturbation subseeds.
+WALK_GOLDEN = (
+    [("-0x1.72a62e91d6502p-5", "0x1.f00beab75f043p-4"),
+     ("-0x1.02d9ac8b08c76p-4", "-0x1.761b600c5dc98p-5"),
+     ("0x1.c10e85c1f1a4fp-6", "-0x1.d2e3e1a7ff67dp-7")],
+    0x4C6F7CBF58DBA57F,
+    0x1DBE69E0AE9BB859,
+)
+
+
+def test_parse_config_walk_golden_values():
+    cfg = parse_config(RANDOM_ITEMS)
+    firsts = [(k.flat[0].real.hex(), k.flat[0].imag.hex()) for k in cfg.generator_kernels]
+    assert (firsts, cfg.coef_seed, cfg.dual_seed) == WALK_GOLDEN
+
+
+def test_parse_config_memory_is_bounded_by_the_block():
+    # two random 512 x 512 generators are 8.4 MB of values; drawing every bit
+    # of the walk at once peaks near 27 MB (a sweep stands in for the lattice)
+    raw = {"L": 512, "sweep": {"a": [2], "b": [2]}, "generators": [{"kind": "random"}] * 2}
+    tracemalloc.start()
+    try:
+        parse_config(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13e6
 
 
 def test_parse_config_builds_objects():

@@ -290,7 +290,8 @@ def full_rank_batches(draw):
 
 
 def residual(B, A):
-    return float(np.abs(B @ A - np.eye(A.shape[-1])).max())
+    """max |B A - I| over a batch, B A formed as dual_left_inverse's gate forms it."""
+    return float(np.abs((B[..., None] * A[:, None]).sum(2) - np.eye(A.shape[-1])).max())
 
 
 @SETTINGS

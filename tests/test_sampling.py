@@ -448,7 +448,11 @@ def test_kit_keeps_the_residual_its_left_inverse_gate_measured(monkeypatch, pert
     B, A = kit.dual_fibers, kit.transfer.fibers
     [(gate_B, gate_residual)] = calls
     assert gate_B is B and kit.left_inverse_residual == gate_residual
-    assert kit.left_inverse_residual == float(np.abs(B @ A - np.eye(2)).max()) <= 1e-10
+    # the gate sums the broadcast product over m; a batched matmul rounds differently
+    residual = float(np.abs((B[..., None] * A[:, None]).sum(2) - np.eye(2)).max())
+    assert kit.left_inverse_residual == residual <= 1e-10
+    matmul = float(np.abs(B @ A - np.eye(2)).max())  # N = 2
+    assert abs(residual - matmul) <= 4 * 2 * np.finfo(float).eps * np.abs(B).max() * np.abs(A).max()
 
 
 # ---------------------------------------------------------------- reconstruction

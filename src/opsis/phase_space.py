@@ -36,7 +36,7 @@ summation over the annihilator), each run only inside a product:
 * the fold sums a grid function over every annihilator coset,
   fold(G)(xi) = (|lat|/L) sum_{alpha in ann} G(xi + alpha), so a trace
   pairing over the lattice is inv_symp_fourier(fold(F_T conj(F_Q)));
-  :func:`fold_product` computes that fold;
+  :func:`fold_product` and :func:`fold_cosets` compute that fold;
 * the tile is its adjoint, the annihilator-periodic extension of fiber
   data to the grid, and by covariance a translate sum has the spreading
   transform sum_n tile(chat_n) F_n; :func:`tile_product` computes that sum.
@@ -44,16 +44,20 @@ summation over the annihilator), each run only inside a product:
 The annihilator is generated by (Q, c') and (0, P), c' = c L/(a b), so
 :func:`cosets` lays the grid out as (b, Q, a, P), entry [k', x0, j', w0] at
 (x0, w0) + k'(Q, c') + j'(0, P): a zero-copy reshape when c' = 0, and
-otherwise one cached shear gather along the contiguous w axis.
-fold_product contracts two such layouts over (k', j') coset by coset with
-one einsum, so the product of every pair of operators is never formed: a
-bracket product (de Boor, DeVore and Ron, JFA 1994).  :func:`tile_block`
-reads the transversal index of every grid point from a second cached
-gather, one block before the broadcast over j', laid out to meet the plain
-(b, Q, a, P) reshape of the grid (:func:`grid_blocks`), so tile_product
-runs block by block without a tiled copy.  :func:`symp_character_matrix`,
-the dense |lattice| x |lattice| character matrix, has no production
-caller; the tests' reference series use it.
+otherwise one shear gather along the contiguous w axis, by a cached index.
+:func:`fold_cosets` contracts two such layouts over (k', j') coset by
+coset with one einsum, so the product of every pair of operators is never
+formed: a bracket product (de Boor, DeVore and Ron, JFA 1994).
+:func:`fold_product` is cosets of both grid stacks and that contraction;
+callers that fold one stack more than once keep its layout and call
+fold_cosets (the generator systems and reconstruction kits of
+:mod:`opsis.si_space` and :mod:`opsis.sampling` cache theirs).
+:func:`tile_block` reads the transversal index of every grid point from a
+second cached gather, one block before the broadcast over j', laid out to
+meet the plain (b, Q, a, P) reshape of the grid (:func:`grid_blocks`), so
+tile_product runs block by block without a tiled copy.
+:func:`symp_character_matrix`, the dense |lattice| x |lattice| character
+matrix, has no production caller; the tests' reference series use it.
 
 Conventions relied on throughout the package:
 
@@ -412,14 +416,26 @@ def cosets(G, lat: Lattice) -> np.ndarray:
     return C.transpose(tuple(range(n)) + (n + 2, n, n + 3, n + 1))
 
 
+def fold_cosets(CT, CQ, lat: Lattice) -> np.ndarray:
+    """fold(FT * conj(FQ)) from the :func:`cosets` layouts CT and CQ of FT and FQ.
+
+    The engine's one fold kernel: one einsum over (k', j'), coset by coset,
+    so the product is never formed.  CT and CQ broadcast against each other
+    over leading axes; the result has the broadcast leading shape and a
+    last axis over the dual transversal.  A caller that folds one grid
+    stack against several others gathers its layout once and passes it here.
+    """
+    F = np.einsum("...kxjw,...kxjw->...xw", CT, np.conj(CQ))
+    return F.reshape(F.shape[:-2] + (lat.size,)) * (lat.size / lat.modulus)
+
+
 def fold_product(FT, FQ, lat: Lattice) -> np.ndarray:
-    """fold(FT * conj(FQ)), contracted coset by coset without forming the product.
+    """fold(FT * conj(FQ)) of two grid stacks: :func:`fold_cosets` of their :func:`cosets` layouts.
 
     FT and FQ broadcast against each other over leading axes; the result
     has the broadcast leading shape and a last axis over the dual transversal.
     """
-    F = np.einsum("...kxjw,...kxjw->...xw", cosets(FT, lat), np.conj(cosets(FQ, lat)))
-    return F.reshape(F.shape[:-2] + (lat.size,)) * (lat.size / lat.modulus)
+    return fold_cosets(cosets(FT, lat), cosets(FQ, lat), lat)
 
 
 def tile_block(F, lat: Lattice) -> np.ndarray:

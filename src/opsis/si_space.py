@@ -18,18 +18,25 @@ cross-check of the fibers that shares only the spreading transforms.
 
 Production routes run in the spreading domain and on the fibers, through
 the two grid-lattice maps of :mod:`opsis.phase_space`.  The Riesz fibers
-are the annihilator folds of F_n conj(F_n') over the generators' cached
-spreading transforms, and the analysis step of :func:`coefficients` is the
-fold of F_T conj(F_n); each fold is contracted coset by coset by
-:func:`~opsis.phase_space.fold_product`.  Synthesis multiplies each F_n by
+are the annihilator folds of F_n conj(F_n'), and the analysis step of
+:func:`coefficients` is the fold of F_T conj(F_n); each fold is contracted
+coset by coset by :func:`~opsis.phase_space.fold_cosets`, on the
+generators' side from the system's cached coset layout,
+:attr:`GeneratorSystem.spreading_cosets`.  That layout is a view of the
+spreading transforms when c' = 0; on a sheared lattice it is one gather,
+an extra N L^2 complex copy held for the life of the system, and every
+fold over the generators (both operands of the Riesz fibers, and
+cross_seq, the transfer fibers and the kit of :mod:`opsis.sampling`)
+reads it instead of gathering again.  Synthesis multiplies each F_n by
 the tiled symplectic series of its coefficients and sums over n,
 sum_n tile(chat_n) F_n, block by block in
 :func:`~opsis.phase_space.tile_product`.  So the N^2 or N products on the
 L x L grid are never formed; no translate is ever formed and no lattice
 Fourier step runs on the L x L grid.  A system caches its spreading
-transforms, its Riesz fibers and their spectrum, so :func:`riesz_check`,
-:func:`coefficients` and the reconstruction kit compute each of them once.
-:func:`correlation_sequences` stays as the sequences behind the fibers.
+transforms, their coset layout, its Riesz fibers and their spectrum, so
+:func:`riesz_check`, :func:`coefficients` and the reconstruction kit
+compute each of them once.  :func:`correlation_sequences`, the sequences
+behind the fibers, is the inverse symplectic series of the cached fibers.
 
 The spectra of the fibers decide both sampling questions (the bracket
 product characterisation, Bownik, JFA 2000): the Riesz bounds are the
@@ -74,13 +81,13 @@ from .hs_ops import (
     fourier_wigner,
     inverse_fourier_wigner,
     kernel_stack,
-    lattice_pairing,
 )
 from .phase_space import (
     Immutable,
     Lattice,
     annihilator,
-    fold_product,
+    cosets,
+    fold_cosets,
     inv_symp_fourier,
     symp_fourier,
     tile_product,
@@ -236,6 +243,18 @@ class GeneratorSystem(Immutable):
         return F
 
     @cached_property
+    def spreading_cosets(self) -> np.ndarray:
+        """The spreading transforms in the lattice's coset layout, shape (N, b, Q, a, P), read-only.
+
+        :func:`~opsis.phase_space.cosets` of :attr:`spreading`, which every
+        fold over the generators reads: a view of it when c' = 0, and one
+        gather, an extra N L^2 copy, on a sheared lattice.
+        """
+        C = cosets(self.spreading, self.lattice)
+        C.setflags(write=False)
+        return C
+
+    @cached_property
     def riesz_fibers(self) -> np.ndarray:
         """The fibers of :func:`gram_fibers`, shape (K, N, N), read-only."""
         G = gram_fibers(self)
@@ -253,6 +272,7 @@ class GeneratorSystem(Immutable):
         eigs = hermitian_spectrum(self.riesz_fibers)
         eigs.setflags(write=False)
         return eigs
+
 
 @dataclass(frozen=True)
 class RieszReport:
@@ -288,9 +308,8 @@ def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
 
 
 def correlation_sequences(system: GeneratorSystem) -> np.ndarray:
-    """r[n, n', j] = <S_n, translate(lattice.points[j], S_n')>."""
-    F = system.spreading
-    return lattice_pairing(F[:, None], F[None, :], system.lattice)
+    """r[n, n', j] = <S_n, translate(lattice.points[j], S_n')>, the inverse series of the cached Riesz fibers."""
+    return inv_symp_fourier(system.riesz_fibers.transpose(1, 2, 0), system.lattice)
 
 
 def gram_fibers(system: GeneratorSystem) -> np.ndarray:
@@ -298,10 +317,11 @@ def gram_fibers(system: GeneratorSystem) -> np.ndarray:
 
     One Hermitian PSD N x N matrix per dual-transversal point; their spectra,
     unioned over k, reproduce the spectrum of the dense Gram matrix.  Read
-    directly as the fold of F_n conj(F_n'), without the sequences r.
+    directly as the fold of F_n conj(F_n'), without the sequences r, with
+    both operands read off the system's one coset layout.
     """
-    F = system.spreading
-    return fold_product(F[:, None], F[None, :], system.lattice).transpose(2, 0, 1)
+    C = system.spreading_cosets
+    return fold_cosets(C[:, None], C[None, :], system.lattice).transpose(2, 0, 1)
 
 
 def riesz_check(system: GeneratorSystem, tol: float | None = None, route: str = "fibers") -> RieszReport:
@@ -312,7 +332,7 @@ def riesz_check(system: GeneratorSystem, tol: float | None = None, route: str = 
     :func:`hermitian_spectrum`).  route="gw" is the independent check: the
     outer products F_n conj(F_n') of the spreading transforms summed over
     the annihilator coset of every fiber by direct indexing, not through
-    :func:`~opsis.phase_space.cosets` or fold_product, scaled by
+    :func:`~opsis.phase_space.cosets` or the system's coset layout, scaled by
     |lattice| / L, with np.linalg.eigvalsh for every N; both agree to
     rounding.  A NaN or inf fiber leaves a non-finite bound and fails the
     check.
@@ -352,7 +372,7 @@ def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.nda
     """
     riesz_check(system, tol=tol).require()
     lat = system.lattice
-    qhat = fold_product(fourier_wigner(T), system.spreading, lat)
+    qhat = fold_cosets(cosets(fourier_wigner(T), lat), system.spreading_cosets, lat)
     # Ghat(xi)^T chat(xi) = qhat(xi), solved on every fiber at once
     chat = np.linalg.solve(np.swapaxes(system.riesz_fibers, 1, 2), qhat.T[..., None])[..., 0]
     return inv_symp_fourier(chat.T, lat)

@@ -134,6 +134,15 @@ def lattice_series(c, lat):
     return series_grid(E)
 
 
+def lattice_inverse_series(F, lat):
+    """c(lam) = (1/|lat|) sum_xi F(xi) e^{-2 pi i sigma(lam, xi)/L}: F tiled over the grid, one 2-D FFT.
+
+    Each xi stands for its annihilator coset of L^2/|lat| grid points, so
+    the grid sum is L times the series.
+    """
+    return pairing_grid(tile(F, lat))[..., lat.ws, lat.xs] / lat.modulus
+
+
 def lattice_pairing(FT, FQ, lat):
     """(1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L}, read off one 2-D FFT."""
     return pairing_grid(np.asarray(FT) * np.conj(FQ))[..., lat.ws, lat.xs]

@@ -45,6 +45,7 @@ from opsis.sampling import (
     cross_seq,
     diag_channel_samples,
     inflate_coefficients,
+    interpolation_deviation,
     reconstruct,
     reconstruction_kit,
     transfer_matrix,
@@ -528,6 +529,100 @@ def test_reconstruction_kit_forms_no_operator(monkeypatch):
     assert calls == [(L, L)]
 
 
+# ---------------------------------------------------------------- cached coset layouts
+
+@st.composite
+def sheared_setups(draw, max_L=48):
+    """(system, averager scheme, rng) on the lattice of 2 random points with c' != 0, 1-3 of each."""
+    L = draw(st.integers(4, max_L))
+    point = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+    lat = draw(st.lists(point, min_size=2, max_size=2)
+               .map(lambda gens: build_lattice(gens, L))
+               .filter(lambda lat: lat._hnf[2] != 0))
+    N = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(seeds))
+    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(N)))
+    scheme = average_scheme([rand_kernel(rng, L) for _ in range(M)])
+    return system, scheme, rng
+
+
+def assert_relative(fast, slow, tol=1e-13):
+    assert fast.shape == slow.shape
+    assert float(np.abs(fast - slow).max()) <= tol * float(np.abs(slow).max())
+
+
+@SETTINGS
+@given(sheared_setups())
+def test_coset_layout_routes_match_the_grid_oracles(setup):
+    system, scheme, rng = setup
+    lat = system.lattice
+    L, N, M = lat.modulus, system.num_generators, scheme.num_channels
+    FS = oracle.fourier_wigner(np.array(system.generators))
+    FQ = oracle.fourier_wigner(np.array(scheme.averagers))
+    gram = oracle.fold(FS[:, None] * FS[None, :].conj(), lat)
+    assert_relative(system.riesz_fibers, gram.transpose(2, 0, 1))
+    assert_relative(correlation_sequences(system), oracle.lattice_pairing(FS[:, None], FS[None, :], lat))
+    assert_relative(cross_seq(system, scheme), oracle.lattice_pairing(FS[None, :], FQ[:, None], lat))
+    transfer = oracle.fold(FS[None, :] * FQ[:, None].conj(), lat).transpose(2, 0, 1)
+    kit = sampling.ReconstructionKit(system, scheme)
+    assert_relative(sampling.transfer_fibers(system, scheme), transfer)
+    assert_relative(kit.transfer.fibers, transfer)
+    report = riesz_check(system)
+    if not report.is_riesz:
+        return
+    T = rand_kernel(rng, L)
+    qhat = oracle.fold(oracle.fourier_wigner(T) * FS.conj(), lat)
+    chat = np.linalg.solve(gram.transpose(2, 1, 0), qhat.T[..., None])[..., 0]
+    # the fiberwise solve multiplies the fibers' rounding by their condition number
+    assert_relative(coefficients(system, T), oracle.lattice_inverse_series(chat.T, lat),
+                    1e-13 * max(1.0, report.upper / report.lower))
+    if M != N or not kit.transfer.bounds.alpha > 1e-10 * kit.transfer.bounds.beta:
+        return
+    FH = oracle.fourier_wigner(np.array(kit.recon_ops))
+    s = oracle.lattice_pairing(FH[:, None], FQ[None, :], lat)
+    s[np.arange(M), np.arange(M), 0] -= 1.0
+    assert abs(interpolation_deviation(kit) - float(np.abs(s).max())) <= 1e-13
+
+
+@pytest.mark.parametrize("desc, shared", [([(2, 1), (0, 4)], False), ((2, 2), True)])
+def test_one_gather_of_the_generator_transforms_per_system(monkeypatch, desc, shared):
+    rng = np.random.default_rng(12)
+    L = 8
+    system = GeneratorSystem(build_lattice(desc, L), tuple(rand_kernel(rng, L) for _ in range(2)))
+    scheme = window_scheme([(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(3)])
+    F = system.spreading
+    gathered = []
+    take = np.take
+
+    def counting(a, *args, **kwargs):
+        # the flattened grid stack that cosets gathers from, maybe a copy of F
+        gathered.append(a.size == F.size and np.array_equal(a.reshape(F.shape), F))
+        return take(a, *args, **kwargs)
+
+    monkeypatch.setattr(phase_space.np, "take", counting)
+    riesz_check(system)
+    cross_seq(system, scheme)
+    sampling.transfer_fibers(system, scheme)
+    coefficients(system, rand_kernel(rng, L))
+    # sheared: the generators once, then the averagers twice and T once
+    assert gathered == ([] if shared else [True, False, False, False])
+    assert np.shares_memory(system.spreading_cosets, F) == shared
+
+
+def test_gw_route_reads_no_coset_layout(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gw route read a coset layout")
+
+    for module in (phase_space, si_space):
+        monkeypatch.setattr(module, "cosets", refuse)
+    rng = np.random.default_rng(13)
+    L = 12
+    system = GeneratorSystem(build_lattice([(2, 1), (0, 6)], L), tuple(rand_kernel(rng, L) for _ in range(2)))
+    assert riesz_check(system, route="gw").is_riesz
+    assert "spreading_cosets" not in system.__dict__
+
+
 # ---------------------------------------------------------------- lattice construction
 
 @SETTINGS
@@ -604,11 +699,18 @@ def test_lattices_enumerate_the_normal_form_once_on_first_read(monkeypatch):
     inv_symp_fourier(symp_fourier(np.ones(lat.size), lat), lat)
     ones = np.ones((1, 12, 12))
     tile_product(fold_product(ones, ones, lat), ones, lat)
+    # and so do the coset layouts of a system and a kit on the lattice
+    kit = sampling.ReconstructionKit(GeneratorSystem(lat, ones), average_scheme(ones))
+    layouts = (kit.system.spreading_cosets, kit.scheme_cosets)
     assert calls == []
     for p in (lat, ann):
         assert list(zip(p.xs.tolist(), p.ws.tolist())) == list(p.points)
         for cached in (p.xs, p.ws, p._twiddle, p._coset_gather, p._tile_gather):
             assert not cached.flags.writeable
+    for cached in layouts:
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0
     assert calls == [(12, 2, 2, 1), (12, 6, 6, 3)]
     with pytest.raises(AttributeError):
         lat.modulus = 24

@@ -44,14 +44,15 @@ summation over the annihilator), each run only inside a product:
 The annihilator is generated by (Q, c') and (0, P), c' = c L/(a b), so
 :func:`cosets` lays the grid out as (b, Q, a, P), entry [k', x0, j', w0] at
 (x0, w0) + k'(Q, c') + j'(0, P): a zero-copy reshape when c' = 0, and
-otherwise one shear gather along the contiguous w axis, by a cached index.
+otherwise one shear gather by a cached index (of a C-ordered copy when the
+stack is not C-ordered).
 :func:`fold_cosets` contracts two such layouts over (k', j') coset by
 coset with one einsum, so the product of every pair of operators is never
 formed: a bracket product (de Boor, DeVore and Ron, JFA 1994).
 :func:`fold_product` is cosets of both grid stacks and that contraction;
 callers that fold one stack more than once keep its layout and call
-fold_cosets (the generator systems and reconstruction kits of
-:mod:`opsis.si_space` and :mod:`opsis.sampling` cache theirs).
+fold_cosets (the generator systems of :mod:`opsis.si_space` cache
+theirs).
 :func:`tile_block` reads the transversal index of every grid point from a
 second cached gather, one block before the broadcast over j', laid out to
 meet the plain (b, Q, a, P) reshape of the grid (:func:`grid_blocks`), so

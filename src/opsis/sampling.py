@@ -39,13 +39,8 @@ kit's transfer fibers are the fold of F(S_n) conj(F(Q_m))
 (:func:`transfer_fibers`), without the round trip through the generator
 samples a[m, n] that :func:`cross_seq` returns.  Both folds read the
 generators' transforms from the system's cached coset layout
-(:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`).  The kit also
-caches the averagers' transforms in that lattice's coset layout,
-:attr:`ReconstructionKit.scheme_cosets`, which its transfer stage and
-:func:`interpolation_deviation` read: a view when c' = 0, and on a sheared
-lattice one gather, an extra M L^2 complex copy held for the life of the
-kit.  cross_seq and transfer_fibers alone gather the averagers once per
-call, since a scheme serves many lattices.
+(:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`) and lay out
+the averagers' transforms per call, since a scheme serves many lattices.
 :class:`SamplingScheme`, :class:`TransferMatrix` and :class:`ReconstructionKit`
 are plain immutable classes (:class:`~opsis.phase_space.Immutable`), equal
 only to themselves, and :class:`FrameBounds` is a NamedTuple: no dataclass
@@ -247,19 +242,16 @@ def transfer_matrix(A, lattice: Lattice) -> TransferMatrix:
     return TransferMatrix(lattice, symp_fourier(A, lattice).transpose(2, 0, 1))
 
 
-def transfer_fibers(system: GeneratorSystem, scheme: SamplingScheme, scheme_cosets=None) -> np.ndarray:
+def transfer_fibers(system: GeneratorSystem, scheme: SamplingScheme) -> np.ndarray:
     """The fibers of transfer_matrix(cross_seq(system, scheme)), shape (K, M, N).
 
     Read directly as the fold of F(S_n) conj(F(Q_m)), without the sequences
     a[m, n] and their round trip through two lattice transforms.  The
-    generators' side is the system's cached coset layout; scheme_cosets is
-    the averagers' side when the caller holds it (a kit's
-    :attr:`~ReconstructionKit.scheme_cosets`), and is gathered here otherwise.
+    generators' side is the system's cached coset layout.
     """
     lat = system.lattice
-    if scheme_cosets is None:
-        scheme_cosets = cosets(scheme.spreading, lat)
-    return fold_cosets(system.spreading_cosets[None, :], scheme_cosets[:, None], lat).transpose(2, 0, 1)
+    QC = cosets(scheme.spreading, lat)
+    return fold_cosets(system.spreading_cosets[None, :], QC[:, None], lat).transpose(2, 0, 1)
 
 
 class FrameBounds(NamedTuple):
@@ -355,22 +347,8 @@ class ReconstructionKit(Immutable):
         return riesz_check(self.system, tol=self.riesz_tol)
 
     @cached_property
-    def scheme_cosets(self) -> np.ndarray:
-        """The averager transforms in the system lattice's coset layout, shape (M, b, Q, a, P), read-only.
-
-        :func:`~opsis.phase_space.cosets` of the scheme's spreading
-        transforms, read by the transfer stage and
-        :func:`interpolation_deviation`: a view when c' = 0, and one gather,
-        an extra M L^2 copy, on a sheared lattice.
-        """
-        C = cosets(self.scheme.spreading, self.system.lattice)
-        C.setflags(write=False)
-        return C
-
-    @cached_property
     def transfer(self) -> TransferMatrix:
-        fibers = transfer_fibers(self.system, self.scheme, self.scheme_cosets)
-        return TransferMatrix(self.system.lattice, fibers)
+        return TransferMatrix(self.system.lattice, transfer_fibers(self.system, self.scheme))
 
     @property
     def alpha(self) -> float:
@@ -490,8 +468,7 @@ def interpolation_deviation(kit: ReconstructionKit) -> float:
     of generators and the fibers are invertible.
     """
     lat = kit.system.lattice
-    folded = fold_cosets(cosets(kit.spreading, lat)[:, None], kit.scheme_cosets[None, :], lat)
-    s = inv_symp_fourier(folded, lat)
+    s = lattice_pairing(kit.spreading[:, None], kit.scheme.spreading[None, :], lat)
     target = np.zeros_like(s)
     M = s.shape[0]
     # the origin is the first lattice point in lexicographic order

@@ -699,18 +699,16 @@ def test_lattices_enumerate_the_normal_form_once_on_first_read(monkeypatch):
     inv_symp_fourier(symp_fourier(np.ones(lat.size), lat), lat)
     ones = np.ones((1, 12, 12))
     tile_product(fold_product(ones, ones, lat), ones, lat)
-    # and so do the coset layouts of a system and a kit on the lattice
-    kit = sampling.ReconstructionKit(GeneratorSystem(lat, ones), average_scheme(ones))
-    layouts = (kit.system.spreading_cosets, kit.scheme_cosets)
+    # and so does a system's coset layout on the lattice
+    layout = GeneratorSystem(lat, ones).spreading_cosets
     assert calls == []
     for p in (lat, ann):
         assert list(zip(p.xs.tolist(), p.ws.tolist())) == list(p.points)
         for cached in (p.xs, p.ws, p._twiddle, p._coset_gather, p._tile_gather):
             assert not cached.flags.writeable
-    for cached in layouts:
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0] = 0
+    assert not layout.flags.writeable
+    with pytest.raises(ValueError):
+        layout[0] = 0
     assert calls == [(12, 2, 2, 1), (12, 6, 6, 3)]
     with pytest.raises(AttributeError):
         lat.modulus = 24

@@ -216,7 +216,7 @@ def test_cached_stages_are_computed_once(monkeypatch):
 
     for module, name in ((si_space, "fourier_wigner"), (si_space, "cosets"),
                          (si_space, "gram_fibers"), (si_space, "hermitian_spectrum"),
-                         (sampling, "fourier_wigner"), (sampling, "cosets"),
+                         (sampling, "fourier_wigner"),
                          (sampling, "transfer_fibers"), (sampling, "riesz_check"),
                          (sampling, "fiber_singular_values"), (sampling, "frame_bounds"),
                          (sampling, "dual_left_inverse"), (sampling, "tile_product"),
@@ -224,7 +224,7 @@ def test_cached_stages_are_computed_once(monkeypatch):
         counting(module, name)
     system, scheme = setup()
     kit = ReconstructionKit(system, scheme)
-    stages = ("riesz", "transfer", "scheme_cosets", "_dual", "b", "spreading", "recon_ops")
+    stages = ("riesz", "transfer", "_dual", "b", "spreading", "recon_ops")
     first = {name: getattr(kit, name) for name in stages}
     for _ in range(2):
         assert all(getattr(kit, name) is first[name] for name in stages)
@@ -233,9 +233,9 @@ def test_cached_stages_are_computed_once(monkeypatch):
         assert system.riesz_spectrum is system.riesz_spectrum
         assert system.spreading_cosets is system.spreading_cosets
         assert (kit.alpha, kit.beta) == kit.transfer.bounds[:2]
-    assert_read_only((system.spreading_cosets, kit.scheme_cosets))
-    # one spreading transform and one coset layout of each input, and one of every stage
-    assert calls == {name: 1 for name in calls} and len(calls) == 13
+    assert_read_only((system.spreading_cosets,))
+    # one spreading transform of each input, one coset layout of the generators, and one of every stage
+    assert calls == {name: 1 for name in calls} and len(calls) == 12
 
 
 def test_riesz_report_stays_a_replaceable_dataclass():

@@ -81,11 +81,11 @@ def _coefficients(seed: int, system: GeneratorSystem) -> np.ndarray:
 
 
 def _tolerance(cfg: ExperimentConfig, key: str) -> float | None:
-    return cfg.options.get("tolerances", {}).get(key)
+    return cfg.options["tolerances"][key]
 
 
 def _dual_perturbation(cfg: ExperimentConfig, K: int, N: int, M: int):
-    scale = cfg.options.get("dual_perturbation")
+    scale = cfg.options["dual_perturbation"]
     return None if scale is None else scale * PortableRng(cfg.dual_seed).complex_normal((K, N, M))
 
 
@@ -194,7 +194,7 @@ def run_channel_demo(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         raise ConfigError("channel-demo needs a window-pair scheme")
     g, gt = scheme.windows[0]
 
-    channel_kind = cfg.options.get("channel", {}).get("kind")
+    channel_kind = cfg.options["channel"]
     if channel_kind == "identity":
         H = identity(cfg.L)
     else:
@@ -220,8 +220,7 @@ def run_channel_demo(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     ]
     _write_csv(outdir / "samples.csv", ["lam_x", "lam_w", "re", "im"], srows)
     metrics = {
-        "channel": {"kind": channel_kind or "synthesized",
-                    "diag_max_dev": diag_dev, "size": len(pts)},
+        "channel": {"kind": channel_kind, "diag_max_dev": diag_dev, "size": len(pts)},
         "config": {"L": cfg.L, "lattice_size": lattice.size},
         "tables": {"matrix": "channel_matrix.csv", "samples": "samples.csv"},
     }
@@ -229,7 +228,7 @@ def run_channel_demo(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 
 
 def run_sweep(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
-    sweep = cfg.options.get("sweep")
+    sweep = cfg.options["sweep"]
     if sweep is None:
         raise ConfigError("sweep needs 'sweep': {'a': [...], 'b': [...]}")
     kernels = _need(cfg, "generator_kernels", "generators")

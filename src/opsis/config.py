@@ -33,7 +33,13 @@ records each random item's subseed and shape; after it, one blocked pass
 of the kernel draws every item (see _complex_normals), and only then are
 the rank-one products, the generator system and the scheme formed.  The
 values are those of one PortableRng(subseed).complex_normal(shape) call
-per item.  Keys that the schema does not read are rejected.
+per item.
+
+The walk checks every value where it reaches it, through four readers:
+_object (an object with its required keys and no key the schema does not
+read), _integer (an integer, never a bool), _number (a finite number, never
+a bool) and _items (a non-empty list).  Each message names the value's
+path, such as 'sweep.b[0]'.
 
 :func:`parse_config` returns an :class:`ExperimentConfig`, a mutable
 SimpleNamespace subclass with an explicit constructor over its ten fields;
@@ -60,6 +66,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 8192  # complex normals per vectorised block; bounds the temporaries
 _U_GAMMA, _U_MUL1, _U_MUL2 = map(np.uint64, (_GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 _U11, _U27, _U30, _U31 = map(np.uint64, (11, 27, 30, 31))
+# the largest L for which numpy can shape an L x L complex array
+_MAX_L = math.isqrt(np.iinfo(np.intp).max // 16)
 
 # Seeding contract v2.  ln 2 = LN2_HI + LN2_LO, LN2_HI being ln 2 cut to 32
 # bits, so k * LN2_HI is exact for every k <= 53; SQRT_HALF is the double
@@ -110,12 +118,7 @@ class ConfigError(ValueError):
 
 def _random_item(spec, shape, master: "PortableRng", draws: list, label) -> int:
     """Record a random item's subseed and shape in draws, in walk order; returns its index there."""
-    if "seed" not in spec:
-        seed = master.next_u64()
-    else:
-        seed = spec["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"'{label}.seed' must be an integer")
+    seed = master.next_u64() if "seed" not in spec else _integer(spec["seed"], f"{label}.seed")
     draws.append((seed & _MASK, shape))
     return len(draws) - 1
 
@@ -243,6 +246,9 @@ class ExperimentConfig(SimpleNamespace):
     """Resolved experiment inputs plus options for the runners, validated by :func:`parse_config`.
 
     Mutable; compares and prints field by field, as a SimpleNamespace does.
+    parse_config fills options with every option, validated and defaulted:
+    'channel' (a kind), 'sweep' (None or the {'a', 'b'} grid), 'tolerances'
+    (None for a default) and 'dual_perturbation' (None or the scale).
     """
 
     L: int
@@ -275,37 +281,60 @@ def load_config(path) -> dict:
     return raw
 
 
-def _require_int(raw, key, minimum=None):
-    val = raw.get(key)
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"'{key}' must be an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"'{key}' must be >= {minimum}, got {val}")
-    return val
-
-
-def _known_keys(spec: dict, label: str, keys) -> None:
-    """Raise ConfigError naming the first key of the object at label that the schema lacks."""
+def _object(spec, label: str, keys, required=()) -> dict:
+    """spec, checked to be an object with every required key and no key beyond keys."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'{label}' must be an object")
     for key in spec:
         if key not in keys:
             raise ConfigError(f"unknown key '{label}.{key}'" if label else f"unknown key '{key}'")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"'{label}.{key}' must be given")
+    return spec
+
+
+def _integer(val, label: str, lo=None, hi=None) -> int:
+    """val, checked to be an integer in [lo, hi], never a bool; a bound of None is open."""
+    if (isinstance(val, bool) or not isinstance(val, int)
+            or (lo is not None and val < lo) or (hi is not None and val > hi)):
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        raise ConfigError(f"'{label}' must be an integer{bounds}, got {val!r}")
+    return val
+
+
+def _number(val, label: str, lo=None):
+    """val, checked to be a finite number >= lo, never a bool (nor an int beyond the float range)."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not abs(val) <= sys.float_info.max or (lo is not None and val < lo)):
+        bound = "" if lo is None else f" >= {lo}"
+        raise ConfigError(f"'{label}' must be a finite number{bound}, got {val!r}")
+    return val
+
+
+def _items(val, label: str) -> list:
+    """val, checked to be a non-empty list."""
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"'{label}' must be a non-empty list")
+    return val
 
 
 def _build_lattice(spec, L, label):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"'{label}' must be an object")
-    _known_keys(spec, label, ("generators",) if "generators" in spec else ("a", "b"))
+    """The lattice of a separable spec ('a' and 'b') or of a 'generators' one."""
+    keys = ("generators",) if "generators" in _object(spec, label, spec) else ("a", "b")
+    _object(spec, label, keys, required=keys)  # the form known, check its keys
+    if keys == ("a", "b"):
+        descriptor = tuple(_integer(spec[key], f"{label}.{key}") for key in keys)
+    else:
+        descriptor = []
+        for i, pair in enumerate(_items(spec["generators"], f"{label}.generators")):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"'{label}.generators[{i}]' must be an [x, w] pair")
+            descriptor.append(tuple(_integer(v, f"{label}.generators[{i}][{j}]")
+                                    for j, v in enumerate(pair)))
     try:
-        if "generators" in spec:
-            gens = spec["generators"]
-            pairs = isinstance(gens, list) and all(isinstance(p, list) and len(p) == 2 for p in gens)
-            if not pairs:
-                raise ConfigError(f"'{label}.generators' must be a list of [x, w] integer pairs")
-            return build_lattice([tuple(p) for p in gens], L)
-        a = _require_int(spec, "a", minimum=1)
-        b = _require_int(spec, "b", minimum=1)
-        return build_lattice((a, b), L)
-    except (LatticeError, TypeError, KeyError) as exc:
+        return build_lattice(descriptor, L)
+    except LatticeError as exc:
         raise ConfigError(f"invalid '{label}': {exc}") from exc
 
 
@@ -349,37 +378,32 @@ _GENERATOR_KEYS = {"rank_one": ("kind", "left", "right"), "random": ("kind", "se
                    "explicit_kernel": ("kind", "kernel")}
 
 
-def _kind(spec, label, keys_by_kind, what):
+def _kind(spec, label, keys_by_kind):
     """The 'kind' of an item spec, after checking the spec's keys against that kind's."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"'{label}' must be an object with a 'kind'")
-    kind = spec["kind"]
+    kind = _object(spec, label, spec, required=("kind",))["kind"]  # any key until the kind is known
     if not isinstance(kind, str) or kind not in keys_by_kind:
-        raise ConfigError(f"unknown {what} kind {kind!r} in '{label}'")
-    _known_keys(spec, label, keys_by_kind[kind])
+        raise ConfigError(f"'{label}.kind' must be one of {', '.join(keys_by_kind)}, got {kind!r}")
+    _object(spec, label, keys_by_kind[kind])
     return kind
 
 
 def _window(spec, L, master, draws, label):
     """The window's vector, or the index in draws of a random one."""
-    kind = _kind(spec, label, _WINDOW_KEYS, "window")
+    kind = _kind(spec, label, _WINDOW_KEYS)
     if kind == "random":
         return _random_item(spec, (L,), master, draws, label)
     if kind == "gaussian":
         return gaussian_window(L)
     if kind == "delta":
-        at = spec.get("at", 0)
-        if isinstance(at, bool) or not isinstance(at, int) or not 0 <= at < L:
-            raise ConfigError(f"'{label}.at' must be an integer in [0, {L})")
         vec = np.zeros(L, dtype=complex)
-        vec[at] = 1.0
+        vec[_integer(spec.get("at", 0), f"{label}.at", 0, L - 1)] = 1.0
         return vec
     return _complex_vector(spec.get("values"), L, f"{label}.values")
 
 
 def _generator(spec, L, master, draws, label):
     """The generator's kernel, the index in draws of a random one, or the pair of a rank_one."""
-    kind = _kind(spec, label, _GENERATOR_KEYS, "generator")
+    kind = _kind(spec, label, _GENERATOR_KEYS)
     if kind == "rank_one":
         return (_window(spec.get("left"), L, master, draws, f"{label}.left"),
                 _window(spec.get("right"), L, master, draws, f"{label}.right"))
@@ -389,54 +413,6 @@ def _generator(spec, L, master, draws, label):
     if not isinstance(rows, list) or len(rows) != L:
         raise ConfigError(f"'{label}.kernel' must be a list of {L} rows")
     return np.array([_complex_vector(row, L, f"{label}.kernel") for row in rows])
-
-
-def _tolerances(spec) -> dict:
-    """The 'riesz' and 'frame' gate overrides, each a finite number >= 0, or None for the default."""
-    if not isinstance(spec, dict):
-        raise ConfigError("'tolerances' must be an object")
-    _known_keys(spec, "tolerances", ("riesz", "frame"))
-    tols = {key: spec.get(key) for key in ("riesz", "frame")}
-    for key, val in tols.items():
-        if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))
-                                or not 0 <= val < math.inf):
-            raise ConfigError(f"'tolerances.{key}' must be a finite number >= 0")
-    return tols
-
-
-def _dual_scale(spec):
-    """The scale of the seeded left-inverse family member, or None when the perturbation is disabled."""
-    if not (isinstance(spec, dict) and isinstance(spec.get("enabled"), bool)):
-        raise ConfigError("'dual_perturbation' must be an object with a boolean 'enabled'")
-    _known_keys(spec, "dual_perturbation", ("enabled", "scale"))
-    scale = spec.get("scale", 1.0)
-    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
-            or not abs(scale) <= sys.float_info.max):
-        raise ConfigError("'dual_perturbation.scale' must be a finite number")
-    return scale if spec["enabled"] else None
-
-
-def _sweep(spec) -> dict:
-    """The sweep grid: 'a' and 'b', each a non-empty list of integers."""
-    if not isinstance(spec, dict) or "a" not in spec or "b" not in spec:
-        raise ConfigError("'sweep' must be an object with 'a' and 'b' lists")
-    _known_keys(spec, "sweep", ("a", "b"))
-    for key in ("a", "b"):
-        vals = spec[key]
-        if not (isinstance(vals, list) and vals
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in vals)):
-            raise ConfigError(f"'sweep.{key}' must be a non-empty list of integers")
-    return spec
-
-
-def _channel(spec) -> dict:
-    """The channel-demo operator: 'kind' is 'synthesized' (the default) or 'identity'."""
-    if not isinstance(spec, dict):
-        raise ConfigError("'channel' must be an object with a 'kind'")
-    _known_keys(spec, "channel", ("kind",))
-    if spec.get("kind") not in (None, "synthesized", "identity"):
-        raise ConfigError(f"unknown channel kind {spec['kind']!r}")
-    return spec
 
 
 _TOP_KEYS = ("L", "seed", "lattice", "sublattice", "generators", "scheme", "channel", "sweep",
@@ -451,11 +427,9 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     subseeds in order, then one kernel pass draws them all before any
     object is built from them.
     """
-    _known_keys(raw, "", _TOP_KEYS)
-    L = _require_int(raw, "L", minimum=2)
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+    _object(raw, "", _TOP_KEYS)
+    L = _integer(raw.get("L"), "L", 2, _MAX_L)
+    seed = _integer(raw.get("seed", 0), "seed") if seed_override is None else seed_override
     master = PortableRng(seed)
     draws = []
 
@@ -467,58 +441,53 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     if "generators" in raw:
         if lattice is None and "sweep" not in raw:
             raise ConfigError("'generators' given without a 'lattice'")
-        specs = raw["generators"]
-        if not isinstance(specs, list) or not specs:
-            raise ConfigError("'generators' must be a non-empty list")
         kernels = [_generator(s, L, master, draws, f"generators[{i}]")
-                   for i, s in enumerate(specs)]
+                   for i, s in enumerate(_items(raw["generators"], "generators"))]
 
     windows = averagers = None
     if "scheme" in raw:
-        spec = raw["scheme"]
-        if not isinstance(spec, dict):
-            raise ConfigError("'scheme' must be an object")
-        _known_keys(spec, "scheme", ("windows", "averagers"))
-        if ("windows" in spec) == ("averagers" in spec):
-            raise ConfigError("'scheme' needs exactly one of 'windows' or 'averagers'")
+        spec = _object(raw["scheme"], "scheme", ("windows", "averagers"))
+        if len(spec) != 1:
+            raise ConfigError("'scheme' must hold exactly one of 'windows' or 'averagers'")
         if "windows" in spec:
-            items = spec["windows"]
-            if not isinstance(items, list) or not items:
-                raise ConfigError("'scheme.windows' must be a non-empty list")
             windows = []
-            for i, item in enumerate(items):
+            for i, item in enumerate(_items(spec["windows"], "scheme.windows")):
                 label = f"scheme.windows[{i}]"
-                if not isinstance(item, dict):
-                    raise ConfigError(f"'{label}' must be an object")
-                _known_keys(item, label, ("g", "g_tilde"))
-                windows.append((_window(item.get("g"), L, master, draws, f"{label}.g"),
-                                _window(item.get("g_tilde"), L, master, draws, f"{label}.g_tilde")))
+                _object(item, label, ("g", "g_tilde"), required=("g", "g_tilde"))
+                windows.append((_window(item["g"], L, master, draws, f"{label}.g"),
+                                _window(item["g_tilde"], L, master, draws, f"{label}.g_tilde")))
         else:
-            items = spec["averagers"]
-            if not isinstance(items, list) or not items:
-                raise ConfigError("'scheme.averagers' must be a non-empty list")
-            averagers = [
-                _generator(item, L, master, draws, f"scheme.averagers[{i}]")
-                for i, item in enumerate(items)
-            ]
+            averagers = [_generator(item, L, master, draws, f"scheme.averagers[{i}]")
+                         for i, item in enumerate(_items(spec["averagers"], "scheme.averagers"))]
 
     sublattice = None
     if "sublattice" in raw:
         sublattice = _build_lattice(raw["sublattice"], L, "sublattice")
-        if lattice is not None:
-            if not lattice.contains_lattice(sublattice):
-                raise ConfigError("'sublattice' is not contained in 'lattice'")
+        if lattice is not None and not lattice.contains_lattice(sublattice):
+            raise ConfigError("'sublattice' is not contained in 'lattice'")
 
     coef_seed = master.next_u64()
     dual_seed = master.next_u64()
 
-    options = {}
-    if "channel" in raw:
-        options["channel"] = _channel(raw["channel"])
+    channel = _object(raw.get("channel", {}), "channel", ("kind",)).get("kind")
+    if channel not in (None, "synthesized", "identity"):
+        raise ConfigError(f"'channel.kind' must be synthesized or identity, got {channel!r}")
+    sweep = None
     if "sweep" in raw:
-        options["sweep"] = _sweep(raw["sweep"])
-    options["tolerances"] = _tolerances(raw.get("tolerances", {}))
-    options["dual_perturbation"] = _dual_scale(raw.get("dual_perturbation", {"enabled": False}))
+        sweep = _object(raw["sweep"], "sweep", ("a", "b"), required=("a", "b"))
+        for key in ("a", "b"):
+            for i, v in enumerate(_items(sweep[key], f"sweep.{key}")):
+                _integer(v, f"sweep.{key}[{i}]")
+    spec = _object(raw.get("tolerances", {}), "tolerances", ("riesz", "frame"))
+    tolerances = {key: None if spec.get(key) is None else _number(spec[key], f"tolerances.{key}", 0)
+                  for key in ("riesz", "frame")}
+    spec = _object(raw.get("dual_perturbation", {"enabled": False}), "dual_perturbation",
+                   ("enabled", "scale"), required=("enabled",))
+    if not isinstance(spec["enabled"], bool):
+        raise ConfigError(f"'dual_perturbation.enabled' must be a boolean, got {spec['enabled']!r}")
+    scale = _number(spec.get("scale", 1.0), "dual_perturbation.scale")
+    options = {"channel": channel or "synthesized", "sweep": sweep, "tolerances": tolerances,
+               "dual_perturbation": scale if spec["enabled"] else None}
 
     values = _draw(draws)
     system = scheme = None
@@ -530,15 +499,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         scheme = window_scheme([(_built(g, values), _built(gt, values)) for g, gt in windows])
     elif averagers is not None:
         scheme = average_scheme([_built(q, values) for q in averagers])
-    return ExperimentConfig(
-        L=L,
-        seed=seed,
-        lattice=lattice,
-        sublattice=sublattice,
-        generator_kernels=kernels,
-        system=system,
-        scheme=scheme,
-        coef_seed=coef_seed,
-        dual_seed=dual_seed,
-        options=options,
-    )
+    return ExperimentConfig(L=L, seed=seed, lattice=lattice, sublattice=sublattice,
+                            generator_kernels=kernels, system=system, scheme=scheme,
+                            coef_seed=coef_seed, dual_seed=dual_seed, options=options)

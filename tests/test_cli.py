@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import opsis
 from opsis import cli, sampling, si_space
 from opsis.cli import main
+from opsis.config import ConfigError, parse_config
 from opsis.hs_ops import inverse_fourier_wigner
 
 
@@ -85,28 +87,55 @@ def test_riesz_check_invalid_divisor_exits_3(tmp_path):
     assert main(["riesz-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
 
-@pytest.mark.parametrize("command, cfg, extra", [
-    ("riesz-check", GAUSSIAN_RIESZ, {"tolerances": {"riesz": True}}),
-    ("reconstruct", RECON_OK, {"tolerances": {"frame": True}}),
-    ("reconstruct", RECON_OK, {"dual_perturbation": {"enabled": True, "scale": True}}),
-])
-def test_boolean_for_a_number_exits_3(tmp_path, command, cfg, extra):
+@pytest.mark.parametrize("cfg", [RECON_OK, GAUSSIAN_RIESZ, NEGATIVE_CONTROL],
+                         ids=["random_items", "gaussian_windows", "delta_windows"])
+def test_modulus_beyond_the_array_size_limit_exits_3(tmp_path, capsys, cfg):
+    # no L x L complex array can be shaped for L = 10 ** 30, nor an array of L entries
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["reconstruct", "--config", write_config(tmp_path / "c.json", dict(cfg, L=10 ** 30)),
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "'L'" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+    assert peak < 2 ** 20
+    # the bound is the largest L whose L x L complex array numpy can shape
+    bound = math.isqrt(np.iinfo(np.intp).max // 16)
+    assert parse_config({"L": bound}).L == bound
+    with pytest.raises(ConfigError, match="'L' must be an integer in"):
+        parse_config({"L": bound + 1})
+
+
+# in these exit-3 tests the ids leave the expected path out of each case's name
+@pytest.mark.parametrize("command, cfg, extra, label", [
+    ("riesz-check", GAUSSIAN_RIESZ, {"tolerances": {"riesz": True}}, "tolerances.riesz"),
+    ("reconstruct", RECON_OK, {"tolerances": {"frame": True}}, "tolerances.frame"),
+    ("reconstruct", RECON_OK, {"dual_perturbation": {"enabled": True, "scale": True}},
+     "dual_perturbation.scale"),
+], ids=["riesz-check-cfg0-extra0", "reconstruct-cfg1-extra1", "reconstruct-cfg2-extra2"])
+def test_boolean_for_a_number_exits_3(tmp_path, capsys, command, cfg, extra, label):
     path = write_config(tmp_path / "c.json", dict(cfg, **extra))
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert f"'{label}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("change", [
-    {"lattice": {"generators": [[1.5, 0], [0, 2]]}},
-    {"lattice": {"generators": [["1", 0], [0, 2]]}},
-    {"lattice": {"generators": [[True, 0], [0, 2]]}},
-    {"lattice": {"generators": [[1, 0, 5], [0, 2]]}},
-    {"lattice": {"generators": [2, 2]}},
-    {"generators": [{"kind": "rank_one", "left": {"kind": "delta", "at": True},
-                     "right": {"kind": "gaussian"}}]},
-])
-def test_malformed_lattice_generator_or_delta_exits_3(tmp_path, change):
+@pytest.mark.parametrize("change, label", [
+    ({"lattice": {"generators": [[1.5, 0], [0, 2]]}}, "lattice.generators[0][0]"),
+    ({"lattice": {"generators": [["1", 0], [0, 2]]}}, "lattice.generators[0][0]"),
+    ({"lattice": {"generators": [[True, 0], [0, 2]]}}, "lattice.generators[0][0]"),
+    ({"lattice": {"generators": [[1, 0, 5], [0, 2]]}}, "lattice.generators[0]"),
+    ({"lattice": {"generators": [2, 2]}}, "lattice.generators[0]"),
+    ({"generators": [{"kind": "rank_one", "left": {"kind": "delta", "at": True},
+                      "right": {"kind": "gaussian"}}]}, "generators[0].left.at"),
+], ids=[f"change{i}" for i in range(6)])
+def test_malformed_lattice_generator_or_delta_exits_3(tmp_path, capsys, change, label):
     cfg = write_config(tmp_path / "c.json", dict(GAUSSIAN_RIESZ, **change))
     assert main(["riesz-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert f"'{label}'" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_3(tmp_path):
@@ -245,8 +274,10 @@ def test_left_inverse_failure_writes_metrics(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["riesz", "frame"])
-@pytest.mark.parametrize("value", [-1, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [-1, -1e-300, math.nan, math.inf, -math.inf,
+                                   pytest.param(10 ** 400, id="int_1e400")])
 def test_negative_or_non_finite_tolerance_exits_3(tmp_path, key, value):
+    # json.dumps writes 10 ** 400 as the integer literal 1 followed by 400 zeros
     cfg = write_config(tmp_path / "c.json", dict(RECON_OK, tolerances={key: value}))
     assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
@@ -263,22 +294,23 @@ def test_non_finite_dual_perturbation_scale_exits_3(tmp_path, literal):
     assert not (out / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("spec", [
-    True,
-    [1, 2],
-    "enabled",
-    {"enabled": "false"},
-    {"enabled": "no"},
-    {"enabled": 1},
-    {"enabled": None},
-    {"scale": 2.0},                          # no 'enabled'
-    {"enabled": False, "scale": "large"},    # scale is checked when disabled too
-])
-def test_malformed_dual_perturbation_exits_3(tmp_path, spec):
+@pytest.mark.parametrize("spec, label", [
+    (True, "dual_perturbation"),
+    ([1, 2], "dual_perturbation"),
+    ("enabled", "dual_perturbation"),
+    ({"enabled": "false"}, "dual_perturbation.enabled"),
+    ({"enabled": "no"}, "dual_perturbation.enabled"),
+    ({"enabled": 1}, "dual_perturbation.enabled"),
+    ({"enabled": None}, "dual_perturbation.enabled"),
+    ({"scale": 2.0}, "dual_perturbation.enabled"),                      # no 'enabled'
+    ({"enabled": False, "scale": "large"}, "dual_perturbation.scale"),  # checked when disabled too
+], ids=["True", "spec1", "enabled"] + [f"spec{i}" for i in range(3, 9)])
+def test_malformed_dual_perturbation_exits_3(tmp_path, capsys, spec, label):
     cfg = write_config(tmp_path / "c.json", dict(RECON_OK, dual_perturbation=spec))
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 3
     assert not (out / "metrics.json").exists()
+    assert f"'{label}'" in capsys.readouterr().err
 
 
 def test_disabled_dual_perturbation_is_the_default_dual(tmp_path):
@@ -296,14 +328,19 @@ ALL_COMMANDS_OK = dict(RECON_OK, sweep={"a": [2], "b": [2]})
 
 @pytest.mark.parametrize("command", ["riesz-check", "frame-check", "reconstruct",
                                      "channel-demo", "sweep"])
-@pytest.mark.parametrize("tolerances", ["bad", [1e-3], {"riesz": "1e-3"}, {"frame": -1}])
-def test_malformed_tolerances_exit_3_on_every_command(tmp_path, command, tolerances):
+@pytest.mark.parametrize("tolerances, label", [
+    ("bad", "tolerances"), ([1e-3], "tolerances"), ({"riesz": "1e-3"}, "tolerances.riesz"),
+    ({"frame": -1}, "tolerances.frame"),
+], ids=["bad", "tolerances1", "tolerances2", "tolerances3"])
+def test_malformed_tolerances_exit_3_on_every_command(tmp_path, capsys, command, tolerances, label):
     cfg = write_config(tmp_path / "ok.json", ALL_COMMANDS_OK)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
     cfg = write_config(tmp_path / "c.json", dict(ALL_COMMANDS_OK, tolerances=tolerances))
     out = tmp_path / "out"
+    capsys.readouterr()
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
     assert not (out / "metrics.json").exists()
+    assert f"'{label}'" in capsys.readouterr().err
 
 
 # every object of the schema, each window and generator kind included
@@ -369,14 +406,16 @@ def test_keys_the_schema_does_not_read_exit_3(tmp_path, extra):
     assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
 
-@pytest.mark.parametrize("extra", [
-    {"sweep": "bad"}, {"sweep": {"a": [2]}}, {"sweep": {"a": [], "b": [2]}},
-    {"sweep": {"a": [2], "b": [True]}}, {"channel": "identity"}, {"channel": {"kind": "noise"}},
-])
-def test_malformed_sweep_or_channel_exits_3_on_every_command(tmp_path, extra):
+@pytest.mark.parametrize("extra, label", [
+    ({"sweep": "bad"}, "sweep"), ({"sweep": {"a": [2]}}, "sweep.b"),
+    ({"sweep": {"a": [], "b": [2]}}, "sweep.a"), ({"sweep": {"a": [2], "b": [True]}}, "sweep.b[0]"),
+    ({"channel": "identity"}, "channel"), ({"channel": {"kind": "noise"}}, "channel.kind"),
+], ids=[f"extra{i}" for i in range(6)])
+def test_malformed_sweep_or_channel_exits_3_on_every_command(tmp_path, capsys, extra, label):
     # both are validated with the rest of the config, not only by the command that reads them
     cfg = write_config(tmp_path / "c.json", dict(RECON_OK, **extra))
     assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert f"'{label}'" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

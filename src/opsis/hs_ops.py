@@ -17,11 +17,11 @@ character and the lattice enters through the two grid-lattice maps of
 :mod:`opsis.phase_space`: :func:`lattice_pairing` is the inverse
 symplectic series of a fold_product, and a translate sum (a Gabor
 multiplier, or :func:`fn_op_convolve`) is the tile_product of the
-symplectic series of its coefficients with the spreading transform.  Every
-lattice Fourier step runs on the lattice's own size, never on an L x L grid
-FFT; :func:`fn_op_convolve` runs the same code on the full lattice Z_L^2,
-where it is the plain 2-D DFT.  :func:`op_translate` builds one translate
-as a dense kernel.
+symplectic series of its coefficients with the coset layout of the
+spreading transform.  Every lattice Fourier step runs on the lattice's own
+size, never on an L x L grid FFT; :func:`fn_op_convolve` runs the same
+code on the full lattice Z_L^2, where it is the plain 2-D DFT.
+:func:`op_translate` builds one translate as a dense kernel.
 
 Normalizations are pinned by exact unitarity: with the L^{-1/2} prefactor
 below, kn_symbol satisfies <sigma_S, sigma_T> = <S, T> identically, and the
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .phase_space import Point, build_lattice, fold_product, inv_symp_fourier, symp_fourier, tile_product
+from .phase_space import Point, build_lattice, cosets, fold_product, inv_symp_fourier, symp_fourier, tile_product
 from .timefreq import UnsupportedModulusError
 
 
@@ -185,7 +185,7 @@ def inverse_fourier_wigner(F) -> np.ndarray:
 
 # The spreading-domain engine.  By covariance, the spreading transform of
 # sum_lam c(lam) translate(lam, H) is tile(symp_fourier(c)) * F(H), which
-# :func:`opsis.phase_space.tile_product` forms block by block, and by Parseval
+# :func:`opsis.phase_space.tile_product` forms on the coset layout, and by Parseval
 # <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L},
 # which Poisson summation over the annihilator turns into the inverse
 # symplectic series of the fold of F_T conj(F_Q).  That fold is contracted
@@ -209,7 +209,8 @@ def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
     atom phi.
     """
     chat = symp_fourier(mask, lattice)[..., None, :]
-    return inverse_fourier_wigner(tile_product(chat, fourier_wigner(rank_one(phi, psi))[None], lattice))
+    C = cosets(fourier_wigner(rank_one(phi, psi))[None], lattice)
+    return inverse_fourier_wigner(tile_product(chat, C, lattice))
 
 
 def fn_op_convolve(g, S) -> np.ndarray:
@@ -227,5 +228,5 @@ def fn_op_convolve(g, S) -> np.ndarray:
     # it is built from its normal form and never lists them
     full = build_lattice((1, 1), L)
     chat = symp_fourier(g.reshape(1, L * L), full)
-    return inverse_fourier_wigner(tile_product(chat, fourier_wigner(S)[None], full))
+    return inverse_fourier_wigner(tile_product(chat, cosets(fourier_wigner(S)[None], full), full))
 

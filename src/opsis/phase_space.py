@@ -45,18 +45,18 @@ The annihilator is generated by (Q, c') and (0, P), c' = c L/(a b), so
 :func:`cosets` lays the grid out as (b, Q, a, P), entry [k', x0, j', w0] at
 (x0, w0) + k'(Q, c') + j'(0, P): a zero-copy reshape when c' = 0, and
 otherwise one shear gather by a cached index (of a C-ordered copy when the
-stack is not C-ordered).
+stack is not C-ordered).  Both maps read this one layout.
 :func:`fold_cosets` contracts two such layouts over (k', j') coset by
 coset with one einsum, so the product of every pair of operators is never
 formed: a bracket product (de Boor, DeVore and Ron, JFA 1994).
-:func:`fold_product` is cosets of both grid stacks and that contraction;
-callers that fold one stack more than once keep its layout and call
-fold_cosets (the generator systems of :mod:`opsis.si_space` cache
-theirs).
-:func:`tile_block` reads the transversal index of every grid point from a
-second cached gather, one block before the broadcast over j', laid out to
-meet the plain (b, Q, a, P) reshape of the grid (:func:`grid_blocks`), so
-tile_product runs block by block without a tiled copy.
+:func:`fold_product` is cosets of both grid stacks and that contraction.
+:func:`tile_product` takes the layout of the stack it multiplies, where a
+tile is a reshape view of the fiber data, constant over (k', j'), and
+returns the sum to the grid by a reshape when c' = 0, otherwise by one
+take through the inverse of the gather index: L^2 more indices, cached
+only by a sheared lattice that tiles.  Callers that lay out one stack
+more than once keep its layout (the generator systems of
+:mod:`opsis.si_space` cache theirs, and fold and tile from it).
 :func:`symp_character_matrix`, the dense |lattice| x |lattice| character
 matrix, has no production caller; the tests' reference series use it.
 
@@ -202,19 +202,16 @@ class Lattice(Immutable):
         return gather
 
     @cached_property
-    def _tile_gather(self) -> np.ndarray:
-        """Index of :func:`tile_block`, shape (b, Q, P), read-only.
+    def _coset_scatter(self) -> np.ndarray:
+        """Inverse of :attr:`_coset_gather`, read-only: entry [x L + w] is the gather position of (x, w).
 
-        Entry [k', x0, w1] is the transversal point (x0, (w1 - k' c') mod P),
-        whose annihilator coset holds the grid points (k' Q + x0, w1 + j' P).
+        L^2 indices, built by the first :func:`tile_product` on the lattice when c' != 0.
         """
-        L = self.modulus
-        a, b, c = self._hnf
-        P, Q = L // a, L // b
-        shear = np.arange(b)[:, None, None] * (P * c // b)
-        gather = np.arange(Q)[:, None] * P + (np.arange(P) - shear) % P
-        gather.setflags(write=False)
-        return gather
+        gather = self._coset_gather.ravel()
+        scatter = np.empty_like(gather)
+        scatter[gather] = np.arange(gather.size)
+        scatter.setflags(write=False)
+        return scatter
 
     def locate(self, x, w):
         """(index, is a point) of each (x, w), elementwise over broadcast integer arrays.
@@ -382,20 +379,6 @@ def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
     return np.swapaxes(c, -1, -2).reshape(F.shape)
 
 
-def grid_blocks(G, lat: Lattice) -> np.ndarray:
-    """The grid as blocks, a reshape to shape (..., b, Q, a, P).
-
-    Entry [..., k', x0, j', w1] is G at (k' Q + x0, j' P + w1); G is indexed
-    [x, w] in its last two axes, and leading axes are kept.  This is the
-    layout that :func:`tile_block` broadcasts against, and for c' = 0 it is
-    also the layout of :func:`cosets`.
-    """
-    G = np.asarray(G)
-    L = lat.modulus
-    a, b, _ = lat._hnf
-    return G.reshape(G.shape[:-2] + (b, L // b, a, L // a))
-
-
 def cosets(G, lat: Lattice) -> np.ndarray:
     """The grid in annihilator-coset layout, shape (..., b, Q, a, P).
 
@@ -407,10 +390,10 @@ def cosets(G, lat: Lattice) -> np.ndarray:
     """
     G = np.asarray(G)
     L = lat.modulus
-    c = lat._hnf[2]
+    a, b, c = lat._hnf
     lead = G.shape[:-2]
     if c == 0:
-        return grid_blocks(G, lat)
+        return G.reshape(lead + (b, L // b, a, L // a))
     # the gather's memory runs over each coset innermost, which the fold reductions read fastest
     C = np.take(G.reshape(lead + (L * L,)), lat._coset_gather, axis=-1)
     n = len(lead)
@@ -439,37 +422,29 @@ def fold_product(FT, FQ, lat: Lattice) -> np.ndarray:
     return fold_cosets(cosets(FT, lat), cosets(FQ, lat), lat)
 
 
-def tile_block(F, lat: Lattice) -> np.ndarray:
-    """The tile of fiber data F in the layout of :func:`grid_blocks`, without the grid-size copy.
-
-    Shape (..., b, Q, 1, P), or (..., 1, Q, 1, P) when c' = 0: the tile is
-    constant over j', and over k' too when c' = 0, so those axes broadcast.
-    Entry [..., k', x0, 0, w1] is F at the transversal point
-    (x0, (w1 - k' c') mod P).  For c' = 0 it is a reshape view of F,
-    otherwise one cached gather.
-    """
-    F = _as_seqs(F, lat, "fiber data")
-    L = lat.modulus
-    a, b, c = lat._hnf
-    if c == 0:
-        return F.reshape(F.shape[:-1] + (1, L // b, 1, L // a))
-    return np.take(F, lat._tile_gather, axis=-1)[..., None, :]
-
-
-def tile_product(chat, F, lat: Lattice) -> np.ndarray:
-    """sum_n tile(chat[..., n, :]) F[n], shape (..., N, K) and (N, L, L) -> (..., L, L).
+def tile_product(chat, C, lat: Lattice) -> np.ndarray:
+    """sum_n tile(chat[..., n, :]) F[n], from chat of shape (..., N, K) and C = cosets(F, lat), shape (..., L, L).
 
     With chat_n = symp_fourier(c_n) and F_n = F(S_n) this is
-    F(sum_n sum_lam c_n(lam) translate(lam, S_n)).  Accumulated over n in
-    the grid's blocks, so neither the tiles nor the N products are formed.
+    F(sum_n sum_lam c_n(lam) translate(lam, S_n)).  In the coset layout a
+    tile is a reshape view of chat_n, constant over (k', j'), so neither the
+    tiles nor the N products are formed.
     """
-    blocks = tile_block(chat, lat)
-    blocks = blocks.transpose(-5, *range(blocks.ndim - 5), -4, -3, -2, -1)
-    F = grid_blocks(F, lat)
-    out = blocks[0] * F[0]
-    for block, F_n in zip(blocks[1:], F[1:], strict=True):
-        out += block * F_n
-    return out.reshape(out.shape[:-4] + (lat.modulus,) * 2)
+    chat = _as_seqs(chat, lat, "fiber data")
+    L = lat.modulus
+    a, b, c = lat._hnf
+    tiles = chat.reshape(chat.shape[:-1] + (1, L // b, 1, L // a))
+    tiles = tiles.transpose(-5, *range(tiles.ndim - 5), -4, -3, -2, -1)
+    out = tiles[0] * C[0]
+    for tile, C_n in zip(tiles[1:], C[1:], strict=True):
+        out += tile * C_n
+    lead = out.shape[:-4]
+    if c == 0:
+        return out.reshape(lead + (L, L))
+    # out runs in the gather's memory order (x0, w0, k', j'), so this reshape is a view
+    n = len(lead)
+    out = out.transpose(tuple(range(n)) + (n + 1, n + 3, n, n + 2)).reshape(lead + (L * L,))
+    return np.take(out, lat._coset_scatter, axis=-1).reshape(lead + (L, L))
 
 
 def lattice_convolve(c, d, lat: Lattice) -> np.ndarray:

@@ -37,10 +37,10 @@ cached; the dual stage gates on the Riesz and frame tolerances the kit was
 built with.  The H_m and the sequences b are formed only when read.  The
 kit's transfer fibers are the fold of F(S_n) conj(F(Q_m))
 (:func:`transfer_fibers`), without the round trip through the generator
-samples a[m, n] that :func:`cross_seq` returns.  Both folds read the
-generators' transforms from the system's cached coset layout
-(:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`) and lay out
-the averagers' transforms per call, since a scheme serves many lattices.
+samples a[m, n] that :func:`cross_seq` returns.  Both folds and every
+tile below read the generators' transforms from the system's cached coset
+layout (:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`); the
+averagers are laid out per call, since a scheme serves many lattices.
 :class:`SamplingScheme`, :class:`TransferMatrix` and :class:`ReconstructionKit`
 are plain immutable classes (:class:`~opsis.phase_space.Immutable`), equal
 only to themselves, and :class:`FrameBounds` is a NamedTuple: no dataclass
@@ -384,7 +384,7 @@ class ReconstructionKit(Immutable):
 
         F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n).
         """
-        F = tile_product(self.dual_fibers.transpose(2, 1, 0), self.system.spreading, self.system.lattice)
+        F = tile_product(self.dual_fibers.transpose(2, 1, 0), self.system.spreading_cosets, self.system.lattice)
         F.setflags(write=False)
         return F
 
@@ -424,7 +424,7 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
     chat(xi) = Bhat(xi) shat(xi) over the generators.
     """
     chat = _sample_fibers(samples, kit)
-    return inverse_fourier_wigner(tile_product(chat, kit.system.spreading, kit.system.lattice))
+    return inverse_fourier_wigner(tile_product(chat, kit.system.spreading_cosets, kit.system.lattice))
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:

@@ -17,25 +17,22 @@ of the spreading transforms equal Ghat up to the single constant
 cross-check of the fibers that shares only the spreading transforms.
 
 Production routes run in the spreading domain and on the fibers, through
-the two grid-lattice maps of :mod:`opsis.phase_space`.  The Riesz fibers
-are the annihilator folds of F_n conj(F_n'), and the analysis step of
-:func:`coefficients` is the fold of F_T conj(F_n); each fold is contracted
-coset by coset by :func:`~opsis.phase_space.fold_cosets`, on the
-generators' side from the system's cached coset layout,
-:attr:`GeneratorSystem.spreading_cosets`.  That layout is a view of the
-spreading transforms when c' = 0; on a sheared lattice it is one gather,
-an extra N L^2 complex copy held for the life of the system, and every
-fold over the generators (both operands of the Riesz fibers, and
-cross_seq, the transfer fibers and the kit of :mod:`opsis.sampling`)
-reads it instead of gathering again.  Synthesis multiplies each F_n by
-the tiled symplectic series of its coefficients and sums over n,
-sum_n tile(chat_n) F_n, block by block in
-:func:`~opsis.phase_space.tile_product`.  So the N^2 or N products on the
-L x L grid are never formed; no translate is ever formed and no lattice
-Fourier step runs on the L x L grid.  A system caches its spreading
-transforms, their coset layout, its Riesz fibers and their spectrum, so
-:func:`riesz_check`, :func:`coefficients` and the reconstruction kit
-compute each of them once.  :func:`correlation_sequences`, the sequences
+the two grid-lattice maps of :mod:`opsis.phase_space`, both on the
+system's cached coset layout, :attr:`GeneratorSystem.spreading_cosets`.
+That layout is a view of the spreading transforms when c' = 0; on a
+sheared lattice it is one gather, an extra N L^2 complex copy held for
+the life of the system, which every fold and tile over the generators
+reads instead of gathering again.  The Riesz fibers are the folds of
+F_n conj(F_n') and the analysis step of :func:`coefficients` the fold of
+F_T conj(F_n), each contracted by :func:`~opsis.phase_space.fold_cosets`;
+synthesis is sum_n tile(chat_n) F_n, one
+:func:`~opsis.phase_space.tile_product`, as are the kit's spreading
+transforms and reconstruction in :mod:`opsis.sampling`.  So the N^2 or N
+products on the L x L grid are never formed; no translate is ever formed
+and no lattice Fourier step runs on the L x L grid.  A system caches its
+spreading transforms, their coset layout, its Riesz fibers and their
+spectrum, so :func:`riesz_check`, :func:`coefficients` and the
+reconstruction kit compute each of them once.  :func:`correlation_sequences`, the sequences
 behind the fibers, is the inverse symplectic series of the cached fibers.
 
 The spectra of the fibers decide both sampling questions (the bracket
@@ -247,8 +244,8 @@ class GeneratorSystem(Immutable):
         """The spreading transforms in the lattice's coset layout, shape (N, b, Q, a, P), read-only.
 
         :func:`~opsis.phase_space.cosets` of :attr:`spreading`, which every
-        fold over the generators reads: a view of it when c' = 0, and one
-        gather, an extra N L^2 copy, on a sheared lattice.
+        fold and tile over the generators reads: a view of it when c' = 0,
+        and one gather, an extra N L^2 copy, on a sheared lattice.
         """
         C = cosets(self.spreading, self.lattice)
         C.setflags(write=False)
@@ -304,7 +301,7 @@ def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
     """Sum coefs[n, j] * translate(lattice.points[j], S_n) over all n, j."""
     coefs = coefficient_array(system, coefs)
     lat = system.lattice
-    return inverse_fourier_wigner(tile_product(symp_fourier(coefs, lat), system.spreading, lat))
+    return inverse_fourier_wigner(tile_product(symp_fourier(coefs, lat), system.spreading_cosets, lat))
 
 
 def correlation_sequences(system: GeneratorSystem) -> np.ndarray:

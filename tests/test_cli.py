@@ -138,9 +138,15 @@ def test_malformed_lattice_generator_or_delta_exits_3(tmp_path, capsys, change, 
     assert f"'{label}'" in capsys.readouterr().err
 
 
-def test_missing_config_file_exits_3(tmp_path):
-    assert main(["riesz-check", "--config", str(tmp_path / "nope.json"),
-                 "--out", str(tmp_path / "out")]) == 3
+@pytest.mark.parametrize("content", [None, b'{"seed": ' + b"7" * 5000 + b"}", b'{"L": 12, "x": "\xff"}'],
+                         ids=["missing", "5000-digit-seed", "non-utf8-byte"])
+def test_unreadable_config_exits_3(tmp_path, content):
+    path = tmp_path / "c.json"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["riesz-check", "--config", str(path), "--out", str(out)]) == 3
+    assert not (out / "metrics.json").exists()
 
 
 # ---------------------------------------------------------------- frame-check

@@ -31,11 +31,9 @@ from opsis.phase_space import (
     cosets,
     dual_transversal,
     fold_product,
-    grid_blocks,
     inv_symp_fourier,
     lattice_convolve,
     symp_fourier,
-    tile_block,
     tile_product,
 )
 from opsis.sampling import (
@@ -327,11 +325,11 @@ def test_span_spreading_is_the_tiled_product_bit_for_bit(lat, N, batch, seed):
     L = lat.modulus
     system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(N)))
     chat = rand_seq(rng, (*batch, N, lat.size))
-    out = tile_product(chat, system.spreading, lat)
+    out = tile_product(chat, system.spreading_cosets, lat)
     assert out.shape == (*batch, L, L)
     assert np.array_equal(out, (oracle.tile(chat, lat) * system.spreading).sum(axis=-3))
     F = rand_seq(rng, (N, L, L))
-    assert np.array_equal(tile_product(chat, F, lat), (oracle.tile(chat, lat) * F).sum(axis=-3))
+    assert np.array_equal(tile_product(chat, cosets(F, lat), lat), (oracle.tile(chat, lat) * F).sum(axis=-3))
 
 
 @SETTINGS
@@ -340,15 +338,15 @@ def test_tile_matches_cosets_and_grid_series(lat, batch, seed):
     rng = np.random.default_rng(seed)
     L = lat.modulus
     F = rand_seq(rng, (*batch, lat.size))
-    tiles = grid_blocks(oracle.tile(F, lat), lat)
-    assert np.array_equal(np.broadcast_to(tile_block(F, lat), tiles.shape), tiles)
+    # the tile of ones returns a grid's coset layout to the grid itself
+    G = rand_seq(rng, (L, L))
+    assert np.array_equal(tile_product(np.ones((1, lat.size)), cosets(G[None], lat), lat), G)
     # the tile of a symplectic series is the series on the whole grid
-    ones = np.ones((1, L, L))
+    ones = cosets(np.ones((1, L, L)), lat)
     c = inv_symp_fourier(F[..., None, :], lat)
     assert_agrees(tile_product(symp_fourier(c, lat), ones, lat), oracle.lattice_series(c, lat)[..., 0, :, :])
     # tile is the adjoint of fold up to |lat| / L
     f = F.reshape(-1, lat.size)[0]
-    G = rand_seq(rng, (L, L))
     lhs = np.vdot(f, fold_product(G, np.ones((L, L)), lat))
     rhs = np.vdot(oracle.tile(f, lat), G) * (lat.size / L)
     assert abs(lhs - rhs) <= 1e-12 * np.abs(f).sum() * np.abs(G).sum()
@@ -470,7 +468,7 @@ def test_lattice_transforms_run_ffts_of_lattice_size(monkeypatch):
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
     c = rand_seq(rng, (2, lat.size))
-    tile_product(symp_fourier(c, lat), system.spreading, lat)
+    tile_product(symp_fourier(c, lat), system.spreading_cosets, lat)
     inv_symp_fourier(symp_fourier(c, lat), lat)
     lattice_pairing(system.spreading, scheme.spreading[:, None], lat)
     gram_fibers(system)
@@ -608,6 +606,12 @@ def test_one_gather_of_the_generator_transforms_per_system(monkeypatch, desc, sh
     # sheared: the generators once, then the averagers twice and T once
     assert gathered == ([] if shared else [True, False, False, False])
     assert np.shares_memory(system.spreading_cosets, F) == shared
+    # the tiles read the cached layout; sheared, each returns to the grid by one take
+    kit = reconstruction_kit(system, scheme)
+    synthesize(system, rand_seq(rng, (2, system.lattice.size)))
+    kit.spreading
+    reconstruct(rand_seq(rng, (3, system.lattice.size)), kit)
+    assert gathered == ([] if shared else [True] + [False] * 7)
 
 
 def test_gw_route_reads_no_coset_layout(monkeypatch):
@@ -698,13 +702,13 @@ def test_lattices_enumerate_the_normal_form_once_on_first_read(monkeypatch):
     assert (lat.size, ann.size) == (36, 4)
     inv_symp_fourier(symp_fourier(np.ones(lat.size), lat), lat)
     ones = np.ones((1, 12, 12))
-    tile_product(fold_product(ones, ones, lat), ones, lat)
+    tile_product(fold_product(ones, ones, lat), cosets(ones, lat), lat)
     # and so does a system's coset layout on the lattice
     layout = GeneratorSystem(lat, ones).spreading_cosets
     assert calls == []
     for p in (lat, ann):
         assert list(zip(p.xs.tolist(), p.ws.tolist())) == list(p.points)
-        for cached in (p.xs, p.ws, p._twiddle, p._coset_gather, p._tile_gather):
+        for cached in (p.xs, p.ws, p._twiddle, p._coset_gather, p._coset_scatter):
             assert not cached.flags.writeable
     assert not layout.flags.writeable
     with pytest.raises(ValueError):

@@ -31,9 +31,9 @@ symbol of the identity operator is the constant L^{-1/2}.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .phase_space import Point, build_lattice, cosets, fold_product, inv_symp_fourier, symp_fourier, tile_product
+from .phase_space import (Point, build_lattice, cosets, diagonal_index, fold_product, inv_symp_fourier,
+                          symp_fourier, tile_product)
 from .timefreq import UnsupportedModulusError
 
 
@@ -145,42 +145,31 @@ def weyl_operator(a) -> np.ndarray:
     return E[(h * (u + v)) % L, (u - v) % L] / np.sqrt(L)
 
 
-def _as_kernels(S) -> np.ndarray:
-    S = np.asarray(S, dtype=complex)
-    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
-        raise ValueError(f"kernels must be square in the last two axes, got shape {S.shape}")
-    return S
-
-
 def _diagonals(A, step: int) -> np.ndarray:
-    """Read-only view V[..., x, t] = A[..., (x + step t) % L, t], step = +-1, with no index arrays.
-
-    V is a strided view of the doubled array [A; A], where row x + step t
-    needs no reduction mod L: it starts at row 0 for step 1 and at row L for
-    step -1.
-    """
+    """V[..., x, t] = A[..., (x + step t) % L, t], step = +-1, C-ordered: one take by diagonal_index(L, step)."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"kernels must be square in the last two axes, got shape {A.shape}")
     L = A.shape[-1]
-    AA = np.concatenate([A, A], axis=-2)[..., (L if step < 0 else 0):, :]
-    *lead, row, col = AA.strides
-    return as_strided(AA, A.shape, (*lead, row, step * row + col), writeable=False)
+    return np.take(A.reshape(A.shape[:-2] + (L * L,)), diagonal_index(L, step), axis=-1)
 
 
 def fourier_wigner(S) -> np.ndarray:
-    """Raw spreading transform F[x, w] = tr[shift(-(x, w)) S], over any leading batch axes.
+    """Raw spreading transform F[x, w] = tr[shift(-(x, w)) S], over any leading batch axes, C-ordered.
 
     Row x is the DFT of the x-th cyclic diagonal, D[x, t] = kernel[t + x, t],
-    read as a strided view.  The half phase that sometimes decorates this
+    taken by one cached index.  The half phase that sometimes decorates this
     transform is ill-defined for even L and cancels in every product
     F_n(z) conj(F_m(z)) used here, so the raw trace is stored.  Satisfies
     F(translate(lam, S))(z) = e^{2 pi i sigma(lam, z)/L} F(S)(z) and
     sum_z |F(z)|^2 = L ||S||^2.
     """
-    return np.fft.fft(_diagonals(_as_kernels(S), 1), axis=-1)
+    return np.fft.fft(_diagonals(S, 1), axis=-1)
 
 
 def inverse_fourier_wigner(F) -> np.ndarray:
-    """Inverse of :func:`fourier_wigner`: kernel[r, t] = D[r - t, t] with D = ifft(F) along w."""
-    return _diagonals(np.fft.ifft(_as_kernels(F), axis=-1), -1).copy()
+    """Inverse of :func:`fourier_wigner`: kernel[r, t] = D[r - t, t] with D = ifft(F) along w, C-ordered."""
+    return _diagonals(np.fft.ifft(np.asarray(F, dtype=complex), axis=-1), -1)
 
 
 # The spreading-domain engine.  By covariance, the spreading transform of

@@ -11,8 +11,9 @@ fold_product and tile_product replace, the
 per-value SplitMix64/Box-Muller loop that the blocked uint64 draw of
 PortableRng.complex_normal replaces (seeding contract v2, transcribed
 value by value in Python floats with math.frexp, math.floor and
-math.sqrt), and the index-gather spreading transforms that the strided
-diagonal views replace.
+math.sqrt), and the index-gather spreading transforms, with 2-D fancy
+indices built on every call, that one take by the flat diagonal index
+cached in opsis.phase_space replaces.
 
 The operator oracles form each translate as a dense L x L kernel with
 op_translate and sum or pair in the kernel domain, O(|lattice| L^2) per

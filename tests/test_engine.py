@@ -435,7 +435,7 @@ def test_pairings_and_fibers_never_form_the_product(desc):
 
 @SETTINGS
 @given(st.integers(2, 15), batches, seeds, st.booleans())
-def test_strided_spreading_transforms_match_the_index_gather(L, batch, seed, transposed):
+def test_spreading_transforms_match_the_index_gather(L, batch, seed, transposed):
     rng = np.random.default_rng(seed)
     S = rand_seq(rng, (*batch, L, L))
     if transposed:
@@ -445,7 +445,36 @@ def test_strided_spreading_transforms_match_the_index_gather(L, batch, seed, tra
     assert np.array_equal(F, oracle.fourier_wigner(S))
     assert np.array_equal(K, oracle.inverse_fourier_wigner(F))
     for out in (F, K):
-        assert out.flags.owndata and out.flags.writeable
+        assert out.flags.owndata and out.flags.writeable and out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("desc", [(2, 2), [(2, 2), (0, 4)]])
+def test_spreading_transforms_are_c_ordered(desc):
+    rng = np.random.default_rng(5)
+    L = 8
+    system = GeneratorSystem(build_lattice(desc, L), tuple(rand_kernel(rng, L) for _ in range(2)))
+    scheme = window_scheme([(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(3)])
+    kit = reconstruction_kit(system, scheme)
+    for F in (system.spreading, scheme.spreading, kit.spreading):
+        assert F.flags.c_contiguous
+    for step in (1, -1):
+        index = phase_space.diagonal_index(L, step)
+        assert index is phase_space.diagonal_index(L, step)
+        assert not index.flags.writeable
+
+
+def test_fourier_wigner_holds_no_doubled_stack():
+    # the diagonals and their FFT, 2x the output; a doubled [A; A] makes it 3x
+    rng = np.random.default_rng(8)
+    S = rand_seq(rng, (2, 256, 256))
+    fourier_wigner(S)  # caches the diagonal index
+    tracemalloc.start()
+    try:
+        F = fourier_wigner(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * F.nbytes
 
 
 def test_lattice_transforms_run_ffts_of_lattice_size(monkeypatch):
@@ -589,14 +618,16 @@ def test_one_gather_of_the_generator_transforms_per_system(monkeypatch, desc, sh
     L = 8
     system = GeneratorSystem(build_lattice(desc, L), tuple(rand_kernel(rng, L) for _ in range(2)))
     scheme = window_scheme([(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(3)])
+    lat = system.lattice
     F = system.spreading
     gathered = []
     take = np.take
 
-    def counting(a, *args, **kwargs):
-        # the flattened grid stack that cosets gathers from, maybe a copy of F
-        gathered.append(a.size == F.size and np.array_equal(a.reshape(F.shape), F))
-        return take(a, *args, **kwargs)
+    def counting(a, indices, *args, **kwargs):
+        # a coset gather or scatter, and whether it reads F itself, not a copy
+        if indices is lat._coset_gather or indices is lat._coset_scatter:
+            gathered.append(np.shares_memory(a, F))
+        return take(a, indices, *args, **kwargs)
 
     monkeypatch.setattr(phase_space.np, "take", counting)
     riesz_check(system)
@@ -625,6 +656,33 @@ def test_gw_route_reads_no_coset_layout(monkeypatch):
     system = GeneratorSystem(build_lattice([(2, 1), (0, 6)], L), tuple(rand_kernel(rng, L) for _ in range(2)))
     assert riesz_check(system, route="gw").is_riesz
     assert "spreading_cosets" not in system.__dict__
+
+
+# entry points handed a grid stack whose size is not the lattice's: the
+# operator T and the system `other` are of modulus 14, system and scheme of 12
+MISMATCHES = {
+    "avg_samples operator": lambda system, other, scheme, T: avg_samples(T, scheme, system.lattice),
+    "avg_samples scheme": lambda system, other, scheme, T: avg_samples(system.generators[0], average_scheme([T]),
+                                                                       system.lattice),
+    "coefficients": lambda system, other, scheme, T: coefficients(system, T),
+    "cross_seq scheme": lambda system, other, scheme, T: cross_seq(system, average_scheme([T])),
+    "cross_seq system": lambda system, other, scheme, T: cross_seq(other, scheme),
+    "cosets": lambda system, other, scheme, T: cosets(np.zeros((6, 24)), system.lattice),
+    "fold_product": lambda system, other, scheme, T: fold_product(np.zeros((6, 24)), np.zeros((6, 24)),
+                                                                  system.lattice),
+}
+
+
+@pytest.mark.parametrize("desc", [(2, 2), [(2, 1), (0, 4)]])
+@pytest.mark.parametrize("entry", MISMATCHES)
+def test_a_grid_stack_of_another_size_is_a_lattice_error(entry, desc):
+    rng = np.random.default_rng(14)
+    system = GeneratorSystem(build_lattice(desc, 12), (rand_kernel(rng, 12),))
+    scheme = average_scheme([rand_kernel(rng, 12) for _ in range(2)])
+    T = rand_kernel(rng, 14)
+    other = GeneratorSystem(build_lattice(desc, 14), (T,))
+    with pytest.raises(LatticeError, match=r"^grid stack shape \(.+\) does not match L=1[24]$"):
+        MISMATCHES[entry](system, other, scheme, T)
 
 
 # ---------------------------------------------------------------- lattice construction

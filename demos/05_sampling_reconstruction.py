@@ -38,7 +38,7 @@ def unit_signal():
 
 system = GeneratorSystem(lat, (unit_kernel(), unit_kernel()))
 scheme = window_scheme([(unit_signal(), unit_signal()) for _ in range(3)])
-N, M = system.num_generators, scheme.num_channels
+N, M = system.num_generators, len(scheme)
 print(f"N = {N} generators on a {lat.size}-point lattice, M = {M} channels")
 
 # the transfer matrix decides stability fiber by fiber

@@ -32,6 +32,7 @@ from .timefreq import (
     tf_shift_matrix,
 )
 from .hs_ops import (
+    OperatorStack,
     fn_op_convolve,
     fourier_wigner,
     gabor_multiplier,
@@ -59,7 +60,6 @@ from .sampling import (
     FrameBounds,
     NotAFrameError,
     ReconstructionKit,
-    SamplingScheme,
     TransferMatrix,
     average_scheme,
     avg_samples,

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, PortableRng, load_config, parse_config
-from .hs_ops import hs_norm, identity
+from .hs_ops import OperatorStack, hs_norm, identity
 from .phase_space import LatticeError, build_lattice, dual_transversal
 from .sampling import (
     NotAFrameError,
@@ -74,6 +74,11 @@ def _need(cfg: ExperimentConfig, attr, what):
     if val is None:
         raise ConfigError(f"this command needs '{what}' in the config")
     return val
+
+
+def _system(cfg: ExperimentConfig) -> GeneratorSystem:
+    what = "lattice + generators"
+    return GeneratorSystem(_need(cfg, "lattice", what), _need(cfg, "generator_kernels", what))
 
 
 def _coefficients(seed: int, system: GeneratorSystem) -> np.ndarray:
@@ -131,12 +136,12 @@ def _frame_metrics(kit: ReconstructionKit) -> dict:
     """The frame bounds entry, after a finiteness check of the transfer fibers."""
     _ensure_finite("transfer fibers", kit.transfer.fibers)
     fb = kit.transfer.bounds
-    return {"alpha_A": fb.alpha, "beta_A": fb.beta, "M": kit.scheme.num_channels,
+    return {"alpha_A": fb.alpha, "beta_A": fb.beta, "M": len(kit.scheme),
             "N": kit.system.num_generators, "diagnostic": fb.diagnostic}
 
 
 def run_riesz_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
-    system = _need(cfg, "system", "lattice + generators")
+    system = _system(cfg)
     _ensure_finite("riesz fibers", system.riesz_fibers)
     report = riesz_check(system, tol=_tolerance(cfg, "riesz"))
     _write_csv(outdir / "riesz_fibers.csv", ["xi_x", "xi_w", "index", "eigenvalue"],
@@ -150,7 +155,7 @@ def run_riesz_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 
 
 def run_frame_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
-    system = _need(cfg, "system", "lattice + generators")
+    system = _system(cfg)
     kit = ReconstructionKit(system, _need(cfg, "scheme", "scheme"))
     frame = _frame_metrics(kit)
     _write_csv(outdir / "frame_fibers.csv", ["xi_x", "xi_w", "index", "singular_value"],
@@ -164,12 +169,12 @@ def run_frame_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 
 
 def run_reconstruct(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
-    system = _need(cfg, "system", "lattice + generators")
+    system = _system(cfg)
     scheme = _need(cfg, "scheme", "scheme")
     T = synthesize(system, _coefficients(cfg.coef_seed, system))
     if cfg.sublattice is not None:
         system = sublattice_inflate(system, cfg.sublattice)
-    N, M = system.num_generators, scheme.num_channels
+    N, M = system.num_generators, len(scheme)
     kit = _kit(cfg, system, scheme, _dual_perturbation(cfg, system.lattice.size, N, M))
     metrics = {
         "riesz": _riesz_metrics(kit.riesz),
@@ -198,7 +203,7 @@ def run_channel_demo(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     if channel_kind == "identity":
         H = identity(cfg.L)
     else:
-        system = _need(cfg, "system", "lattice + generators")
+        system = _system(cfg)
         H = synthesize(system, _coefficients(cfg.coef_seed, system))
 
     mat = channel_matrix(H, g, gt, lattice)
@@ -231,7 +236,8 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     sweep = cfg.options["sweep"]
     if sweep is None:
         raise ConfigError("sweep needs 'sweep': {'a': [...], 'b': [...]}")
-    kernels = _need(cfg, "generator_kernels", "generators")
+    # one record for every row: each generator is transformed once
+    generators = OperatorStack(_need(cfg, "generator_kernels", "generators"), what="generator")
     scheme = _need(cfg, "scheme", "scheme")
     a_list, b_list = sweep["a"], sweep["b"]
 
@@ -239,9 +245,9 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
               "alpha_A", "beta_A", "rel_err", "status"]
     rows = []
     for row_index, (a, b) in enumerate((a, b) for a in a_list for b in b_list):
-        cells: list = [cfg.L, a, b, len(kernels), scheme.num_channels]
+        cells: list = [cfg.L, a, b, len(generators), len(scheme)]
         try:
-            kit = _kit(cfg, GeneratorSystem(build_lattice((a, b), cfg.L), kernels), scheme)
+            kit = _kit(cfg, GeneratorSystem(build_lattice((a, b), cfg.L), generators), scheme)
             cells += [kit.riesz.lower, kit.riesz.upper]
             frame = _frame_metrics(kit)
             cells += [frame["alpha_A"], frame["beta_A"]]

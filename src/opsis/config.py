@@ -1,5 +1,5 @@
 """Experiment configuration: JSON schema validation, deterministic seeding,
-and construction of lattices, generator systems and sampling schemes.
+and construction of lattices, generator kernels and sampling schemes.
 
 Randomness is driven by a portable, fully documented generator so that
 fixtures reproduce across implementations and platforms (seeding contract
@@ -31,9 +31,9 @@ config in a fixed order: generators first, then scheme entries, then the
 coefficient stream, then the dual-perturbation stream.  The walk only
 records each random item's subseed and shape; after it, one blocked pass
 of the kernel draws every item (see _complex_normals), and only then are
-the rank-one products, the generator system and the scheme formed.  The
-values are those of one PortableRng(subseed).complex_normal(shape) call
-per item.
+the rank-one products and the scheme formed; the generators stay kernels,
+which the runners put on a lattice.  The values are those of one
+PortableRng(subseed).complex_normal(shape) call per item.
 
 The walk checks every value where it reaches it, through four readers:
 _object (an object with its required keys and no key the schema does not
@@ -42,7 +42,7 @@ a bool) and _items (a non-empty list).  Each message names the value's
 path, such as 'sweep.b[0]'.
 
 :func:`parse_config` returns an :class:`ExperimentConfig`, a mutable
-SimpleNamespace subclass with an explicit constructor over its ten fields;
+SimpleNamespace subclass with an explicit constructor over its nine fields;
 it is not a dataclass, so importing this module generates no code.
 """
 
@@ -55,10 +55,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .hs_ops import rank_one
+from .hs_ops import OperatorStack, rank_one
 from .phase_space import Lattice, LatticeError, build_lattice
-from .sampling import SamplingScheme, average_scheme, window_scheme
-from .si_space import GeneratorSystem
+from .sampling import average_scheme, window_scheme
 from .timefreq import gaussian_window
 
 _MASK = (1 << 64) - 1
@@ -245,6 +244,7 @@ def _box_muller(bits: np.ndarray, out: np.ndarray) -> None:
 class ExperimentConfig(SimpleNamespace):
     """Resolved experiment inputs plus options for the runners, validated by :func:`parse_config`.
 
+    The generators are plain kernels and the scheme an OperatorStack.
     Mutable; compares and prints field by field, as a SimpleNamespace does.
     parse_config fills options with every option, validated and defaulted:
     'channel' (a kind), 'sweep' (None or the {'a', 'b'} grid), 'tolerances'
@@ -256,16 +256,15 @@ class ExperimentConfig(SimpleNamespace):
     lattice: Lattice | None
     sublattice: Lattice | None
     generator_kernels: tuple[np.ndarray, ...] | None
-    system: GeneratorSystem | None
-    scheme: SamplingScheme | None
+    scheme: OperatorStack | None
     coef_seed: int
     dual_seed: int
     options: dict
 
-    def __init__(self, L, seed, lattice, sublattice, generator_kernels, system, scheme,
+    def __init__(self, L, seed, lattice, sublattice, generator_kernels, scheme,
                  coef_seed, dual_seed, options=None):
         super().__init__(L=L, seed=seed, lattice=lattice, sublattice=sublattice,
-                         generator_kernels=generator_kernels, system=system, scheme=scheme,
+                         generator_kernels=generator_kernels, scheme=scheme,
                          coef_seed=coef_seed, dual_seed=dual_seed,
                          options={} if options is None else options)
 
@@ -423,8 +422,8 @@ _TOP_KEYS = ("L", "seed", "lattice", "sublattice", "generators", "scheme", "chan
 def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a raw config dict and build the experiment objects it describes.
 
-    Lattice, system and scheme are optional at this stage; runners demand
-    the pieces they actually need.  The walk takes the random items'
+    Lattice, generators and scheme are optional at this stage; runners
+    demand the pieces they actually need.  The walk takes the random items'
     subseeds in order, then one kernel pass draws them all before any
     object is built from them.
     """
@@ -491,15 +490,13 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
                "dual_perturbation": scale if spec["enabled"] else None}
 
     values = _draw(draws)
-    system = scheme = None
+    scheme = None
     if kernels is not None:
         kernels = tuple(_built(k, values) for k in kernels)
-        if lattice is not None:
-            system = GeneratorSystem(lattice, kernels)
     if windows is not None:
         scheme = window_scheme([(_built(g, values), _built(gt, values)) for g, gt in windows])
     elif averagers is not None:
         scheme = average_scheme([_built(q, values) for q in averagers])
     return ExperimentConfig(L=L, seed=seed, lattice=lattice, sublattice=sublattice,
-                            generator_kernels=kernels, system=system, scheme=scheme,
+                            generator_kernels=kernels, scheme=scheme,
                             coef_seed=coef_seed, dual_seed=dual_seed, options=options)

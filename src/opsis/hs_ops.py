@@ -21,7 +21,9 @@ symplectic series of its coefficients with the coset layout of the
 spreading transform.  Every lattice Fourier step runs on the lattice's own
 size, never on an L x L grid FFT; :func:`fn_op_convolve` runs the same
 code on the full lattice Z_L^2, where it is the plain 2-D DFT.
-:func:`op_translate` builds one translate as a dense kernel.
+:func:`op_translate` builds one translate as a dense kernel.  An
+:class:`OperatorStack` holds operators with no lattice and caches their
+spreading transforms, shared by every system or scheme built on it.
 
 Normalizations are pinned by exact unitarity: with the L^{-1/2} prefactor
 below, kn_symbol satisfies <sigma_S, sigma_T> = <S, T> identically, and the
@@ -30,10 +32,12 @@ symbol of the identity operator is the constant L^{-1/2}.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .phase_space import (Point, build_lattice, cosets, diagonal_index, fold_product, inv_symp_fourier,
-                          symp_fourier, tile_product)
+from .phase_space import (Immutable, Point, build_lattice, cosets, diagonal_index, fold_product,
+                          inv_symp_fourier, symp_fourier, tile_product)
 from .timefreq import UnsupportedModulusError
 
 
@@ -44,22 +48,48 @@ def _as_kernel(S) -> np.ndarray:
     return S
 
 
-def kernel_stack(kernels, what: str, L: int | None = None) -> np.ndarray:
-    """One read-only complex copy, shape (n, L, L), of n >= 1 kernels of shape (L, L).
+class OperatorStack(Immutable):
+    """n >= 1 operators on Z_L with no lattice: a read-only (n, L, L) stack and its spreading transforms.
 
-    L defaults to the first kernel's row count; any other shape raises ValueError.
+    A copy taken at construction; len(), indexing and iteration run over its
+    kernels.  Any shape but (L, L), L the first kernel's by default, raises
+    ValueError naming the operators by what.  windows is None or a scheme's
+    pairs (g_m, gt_m), read-only, shape (n, 2, L).  Immutable; equal only to itself.
     """
-    ks = tuple(np.asarray(S, dtype=complex) for S in kernels)
-    if not ks:
-        raise ValueError(f"at least one {what} is required")
-    if L is None:
-        L = ks[0].shape[0] if ks[0].ndim else 0
-    for S in ks:
-        if S.shape != (L, L):
-            raise ValueError(f"{what} shape {S.shape} does not match L={L}")
-    stack = np.array(ks)
-    stack.setflags(write=False)
-    return stack
+
+    kernels: np.ndarray
+    windows: np.ndarray | None
+
+    def __init__(self, kernels, windows=None, what: str = "operator", L: int | None = None):
+        ks = tuple(np.asarray(S, dtype=complex) for S in kernels)
+        if not ks:
+            raise ValueError(f"at least one {what} is required")
+        if L is None:
+            L = ks[0].shape[0] if ks[0].ndim else 0
+        for S in ks:
+            if S.shape != (L, L):
+                raise ValueError(f"{what} shape {S.shape} does not match L={L}")
+        stack = np.array(ks)
+        stack.setflags(write=False)
+        if windows is not None:
+            windows = np.array(windows, dtype=complex)
+            if windows.shape != (len(ks), 2, L):
+                raise ValueError(f"window pairs shape {windows.shape} does not match {(len(ks), 2, L)}")
+            windows.setflags(write=False)
+        self.__dict__.update(kernels=stack, windows=windows)
+
+    def __len__(self) -> int:
+        return len(self.kernels)
+
+    def __getitem__(self, index):
+        return self.kernels[index]
+
+    @cached_property
+    def spreading(self) -> np.ndarray:
+        """Spreading transforms of the kernels, shape (n, L, L), C-ordered and read-only."""
+        F = fourier_wigner(self.kernels)
+        F.setflags(write=False)
+        return F
 
 
 def identity(L: int) -> np.ndarray:

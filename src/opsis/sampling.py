@@ -39,12 +39,13 @@ kit's transfer fibers are the fold of F(S_n) conj(F(Q_m))
 (:func:`transfer_fibers`), without the round trip through the generator
 samples a[m, n] that :func:`cross_seq` returns.  Both folds and every
 tile below read the generators' transforms from the system's cached coset
-layout (:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`); the
-averagers are laid out per call, since a scheme serves many lattices.
-:class:`SamplingScheme`, :class:`TransferMatrix` and :class:`ReconstructionKit`
-are plain immutable classes (:class:`~opsis.phase_space.Immutable`), equal
-only to themselves, and :class:`FrameBounds` is a NamedTuple: no dataclass
-code is generated when this module is imported.
+layout (:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`).  A
+scheme is a lattice-free :class:`~opsis.hs_ops.OperatorStack` of averagers,
+whose cached transforms are laid out per call, as it serves many lattices.
+:class:`TransferMatrix` and :class:`ReconstructionKit` are plain immutable
+classes (:class:`~opsis.phase_space.Immutable`), equal only to themselves,
+and :class:`FrameBounds` is a NamedTuple: no dataclass code is generated
+when this module is imported.
 
 Production routes run in the spreading domain and on the fibers: every
 sample is a lattice pairing of F_T = fourier_wigner(T) with the scheme's
@@ -66,9 +67,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .hs_ops import (
+    OperatorStack,
     fourier_wigner,
     inverse_fourier_wigner,
-    kernel_stack,
     lattice_pairing,
     op_translate,
     rank_one,
@@ -102,49 +103,16 @@ class NotAFrameError(RuntimeError):
     """The transfer matrix has no positive lower frame bound, or no usable left inverse."""
 
 
-class SamplingScheme(Immutable):
-    """M sampling channels, given by averager kernels Q_m.
-
-    A scheme built by :func:`window_scheme` also keeps its window pairs
-    (g_m, gt_m); its averagers Q_m = gt_m (x) g_m give the same samples.
-    Immutable; equal only to itself.  Averagers and windows are read-only
-    views of stacked copies taken at construction, so changing the caller's
-    arrays afterwards changes neither them nor any cached stage.
-    """
-
-    averagers: tuple[np.ndarray, ...]
-    windows: tuple[tuple[np.ndarray, np.ndarray], ...] | None
-
-    def __init__(self, averagers, windows=None):
-        stack = kernel_stack(averagers, "averager")
-        if windows is not None:
-            pairs = np.array(windows, dtype=complex)
-            pairs.setflags(write=False)
-            windows = tuple((g, gt) for g, gt in pairs)
-        self.__dict__.update(averagers=tuple(stack), windows=windows, _stack=stack)
-
-    @property
-    def num_channels(self) -> int:
-        return len(self.averagers)
-
-    @cached_property
-    def spreading(self) -> np.ndarray:
-        """Spreading transforms of the averagers, shape (M, L, L), read-only."""
-        F = fourier_wigner(self._stack)
-        F.setflags(write=False)
-        return F
+def window_scheme(pairs) -> OperatorStack:
+    pairs = tuple(pairs)
+    return OperatorStack([rank_one(gt, g) for g, gt in pairs], pairs, what="averager")
 
 
-def window_scheme(pairs) -> SamplingScheme:
-    pairs = tuple((np.asarray(g, dtype=complex), np.asarray(gt, dtype=complex)) for g, gt in pairs)
-    return SamplingScheme(tuple(rank_one(gt, g) for g, gt in pairs), pairs)
+def average_scheme(ops) -> OperatorStack:
+    return OperatorStack(ops, what="averager")
 
 
-def average_scheme(ops) -> SamplingScheme:
-    return SamplingScheme(tuple(np.asarray(Q, dtype=complex) for Q in ops))
-
-
-def diag_channel_samples(T, scheme: SamplingScheme, lattice: Lattice) -> np.ndarray:
+def diag_channel_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarray:
     """Samples s[m, j] = <translate(-lam_j, T) g_m, gt_m> for every channel.
 
     Needs a window-pair scheme; averager-only schemes sample through
@@ -155,7 +123,7 @@ def diag_channel_samples(T, scheme: SamplingScheme, lattice: Lattice) -> np.ndar
     return lattice_pairing(fourier_wigner(T), scheme.spreading, lattice)
 
 
-def avg_samples(T, scheme: SamplingScheme, lattice: Lattice) -> np.ndarray:
+def avg_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarray:
     """Average samples s[m, j] = <T, translate(lam_j, Q_m)>."""
     return lattice_pairing(fourier_wigner(T), scheme.spreading, lattice)
 
@@ -186,7 +154,7 @@ def channel_matrix(H, g, gt, lattice: Lattice) -> np.ndarray:
     return V.conj().T @ (H @ U)
 
 
-def cross_seq(system: GeneratorSystem, scheme: SamplingScheme) -> np.ndarray:
+def cross_seq(system: GeneratorSystem, scheme: OperatorStack) -> np.ndarray:
     """Generator sample sequences a[m, n, j], channel m against generator n.
 
     a[m, n, j] = <S_n, translate(lam_j, Q_m)>, the trace pairing with the
@@ -242,7 +210,7 @@ def transfer_matrix(A, lattice: Lattice) -> TransferMatrix:
     return TransferMatrix(lattice, symp_fourier(A, lattice).transpose(2, 0, 1))
 
 
-def transfer_fibers(system: GeneratorSystem, scheme: SamplingScheme) -> np.ndarray:
+def transfer_fibers(system: GeneratorSystem, scheme: OperatorStack) -> np.ndarray:
     """The fibers of transfer_matrix(cross_seq(system, scheme)), shape (K, M, N).
 
     Read directly as the fold of F(S_n) conj(F(Q_m)), without the sequences
@@ -333,12 +301,12 @@ class ReconstructionKit(Immutable):
     """
 
     system: GeneratorSystem
-    scheme: SamplingScheme
+    scheme: OperatorStack
     C: np.ndarray | None
     tol: float | None
     riesz_tol: float | None
 
-    def __init__(self, system: GeneratorSystem, scheme: SamplingScheme, C=None,
+    def __init__(self, system: GeneratorSystem, scheme: OperatorStack, C=None,
                  tol: float | None = None, riesz_tol: float | None = None):
         self.__dict__.update(system=system, scheme=scheme, C=C, tol=tol, riesz_tol=riesz_tol)
 
@@ -393,7 +361,7 @@ class ReconstructionKit(Immutable):
         return tuple(inverse_fourier_wigner(self.spreading))
 
 
-def reconstruction_kit(system: GeneratorSystem, scheme: SamplingScheme,
+def reconstruction_kit(system: GeneratorSystem, scheme: OperatorStack,
                        C=None, tol: float | None = None) -> ReconstructionKit:
     """Build the kit and run it through the dual fibers.
 
@@ -409,7 +377,7 @@ def _sample_fibers(samples, kit: ReconstructionKit) -> np.ndarray:
     """Fiber data chat(xi) = Bhat(xi) shat(xi), shape (N, K), of samples checked to be (M, |lattice|)."""
     samples = np.asarray(samples, dtype=complex)
     lat = kit.system.lattice
-    want = (kit.scheme.num_channels, lat.size)
+    want = (len(kit.scheme), lat.size)
     if samples.shape != want:
         raise ValueError(f"sample array shape {samples.shape}, expected {want}")
     return np.einsum("knm,mk->nk", kit.dual_fibers, symp_fourier(samples, lat))

@@ -29,10 +29,11 @@ synthesis is sum_n tile(chat_n) F_n, one
 :func:`~opsis.phase_space.tile_product`, as are the kit's spreading
 transforms and reconstruction in :mod:`opsis.sampling`.  So the N^2 or N
 products on the L x L grid are never formed; no translate is ever formed
-and no lattice Fourier step runs on the L x L grid.  A system caches its
-spreading transforms, their coset layout, its Riesz fibers and their
-spectrum, so :func:`riesz_check`, :func:`coefficients` and the
-reconstruction kit compute each of them once.  :func:`correlation_sequences`, the sequences
+and no lattice Fourier step runs on the L x L grid.  The spreading
+transforms are cached on the generators' lattice-free
+:class:`~opsis.hs_ops.OperatorStack`; a system caches their coset layout,
+its Riesz fibers and their spectrum, so :func:`riesz_check`,
+:func:`coefficients` and the reconstruction kit compute each of them once.  :func:`correlation_sequences`, the sequences
 behind the fibers, is the inverse symplectic series of the cached fibers.
 
 The spectra of the fibers decide both sampling questions (the bracket
@@ -74,11 +75,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hs_ops import (
-    fourier_wigner,
-    inverse_fourier_wigner,
-    kernel_stack,
-)
+from .hs_ops import OperatorStack, fourier_wigner, inverse_fourier_wigner
 from .phase_space import (
     Immutable,
     Lattice,
@@ -214,30 +211,32 @@ def fiber_left_inverse(A) -> np.ndarray:
 
 
 class GeneratorSystem(Immutable):
-    """A lattice plus an ordered tuple of generator kernels.
+    """A lattice plus its generators, an :class:`~opsis.hs_ops.OperatorStack` on the lattice's modulus.
 
-    Immutable; equal only to itself.  The generators are read-only views of
-    one stacked copy taken at construction, so changing the caller's arrays
-    afterwards changes neither them nor any cached stage.
+    generators may be a record, whose kernels and spreading transforms the
+    system shares, or kernels, which it stacks into a new record.  A record
+    of another modulus raises ValueError.  Immutable; equal only to itself.
     """
 
     lattice: Lattice
-    generators: tuple[np.ndarray, ...]
+    generators: OperatorStack
 
     def __init__(self, lattice: Lattice, generators):
-        stack = kernel_stack(generators, "generator", lattice.modulus)
-        self.__dict__.update(lattice=lattice, generators=tuple(stack), _stack=stack)
+        L = lattice.modulus
+        if not isinstance(generators, OperatorStack):
+            generators = OperatorStack(generators, what="generator", L=L)
+        elif generators.kernels.shape[1:] != (L, L):
+            raise ValueError(f"generator shape {generators.kernels.shape[1:]} does not match L={L}")
+        self.__dict__.update(lattice=lattice, generators=generators)
 
     @property
     def num_generators(self) -> int:
         return len(self.generators)
 
-    @cached_property
+    @property
     def spreading(self) -> np.ndarray:
-        """Spreading transforms of the generators, shape (N, L, L), read-only."""
-        F = fourier_wigner(self._stack)
-        F.setflags(write=False)
-        return F
+        """Spreading transforms of the generators, shape (N, L, L), read-only: the record's."""
+        return self.generators.spreading
 
     @cached_property
     def spreading_cosets(self) -> np.ndarray:

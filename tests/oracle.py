@@ -221,14 +221,14 @@ def pairings(T, kernels, lattice):
 
 
 def avg_samples(T, scheme, lattice):
-    return pairings(T, scheme.averagers, lattice)
+    return pairings(T, scheme, lattice)
 
 
 def diag_channel_samples(T, scheme, lattice):
     """s[m, j] = <translate(-lam_j, T) g_m, gt_m>, straight from the definition."""
     T = np.asarray(T, dtype=complex)
     L = lattice.modulus
-    out = np.empty((scheme.num_channels, lattice.size), dtype=complex)
+    out = np.empty((len(scheme), lattice.size), dtype=complex)
     for j, p in enumerate(lattice.points):
         Tt = op_translate(point_neg(p, L), T)
         for m, (g, gt) in enumerate(scheme.windows):

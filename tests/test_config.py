@@ -301,7 +301,7 @@ def test_parse_config_walk_matches_per_value_loop(scheme, seed_override):
         fast += [w for pair in cfg.scheme.windows for w in pair]
         slow += [w for pair in windows for w in pair]
     else:
-        fast += cfg.scheme.averagers
+        fast += tuple(cfg.scheme)
         slow += averagers
     assert len(fast) == len(slow) and all(same_bits(f, s) for f, s in zip(fast, slow))
 
@@ -347,11 +347,11 @@ def test_parse_config_builds_objects():
     }
     cfg = parse_config(raw)
     assert cfg.lattice.size == 16
-    assert cfg.system.num_generators == 1
+    assert len(cfg.generator_kernels) == 1
     g = gaussian_window(8)
     expected = np.outer(g, np.conj(np.eye(8, dtype=complex)[1]))
-    assert np.abs(cfg.system.generators[0] - expected).max() < 1e-12
-    assert cfg.scheme.num_channels == 1
+    assert np.abs(cfg.generator_kernels[0] - expected).max() < 1e-12
+    assert len(cfg.scheme) == 1
 
 
 def test_parse_config_random_items_are_seed_stable():
@@ -361,12 +361,12 @@ def test_parse_config_random_items_are_seed_stable():
         "lattice": {"a": 2, "b": 2},
         "generators": [{"kind": "random"}, {"kind": "random"}],
     }
-    g1 = parse_config(raw).system.generators
-    g2 = parse_config(raw).system.generators
+    g1 = parse_config(raw).generator_kernels
+    g2 = parse_config(raw).generator_kernels
     assert np.abs(g1[0] - g2[0]).max() == 0.0
     assert np.abs(g1[1] - g2[1]).max() == 0.0
     assert np.abs(g1[0] - g1[1]).max() > 0.1  # distinct subseeds
-    g3 = parse_config(raw, seed_override=12).system.generators
+    g3 = parse_config(raw, seed_override=12).generator_kernels
     assert np.abs(g1[0] - g3[0]).max() > 0.1
 
 
@@ -378,8 +378,8 @@ def test_parse_config_explicit_item_seed_wins():
         "generators": [{"kind": "random", "seed": 55}],
     }
     other = dict(raw, seed=2)
-    g1 = parse_config(raw).system.generators[0]
-    g2 = parse_config(other).system.generators[0]
+    g1 = parse_config(raw).generator_kernels[0]
+    g2 = parse_config(other).generator_kernels[0]
     assert np.abs(g1 - g2).max() == 0.0
 
 

@@ -224,9 +224,9 @@ def kit_and_samples(setup):
     lat = system.lattice
     L = lat.modulus
     # a kit needs a Riesz system (N |lattice| < L^2) and at least N channels
-    N = min(system.num_generators, max(1, (L * L - 1) // lat.size), scheme.num_channels)
+    N = min(system.num_generators, max(1, (L * L - 1) // lat.size), len(scheme))
     kit = reconstruction_kit(GeneratorSystem(lat, system.generators[:N]), scheme)
-    return kit, rand_seq(rng, (scheme.num_channels, lat.size))
+    return kit, rand_seq(rng, (len(scheme), lat.size))
 
 
 @SETTINGS
@@ -584,9 +584,9 @@ def assert_relative(fast, slow, tol=1e-13):
 def test_coset_layout_routes_match_the_grid_oracles(setup):
     system, scheme, rng = setup
     lat = system.lattice
-    L, N, M = lat.modulus, system.num_generators, scheme.num_channels
+    L, N, M = lat.modulus, system.num_generators, len(scheme)
     FS = oracle.fourier_wigner(np.array(system.generators))
-    FQ = oracle.fourier_wigner(np.array(scheme.averagers))
+    FQ = oracle.fourier_wigner(scheme.kernels)
     gram = oracle.fold(FS[:, None] * FS[None, :].conj(), lat)
     assert_relative(system.riesz_fibers, gram.transpose(2, 0, 1))
     assert_relative(correlation_sequences(system), oracle.lattice_pairing(FS[:, None], FS[None, :], lat))

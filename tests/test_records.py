@@ -1,8 +1,9 @@
 """The package's record types: immutability, construction, equality and
-cached stages of the plain classes that hold lattices, generator systems,
-schemes, transfer matrices and kits, and the one dataclass left."""
+cached stages of the plain classes that hold lattices, operator stacks,
+generator systems, transfer matrices and kits, and the one dataclass left."""
 
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -14,13 +15,13 @@ import numpy as np
 import pytest
 
 import opsis
-from opsis import sampling, si_space
+from opsis import cli, hs_ops, sampling, si_space
 from opsis.config import ExperimentConfig
+from opsis.hs_ops import OperatorStack
 from opsis.phase_space import build_lattice
 from opsis.sampling import (
     FrameBounds,
     ReconstructionKit,
-    SamplingScheme,
     TransferMatrix,
     average_scheme,
     window_scheme,
@@ -43,13 +44,13 @@ def setup():
 def records():
     system, scheme = setup()
     kit = ReconstructionKit(system, scheme)
-    return {"Lattice": system.lattice, "GeneratorSystem": system, "SamplingScheme": scheme,
+    return {"Lattice": system.lattice, "GeneratorSystem": system, "OperatorStack": scheme,
             "TransferMatrix": kit.transfer, "ReconstructionKit": kit}
 
 
 # a declared field and a cached stage of each record, read before the attempt
 FIELDS = {"Lattice": ("modulus", "points"), "GeneratorSystem": ("generators", "spreading"),
-          "SamplingScheme": ("windows", "spreading"), "TransferMatrix": ("fibers", "bounds"),
+          "OperatorStack": ("windows", "spreading"), "TransferMatrix": ("fibers", "bounds"),
           "ReconstructionKit": ("C", "transfer")}
 
 
@@ -94,14 +95,14 @@ def test_keyword_construction_and_defaults():
     lat = system.lattice
     gens = [np.eye(L), np.ones((L, L))]
     built = GeneratorSystem(generators=gens, lattice=lat)
-    assert built.lattice is lat and isinstance(built.generators, tuple)
+    assert built.lattice is lat and isinstance(built.generators, OperatorStack)
     assert all(S.dtype == complex for S in built.generators)
     np.testing.assert_array_equal(built.generators[1], np.ones((L, L)))
 
-    averagers = scheme.averagers
-    assert SamplingScheme(averagers=averagers).windows is None
+    averagers = tuple(scheme)
+    assert OperatorStack(kernels=averagers).windows is None
     # a scheme keeps its own read-only copy of the windows, equal to the given ones
-    kept = SamplingScheme(averagers, scheme.windows).windows
+    kept = OperatorStack(averagers, scheme.windows).windows
     assert kept is not scheme.windows
     assert np.array_equal(np.array(kept), np.array(scheme.windows))
 
@@ -114,12 +115,12 @@ def test_keyword_construction_and_defaults():
     tm = TransferMatrix(fibers=kit.transfer.fibers, lattice=lat)
     assert (tm.lattice, tm.fibers, tm.num_channels, tm.num_generators) == (lat, kit.transfer.fibers, 3, 2)
 
-    cfg = ExperimentConfig(L=L, seed=1, lattice=lat, sublattice=None, generator_kernels=None,
-                           system=system, scheme=scheme, coef_seed=2, dual_seed=3, options={})
-    assert (cfg.L, cfg.system, cfg.options) == (L, system, {})
+    cfg = ExperimentConfig(L=L, seed=1, lattice=lat, sublattice=None, generator_kernels=gens,
+                           scheme=scheme, coef_seed=2, dual_seed=3, options={})
+    assert (cfg.L, cfg.generator_kernels, cfg.options) == (L, gens, {})
     cfg.options = {"sweep": {}}
     assert cfg.options == {"sweep": {}}
-    fields = (L, 1, lat, None, None, system, scheme, 2, 3)
+    fields = (L, 1, lat, None, gens, scheme, 2, 3)
     assert ExperimentConfig(*fields).options == {}
     assert ExperimentConfig(*fields, {"sweep": {}}) == cfg
     with pytest.raises(TypeError):
@@ -150,7 +151,14 @@ def test_generator_system_validation(gens, message):
     (lambda: window_scheme([(np.ones(4), np.ones(5))]), "averager shape (5, 4) does not match L=5"),
     (lambda: window_scheme([(np.ones(4), np.ones(4)), (np.ones(5), np.ones(5))]),
      "averager shape (5, 5) does not match L=4"),
-], ids=["empty", "non-square", "mixed-sizes", "not-a-matrix", "unequal-pair", "mixed-pairs"])
+    (lambda: OperatorStack([np.eye(4)], [(np.ones(5), np.ones(5))] * 2),
+     "window pairs shape (2, 2, 5) does not match (1, 2, 4)"),
+    (lambda: OperatorStack([np.eye(4)], [(np.ones(4), np.ones(4))] * 2),
+     "window pairs shape (2, 2, 4) does not match (1, 2, 4)"),
+    (lambda: OperatorStack([np.eye(4)], [np.ones(4)]),
+     "window pairs shape (1, 4) does not match (1, 2, 4)"),
+], ids=["empty", "non-square", "mixed-sizes", "not-a-matrix", "unequal-pair", "mixed-pairs",
+        "windows-of-another-size", "more-windows-than-averagers", "not-pairs"])
 def test_sampling_scheme_validates_its_averagers_when_built(build, message):
     # the kernels are checked at construction, as a GeneratorSystem's are,
     # not on the first read of a cached stage
@@ -193,13 +201,13 @@ def test_sampling_scheme_keeps_its_own_read_only_arrays(kind):
         scheme = average_scheme(given)
     before = [a.copy() for a in given]
     spreading = scheme.spreading.copy()
-    averager = scheme.averagers[0].copy()
+    averager = scheme[0].copy()
     for a in given:
         a *= 10
-    assert_read_only(scheme.averagers)
-    assert np.array_equal(scheme.averagers[0], averager)
+    assert_read_only(scheme)
+    assert np.array_equal(scheme[0], averager)
     assert np.array_equal(scheme.spreading, spreading)
-    kept = scheme.windows[0] if kind == "windows" else scheme.averagers
+    kept = scheme.windows[0] if kind == "windows" else scheme
     assert all(a is not b and np.array_equal(a, b0) for a, b, b0 in zip(kept, given, before))
 
 
@@ -214,9 +222,8 @@ def test_cached_stages_are_computed_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((si_space, "fourier_wigner"), (si_space, "cosets"),
+    for module, name in ((hs_ops, "fourier_wigner"), (si_space, "cosets"),
                          (si_space, "gram_fibers"), (si_space, "hermitian_spectrum"),
-                         (sampling, "fourier_wigner"),
                          (sampling, "transfer_fibers"), (sampling, "riesz_check"),
                          (sampling, "fiber_singular_values"), (sampling, "frame_bounds"),
                          (sampling, "dual_left_inverse"), (sampling, "tile_product"),
@@ -234,8 +241,43 @@ def test_cached_stages_are_computed_once(monkeypatch):
         assert system.spreading_cosets is system.spreading_cosets
         assert (kit.alpha, kit.beta) == kit.transfer.bounds[:2]
     assert_read_only((system.spreading_cosets,))
-    # one spreading transform of each input, one coset layout of the generators, and one of every stage
-    assert calls == {name: 1 for name in calls} and len(calls) == 12
+    # one spreading transform of each record, one coset layout of the generators, and one of every stage
+    assert calls == dict({name: 1 for name in calls}, **{"opsis.hs_ops.fourier_wigner": 2}) and len(calls) == 11
+
+
+def test_one_spreading_transform_per_record(monkeypatch, tmp_path):
+    calls = Counter()
+    original = hs_ops.fourier_wigner
+
+    def counting(*args, **kwargs):
+        calls["fourier_wigner"] += 1
+        return original(*args, **kwargs)
+
+    for module in (opsis, hs_ops, si_space, sampling, cli):
+        if getattr(module, "fourier_wigner", None) is original:
+            monkeypatch.setattr(module, "fourier_wigner", counting)
+    rng = np.random.default_rng(11)
+    record = OperatorStack([rand_kernel(rng, L) for _ in range(2)], what="generator")
+    separable = GeneratorSystem(build_lattice((2, 2), L), record)
+    sheared = GeneratorSystem(build_lattice([(2, 1), (0, 4)], L), separable.generators)
+    assert separable.generators is sheared.generators is record
+    assert sheared.spreading is separable.spreading is record.spreading
+    assert riesz_check(separable).upper > 0 and riesz_check(sheared).upper > 0
+    assert calls["fourier_wigner"] == 1
+    with pytest.raises(ValueError, match=re.escape(f"generator shape {(L, L)} does not match L={L + 2}")):
+        GeneratorSystem(build_lattice((2, 2), L + 2), record)
+
+    # a sweep transforms the generators and the averagers once, then T once per row
+    calls.clear()
+    config = {"L": L, "seed": 3, "sweep": {"a": [2, 4], "b": [2, 4]}, "generators": [{"kind": "random"}],
+              "scheme": {"windows": [{"g": {"kind": "random"}, "g_tilde": {"kind": "random"}},
+                                     {"g": {"kind": "gaussian"}, "g_tilde": {"kind": "gaussian"}}]}}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and all(row.endswith(",ok") for row in rows)
+    assert calls["fourier_wigner"] == len(rows) + 2
 
 
 def test_riesz_report_stays_a_replaceable_dataclass():

@@ -88,7 +88,7 @@ def test_samples_of_translated_generator_are_shifted():
 
 def test_diag_samples_require_windows():
     system, scheme, _ = seeded_setup(3)
-    avg = average_scheme(scheme.averagers)
+    avg = average_scheme(scheme)
     with pytest.raises(ValueError):
         diag_channel_samples(system.generators[0], avg, system.lattice)
 
@@ -114,7 +114,7 @@ def test_avg_samples_single_point_norm():
 def test_avg_samples_linear_in_operator():
     system, scheme, rng = seeded_setup(6)
     lat = system.lattice
-    avg = average_scheme(scheme.averagers)
+    avg = average_scheme(scheme)
     A = rand_kernel(rng, 8)
     B = rand_kernel(rng, 8)
     lhs = avg_samples(A + 2j * B, avg, lat)
@@ -227,7 +227,7 @@ def test_samples_are_convolutions():
     T = synthesize(system, c)
     s = diag_channel_samples(T, scheme, lat)
     A = cross_seq(system, scheme)
-    for m in range(scheme.num_channels):
+    for m in range(len(scheme)):
         expected = sum(lattice_convolve(c[n], A[m, n], lat) for n in range(2))
         assert np.abs(s[m] - expected).max() < 1e-11
 
@@ -502,8 +502,8 @@ def test_delta_samples_select_dual_column():
     system, scheme, _ = seeded_setup(28)
     lat = system.lattice
     kit = reconstruction_kit(system, scheme)
-    for m in range(scheme.num_channels):
-        s = np.zeros((scheme.num_channels, lat.size), complex)
+    for m in range(len(scheme)):
+        s = np.zeros((len(scheme), lat.size), complex)
         s[m, lat.index[(0, 0)]] = 1.0
         c = coefficient_frame_expansion(s, kit)
         assert np.abs(c - kit.b[:, m, :]).max() < 1e-12
@@ -538,7 +538,7 @@ def test_norm_equivalence_of_samples():
 def test_average_and_window_pipelines_agree():
     system, scheme, rng = seeded_setup(31)
     lat = system.lattice
-    avg = average_scheme(scheme.averagers)
+    avg = average_scheme(scheme)
     kit_w = reconstruction_kit(system, scheme)
     kit_a = reconstruction_kit(system, avg)
     assert np.abs(kit_w.b - kit_a.b).max() < 1e-11

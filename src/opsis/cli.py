@@ -8,7 +8,7 @@ tables into the output directory, and exits with
 
     0  success (a negative mathematical verdict is still a success),
     2  the pipeline needs a Riesz system and a frame; metrics.json says which failed,
-    3  invalid configuration,
+    3  invalid configuration, or one too large to fit in memory,
     4  internal numerical failure (non-finite values detected).
 
 Identical config and seed produce byte-identical output files; wall time is
@@ -305,6 +305,9 @@ def main(argv=None) -> int:
         code, metrics = _COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"opsis: invalid configuration: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"opsis: invalid configuration: out of memory ({exc or 'no detail'})", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"opsis: numerical failure: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ Translate sums and trace pairings over a lattice are computed in the
 spreading domain, where translation is a pointwise multiplication by a
 character and the lattice enters through the two grid-lattice maps of
 :mod:`opsis.phase_space`: :func:`lattice_pairing` is the inverse
-symplectic series of a fold_product, and a translate sum (a Gabor
+symplectic series of a fold (fold_cosets), and a translate sum (a Gabor
 multiplier, or :func:`fn_op_convolve`) is the tile_product of the
 symplectic series of its coefficients with the coset layout of the
 spreading transform.  Every lattice Fourier step runs on the lattice's own
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .phase_space import (Immutable, Point, build_lattice, cosets, diagonal_index, fold_product,
+from .phase_space import (Immutable, Point, build_lattice, cosets, diagonal_index, fold_cosets,
                           inv_symp_fourier, symp_fourier, tile_product)
 from .timefreq import UnsupportedModulusError
 
@@ -52,20 +52,19 @@ class OperatorStack(Immutable):
     """n >= 1 operators on Z_L with no lattice: a read-only (n, L, L) stack and its spreading transforms.
 
     A copy taken at construction; len(), indexing and iteration run over its
-    kernels.  Any shape but (L, L), L the first kernel's by default, raises
-    ValueError naming the operators by what.  windows is None or a scheme's
+    kernels.  Any shape but (L, L), L the first kernel's, raises ValueError
+    naming the operators by what.  windows is None or a scheme's
     pairs (g_m, gt_m), read-only, shape (n, 2, L).  Immutable; equal only to itself.
     """
 
     kernels: np.ndarray
     windows: np.ndarray | None
 
-    def __init__(self, kernels, windows=None, what: str = "operator", L: int | None = None):
+    def __init__(self, kernels, windows=None, what: str = "operator"):
         ks = tuple(np.asarray(S, dtype=complex) for S in kernels)
         if not ks:
             raise ValueError(f"at least one {what} is required")
-        if L is None:
-            L = ks[0].shape[0] if ks[0].ndim else 0
+        L = ks[0].shape[0] if ks[0].ndim else 0
         for S in ks:
             if S.shape != (L, L):
                 raise ValueError(f"{what} shape {S.shape} does not match L={L}")
@@ -208,7 +207,7 @@ def inverse_fourier_wigner(F) -> np.ndarray:
 # <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L},
 # which Poisson summation over the annihilator turns into the inverse
 # symplectic series of the fold of F_T conj(F_Q).  That fold is contracted
-# coset by coset (:func:`opsis.phase_space.fold_product`), so the product
+# coset by coset (:func:`opsis.phase_space.fold_cosets`), so the product
 # F_T conj(F_Q) over all pairs is never formed.
 
 def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
@@ -217,7 +216,7 @@ def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
     Takes the spreading transforms F_T and F_Q, which broadcast against each
     other over leading axes.
     """
-    return inv_symp_fourier(fold_product(FT, FQ, lattice), lattice)
+    return inv_symp_fourier(fold_cosets(cosets(FT, lattice), cosets(FQ, lattice), lattice), lattice)
 
 
 def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:

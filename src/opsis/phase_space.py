@@ -36,7 +36,7 @@ summation over the annihilator), each run only inside a product:
 * the fold sums a grid function over every annihilator coset,
   fold(G)(xi) = (|lat|/L) sum_{alpha in ann} G(xi + alpha), so a trace
   pairing over the lattice is inv_symp_fourier(fold(F_T conj(F_Q)));
-  :func:`fold_product` and :func:`fold_cosets` compute that fold;
+  :func:`fold_cosets` computes that fold from the layouts of both factors;
 * the tile is its adjoint, the annihilator-periodic extension of fiber
   data to the grid, and by covariance a translate sum has the spreading
   transform sum_n tile(chat_n) F_n; :func:`tile_product` computes that sum.
@@ -48,8 +48,8 @@ gather by a cached index, neither copying a C-ordered stack such as a
 spreading transform.  Both maps read this one layout.
 :func:`fold_cosets` contracts two layouts over (k', j') coset by coset with
 one einsum, never forming the product of a pair of operators: a bracket
-product (de Boor, DeVore and Ron, JFA 1994); :func:`fold_product` lays out
-both grid stacks first.  :func:`tile_product` takes the layout of the
+product (de Boor, DeVore and Ron, JFA 1994) of two grid stacks laid out
+first.  :func:`tile_product` takes the layout of the
 stack it multiplies, where a tile is a reshape view of the fiber data,
 constant over (k', j'), and returns the sum to the grid by a reshape when
 c' = 0, otherwise by one take through the inverse gather index (L^2 more
@@ -422,15 +422,6 @@ def fold_cosets(CT, CQ, lat: Lattice) -> np.ndarray:
     """
     F = np.einsum("...kxjw,...kxjw->...xw", CT, np.conj(CQ))
     return F.reshape(F.shape[:-2] + (lat.size,)) * (lat.size / lat.modulus)
-
-
-def fold_product(FT, FQ, lat: Lattice) -> np.ndarray:
-    """fold(FT * conj(FQ)) of two grid stacks: :func:`fold_cosets` of their :func:`cosets` layouts.
-
-    FT and FQ broadcast against each other over leading axes; the result
-    has the broadcast leading shape and a last axis over the dual transversal.
-    """
-    return fold_cosets(cosets(FT, lat), cosets(FQ, lat), lat)
 
 
 def tile_product(chat, C, lat: Lattice) -> np.ndarray:

@@ -42,14 +42,15 @@ tile below read the generators' transforms from the system's cached coset
 layout (:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`).  A
 scheme is a lattice-free :class:`~opsis.hs_ops.OperatorStack` of averagers,
 whose cached transforms are laid out per call, as it serves many lattices.
-:class:`TransferMatrix` and :class:`ReconstructionKit` are plain immutable
-classes (:class:`~opsis.phase_space.Immutable`), equal only to themselves,
-and :class:`FrameBounds` is a NamedTuple: no dataclass code is generated
-when this module is imported.
+:class:`TransferMatrix` (its fibers alone) and :class:`ReconstructionKit`
+are plain immutable classes (:class:`~opsis.phase_space.Immutable`), equal
+only to themselves, and :class:`FrameBounds` is a NamedTuple: no dataclass
+code is generated when this module is imported.
 
 Production routes run in the spreading domain and on the fibers: every
 sample is a lattice pairing of F_T = fourier_wigner(T) with the scheme's
-cached averager transforms (a window scheme's averagers are gt_m (x) g_m),
+cached averager transforms (a window scheme's averagers are gt_m (x) g_m,
+so :func:`diag_channel_samples` is :func:`avg_samples` after a check),
 that is the inverse symplectic series of an annihilator fold (see
 :mod:`opsis.phase_space`).  F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n), and
 reconstruction synthesizes the fiber data chat = Bhat shat over the
@@ -120,7 +121,7 @@ def diag_channel_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarr
     """
     if scheme.windows is None:
         raise ValueError("scheme has no window pairs; use avg_samples")
-    return lattice_pairing(fourier_wigner(T), scheme.spreading, lattice)
+    return avg_samples(T, scheme, lattice)
 
 
 def avg_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarray:
@@ -169,15 +170,14 @@ class TransferMatrix(Immutable):
     """Fiberwise transform of the generator sample sequences.
 
     fibers[k] is the M x N matrix [symp_fourier(a[m, n])(xi_k)] at the k-th
-    dual-transversal point; constant on annihilator cosets.  Immutable;
-    equal only to itself.
+    dual-transversal point, constant on annihilator cosets; the lattice is
+    not kept.  Immutable; equal only to itself.
     """
 
-    lattice: Lattice
     fibers: np.ndarray  # (K, M, N)
 
-    def __init__(self, lattice: Lattice, fibers: np.ndarray):
-        self.__dict__.update(lattice=lattice, fibers=fibers)
+    def __init__(self, fibers: np.ndarray):
+        self.__dict__.update(fibers=fibers)
 
     @property
     def num_channels(self) -> int:
@@ -207,7 +207,7 @@ class TransferMatrix(Immutable):
 
 def transfer_matrix(A, lattice: Lattice) -> TransferMatrix:
     """Fiber matrices Ahat[k, m, n] = symp_fourier(a[m, n])(xi_k)."""
-    return TransferMatrix(lattice, symp_fourier(A, lattice).transpose(2, 0, 1))
+    return TransferMatrix(symp_fourier(A, lattice).transpose(2, 0, 1))
 
 
 def transfer_fibers(system: GeneratorSystem, scheme: OperatorStack) -> np.ndarray:
@@ -316,7 +316,7 @@ class ReconstructionKit(Immutable):
 
     @cached_property
     def transfer(self) -> TransferMatrix:
-        return TransferMatrix(self.system.lattice, transfer_fibers(self.system, self.scheme))
+        return TransferMatrix(transfer_fibers(self.system, self.scheme))
 
     @property
     def alpha(self) -> float:

@@ -44,15 +44,16 @@ transfer fibers.  Both spectra are computed here, vectorised over all
 fibers at once, in closed form whenever the small dimension is at most 2
 (:func:`hermitian_spectrum`, :func:`fiber_singular_values`), and by LAPACK
 above that.  The closed forms have LAPACK's absolute error bound, a small
-multiple of eps times the fiber's largest value; the smaller singular
-value of an M x 2 fiber is read off the 2 x 2 minors of its columns, not
-off det(A^* A), so an s_min of 1e-12 s_max stays resolvable.  A fiber with
-a NaN or inf entry never gives a finite pair of bounds.  riesz_check's
-route="gw" stays on np.linalg.eigvalsh, as an independent check.  The dual
-fibers of :mod:`opsis.sampling`, the left inverses of the transfer fibers,
-come from :func:`fiber_left_inverse` in the same closed form when N <= 2:
-each row is a column with the other projected out, divided by its squared
-norm.
+multiple of eps times the fiber's largest value, whatever else is in the
+batch; the smaller singular value of an M x 2 fiber is read off the 2 x 2
+minors of its columns, not off det(A^* A), so an s_min of 1e-12 s_max
+stays resolvable.  A fiber with a NaN or inf entry never gives a finite
+pair of bounds.  riesz_check's route="gw" stays on np.linalg.eigvalsh, as
+an independent check.  The dual fibers of :mod:`opsis.sampling`, the left
+inverses of the transfer fibers, come from :func:`fiber_left_inverse` in
+the same closed form when N <= 2: each row is a column with the other
+projected out, divided by its squared norm.  Both kernels read one
+column layout, which rescales out-of-range fibers one by one.
 
 Apart from riesz_check's gw cross-check, every job has one route here.
 The dense Gram matrix of all translates, the periodized outer products
@@ -123,6 +124,27 @@ def hermitian_spectrum(G) -> np.ndarray:
     return np.linalg.eigvalsh(G)
 
 
+def _fiber_columns(A):
+    """The columns of fibers A[..., M, N] as X[m, n] over the leading axes, their squared norms, and e.
+
+    X is C-ordered, so the sums over m add rows; it is a view for fibers
+    moved out of an (M, N, ...) array.  Only when some squared norm leaves
+    [2^-400, 2^400] is X a copy with every fiber scaled by 2^-e, e the
+    binary exponent of its largest |entry|; otherwise e is None.
+    """
+    X = np.ascontiguousarray(A.transpose(-2, -1, *range(A.ndim - 2)))
+    with np.errstate(over="ignore"):
+        norms2 = _abs2(X).sum(axis=0)
+    if 2.0 ** -400 <= norms2.min(initial=1.0) and norms2.max(initial=1.0) <= 2.0 ** 400:
+        return X, norms2, None
+    e = np.frexp(np.abs(X).max(axis=(0, 1)))[1]
+    X = X.astype(np.result_type(X, float))
+    for part in (X.real, X.imag) if np.iscomplexobj(X) else (X,):
+        # exact, and 2^-e itself overflows for a subnormal fiber
+        np.ldexp(part, -e, out=part)
+    return X, _abs2(X).sum(axis=0), e
+
+
 def fiber_singular_values(A) -> np.ndarray:
     """Descending singular values of matrices A[..., M, N], shape (..., min(M, N)).
 
@@ -136,12 +158,11 @@ def fiber_singular_values(A) -> np.ndarray:
     eps s_max^4, so both values are within a small multiple of eps s_max,
     LAPACK's bound, and an s_min of 1e-12 s_max stays resolvable.
     np.linalg.svd serves min(M, N) >= 3.  So that the squared minors
-    neither overflow nor underflow, a finite batch whose largest squared
-    column norm leaves [2^-400, 2^400] is first rescaled by a power of two.
-    Relative to the batch's largest value the bound then holds throughout;
-    only a matrix more than 2^60 below it can lose relative precision to
-    underflow.  A zero matrix gives zeros; a matrix with a NaN or inf entry
-    gives non-finite values.
+    neither overflow nor underflow, a batch with a squared column norm
+    outside [2^-400, 2^400] is rescaled fiber by fiber, subnormal fibers
+    included, and the bound holds relative to every fiber's own s_max,
+    whatever else is in the batch.  A zero matrix gives zeros; a matrix
+    with a NaN or inf entry gives non-finite values.
     """
     A = np.asarray(A)
     if A.shape[-1] > A.shape[-2]:
@@ -149,23 +170,16 @@ def fiber_singular_values(A) -> np.ndarray:
     M, N = A.shape[-2:]
     if N > 2:
         return np.linalg.svd(A, compute_uv=False)
-    # X[m, n] is entry (m, n) over the leading axes: contiguous rows for
-    # fibers moved out of an (M, N, K) array
-    X = A.transpose(-2, -1, *range(A.ndim - 2))
-    with np.errstate(over="ignore"):
-        norms2 = _abs2(X).sum(axis=0)
-    top = norms2.max(initial=0.0)
-    if not 2.0 ** -400 <= top <= 2.0 ** 400 and 0 < (big := np.abs(A).max()) < np.inf:
-        scale = np.ldexp(1.0, np.frexp(big)[1])
-        return fiber_singular_values(A / scale) * scale
+    X, norms2, e = _fiber_columns(A)
     if N == 1:
-        return np.sqrt(norms2[0])[..., None]
-    a0, a1 = X[:, 0], X[:, 1]
-    s_max = np.sqrt(_eig2(norms2[0], norms2[1], (a1 * a0.conj()).sum(axis=0))[1])
-    wedge = np.sqrt(sum(_abs2(a0[i] * a1[j] - a0[j] * a1[i]) for i, j in combinations(range(M), 2)))
-    # the guard divides 0 by 1 on a zero matrix only: NaN fails s_max == 0
-    s_min = np.minimum(wedge / np.where(s_max == 0, 1.0, s_max), s_max)
-    return np.stack([s_max, s_min], axis=-1)
+        s = [np.sqrt(norms2[0])]
+    else:
+        a0, a1 = X[:, 0], X[:, 1]
+        s_max = np.sqrt(_eig2(norms2[0], norms2[1], (a1 * a0.conj()).sum(axis=0))[1])
+        wedge = np.sqrt(sum(_abs2(a0[i] * a1[j] - a0[j] * a1[i]) for i, j in combinations(range(M), 2)))
+        # the guard divides 0 by 1 on a zero matrix only: NaN fails s_max == 0
+        s = [s_max, np.minimum(wedge / np.where(s_max == 0, 1.0, s_max), s_max)]
+    return np.stack(s if e is None else [np.ldexp(v, e) for v in s], axis=-1)
 
 
 def fiber_left_inverse(A) -> np.ndarray:
@@ -178,25 +192,15 @@ def fiber_left_inverse(A) -> np.ndarray:
     enough").  For N = 1, p_0 is the column itself.  The residual
     B A - I_N is then a small multiple of eps times the condition number,
     as for np.linalg.pinv; (A^* A)^{-1} A^* would give eps times its
-    square.  So that the squared norms neither overflow nor underflow, a
-    batch with a squared column norm outside [2^-400, 2^400] is first
-    rescaled fiber by fiber by a power of two.  The caller decides the
-    rank: a fiber with dependent columns gives non-finite rows.
+    square.  So that the squared norms neither overflow nor underflow, the
+    fibers are rescaled as by :func:`fiber_singular_values`.  The caller
+    decides the rank: a fiber with dependent columns gives non-finite rows.
     """
     A = np.asarray(A)
     M, N = A.shape[-2:]
     if not 1 <= N <= min(M, 2):
         raise ValueError(f"closed-form left inverse needs 1 <= N <= min(M, 2), got M={M}, N={N}")
-    # X[m, n] is entry (m, n) over the leading axes, contiguous: the sums
-    # over m add rows instead of reducing a short strided axis
-    X = np.ascontiguousarray(A.transpose(-2, -1, *range(A.ndim - 2)))
-    with np.errstate(over="ignore"):
-        norms2 = _abs2(X).sum(axis=0)
-    scale = 1.0
-    if not (2.0 ** -400 <= norms2.min(initial=1.0) and norms2.max(initial=1.0) <= 2.0 ** 400):
-        scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=(-2, -1)))[1])
-        X = X / scale
-        norms2 = _abs2(X).sum(axis=0)
+    X, norms2, e = _fiber_columns(A)
     P = X
     if N == 2:
         # column n against the other column, both projections at once
@@ -206,7 +210,7 @@ def fiber_left_inverse(A) -> np.ndarray:
         for _ in range(2):
             P = P - Q * ((Q_conj * P).sum(axis=0) / q_norms2)
         norms2 = _abs2(P).sum(axis=0)
-    B = P.conj() / (norms2 * scale)
+    B = P.conj() / (norms2 if e is None else np.ldexp(norms2, e))
     return B.transpose(*range(2, B.ndim), 1, 0)
 
 
@@ -222,10 +226,10 @@ class GeneratorSystem(Immutable):
     generators: OperatorStack
 
     def __init__(self, lattice: Lattice, generators):
-        L = lattice.modulus
         if not isinstance(generators, OperatorStack):
-            generators = OperatorStack(generators, what="generator", L=L)
-        elif generators.kernels.shape[1:] != (L, L):
+            generators = OperatorStack(generators, what="generator")
+        L = lattice.modulus
+        if generators.kernels.shape[1:] != (L, L):
             raise ValueError(f"generator shape {generators.kernels.shape[1:]} does not match L={L}")
         self.__dict__.update(lattice=lattice, generators=generators)
 

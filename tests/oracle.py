@@ -7,7 +7,7 @@ fiberwise coefficient expansion replace, the closure walk, exhaustive
 lattice duality, point-set membership and coset marking that the Hermite
 normal form replaces, the L x L grid series, the coset sums and the tiles
 on the grid that the lattice-size transforms and the one coset layout of
-fold_product and tile_product replace, the
+fold_cosets and tile_product replace, the
 per-value SplitMix64/Box-Muller loop that the blocked uint64 draw of
 PortableRng.complex_normal replaces (seeding contract v2, transcribed
 value by value in Python floats with math.frexp, math.floor and

@@ -110,6 +110,22 @@ def test_modulus_beyond_the_array_size_limit_exits_3(tmp_path, capsys, cfg):
         parse_config({"L": bound + 1})
 
 
+def test_running_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # L = 100000 on a 1000 x 1000 lattice asks parse_config for 149 GiB; the
+    # error is raised in its place, since a host that overcommits memory may
+    # grant the real request and run out later
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB")
+
+    monkeypatch.setattr(cli, "parse_config", out_of_memory)
+    out = tmp_path / "out"
+    assert main(["riesz-check", "--config", write_config(tmp_path / "c.json", GAUSSIAN_RIESZ),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "opsis: invalid configuration: out of memory (Unable to allocate 149. GiB)\n"
+    assert not out.exists()
+
+
 # in these exit-3 tests the ids leave the expected path out of each case's name
 @pytest.mark.parametrize("command, cfg, extra, label", [
     ("riesz-check", GAUSSIAN_RIESZ, {"tolerances": {"riesz": True}}, "tolerances.riesz"),

@@ -1,5 +1,5 @@
 """The spreading-domain engine and the lattice-size transforms, coset
-layout, fold_product and tile_product against the kernel-domain,
+layout, fold_cosets and tile_product against the kernel-domain,
 dense-character, grid-series, coset-sum and index-gather oracles of
 oracle.py, on random lattices (separable or not) from random generator
 lists, odd, even and prime L, the edge shapes {0}, Z_L^2 and a diagonal
@@ -30,7 +30,7 @@ from opsis.phase_space import (
     coset_transversal,
     cosets,
     dual_transversal,
-    fold_product,
+    fold_cosets,
     inv_symp_fourier,
     lattice_convolve,
     symp_fourier,
@@ -347,7 +347,7 @@ def test_tile_matches_cosets_and_grid_series(lat, batch, seed):
     assert_agrees(tile_product(symp_fourier(c, lat), ones, lat), oracle.lattice_series(c, lat)[..., 0, :, :])
     # tile is the adjoint of fold up to |lat| / L
     f = F.reshape(-1, lat.size)[0]
-    lhs = np.vdot(f, fold_product(G, np.ones((L, L)), lat))
+    lhs = np.vdot(f, fold_cosets(cosets(G, lat), cosets(np.ones((L, L)), lat), lat))
     rhs = np.vdot(oracle.tile(f, lat), G) * (lat.size / L)
     assert abs(lhs - rhs) <= 1e-12 * np.abs(f).sum() * np.abs(G).sum()
 
@@ -398,7 +398,7 @@ def check_fold_product(lat, shapes, seed):
     L = lat.modulus
     FT = rand_seq(rng, (*shapes[0], L, L))
     FQ = rand_seq(rng, (*shapes[1], L, L))
-    assert_agrees(fold_product(FT, FQ, lat), oracle.fold(FT * np.conj(FQ), lat))
+    assert_agrees(fold_cosets(cosets(FT, lat), cosets(FQ, lat), lat), oracle.fold(FT * np.conj(FQ), lat))
 
 
 @pytest.mark.parametrize("L, desc", EDGE_LATTICES)
@@ -668,8 +668,9 @@ MISMATCHES = {
     "cross_seq scheme": lambda system, other, scheme, T: cross_seq(system, average_scheme([T])),
     "cross_seq system": lambda system, other, scheme, T: cross_seq(other, scheme),
     "cosets": lambda system, other, scheme, T: cosets(np.zeros((6, 24)), system.lattice),
-    "fold_product": lambda system, other, scheme, T: fold_product(np.zeros((6, 24)), np.zeros((6, 24)),
-                                                                  system.lattice),
+    "fold_product": lambda system, other, scheme, T: fold_cosets(cosets(np.zeros((6, 24)), system.lattice),
+                                                                 cosets(np.zeros((6, 24)), system.lattice),
+                                                                 system.lattice),
 }
 
 
@@ -760,7 +761,7 @@ def test_lattices_enumerate_the_normal_form_once_on_first_read(monkeypatch):
     assert (lat.size, ann.size) == (36, 4)
     inv_symp_fourier(symp_fourier(np.ones(lat.size), lat), lat)
     ones = np.ones((1, 12, 12))
-    tile_product(fold_product(ones, ones, lat), cosets(ones, lat), lat)
+    tile_product(fold_cosets(cosets(ones, lat), cosets(ones, lat), lat), cosets(ones, lat), lat)
     # and so does a system's coset layout on the lattice
     layout = GeneratorSystem(lat, ones).spreading_cosets
     assert calls == []

@@ -112,8 +112,8 @@ def test_keyword_construction_and_defaults():
     plain = ReconstructionKit(system, scheme)
     assert (plain.C, plain.tol, plain.riesz_tol) == (None, None, None)
 
-    tm = TransferMatrix(fibers=kit.transfer.fibers, lattice=lat)
-    assert (tm.lattice, tm.fibers, tm.num_channels, tm.num_generators) == (lat, kit.transfer.fibers, 3, 2)
+    tm = TransferMatrix(fibers=kit.transfer.fibers)
+    assert (tm.fibers, tm.num_channels, tm.num_generators) == (kit.transfer.fibers, 3, 2)
 
     cfg = ExperimentConfig(L=L, seed=1, lattice=lat, sublattice=None, generator_kernels=gens,
                            scheme=scheme, coef_seed=2, dual_seed=3, options={})

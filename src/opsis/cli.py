@@ -27,19 +27,18 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, PortableRng, load_config, parse_config
-from .hs_ops import OperatorStack, hs_norm, identity
+from .hs_ops import OperatorStack, identity, lattice_pairing
 from .phase_space import LatticeError, build_lattice, dual_transversal
 from .sampling import (
     NotAFrameError,
     ReconstructionKit,
-    avg_samples,
     channel_matrix,
     diag_channel_samples,
     interpolation_deviation,
-    reconstruct,
+    reconstruct_spreading,
     sublattice_inflate,
 )
-from .si_space import GeneratorSystem, NotRieszError, riesz_check, synthesize
+from .si_space import GeneratorSystem, NotRieszError, riesz_check, synthesize, synthesize_spreading
 
 
 class NumericalError(RuntimeError):
@@ -112,10 +111,14 @@ def _gate(kit: ReconstructionKit) -> dict | None:
     return None
 
 
-def _rel_error(kit: ReconstructionKit, T) -> float:
-    """Relative HS error of reconstructing T from its samples through the kit."""
-    samples = avg_samples(T, kit.scheme, kit.system.lattice)
-    rel = hs_norm(T - reconstruct(samples, kit)) / hs_norm(T)
+def _rel_error(kit: ReconstructionKit, FT) -> float:
+    """Relative HS error ||T - R|| / ||T|| of the reconstruction R of T from its samples through the kit.
+
+    Read off the spreading transform FT of T and that of R, by Parseval
+    (sum_z |F(S)(z)|^2 = L ||S||^2), so neither operator is formed.
+    """
+    FR = reconstruct_spreading(lattice_pairing(FT, kit.scheme.spreading, kit.system.lattice), kit)
+    rel = float(np.linalg.norm(FT - FR) / np.linalg.norm(FT))
     _ensure_finite("reconstruction", rel)
     return rel
 
@@ -171,7 +174,7 @@ def run_frame_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 def run_reconstruct(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     system = _system(cfg)
     scheme = _need(cfg, "scheme", "scheme")
-    T = synthesize(system, _coefficients(cfg.coef_seed, system))
+    FT = synthesize_spreading(system, _coefficients(cfg.coef_seed, system))
     if cfg.sublattice is not None:
         system = sublattice_inflate(system, cfg.sublattice)
     N, M = system.num_generators, len(scheme)
@@ -186,7 +189,7 @@ def run_reconstruct(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     if error is not None:
         metrics["error"] = error
         return 2, metrics
-    metrics["reconstruction"] = {"rel_hs_error": _rel_error(kit, T)}
+    metrics["reconstruction"] = {"rel_hs_error": _rel_error(kit, FT)}
     if M == N:
         metrics["reconstruction"]["interp_max_dev"] = interpolation_deviation(kit)
     return 0, metrics
@@ -255,8 +258,8 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
             if error is not None:
                 rows.append(cells + ["", error["kind"]])
                 continue
-            T = synthesize(kit.system, _coefficients(cfg.coef_seed + row_index, kit.system))
-            rows.append(cells + [_rel_error(kit, T), "ok"])
+            FT = synthesize_spreading(kit.system, _coefficients(cfg.coef_seed + row_index, kit.system))
+            rows.append(cells + [_rel_error(kit, FT), "ok"])
         except (LatticeError, NumericalError) as exc:
             cells += [""] * (len(header) - 2 - len(cells))
             rows.append(cells + ["", type(exc).__name__])

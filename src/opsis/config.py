@@ -17,13 +17,15 @@ v2, from opsis 0.2.0):
 
 The logarithm, cosine and sine are fixed polynomial kernels built from
 + - * /, sqrt, frexp, floor and exact integer-float conversions, each exact
-or correctly rounded under IEEE-754, so a numpy block and a loop over
-Python floats give the same bits on every platform (see _box_muller).  No
-C-library log, cos or sin is called: those are not correctly rounded, and
-the 0.1.0 stream, which used them, could differ in the last bit between C
-libraries.  The state after k steps is seed + k * 0x9E3779B97F4A7C15 mod
-2^64, so a block of outputs is computed at once in wrapping uint64
-arithmetic, and one block may hold the outputs of several streams.
+or correctly rounded under IEEE-754, and the quadrant of the angle is a
+choice of series and a product with +1.0 or -1.0, both exact, so a numpy
+block and a loop over Python floats give the same bits on every platform
+(see _box_muller).  No C-library log, cos or sin is called: those are not
+correctly rounded, and the 0.1.0 stream, which used them, could differ in
+the last bit between C libraries.  The state after k steps is
+seed + k * 0x9E3779B97F4A7C15 mod 2^64, so a block of outputs is computed at
+once in wrapping uint64 arithmetic, and one block may hold the outputs of
+several streams.
 
 A master stream seeded with the config seed hands one 64-bit subseed to
 every random item that does not carry its own "seed" key, walking the
@@ -109,6 +111,8 @@ def _horner_table(*series):
 
 
 _HORNER = _horner_table(_SIN, _COS, _ATANH)
+# the signs of the real and the imaginary part in quadrant j mod 4 = 0, 1, 2, 3
+_RE_SIGN, _IM_SIGN = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
 
 
 class ConfigError(ValueError):
@@ -192,53 +196,53 @@ def _box_muller(bits: np.ndarray, out: np.ndarray) -> None:
 
     Every step is exact or one correctly rounded +, -, *, / or sqrt, so the
     per-value transcription in Python floats (tests/oracle.py) gives the same
-    bits.  The three series share one Horner pass over a (3, n) array, and
-    the quadrant is one gather from the rows (s, c, -s, -c, s) of r (c, s):
-    for q = j mod 4 the real part sits in row q + 1 and the imaginary part in
-    row q.  out must be C-contiguous.
+    bits.  The three series share one Horner pass over a (3, n) array.  The
+    quadrant takes no gather: each part is r c or r s, chosen by np.where on
+    the parity of j (a masked copy runs once per run of the mask, several
+    times slower), times the part's sign +-1.0 in quadrant j mod 4, which is
+    exact and keeps the sign of a zero.  u1 and u2 are contiguous halves and
+    spent buffers are reused (m for j, then r; u2 for f), so the kernel
+    holds about 6.6 times its output.  out is 1-D.
     """
     n = len(out)
-    u = bits.astype(float)
-    u[0::2] += 1.0
-    u *= 2.0 ** -53
-    u1, u2 = u[0::2], u[1::2]
-    m, e = np.frexp(u1)
+    m = np.multiply(bits[0::2] + 1, 2.0 ** -53)
+    f = np.multiply(bits[1::2], 2.0 ** -53)
+    k = np.frexp(m, out=(m, None))[1]  # the exponent e, until k = -e replaces it
     low = m < _SQRT_HALF
-    k = np.subtract(low, e, dtype=float)
+    k = np.subtract(low, k, dtype=float)
     m += m * low
     s = m - 1.0
     m += 1.0
     s /= m
-    j = u2 * 4.0
+    j = np.multiply(f, 4.0, out=m)
     j += 0.5
     np.floor(j, out=j)
-    f = j * -0.25
-    f += u2
+    q = j.astype(np.intp)
+    q &= 3
+    j *= 0.25
+    f -= j
     x = np.empty((3, n))
     np.multiply(f, f, out=x[:2])
     np.multiply(s, s, out=x[2])
-    rows = np.empty((5, n))
-    series = rows[:3]
-    np.multiply(x, _HORNER[0], out=series)
+    series = np.multiply(x, _HORNER[0])
     series += _HORNER[1]
     for coef in _HORNER[2:]:
         series *= x
         series += coef
-    s *= rows[2]
-    r = k * _LN2_HI
+    del x  # its memory serves the quadrant step's temporaries
+    s *= series[2]
+    r = np.multiply(k, _LN2_HI, out=j)
     k *= _LN2_LO
     k -= s
     r += k
     np.sqrt(r, out=r)
-    rows[0] *= f
-    rows[:2] *= r
-    np.negative(rows[:2], out=rows[2:4])
-    rows[4] = rows[0]
-    q = j.astype(np.intp)
-    q &= 3
-    q *= n
-    q += np.arange(n)
-    rows.take(q[:, None] + np.array((n, 0)), out=out.view(float).reshape(n, 2), mode="clip")
+    sin, cos = series[:2]
+    sin *= f
+    odd = q & 1 == 1
+    np.multiply(_RE_SIGN.take(q), r, out=k)
+    np.multiply(np.where(odd, sin, cos), k, out=out.real)
+    np.multiply(_IM_SIGN.take(q), r, out=k)
+    np.multiply(np.where(odd, cos, sin), k, out=out.imag)
 
 
 class ExperimentConfig(SimpleNamespace):

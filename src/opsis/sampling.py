@@ -391,8 +391,12 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
     property claimed.  Computed as the synthesis of the fiber data
     chat(xi) = Bhat(xi) shat(xi) over the generators.
     """
-    chat = _sample_fibers(samples, kit)
-    return inverse_fourier_wigner(tile_product(chat, kit.system.spreading_cosets, kit.system.lattice))
+    return inverse_fourier_wigner(reconstruct_spreading(samples, kit))
+
+
+def reconstruct_spreading(samples, kit: ReconstructionKit) -> np.ndarray:
+    """The spreading transform of :func:`reconstruct`'s operator, sum_n tile(chat_n) F(S_n)."""
+    return tile_product(_sample_fibers(samples, kit), kit.system.spreading_cosets, kit.system.lattice)
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:

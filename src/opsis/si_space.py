@@ -302,9 +302,13 @@ def coefficient_array(system: GeneratorSystem, coefs) -> np.ndarray:
 
 def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
     """Sum coefs[n, j] * translate(lattice.points[j], S_n) over all n, j."""
-    coefs = coefficient_array(system, coefs)
+    return inverse_fourier_wigner(synthesize_spreading(system, coefs))
+
+
+def synthesize_spreading(system: GeneratorSystem, coefs) -> np.ndarray:
+    """The spreading transform of :func:`synthesize`'s sum, sum_n tile(symp_fourier(coefs[n])) F(S_n)."""
     lat = system.lattice
-    return inverse_fourier_wigner(tile_product(symp_fourier(coefs, lat), system.spreading_cosets, lat))
+    return tile_product(symp_fourier(coefficient_array(system, coefs), lat), system.spreading_cosets, lat)
 
 
 def correlation_sequences(system: GeneratorSystem) -> np.ndarray:

@@ -9,8 +9,10 @@ import pytest
 import opsis
 from opsis import cli, sampling, si_space
 from opsis.cli import main
-from opsis.config import ConfigError, parse_config
-from opsis.hs_ops import inverse_fourier_wigner
+from opsis.config import ConfigError, PortableRng, parse_config
+from opsis.hs_ops import hs_norm, inverse_fourier_wigner
+from opsis.sampling import ReconstructionKit, avg_samples, reconstruct, sublattice_inflate
+from opsis.si_space import GeneratorSystem, synthesize
 
 
 def write_config(path, cfg):
@@ -538,6 +540,30 @@ def test_reconstruct_with_sublattice(tmp_path):
     assert metrics["config"]["sublattice"] is True
     assert metrics["frame"]["N"] == 2  # one generator inflated over two cosets
     assert metrics["reconstruction"]["rel_hs_error"] < 1e-9
+
+
+PARSEVAL_CONFIGS = {
+    "separable": dict(RECON_OK, L=12, lattice={"a": 2, "b": 3}),
+    "sheared": dict(RECON_OK, L=12, lattice={"generators": [[2, 1], [0, 4]]}),
+    "sublattice": dict(RECON_OK, generators=[{"kind": "random"}], sublattice={"generators": [[4, 0], [0, 2]]}),
+}
+
+
+@pytest.mark.parametrize("name", PARSEVAL_CONFIGS)
+def test_rel_hs_error_by_parseval_matches_the_kernel_domain(tmp_path, name):
+    raw = PARSEVAL_CONFIGS[name]
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", write_config(tmp_path / "c.json", raw), "--out", str(out)]) == 0
+    # the command's T and kit, with T and its reconstruction formed as kernels
+    cfg = parse_config(raw)
+    system = GeneratorSystem(cfg.lattice, cfg.generator_kernels)
+    T = synthesize(system, PortableRng(cfg.coef_seed).complex_normal((system.num_generators, system.lattice.size)))
+    if cfg.sublattice is not None:
+        system = sublattice_inflate(system, cfg.sublattice)
+    kit = ReconstructionKit(system, cfg.scheme)
+    kernel = hs_norm(T - reconstruct(avg_samples(T, cfg.scheme, system.lattice), kit)) / hs_norm(T)
+    parseval = read_metrics(out)["reconstruction"]["rel_hs_error"]
+    assert abs(parseval - kernel) <= 1e-15 and max(parseval, kernel) < 1e-14
 
 
 # ---------------------------------------------------------------- channel-demo

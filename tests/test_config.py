@@ -216,6 +216,19 @@ def test_box_muller_is_within_four_eps_of_the_exact_value():
     assert (err <= 4 * np.finfo(float).eps * radius[:, :1]).all()
 
 
+def test_box_muller_kernel_holds_at_most_eight_times_its_output():
+    # one full block: the finalizer's bits, the kernel's reused buffers and its
+    # (3, n) Horner pass come to about 6.6 times the output
+    out = np.empty(BLOCK, dtype=complex)
+    tracemalloc.start()
+    try:
+        config._complex_normals(out, [(3, BLOCK)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * out.nbytes
+
+
 def test_complex_normal_pseudo_variance_vanishes():
     # a circular normal has E z^2 = 0; 2^17 values give a standard error near 0.004
     z = PortableRng(11).complex_normal(2**17)

@@ -659,7 +659,7 @@ def test_gw_route_reads_no_coset_layout(monkeypatch):
 
 
 # entry points handed a grid stack whose size is not the lattice's: the
-# operator T and the system `other` are of modulus 14, system and scheme of 12
+# operator T, its rows and the system `other` are of modulus 14, system and scheme of 12
 MISMATCHES = {
     "avg_samples operator": lambda system, other, scheme, T: avg_samples(T, scheme, system.lattice),
     "avg_samples scheme": lambda system, other, scheme, T: avg_samples(system.generators[0], average_scheme([T]),
@@ -668,9 +668,8 @@ MISMATCHES = {
     "cross_seq scheme": lambda system, other, scheme, T: cross_seq(system, average_scheme([T])),
     "cross_seq system": lambda system, other, scheme, T: cross_seq(other, scheme),
     "cosets": lambda system, other, scheme, T: cosets(np.zeros((6, 24)), system.lattice),
-    "fold_product": lambda system, other, scheme, T: fold_cosets(cosets(np.zeros((6, 24)), system.lattice),
-                                                                 cosets(np.zeros((6, 24)), system.lattice),
-                                                                 system.lattice),
+    "gabor_multiplier": lambda system, other, scheme, T: gabor_multiplier(np.ones(system.lattice.size),
+                                                                          system.lattice, T[0], T[1]),
 }
 
 

@@ -247,15 +247,18 @@ def test_cached_stages_are_computed_once(monkeypatch):
 
 def test_one_spreading_transform_per_record(monkeypatch, tmp_path):
     calls = Counter()
-    original = hs_ops.fourier_wigner
 
-    def counting(*args, **kwargs):
-        calls["fourier_wigner"] += 1
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    for module in (opsis, hs_ops, si_space, sampling, cli):
-        if getattr(module, "fourier_wigner", None) is original:
-            monkeypatch.setattr(module, "fourier_wigner", counting)
+    for name in ("fourier_wigner", "inverse_fourier_wigner"):
+        original = getattr(hs_ops, name)
+        for module in (opsis, hs_ops, si_space, sampling, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
     rng = np.random.default_rng(11)
     record = OperatorStack([rand_kernel(rng, L) for _ in range(2)], what="generator")
     separable = GeneratorSystem(build_lattice((2, 2), L), record)
@@ -267,17 +270,21 @@ def test_one_spreading_transform_per_record(monkeypatch, tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"generator shape {(L, L)} does not match L={L + 2}")):
         GeneratorSystem(build_lattice((2, 2), L + 2), record)
 
-    # a sweep transforms the generators and the averagers once, then T once per row
-    calls.clear()
-    config = {"L": L, "seed": 3, "sweep": {"a": [2, 4], "b": [2, 4]}, "generators": [{"kind": "random"}],
-              "scheme": {"windows": [{"g": {"kind": "random"}, "g_tilde": {"kind": "random"}},
-                                     {"g": {"kind": "gaussian"}, "g_tilde": {"kind": "gaussian"}}]}}
-    (tmp_path / "c.json").write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert cli.main(["sweep", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
-    rows = (out / "sweep.csv").read_text().splitlines()[1:]
-    assert len(rows) == 4 and all(row.endswith(",ok") for row in rows)
-    assert calls["fourier_wigner"] == len(rows) + 2
+    # a sweep or a reconstruct command transforms the generators and the
+    # averagers once; T and its reconstructions stay in the spreading domain
+    scheme = {"windows": [{"g": {"kind": "random"}, "g_tilde": {"kind": "random"}},
+                          {"g": {"kind": "gaussian"}, "g_tilde": {"kind": "gaussian"}}]}
+    configs = {"sweep": {"sweep": {"a": [2, 4], "b": [2, 4]}}, "reconstruct": {"lattice": {"a": 2, "b": 2}}}
+    for command, extra in configs.items():
+        calls.clear()
+        config = dict(extra, L=L, seed=3, generators=[{"kind": "random"}], scheme=scheme)
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+        if command == "sweep":
+            rows = (out / "sweep.csv").read_text().splitlines()[1:]
+            assert len(rows) == 4 and all(row.endswith(",ok") for row in rows)
+        assert (calls["fourier_wigner"], calls["inverse_fourier_wigner"]) == (2, 0)
 
 
 def test_riesz_report_stays_a_replaceable_dataclass():

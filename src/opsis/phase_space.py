@@ -28,8 +28,11 @@ below needs them.
 The Fourier analysis of a lattice runs on the lattice's own size K = P Q.
 With xi = (x, w) in the transversal, sigma(lam, xi)/L splits as
 j x/Q + (k c mod b) x/L - k w/P, so :func:`symp_fourier` is a length-Q FFT
-over j, a twiddle e^{2 pi i (k c mod b) x/L} and a length-P FFT over k, and
-:func:`inv_symp_fourier` runs the same steps backwards: O(K log K) each.
+over j, one pass that writes the transpose [x, k] times the twiddle
+e^{2 pi i (k c mod b) x/L} (a plain copy when c = 0, where the twiddle is 1)
+and a length-P FFT over k, and :func:`inv_symp_fourier` runs the same steps
+backwards with the conjugate twiddle: O(K log K) each.  Both FFTs run along
+the last axis, so the output is C-ordered in transversal (lattice) order.
 Functions on the L x L grid meet the lattice through two maps (Poisson
 summation over the annihilator), each run only inside a product:
 
@@ -49,16 +52,16 @@ spreading transform.  Both maps read this one layout.
 :func:`fold_cosets` contracts two layouts over (k', j') coset by coset with
 one einsum, never forming the product of a pair of operators: a bracket
 product (de Boor, DeVore and Ron, JFA 1994) of two grid stacks laid out
-first.  :func:`tile_product` takes the layout of the
-stack it multiplies, where a tile is a reshape view of the fiber data,
-constant over (k', j'), and returns the sum to the grid by a reshape when
-c' = 0, otherwise by one take through the inverse gather index (L^2 more
-indices, cached by the first tile on the lattice).  A generator system of
-:mod:`opsis.si_space` lays out its stack once and keeps the layout.  The
-dense :func:`symp_character_matrix` serves only the tests' reference
-series.  :func:`diagonal_index` caches, per modulus, the flat indices by
-which the spreading transforms of :mod:`opsis.hs_ops` take the cyclic
-diagonals: 2 L^2 intp, 16.8 MB at L = 1024.
+first, conjugating the one with fewer elements.  :func:`tile_product` takes
+the layout of the stack it multiplies, where a tile is a reshape view of the
+fiber data, constant over (k', j'), and returns the sum to the grid by a
+reshape when c' = 0, otherwise by one take through the inverse gather index
+(L^2 more indices, cached by the first tile on the lattice).  A generator
+system of :mod:`opsis.si_space` lays out its stack once and keeps the
+layout.  The dense :func:`symp_character_matrix` serves only the tests'
+reference series.  :func:`diagonal_index` caches, for one modulus, the flat
+indices by which the spreading transforms of :mod:`opsis.hs_ops` take the
+cyclic diagonals in both directions: 2 L^2 intp, 16.8 MB at L = 1024.
 
 Conventions relied on throughout the package:
 
@@ -176,14 +179,16 @@ class Lattice(Immutable):
         return self._xy[1]
 
     @cached_property
-    def _twiddle(self) -> np.ndarray:
-        """twiddle[k, x] = e^{2 pi i (k c mod b) x/L} of the lattice transforms, shape (P, Q), read-only."""
+    def _twiddles(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lattice transforms' twiddle e^{2 pi i (k c mod b) x/L}: transposed [x, k], conjugated [k, x]; read-only."""
         L = self.modulus
         a, b, c = self._hnf
         k = np.arange(L // a)[:, None]
         twiddle = np.exp(2j * np.pi * ((k * c % b) * np.arange(L // b) % L) / L)
-        twiddle.setflags(write=False)
-        return twiddle
+        pair = (twiddle.T.copy(), np.conj(twiddle))
+        for t in pair:
+            t.setflags(write=False)
+        return pair
 
     @cached_property
     def _coset_gather(self) -> np.ndarray:
@@ -325,11 +330,14 @@ def coset_transversal(lat: Lattice, sub: Lattice) -> tuple[Point, ...]:
     return tuple(zip(x[keep].tolist(), w[keep].tolist()))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def diagonal_index(L: int, step: int) -> np.ndarray:
     """Flat grid index [x, t] = ((x + step t) % L) L + t of the cyclic diagonals, read-only."""
-    t = np.arange(L)
-    index = (t[:, None] + step * t) % L * L + t
+    # row x of ((x + step t) % L) L is the window at x of the 2L table (i % L) L, or
+    # for step = -1 the window at L - 1 - x of the reversed table: one strided view
+    table = np.arange(2 * L)[::step] % L * L
+    s = table.itemsize
+    index = np.ndarray((L, L), table.dtype, table, (L - 1) * s * (step < 0), (step * s, s)) + np.arange(L)
     index.setflags(write=False)
     return index
 
@@ -365,27 +373,31 @@ def symp_fourier(c, lat: Lattice) -> np.ndarray:
     F(xi) = sum_lam c(lam) exp(2 pi i sigma(lam, xi) / L); the value depends
     only on the annihilator coset of xi.  The last axis of c runs over the
     lattice, that of the output is aligned with :func:`dual_transversal`;
-    leading axes are kept.
+    leading axes are kept.  An FFT over j, one pass to the C-ordered
+    transpose [x, k] (times the twiddle unless c = 0), an FFT over k.
     """
     c = _as_seqs(c, lat, "sequence")
-    twiddle = lat._twiddle
-    # D[k, x] = sum_j c[k, j] e^{2 pi i j x/Q}, then F[w, x] by a DFT over k
-    D = np.fft.ifft(c.reshape(c.shape[:-1] + twiddle.shape), axis=-1, norm="forward")
-    F = np.fft.fft(D * twiddle, axis=-2)
-    return np.swapaxes(F, -1, -2).reshape(c.shape)
+    L = lat.modulus
+    a, b, shear = lat._hnf
+    # D[x, k] = sum_j c[k, j] e^{2 pi i j x/Q}, then F[x, w] by a DFT over k
+    D = np.fft.ifft(c.reshape(c.shape[:-1] + (L // a, L // b)), axis=-1, norm="forward").swapaxes(-1, -2)
+    D = D.copy() if shear == 0 else np.multiply(D, lat._twiddles[0], order="C")
+    return np.fft.fft(D, axis=-1).reshape(c.shape)
 
 
 def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
     """Inverse of :func:`symp_fourier`: c(lam) = (1/|lat|) sum_xi F(xi) e^{-2 pi i sigma(lam, xi)/L}.
 
     The last axis of F runs over the dual transversal; leading axes are kept.
+    The steps of :func:`symp_fourier` run backwards, with the conjugate twiddle.
     """
     F = _as_seqs(F, lat, "fiber data")
-    untwiddle = np.conj(lat._twiddle.T)
-    # E[x, k] = (1/P) sum_w F[x, w] e^{2 pi i k w/P}, then c[j, k] by a DFT over x
-    E = np.fft.ifft(F.reshape(F.shape[:-1] + untwiddle.shape), axis=-1)
-    c = np.fft.fft(E * untwiddle, axis=-2, norm="forward")
-    return np.swapaxes(c, -1, -2).reshape(F.shape)
+    L = lat.modulus
+    a, b, shear = lat._hnf
+    # E[k, x] = (1/P) sum_w F[x, w] e^{2 pi i k w/P}, then c[k, j] by a DFT over x
+    E = np.fft.ifft(F.reshape(F.shape[:-1] + (L // b, L // a)), axis=-1).swapaxes(-1, -2)
+    E = E.copy() if shear == 0 else np.multiply(E, lat._twiddles[1], order="C")
+    return np.fft.fft(E, axis=-1, norm="forward").reshape(F.shape)
 
 
 def cosets(G, lat: Lattice) -> np.ndarray:
@@ -419,9 +431,17 @@ def fold_cosets(CT, CQ, lat: Lattice) -> np.ndarray:
     over leading axes; the result has the broadcast leading shape and a
     last axis over the dual transversal.  A caller that folds one grid
     stack against several others gathers its layout once and passes it here.
+    The operand with fewer elements is conjugated, CT by conj(einsum(conj(CT), CQ)): the same
+    bits up to the sign of a zero, as conj(conj(x) y) = x conj(y) and negation commutes with rounding.
     """
-    F = np.einsum("...kxjw,...kxjw->...xw", CT, np.conj(CQ))
-    return F.reshape(F.shape[:-2] + (lat.size,)) * (lat.size / lat.modulus)
+    if CT.size < CQ.size:
+        F = np.einsum("...kxjw,...kxjw->...xw", np.conj(CT), CQ)
+        np.conjugate(F, out=F)
+    else:
+        F = np.einsum("...kxjw,...kxjw->...xw", CT, np.conj(CQ))
+    # in place, unless integer layouts made an integer sum
+    F = np.multiply(F, lat.size / lat.modulus, out=F if np.issubdtype(F.dtype, np.inexact) else None)
+    return F.reshape(F.shape[:-2] + (lat.size,))
 
 
 def tile_product(chat, C, lat: Lattice) -> np.ndarray:

@@ -399,6 +399,10 @@ def check_fold_product(lat, shapes, seed):
     FT = rand_seq(rng, (*shapes[0], L, L))
     FQ = rand_seq(rng, (*shapes[1], L, L))
     assert_agrees(fold_cosets(cosets(FT, lat), cosets(FQ, lat), lat), oracle.fold(FT * np.conj(FQ), lat))
+    # integer layouts sum to integers, and the scale makes them floats
+    ones = cosets(np.ones((L, L), dtype=int), lat)
+    F = fold_cosets(ones, ones, lat)
+    assert F.dtype == np.float64 and np.array_equal(F, oracle.fold(np.ones((L, L), dtype=int), lat))
 
 
 @pytest.mark.parametrize("L, desc", EDGE_LATTICES)
@@ -411,6 +415,37 @@ def test_fold_product_on_edge_lattices(L, desc, shapes):
 @given(engine_lattices(max_L=24), st.sampled_from(PAIRING_SHAPES), seeds)
 def test_fold_product_is_the_fold_of_the_product(lat, shapes, seed):
     check_fold_product(lat, shapes, seed)
+
+
+@pytest.mark.parametrize("desc", [(4, 4), [(2, 5), (0, 6)]])
+@pytest.mark.parametrize("shapes", [((1,), (3,)), ((2, 1), (1, 3)), ((2,), (2,))])
+def test_swapping_the_fold_operands_conjugates_the_fold_exactly(desc, shapes):
+    # the fold conjugates its smaller operand (the second when both have the
+    # same size), and conj(conj(x) y) = x conj(y) holds bit for bit up to the
+    # sign of a zero
+    rng = np.random.default_rng(3)
+    L = 24
+    lat = build_lattice(desc, L)
+    assert (lat._hnf[2] == 0) == (desc == (4, 4))
+    CT = cosets(rand_seq(rng, (*shapes[0], L, L)), lat)
+    CQ = cosets(rand_seq(rng, (*shapes[1], L, L)), lat)
+    assert np.array_equal(fold_cosets(CT, CQ, lat), np.conj(fold_cosets(CQ, CT, lat)))
+
+
+@pytest.mark.parametrize("desc", [(4, 4), [(2, 5), (0, 6)]])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_lattice_series_are_c_ordered_whatever_the_input_strides(desc, batch):
+    # fibers transposed to a lattice-last axis, as cross_seq,
+    # correlation_sequences and kit.b pass them, give bit for bit what
+    # their contiguous copy gives
+    rng = np.random.default_rng(4)
+    lat = build_lattice(desc, 24)
+    c = np.moveaxis(rand_seq(rng, (lat.size, *batch, 2)), 0, -1)[..., 0, :]
+    assert c.shape == (*batch, lat.size) and not c.flags.c_contiguous
+    for series in (symp_fourier, inv_symp_fourier):
+        out = series(c, lat)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, series(np.ascontiguousarray(c), lat))
 
 
 @pytest.mark.parametrize("desc", [(4, 4), [(1, 3), (0, 32)]])
@@ -461,6 +496,15 @@ def test_spreading_transforms_are_c_ordered(desc):
         index = phase_space.diagonal_index(L, step)
         assert index is phase_space.diagonal_index(L, step)
         assert not index.flags.writeable
+
+
+def test_diagonal_index_is_the_cyclic_diagonal_formula():
+    for L in range(2, 65):
+        t = np.arange(L)
+        for step in (1, -1):
+            index = phase_space.diagonal_index(L, step)
+            assert index.flags.c_contiguous and not index.flags.writeable
+            assert np.array_equal(index, ((t[:, None] + step * t) % L) * L + t)
 
 
 def test_fourier_wigner_holds_no_doubled_stack():
@@ -766,7 +810,7 @@ def test_lattices_enumerate_the_normal_form_once_on_first_read(monkeypatch):
     assert calls == []
     for p in (lat, ann):
         assert list(zip(p.xs.tolist(), p.ws.tolist())) == list(p.points)
-        for cached in (p.xs, p.ws, p._twiddle, p._coset_gather, p._coset_scatter):
+        for cached in (p.xs, p.ws, *p._twiddles, p._coset_gather, p._coset_scatter):
             assert not cached.flags.writeable
     assert not layout.flags.writeable
     with pytest.raises(ValueError):

@@ -1,9 +1,20 @@
-"""Best-of-20 times of the lattice kernels, printed one line per lattice.
+"""Best-of-20 times of the lattice kernels, printed one line per case.
 
 The lattice series, the fold and the spreading transform run at the three
 benchmark workload shapes (N = 2 generators against M = 3 channels) and on
-the full lattice at L = 256, so a kernel that regresses on one numpy build
-or platform shows in the log.  Nothing is checked.
+the full lattice at L = 256.  Then the fold runs at these operand shapes:
+
+* the three folds of an `opsis reconstruct` run at L = 48 on 4Z x 4Z: the
+  transfer fibers (1, 2) against (3, 1), the Gram fibers (2, 1) against
+  (1, 2), and the samples, one operator against 3 averagers;
+* 2 against 3 on the separable (6, 4) lattice at L = 60;
+* one operator against 3 at L = 1024 on 4Z x 4Z, where the fold's rows
+  are long and it keeps one einsum, since contracting k' before j' was
+  measured twice as slow there.
+
+Last, gabor_multiplier runs at L = 256 on the sheared [(4, 2), (0, 4)].
+A kernel that regresses on one numpy build or platform shows in the log.
+Nothing is checked.
 
 Run from the repository root: PYTHONPATH=src python scripts/kernel_times.py
 """
@@ -12,7 +23,7 @@ import timeit
 
 import numpy as np
 
-from opsis.hs_ops import fourier_wigner
+from opsis.hs_ops import fourier_wigner, gabor_multiplier
 from opsis.phase_space import build_lattice, cosets, fold_cosets, inv_symp_fourier, symp_fourier
 
 rng = np.random.default_rng(0)
@@ -36,3 +47,15 @@ for L, desc in [(48, (4, 4)), (64, (4, 4)), (60, [(3, 7), (0, 5)]), (256, (1, 1)
              "fold_cosets": best(lambda: fold_cosets(CT, CQ, lat)),
              "fourier_wigner": best(lambda: fourier_wigner(FQ))}
     print(f"L = {L}, lattice {desc}: " + ", ".join(f"{k} {t:.1f} us" for k, t in times.items()))
+
+for L, desc, lead_T, lead_Q in [(48, (4, 4), (1, 2), (3, 1)), (48, (4, 4), (2, 1), (1, 2)),
+                                (48, (4, 4), (), (3,)), (60, (6, 4), (2, 1), (1, 3)),
+                                (1024, (4, 4), (), (3,))]:
+    lat = build_lattice(desc, L)
+    CT, CQ = cosets(normal(*lead_T, L, L), lat), cosets(normal(*lead_Q, L, L), lat)
+    print(f"L = {L}, lattice {desc}: fold_cosets {lead_T} against {lead_Q} {best(lambda: fold_cosets(CT, CQ, lat)):.1f} us")
+
+L, desc = 256, [(4, 2), (0, 4)]
+lat = build_lattice(desc, L)
+mask, psi, phi = normal(lat.size), normal(L), normal(L)
+print(f"L = {L}, lattice {desc}: gabor_multiplier {best(lambda: gabor_multiplier(mask, lat, psi, phi)):.1f} us")

@@ -14,16 +14,16 @@ multipliers, and the convolution of a phase-space function with an operator.
 Translate sums and trace pairings over a lattice are computed in the
 spreading domain, where translation is a pointwise multiplication by a
 character and the lattice enters through the two grid-lattice maps of
-:mod:`opsis.phase_space`: :func:`lattice_pairing` is the inverse
-symplectic series of a fold (fold_cosets), and a translate sum (a Gabor
-multiplier, or :func:`fn_op_convolve`) is the tile_product of the
-symplectic series of its coefficients with the coset layout of the
-spreading transform.  Every lattice Fourier step runs on the lattice's own
-size, never on an L x L grid FFT; :func:`fn_op_convolve` runs the same
-code on the full lattice Z_L^2, where it is the plain 2-D DFT.
-:func:`op_translate` builds one translate as a dense kernel.  An
-:class:`OperatorStack` holds operators with no lattice and caches their
-spreading transforms, shared by every system or scheme built on it.
+:mod:`opsis.phase_space`: :func:`lattice_pairing` is the inverse symplectic
+series of a fold (fold_cosets), and a translate sum (a Gabor multiplier, or
+:func:`fn_op_convolve`) is the tile_product of the symplectic series of its
+coefficients with the spreading transform.  Every lattice Fourier step runs
+on the lattice's own size, never on an L x L grid FFT;
+:func:`fn_op_convolve` runs the same code on the full lattice Z_L^2, where
+it is the plain 2-D DFT.  :func:`op_translate` builds one translate as a
+dense kernel.  An :class:`OperatorStack` holds operators with no lattice and
+caches their spreading transforms, shared by every system or scheme built
+on it.
 
 Normalizations are pinned by exact unitarity: with the L^{-1/2} prefactor
 below, kn_symbol satisfies <sigma_S, sigma_T> = <S, T> identically, and the
@@ -203,7 +203,7 @@ def inverse_fourier_wigner(F) -> np.ndarray:
 
 # The spreading-domain engine.  By covariance, the spreading transform of
 # sum_lam c(lam) translate(lam, H) is tile(symp_fourier(c)) * F(H), which
-# :func:`opsis.phase_space.tile_product` forms on the coset layout, and by Parseval
+# :func:`opsis.phase_space.tile_product` forms on the grid, and by Parseval
 # <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L},
 # which Poisson summation over the annihilator turns into the inverse
 # symplectic series of the fold of F_T conj(F_Q).  That fold is contracted
@@ -227,8 +227,7 @@ def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
     atom phi.
     """
     chat = symp_fourier(mask, lattice)[..., None, :]
-    C = cosets(fourier_wigner(rank_one(phi, psi))[None], lattice)
-    return inverse_fourier_wigner(tile_product(chat, C, lattice))
+    return inverse_fourier_wigner(tile_product(chat, fourier_wigner(rank_one(phi, psi))[None], lattice))
 
 
 def fn_op_convolve(g, S) -> np.ndarray:
@@ -246,5 +245,5 @@ def fn_op_convolve(g, S) -> np.ndarray:
     # it is built from its normal form and never lists them
     full = build_lattice((1, 1), L)
     chat = symp_fourier(g.reshape(1, L * L), full)
-    return inverse_fourier_wigner(tile_product(chat, cosets(fourier_wigner(S)[None], full), full))
+    return inverse_fourier_wigner(tile_product(chat, fourier_wigner(S)[None], full))
 

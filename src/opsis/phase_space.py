@@ -46,22 +46,19 @@ summation over the annihilator), each run only inside a product:
 
 The annihilator is generated by (Q, c') and (0, P), c' = c L/(a b), so
 :func:`cosets` lays the grid out as (b, Q, a, P), entry [k', x0, j', w0] at
-(x0, w0) + k'(Q, c') + j'(0, P): a reshape when c' = 0, otherwise one shear
-gather by a cached index, neither copying a C-ordered stack such as a
-spreading transform.  Both maps read this one layout.
-:func:`fold_cosets` contracts two layouts over (k', j') coset by coset with
-one einsum, never forming the product of a pair of operators: a bracket
-product (de Boor, DeVore and Ron, JFA 1994) of two grid stacks laid out
-first, conjugating the one with fewer elements.  :func:`tile_product` takes
-the layout of the stack it multiplies, where a tile is a reshape view of the
-fiber data, constant over (k', j'), and returns the sum to the grid by a
-reshape when c' = 0, otherwise by one take through the inverse gather index
-(L^2 more indices, cached by the first tile on the lattice).  A generator
-system of :mod:`opsis.si_space` lays out its stack once and keeps the
-layout.  The dense :func:`symp_character_matrix` serves only the tests'
-reference series.  :func:`diagonal_index` caches, for one modulus, the flat
-indices by which the spreading transforms of :mod:`opsis.hs_ops` take the
-cyclic diagonals in both directions: 2 L^2 intp, 16.8 MB at L = 1024.
+(x0, w0) + k'(Q, c') + j'(0, P): the grid's own reshape when c' = 0, else
+one shear gather by a cached index, neither copying a C-ordered stack.
+:func:`fold_cosets` contracts two layouts coset by coset, a bracket product
+(de Boor, DeVore and Ron, JFA 1994), in memory order: over k' and then j'
+on a reshape with short rows, else over (k', j') at once, as on a gathered
+layout, which holds each coset innermost.  :func:`tile_product` multiplies
+on the grid's reshape for every lattice, where the tile of row block k' is
+the fiber data rolled along w0 by k' c' mod P, so the sum lands in grid
+order.  A generator system of :mod:`opsis.si_space` keeps its stack's
+layout for its folds.  The dense :func:`symp_character_matrix` serves only
+the tests' reference series.  :func:`diagonal_index` caches the flat
+indices of the cyclic diagonals of one modulus, both directions, for the
+spreading transforms of :mod:`opsis.hs_ops`: 2 L^2 intp, 16.8 MB at L = 1024.
 
 Conventions relied on throughout the package:
 
@@ -81,6 +78,9 @@ from math import gcd
 import numpy as np
 
 Point = tuple[int, int]
+# a separable fold with a > 1 contracts k' first while its rows of P = L/a and its
+# k'-contracted products stay this short; otherwise one einsum was faster (up to L = 1024)
+FOLD_ROW, FOLD_PRODUCTS = 32, 1 << 16
 
 
 class LatticeError(ValueError):
@@ -205,18 +205,6 @@ class Lattice(Immutable):
         gather = (np.arange(Q)[:, None, None, None] + k * Q) * L + w
         gather.setflags(write=False)
         return gather
-
-    @cached_property
-    def _coset_scatter(self) -> np.ndarray:
-        """Inverse of :attr:`_coset_gather`, read-only: entry [x L + w] is the gather position of (x, w).
-
-        L^2 indices, built by the first :func:`tile_product` on the lattice when c' != 0.
-        """
-        gather = self._coset_gather.ravel()
-        scatter = np.empty_like(gather)
-        scatter[gather] = np.arange(gather.size)
-        scatter.setflags(write=False)
-        return scatter
 
     def locate(self, x, w):
         """(index, is a point) of each (x, w), elementwise over broadcast integer arrays.
@@ -400,6 +388,16 @@ def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
     return np.fft.fft(E, axis=-1, norm="forward").reshape(F.shape)
 
 
+def _grid_view(G, lat: Lattice) -> np.ndarray:
+    """G of shape (..., L, L) as its (..., b, Q, a, P) reshape; LatticeError on another shape."""
+    G = np.asarray(G)
+    L = lat.modulus
+    a, b, _ = lat._hnf
+    if G.shape[-2:] != (L, L):
+        raise LatticeError(f"grid stack shape {G.shape} does not match L={L}")
+    return G.reshape(G.shape[:-2] + (b, L // b, a, L // a))
+
+
 def cosets(G, lat: Lattice) -> np.ndarray:
     """The grid in annihilator-coset layout, shape (..., b, Q, a, P).
 
@@ -409,64 +407,67 @@ def cosets(G, lat: Lattice) -> np.ndarray:
     [x, w] in its last two axes, of shape (L, L); leading axes are kept.  For c' = 0
     this is a reshape, otherwise one cached gather; neither copies a C-ordered G.
     """
-    G = np.asarray(G)
-    L = lat.modulus
-    a, b, c = lat._hnf
-    lead = G.shape[:-2]
-    if G.shape[-2:] != (L, L):
-        raise LatticeError(f"grid stack shape {G.shape} does not match L={L}")
-    if c == 0:
-        return G.reshape(lead + (b, L // b, a, L // a))
+    B = _grid_view(G, lat)
+    if lat._hnf[2] == 0:
+        return B
     # the gather's memory runs over each coset innermost, which the fold reductions read fastest
-    C = np.take(G.reshape(lead + (L * L,)), lat._coset_gather, axis=-1)
-    n = len(lead)
+    n = B.ndim - 4
+    C = np.take(B.reshape(B.shape[:n] + (lat.modulus ** 2,)), lat._coset_gather, axis=-1)
     return C.transpose(tuple(range(n)) + (n + 2, n, n + 3, n + 1))
 
 
 def fold_cosets(CT, CQ, lat: Lattice) -> np.ndarray:
     """fold(FT * conj(FQ)) from the :func:`cosets` layouts CT and CQ of FT and FQ.
 
-    The engine's one fold kernel: one einsum over (k', j'), coset by coset,
-    so the product is never formed.  CT and CQ broadcast against each other
-    over leading axes; the result has the broadcast leading shape and a
-    last axis over the dual transversal.  A caller that folds one grid
-    stack against several others gathers its layout once and passes it here.
-    The operand with fewer elements is conjugated, CT by conj(einsum(conj(CT), CQ)): the same
-    bits up to the sign of a zero, as conj(conj(x) y) = x conj(y) and negation commutes with rounding.
+    The engine's one fold kernel, coset by coset, never forming the product.
+    CT and CQ broadcast over leading axes; the result has the broadcast
+    leading shape and a last axis over the dual transversal.  On a gathered
+    layout, which holds each coset innermost, one einsum contracts (k', j').
+    So it does on a reshape layout (c' = 0) with a = 1, with rows of
+    P > FOLD_ROW or with over FOLD_PRODUCTS k'-contracted products.  Else
+    one einsum contracts k', its inner loop the contiguous (Q, a, P) block,
+    and a second sums over j'.  The smaller operand is conjugated, CT by
+    conj(fold(conj(CT), CQ)): the same bits up to the sign of a zero, as
+    conj(conj(x) y) = x conj(y) and negation commutes with rounding.
     """
-    if CT.size < CQ.size:
-        F = np.einsum("...kxjw,...kxjw->...xw", np.conj(CT), CQ)
-        np.conjugate(F, out=F)
+    swap = CT.size < CQ.size
+    X, Y = (np.conj(CT), CQ) if swap else (CT, np.conj(CQ))
+    b, Q, a, P = X.shape[-4:]
+    # the k'-contracted products number at most X.size Y.size / (b L^2), L^2 = b Q a P
+    if lat._hnf[2] or a == 1 or P > FOLD_ROW or X.size * Y.size > FOLD_PRODUCTS * b * (b * Q * a * P):
+        F = np.einsum("...kxjw,...kxjw->...xw", X, Y)
     else:
-        F = np.einsum("...kxjw,...kxjw->...xw", CT, np.conj(CQ))
+        F = np.einsum("...xjw->...xw", np.einsum("...kxjw,...kxjw->...xjw", X, Y))
+    if swap:
+        np.conjugate(F, out=F)
     # in place, unless integer layouts made an integer sum
     F = np.multiply(F, lat.size / lat.modulus, out=F if np.issubdtype(F.dtype, np.inexact) else None)
     return F.reshape(F.shape[:-2] + (lat.size,))
 
 
-def tile_product(chat, C, lat: Lattice) -> np.ndarray:
-    """sum_n tile(chat[..., n, :]) F[n], from chat of shape (..., N, K) and C = cosets(F, lat), shape (..., L, L).
+def tile_product(chat, F, lat: Lattice) -> np.ndarray:
+    """sum_n tile(chat[..., n, :]) F[n], from chat of shape (..., N, K) and grid transforms F of shape (N, L, L).
 
     With chat_n = symp_fourier(c_n) and F_n = F(S_n) this is
-    F(sum_n sum_lam c_n(lam) translate(lam, S_n)).  In the coset layout a
-    tile is a reshape view of chat_n, constant over (k', j'), so neither the
-    tiles nor the N products are formed.
+    F(sum_n sum_lam c_n(lam) translate(lam, S_n)).  On the grid's (b, Q, a, P)
+    view of F the tile of row block k' is chat_n's (Q, P) table rolled along
+    w0 by k' c' mod P, constant over j': a view when c' = 0, else one take by
+    the (b, P) index (w0 - k' c') mod P.  The sum lands in grid order, and
+    neither the tiles on the grid nor the N products are formed.
     """
     chat = _as_seqs(chat, lat, "fiber data")
-    L = lat.modulus
-    a, b, c = lat._hnf
-    tiles = chat.reshape(chat.shape[:-1] + (1, L // b, 1, L // a))
+    G = _grid_view(F, lat)
+    b, Q, a, P = G.shape[-4:]
+    c = lat._hnf[2]
+    tiles = chat.reshape(chat.shape[:-1] + (1, Q, 1, P))
+    if c:
+        roll = (np.arange(P) - np.arange(b)[:, None] * (P * c // b)) % P
+        tiles = np.take(tiles[..., 0, :, 0, :], roll, axis=-1).swapaxes(-3, -2)[..., None, :]
     tiles = tiles.transpose(-5, *range(tiles.ndim - 5), -4, -3, -2, -1)
-    out = tiles[0] * C[0]
-    for tile, C_n in zip(tiles[1:], C[1:], strict=True):
-        out += tile * C_n
-    lead = out.shape[:-4]
-    if c == 0:
-        return out.reshape(lead + (L, L))
-    # out runs in the gather's memory order (x0, w0, k', j'), so this reshape is a view
-    n = len(lead)
-    out = out.transpose(tuple(range(n)) + (n + 1, n + 3, n, n + 2)).reshape(lead + (L * L,))
-    return np.take(out, lat._coset_scatter, axis=-1).reshape(lead + (L, L))
+    out = tiles[0] * G[0]
+    for tile, G_n in zip(tiles[1:], G[1:], strict=True):
+        out += tile * G_n
+    return out.reshape(out.shape[:-4] + 2 * (lat.modulus,))
 
 
 def lattice_convolve(c, d, lat: Lattice) -> np.ndarray:

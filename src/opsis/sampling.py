@@ -37,15 +37,16 @@ cached; the dual stage gates on the Riesz and frame tolerances the kit was
 built with.  The H_m and the sequences b are formed only when read.  The
 kit's transfer fibers are the fold of F(S_n) conj(F(Q_m))
 (:func:`transfer_fibers`), without the round trip through the generator
-samples a[m, n] that :func:`cross_seq` returns.  Both folds and every
-tile below read the generators' transforms from the system's cached coset
-layout (:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`).  A
-scheme is a lattice-free :class:`~opsis.hs_ops.OperatorStack` of averagers,
-whose cached transforms are laid out per call, as it serves many lattices.
-:class:`TransferMatrix` (its fibers alone) and :class:`ReconstructionKit`
-are plain immutable classes (:class:`~opsis.phase_space.Immutable`), equal
-only to themselves, and :class:`FrameBounds` is a NamedTuple: no dataclass
-code is generated when this module is imported.
+samples a[m, n] that :func:`cross_seq` returns.  Both folds read the
+generators' cached coset layout
+(:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`), and the tiles
+their transforms.  A scheme is a lattice-free
+:class:`~opsis.hs_ops.OperatorStack` of averagers, whose cached transforms
+are laid out per call, as it serves many lattices.  :class:`TransferMatrix`
+(its fibers alone) and :class:`ReconstructionKit` are plain immutable
+classes (:class:`~opsis.phase_space.Immutable`), equal only to themselves,
+and :class:`FrameBounds` is a NamedTuple: no dataclass code is generated
+when this module is imported.
 
 Production routes run in the spreading domain and on the fibers: every
 sample is a lattice pairing of F_T = fourier_wigner(T) with the scheme's
@@ -352,7 +353,7 @@ class ReconstructionKit(Immutable):
 
         F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n).
         """
-        F = tile_product(self.dual_fibers.transpose(2, 1, 0), self.system.spreading_cosets, self.system.lattice)
+        F = tile_product(self.dual_fibers.transpose(2, 1, 0), self.system.spreading, self.system.lattice)
         F.setflags(write=False)
         return F
 
@@ -396,7 +397,7 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
 
 def reconstruct_spreading(samples, kit: ReconstructionKit) -> np.ndarray:
     """The spreading transform of :func:`reconstruct`'s operator, sum_n tile(chat_n) F(S_n)."""
-    return tile_product(_sample_fibers(samples, kit), kit.system.spreading_cosets, kit.system.lattice)
+    return tile_product(_sample_fibers(samples, kit), kit.system.spreading, kit.system.lattice)
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:

@@ -17,24 +17,23 @@ of the spreading transforms equal Ghat up to the single constant
 cross-check of the fibers that shares only the spreading transforms.
 
 Production routes run in the spreading domain and on the fibers, through
-the two grid-lattice maps of :mod:`opsis.phase_space`, both on the
-system's cached coset layout, :attr:`GeneratorSystem.spreading_cosets`.
-That layout is a view of the spreading transforms when c' = 0; on a
-sheared lattice it is one gather, an extra N L^2 complex copy held for
-the life of the system, which every fold and tile over the generators
-reads instead of gathering again.  The Riesz fibers are the folds of
-F_n conj(F_n') and the analysis step of :func:`coefficients` the fold of
-F_T conj(F_n), each contracted by :func:`~opsis.phase_space.fold_cosets`;
-synthesis is sum_n tile(chat_n) F_n, one
-:func:`~opsis.phase_space.tile_product`, as are the kit's spreading
-transforms and reconstruction in :mod:`opsis.sampling`.  So the N^2 or N
-products on the L x L grid are never formed; no translate is ever formed
-and no lattice Fourier step runs on the L x L grid.  The spreading
-transforms are cached on the generators' lattice-free
-:class:`~opsis.hs_ops.OperatorStack`; a system caches their coset layout,
-its Riesz fibers and their spectrum, so :func:`riesz_check`,
-:func:`coefficients` and the reconstruction kit compute each of them once.  :func:`correlation_sequences`, the sequences
-behind the fibers, is the inverse symplectic series of the cached fibers.
+the two grid-lattice maps of :mod:`opsis.phase_space`.  The folds read the
+system's cached coset layout, :attr:`GeneratorSystem.spreading_cosets`: a
+view of the spreading transforms when c' = 0, and on a sheared lattice one
+gather, an extra N L^2 complex copy held for the life of the system.  The
+Riesz fibers are the folds of F_n conj(F_n') and the analysis step of
+:func:`coefficients` the fold of F_T conj(F_n), each contracted by
+:func:`~opsis.phase_space.fold_cosets`; synthesis is sum_n tile(chat_n) F_n,
+one :func:`~opsis.phase_space.tile_product` on the transforms themselves,
+as are the kit's spreading transforms and reconstruction in
+:mod:`opsis.sampling`.  So the N^2 or N products on the L x L grid are
+never formed; no translate is ever formed and no lattice Fourier step runs
+on the L x L grid.  The spreading transforms are cached on the generators'
+lattice-free :class:`~opsis.hs_ops.OperatorStack`; a system caches their
+coset layout, its Riesz fibers and their spectrum, so :func:`riesz_check`,
+:func:`coefficients` and the reconstruction kit compute each of them once.
+:func:`correlation_sequences`, the sequences behind the fibers, is the
+inverse symplectic series of the cached fibers.
 
 The spectra of the fibers decide both sampling questions (the bracket
 product characterisation, Bownik, JFA 2000): the Riesz bounds are the
@@ -247,8 +246,8 @@ class GeneratorSystem(Immutable):
         """The spreading transforms in the lattice's coset layout, shape (N, b, Q, a, P), read-only.
 
         :func:`~opsis.phase_space.cosets` of :attr:`spreading`, which every
-        fold and tile over the generators reads: a view of it when c' = 0,
-        and one gather, an extra N L^2 copy, on a sheared lattice.
+        fold over the generators reads: a view of it when c' = 0, and one
+        gather, an extra N L^2 copy, on a sheared lattice.
         """
         C = cosets(self.spreading, self.lattice)
         C.setflags(write=False)
@@ -308,7 +307,7 @@ def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
 def synthesize_spreading(system: GeneratorSystem, coefs) -> np.ndarray:
     """The spreading transform of :func:`synthesize`'s sum, sum_n tile(symp_fourier(coefs[n])) F(S_n)."""
     lat = system.lattice
-    return tile_product(symp_fourier(coefficient_array(system, coefs), lat), system.spreading_cosets, lat)
+    return tile_product(symp_fourier(coefficient_array(system, coefs), lat), system.spreading, lat)
 
 
 def correlation_sequences(system: GeneratorSystem) -> np.ndarray:

@@ -325,11 +325,11 @@ def test_span_spreading_is_the_tiled_product_bit_for_bit(lat, N, batch, seed):
     L = lat.modulus
     system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(N)))
     chat = rand_seq(rng, (*batch, N, lat.size))
-    out = tile_product(chat, system.spreading_cosets, lat)
+    out = tile_product(chat, system.spreading, lat)
     assert out.shape == (*batch, L, L)
     assert np.array_equal(out, (oracle.tile(chat, lat) * system.spreading).sum(axis=-3))
     F = rand_seq(rng, (N, L, L))
-    assert np.array_equal(tile_product(chat, cosets(F, lat), lat), (oracle.tile(chat, lat) * F).sum(axis=-3))
+    assert np.array_equal(tile_product(chat, F, lat), (oracle.tile(chat, lat) * F).sum(axis=-3))
 
 
 @SETTINGS
@@ -338,13 +338,13 @@ def test_tile_matches_cosets_and_grid_series(lat, batch, seed):
     rng = np.random.default_rng(seed)
     L = lat.modulus
     F = rand_seq(rng, (*batch, lat.size))
-    # the tile of ones returns a grid's coset layout to the grid itself
+    # the tile of ones times a grid function is the function itself
     G = rand_seq(rng, (L, L))
-    assert np.array_equal(tile_product(np.ones((1, lat.size)), cosets(G[None], lat), lat), G)
+    assert np.array_equal(tile_product(np.ones((1, lat.size)), G[None], lat), G)
     # the tile of a symplectic series is the series on the whole grid
-    ones = cosets(np.ones((1, L, L)), lat)
     c = inv_symp_fourier(F[..., None, :], lat)
-    assert_agrees(tile_product(symp_fourier(c, lat), ones, lat), oracle.lattice_series(c, lat)[..., 0, :, :])
+    assert_agrees(tile_product(symp_fourier(c, lat), np.ones((1, L, L)), lat),
+                  oracle.lattice_series(c, lat)[..., 0, :, :])
     # tile is the adjoint of fold up to |lat| / L
     f = F.reshape(-1, lat.size)[0]
     lhs = np.vdot(f, fold_cosets(cosets(G, lat), cosets(np.ones((L, L)), lat), lat))
@@ -415,6 +415,60 @@ def test_fold_product_on_edge_lattices(L, desc, shapes):
 @given(engine_lattices(max_L=24), st.sampled_from(PAIRING_SHAPES), seeds)
 def test_fold_product_is_the_fold_of_the_product(lat, shapes, seed):
     check_fold_product(lat, shapes, seed)
+
+
+# separable lattices with a, b > 1, where the fold contracts k' and then j'; and
+# with a = 1 or rows of P > FOLD_ROW, where one einsum contracts (k', j')
+SEPARABLE_LATTICES = [(24, (2, 6)), (30, (5, 3)), (48, (4, 4)), (60, (6, 4)), (48, (1, 3)), (72, (2, 3))]
+
+
+@pytest.mark.parametrize("L, desc", SEPARABLE_LATTICES)
+@pytest.mark.parametrize("shapes", PAIRING_SHAPES)
+def test_fold_product_on_separable_lattices(L, desc, shapes):
+    lat = build_lattice(desc, L)
+    check_fold_product(lat, shapes, L)
+    # a read-only stack, and one operator broadcast to a stack with stride 0
+    rng = np.random.default_rng(L + 1)
+    FT = rand_seq(rng, (*shapes[0], L, L))
+    FT.setflags(write=False)
+    FQ = np.broadcast_to(rand_seq(rng, (L, L)), (*shapes[1], L, L))
+    for X, Y in ((FT, FQ), (FQ, FT)):
+        assert_agrees(fold_cosets(cosets(X, lat), cosets(Y, lat), lat), oracle.fold(X * np.conj(Y), lat))
+
+
+def test_separable_fold_past_the_product_bound_is_the_coset_sum():
+    # 12 pairs at L = 128 on 4Z x Z_L hold more than FOLD_PRODUCTS
+    # k'-contracted products, so one einsum contracts (k', j')
+    rng = np.random.default_rng(17)
+    L = 128
+    lat = build_lattice((4, 1), L)
+    FT, FQ = rand_seq(rng, (2, 1, 2, L, L)), rand_seq(rng, (3, 1, L, L))
+    assert 12 * L * L > phase_space.FOLD_PRODUCTS and L // 4 <= phase_space.FOLD_ROW
+    want = cosets(FT * np.conj(FQ), lat).sum(axis=(-4, -2)).reshape(2, 3, 2, lat.size) * (lat.size / L)
+    assert_agrees(fold_cosets(cosets(FT, lat), cosets(FQ, lat), lat), want)
+
+
+@pytest.mark.parametrize("desc", [(4, 4), (16, 16)])
+def test_separable_fold_forms_no_product_of_the_operands(desc):
+    # L = 256, (2, 1) against (1, 3): the fold holds at most the product
+    # contracted over k', shape (2, 3, Q, a, P), the conjugated smaller
+    # operand and the output; the product of the operands would be 6 L^2
+    rng = np.random.default_rng(15)
+    L = 256
+    lat = build_lattice(desc, L)
+    CT = cosets(rand_seq(rng, (2, 1, L, L)), lat)
+    CQ = cosets(rand_seq(rng, (1, 3, L, L)), lat)
+    a, b, _ = lat._hnf
+    item = np.dtype(complex).itemsize
+    budget = 1.25 * item * (6 * L * L // b + CT.size + 6 * lat.size)
+    tracemalloc.start()
+    try:
+        F = fold_cosets(CT, CQ, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.shape == (2, 3, lat.size)
+    assert peak <= budget < 6 * L * L * item
 
 
 @pytest.mark.parametrize("desc", [(4, 4), [(2, 5), (0, 6)]])
@@ -541,7 +595,7 @@ def test_lattice_transforms_run_ffts_of_lattice_size(monkeypatch):
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
     c = rand_seq(rng, (2, lat.size))
-    tile_product(symp_fourier(c, lat), system.spreading_cosets, lat)
+    tile_product(symp_fourier(c, lat), system.spreading, lat)
     inv_symp_fourier(symp_fourier(c, lat), lat)
     lattice_pairing(system.spreading, scheme.spreading[:, None], lat)
     gram_fibers(system)
@@ -665,12 +719,16 @@ def test_one_gather_of_the_generator_transforms_per_system(monkeypatch, desc, sh
     lat = system.lattice
     F = system.spreading
     gathered = []
+    taken = []
     take = np.take
 
     def counting(a, indices, *args, **kwargs):
-        # a coset gather or scatter, and whether it reads F itself, not a copy
-        if indices is lat._coset_gather or indices is lat._coset_scatter:
+        # a coset gather, and whether it reads F itself, not a copy; and the size of
+        # every other index but the kernel diagonals of inverse_fourier_wigner
+        if indices is lat._coset_gather:
             gathered.append(np.shares_memory(a, F))
+        elif indices is not phase_space.diagonal_index(L, -1):
+            taken.append(np.size(indices))
         return take(a, indices, *args, **kwargs)
 
     monkeypatch.setattr(phase_space.np, "take", counting)
@@ -681,12 +739,19 @@ def test_one_gather_of_the_generator_transforms_per_system(monkeypatch, desc, sh
     # sheared: the generators once, then the averagers twice and T once
     assert gathered == ([] if shared else [True, False, False, False])
     assert np.shares_memory(system.spreading_cosets, F) == shared
-    # the tiles read the cached layout; sheared, each returns to the grid by one take
+    # the tiles multiply on the grid: the kit's folds read the cached layout, and
+    # synthesis, kit.spreading and reconstruct make no coset take, sheared, only
+    # one take of the fiber data by a (b, P) index each
     kit = reconstruction_kit(system, scheme)
+    kit.dual_fibers
+    assert gathered == ([] if shared else [True, False, False, False, False])
+    taken.clear()
     synthesize(system, rand_seq(rng, (2, system.lattice.size)))
     kit.spreading
     reconstruct(rand_seq(rng, (3, system.lattice.size)), kit)
-    assert gathered == ([] if shared else [True] + [False] * 7)
+    a, b, _ = lat._hnf
+    assert gathered == ([] if shared else [True, False, False, False, False])
+    assert taken == ([] if shared else [b * L // a] * 3)
 
 
 def test_gw_route_reads_no_coset_layout(monkeypatch):
@@ -700,6 +765,25 @@ def test_gw_route_reads_no_coset_layout(monkeypatch):
     system = GeneratorSystem(build_lattice([(2, 1), (0, 6)], L), tuple(rand_kernel(rng, L) for _ in range(2)))
     assert riesz_check(system, route="gw").is_riesz
     assert "spreading_cosets" not in system.__dict__
+
+
+def test_translate_sums_read_no_coset_layout(monkeypatch):
+    # the sheared Gabor multiplier and the phase-space convolution multiply on the grid
+    def refuse(*args, **kwargs):
+        raise AssertionError("a translate sum read a coset layout")
+
+    for module in (phase_space, hs_ops):
+        monkeypatch.setattr(module, "cosets", refuse)
+    rng = np.random.default_rng(16)
+    L = 12
+    lat = build_lattice([(2, 1), (0, 6)], L)
+    assert lat._hnf[2] != 0
+    psi, phi = rand_signal(rng, L), rand_signal(rng, L)
+    mask = rand_seq(rng, lat.size)
+    want = oracle.translate_sum(mask[None], [rank_one(phi, psi)], lat)
+    assert_agrees(gabor_multiplier(mask, lat, psi, phi), want)
+    g, S = rand_kernel(rng, L, False), rand_kernel(rng, L)
+    assert_agrees(fn_op_convolve(g, S), oracle.fn_op_convolve(g, S))
 
 
 # entry points handed a grid stack whose size is not the lattice's: the
@@ -804,13 +888,13 @@ def test_lattices_enumerate_the_normal_form_once_on_first_read(monkeypatch):
     assert (lat.size, ann.size) == (36, 4)
     inv_symp_fourier(symp_fourier(np.ones(lat.size), lat), lat)
     ones = np.ones((1, 12, 12))
-    tile_product(fold_cosets(cosets(ones, lat), cosets(ones, lat), lat), cosets(ones, lat), lat)
+    tile_product(fold_cosets(cosets(ones, lat), cosets(ones, lat), lat), ones, lat)
     # and so does a system's coset layout on the lattice
     layout = GeneratorSystem(lat, ones).spreading_cosets
     assert calls == []
     for p in (lat, ann):
         assert list(zip(p.xs.tolist(), p.ws.tolist())) == list(p.points)
-        for cached in (p.xs, p.ws, *p._twiddles, p._coset_gather, p._coset_scatter):
+        for cached in (p.xs, p.ws, *p._twiddles, p._coset_gather):
             assert not cached.flags.writeable
     assert not layout.flags.writeable
     with pytest.raises(ValueError):

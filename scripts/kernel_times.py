@@ -12,7 +12,11 @@ the full lattice at L = 256.  Then the fold runs at these operand shapes:
   are long and it keeps one einsum, since contracting k' before j' was
   measured twice as slow there.
 
-Last, gabor_multiplier runs at L = 256 on the sheared [(4, 2), (0, 4)].
+Then gabor_multiplier runs at L = 256 on the sheared [(4, 2), (0, 4)].
+Last come two steps of an `opsis reconstruct` run on the benchmark's
+config (L = 48, 4Z x 4Z, 2 random generators, 3 random window pairs):
+parse_config with the coefficient draw, and window_scheme of 3 pairs,
+which transforms the pairs.
 A kernel that regresses on one numpy build or platform shows in the log.
 Nothing is checked.
 
@@ -23,8 +27,10 @@ import timeit
 
 import numpy as np
 
+from opsis.config import parse_config
 from opsis.hs_ops import fourier_wigner, gabor_multiplier
 from opsis.phase_space import build_lattice, cosets, fold_cosets, inv_symp_fourier, symp_fourier
+from opsis.sampling import window_scheme
 
 rng = np.random.default_rng(0)
 
@@ -59,3 +65,9 @@ L, desc = 256, [(4, 2), (0, 4)]
 lat = build_lattice(desc, L)
 mask, psi, phi = normal(lat.size), normal(L), normal(L)
 print(f"L = {L}, lattice {desc}: gabor_multiplier {best(lambda: gabor_multiplier(mask, lat, psi, phi)):.1f} us")
+
+raw = {"L": 48, "seed": 0, "lattice": {"a": 4, "b": 4}, "generators": [{"kind": "random"}] * 2,
+       "scheme": {"windows": [{"g": {"kind": "random"}, "g_tilde": {"kind": "random"}}] * 3}}
+print(f"L = 48, lattice (4, 4): parse_config {best(lambda: parse_config(raw, coefficients='always')):.1f} us")
+pairs = [(normal(48), normal(48)) for _ in range(3)]
+print(f"L = 48: window_scheme of 3 pairs {best(lambda: window_scheme(pairs)):.1f} us")

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, PortableRng, load_config, parse_config
-from .hs_ops import OperatorStack, identity, lattice_pairing
+from .hs_ops import OperatorStack, identity
 from .phase_space import LatticeError, build_lattice, dual_transversal
 from .sampling import (
     NotAFrameError,
@@ -35,7 +35,7 @@ from .sampling import (
     channel_matrix,
     diag_channel_samples,
     interpolation_deviation,
-    reconstruct_spreading,
+    reconstruct_from_spreading,
     sublattice_inflate,
 )
 from .si_space import GeneratorSystem, NotRieszError, riesz_check, synthesize, synthesize_spreading
@@ -45,10 +45,6 @@ class NumericalError(RuntimeError):
     """A non-finite value showed up where a finite number was required."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _ensure_finite(name, *values):
     for v in values:
         if not np.all(np.isfinite(v)):
@@ -56,16 +52,9 @@ def _ensure_finite(name, *values):
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(_fmt(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    """One line per row; floats written with 17 significant digits, so they read back exactly."""
+    lines = [header] + [[f"{c:.17g}" if isinstance(c, float) else str(c) for c in row] for row in rows]
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
 
 
 def _need(cfg: ExperimentConfig, attr, what):
@@ -78,10 +67,6 @@ def _need(cfg: ExperimentConfig, attr, what):
 def _system(cfg: ExperimentConfig) -> GeneratorSystem:
     what = "lattice + generators"
     return GeneratorSystem(_need(cfg, "lattice", what), _need(cfg, "generator_kernels", what))
-
-
-def _coefficients(seed: int, system: GeneratorSystem) -> np.ndarray:
-    return PortableRng(seed).complex_normal((system.num_generators, system.lattice.size))
 
 
 def _tolerance(cfg: ExperimentConfig, key: str) -> float | None:
@@ -115,9 +100,10 @@ def _rel_error(kit: ReconstructionKit, FT) -> float:
     """Relative HS error ||T - R|| / ||T|| of the reconstruction R of T from its samples through the kit.
 
     Read off the spreading transform FT of T and that of R, by Parseval
-    (sum_z |F(S)(z)|^2 = L ||S||^2), so neither operator is formed.
+    (sum_z |F(S)(z)|^2 = L ||S||^2), so neither operator is formed, and
+    R's sample fibers are read off the fold, so the samples are not either.
     """
-    FR = reconstruct_spreading(lattice_pairing(FT, kit.scheme.spreading, kit.system.lattice), kit)
+    FR = reconstruct_from_spreading(FT, kit)
     rel = float(np.linalg.norm(FT - FR) / np.linalg.norm(FT))
     _ensure_finite("reconstruction", rel)
     return rel
@@ -174,7 +160,7 @@ def run_frame_check(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 def run_reconstruct(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     system = _system(cfg)
     scheme = _need(cfg, "scheme", "scheme")
-    FT = synthesize_spreading(system, _coefficients(cfg.coef_seed, system))
+    FT = synthesize_spreading(system, cfg.coefficients)
     if cfg.sublattice is not None:
         system = sublattice_inflate(system, cfg.sublattice)
     N, M = system.num_generators, len(scheme)
@@ -207,7 +193,7 @@ def run_channel_demo(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
         H = identity(cfg.L)
     else:
         system = _system(cfg)
-        H = synthesize(system, _coefficients(cfg.coef_seed, system))
+        H = synthesize(system, cfg.coefficients)
 
     mat = channel_matrix(H, g, gt, lattice)
     samples = diag_channel_samples(H, scheme, lattice)[0]
@@ -215,18 +201,10 @@ def run_channel_demo(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     _ensure_finite("channel matrix", mat)
 
     pts = lattice.points
-    rows = [
-        (pts[i][0], pts[i][1], pts[j][0], pts[j][1],
-         float(mat[i, j].real), float(mat[i, j].imag))
-        for i in range(len(pts))
-        for j in range(len(pts))
-    ]
-    _write_csv(outdir / "channel_matrix.csv",
-               ["lam_x", "lam_w", "mu_x", "mu_w", "re", "im"], rows)
-    srows = [
-        (p[0], p[1], float(s.real), float(s.imag)) for p, s in zip(pts, samples)
-    ]
-    _write_csv(outdir / "samples.csv", ["lam_x", "lam_w", "re", "im"], srows)
+    rows = [(*lam, *mu, v.real, v.imag) for lam, row in zip(pts, mat.tolist()) for mu, v in zip(pts, row)]
+    _write_csv(outdir / "channel_matrix.csv", ["lam_x", "lam_w", "mu_x", "mu_w", "re", "im"], rows)
+    rows = [(*lam, s.real, s.imag) for lam, s in zip(pts, samples.tolist())]
+    _write_csv(outdir / "samples.csv", ["lam_x", "lam_w", "re", "im"], rows)
     metrics = {
         "channel": {"kind": channel_kind, "diag_max_dev": diag_dev, "size": len(pts)},
         "config": {"L": cfg.L, "lattice_size": lattice.size},
@@ -258,7 +236,8 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
             if error is not None:
                 rows.append(cells + ["", error["kind"]])
                 continue
-            FT = synthesize_spreading(kit.system, _coefficients(cfg.coef_seed + row_index, kit.system))
+            shape = (len(generators), kit.system.lattice.size)
+            FT = synthesize_spreading(kit.system, PortableRng(cfg.coef_seed + row_index).complex_normal(shape))
             rows.append(cells + [_rel_error(kit, FT), "ok"])
         except (LatticeError, NumericalError) as exc:
             cells += [""] * (len(header) - 2 - len(cells))
@@ -279,6 +258,8 @@ _COMMANDS = {
     "channel-demo": run_channel_demo,
     "sweep": run_sweep,
 }
+# the commands that read the coefficient stream, and when (parse_config's coefficients)
+_COEFFICIENTS = {"reconstruct": "always", "channel-demo": "channel"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,7 +283,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         raw = load_config(args.config)
-        cfg = parse_config(raw, seed_override=args.seed)
+        cfg = parse_config(raw, seed_override=args.seed, coefficients=_COEFFICIENTS.get(args.command))
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         code, metrics = _COMMANDS[args.command](cfg, outdir)

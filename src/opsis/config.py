@@ -31,11 +31,14 @@ A master stream seeded with the config seed hands one 64-bit subseed to
 every random item that does not carry its own "seed" key, walking the
 config in a fixed order: generators first, then scheme entries, then the
 coefficient stream, then the dual-perturbation stream.  The walk only
-records each random item's subseed and shape; after it, one blocked pass
-of the kernel draws every item (see _complex_normals), and only then are
-the rank-one products and the scheme formed; the generators stay kernels,
-which the runners put on a lattice.  The values are those of one
-PortableRng(subseed).complex_normal(shape) call per item.
+records each random item's subseed and shape; for a command that reads
+the coefficient stream (parse_config's coefficients), it then appends
+that stream, of shape (N, |lattice|).  After it, one blocked pass of the
+kernel draws every item (see _complex_normals), and only then are the
+rank-one generators and the scheme formed; a window scheme keeps its pairs,
+and the generators stay kernels, which the runners put on a lattice.  The
+values are those of one PortableRng(subseed).complex_normal(shape) call
+per item, each config item scaled to unit norm and the coefficients not.
 
 The walk checks every value where it reaches it, through four readers:
 _object (an object with its required keys and no key the schema does not
@@ -44,7 +47,7 @@ a bool) and _items (a non-empty list).  Each message names the value's
 path, such as 'sweep.b[0]'.
 
 :func:`parse_config` returns an :class:`ExperimentConfig`, a mutable
-SimpleNamespace subclass with an explicit constructor over its nine fields;
+SimpleNamespace subclass with an explicit constructor over its ten fields;
 it is not a dataclass, so importing this module generates no code.
 """
 
@@ -253,6 +256,8 @@ class ExperimentConfig(SimpleNamespace):
     parse_config fills options with every option, validated and defaulted:
     'channel' (a kind), 'sweep' (None or the {'a', 'b'} grid), 'tolerances'
     (None for a default) and 'dual_perturbation' (None or the scale).
+    coefficients is None or the generators' (N, |lattice|) coefficients
+    drawn from coef_seed, un-normalised.
     """
 
     L: int
@@ -264,13 +269,14 @@ class ExperimentConfig(SimpleNamespace):
     coef_seed: int
     dual_seed: int
     options: dict
+    coefficients: np.ndarray | None
 
     def __init__(self, L, seed, lattice, sublattice, generator_kernels, scheme,
-                 coef_seed, dual_seed, options=None):
+                 coef_seed, dual_seed, options=None, coefficients=None):
         super().__init__(L=L, seed=seed, lattice=lattice, sublattice=sublattice,
                          generator_kernels=generator_kernels, scheme=scheme,
                          coef_seed=coef_seed, dual_seed=dual_seed,
-                         options={} if options is None else options)
+                         options={} if options is None else options, coefficients=coefficients)
 
 
 def load_config(path) -> dict:
@@ -352,10 +358,11 @@ def _complex_vector(values, L, label):
     return vec
 
 
-def _draw(draws) -> list:
-    """The unit-norm values of every (subseed, shape) item of a walk, from one kernel call.
+def _draw(draws, unit: int) -> list:
+    """The values of every (subseed, shape) item of a walk, from one kernel call.
 
-    The items are views of one buffer, each normalised in place.
+    The items are views of one buffer; the first unit of them, the config's
+    items, are each normalised in place, and the rest are kept as drawn.
     """
     counts = [math.prod(shape) for _, shape in draws]
     flat = np.empty(sum(counts), dtype=complex)
@@ -363,7 +370,8 @@ def _draw(draws) -> list:
     values, start = [], 0
     for (_, shape), count in zip(draws, counts):
         item = flat[start:start + count].reshape(shape)
-        item /= np.linalg.norm(item)
+        if len(values) < unit:
+            item /= np.linalg.norm(item)
         values.append(item)
         start += count
     return values
@@ -423,13 +431,18 @@ _TOP_KEYS = ("L", "seed", "lattice", "sublattice", "generators", "scheme", "chan
              "tolerances", "dual_perturbation")
 
 
-def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
+def parse_config(raw: dict, seed_override: int | None = None,
+                 coefficients: str | None = None) -> ExperimentConfig:
     """Validate a raw config dict and build the experiment objects it describes.
 
     Lattice, generators and scheme are optional at this stage; runners
     demand the pieces they actually need.  The walk takes the random items'
     subseeds in order, then one kernel pass draws them all before any
-    object is built from them.
+    object is built from them.  For a command that reads the coefficient
+    stream, that pass also draws the (N, |lattice|) coefficients of the
+    generators, as PortableRng(coef_seed).complex_normal would, when the
+    config has both and coefficients is 'always', or 'channel' and the
+    channel is synthesized; else they are None.
     """
     _object(raw, "", _TOP_KEYS)
     L = _integer(raw.get("L"), "L", 2, _MAX_L)
@@ -472,10 +485,13 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
 
     coef_seed = master.next_u64()
     dual_seed = master.next_u64()
-
     channel = _object(raw.get("channel", {}), "channel", ("kind",)).get("kind")
     if channel not in (None, "synthesized", "identity"):
         raise ConfigError(f"'channel.kind' must be synthesized or identity, got {channel!r}")
+    unit = len(draws)
+    if coefficients == "always" or coefficients == "channel" and channel != "identity":
+        if lattice is not None and kernels is not None:
+            draws.append((coef_seed, (len(kernels), lattice.size)))
     sweep = None
     if "sweep" in raw:
         sweep = _object(raw["sweep"], "sweep", ("a", "b"), required=("a", "b"))
@@ -493,7 +509,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     options = {"channel": channel or "synthesized", "sweep": sweep, "tolerances": tolerances,
                "dual_perturbation": scale if spec["enabled"] else None}
 
-    values = _draw(draws)
+    values = _draw(draws, unit)
     scheme = None
     if kernels is not None:
         kernels = tuple(_built(k, values) for k in kernels)
@@ -503,4 +519,5 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         scheme = average_scheme([_built(q, values) for q in averagers])
     return ExperimentConfig(L=L, seed=seed, lattice=lattice, sublattice=sublattice,
                             generator_kernels=kernels, scheme=scheme,
-                            coef_seed=coef_seed, dual_seed=dual_seed, options=options)
+                            coef_seed=coef_seed, dual_seed=dual_seed, options=options,
+                            coefficients=values[unit] if len(values) > unit else None)

@@ -23,7 +23,8 @@ on the lattice's own size, never on an L x L grid FFT;
 it is the plain 2-D DFT.  :func:`op_translate` builds one translate as a
 dense kernel.  An :class:`OperatorStack` holds operators with no lattice and
 caches their spreading transforms, shared by every system or scheme built
-on it.
+on it; a window scheme's record holds its pairs alone and transforms them
+with no kernel formed.
 
 Normalizations are pinned by exact unitarity: with the L^{-1/2} prefactor
 below, kn_symbol satisfies <sigma_S, sigma_T> = <S, T> identically, and the
@@ -51,34 +52,52 @@ def _as_kernel(S) -> np.ndarray:
 class OperatorStack(Immutable):
     """n >= 1 operators on Z_L with no lattice: a read-only (n, L, L) stack and its spreading transforms.
 
-    A copy taken at construction; len(), indexing and iteration run over its
-    kernels.  Any shape but (L, L), L the first kernel's, raises ValueError
-    naming the operators by what.  windows is None or a scheme's
-    pairs (g_m, gt_m), read-only, shape (n, 2, L).  Immutable; equal only to itself.
+    Built from kernels, it takes a copy and transforms it on first read.
+    Built from window pairs (g_m, gt_m) instead, it holds the averagers
+    gt_m (x) g_m as the pairs, windows, read-only, shape (n, 2, L): it
+    transforms them at once, as every sampling stage reads the transforms,
+    and forms the kernels only when read.
+    windows is None for a stack of kernels.  Given both or neither, or any
+    operator shape but (L, L), L the first one's, it raises ValueError,
+    naming the operators by what.  Immutable; equal only to itself.
     """
 
-    kernels: np.ndarray
     windows: np.ndarray | None
 
-    def __init__(self, kernels, windows=None, what: str = "operator"):
-        ks = tuple(np.asarray(S, dtype=complex) for S in kernels)
-        if not ks:
+    def __init__(self, kernels=None, windows=None, what: str = "operator"):
+        if (kernels is None) == (windows is None):
+            raise ValueError(f"give the {what}s as kernels or as window pairs, not both or neither")
+        ops = tuple(kernels if windows is None else windows)
+        # a pair (g, gt) stands for the kernel gt (x) g, of shape gt.shape + g.shape
+        shapes = [np.shape(op) if windows is None else np.shape(op[1]) + np.shape(op[0]) for op in ops]
+        if not shapes:
             raise ValueError(f"at least one {what} is required")
-        L = ks[0].shape[0] if ks[0].ndim else 0
-        for S in ks:
-            if S.shape != (L, L):
-                raise ValueError(f"{what} shape {S.shape} does not match L={L}")
-        stack = np.array(ks)
+        L = shapes[0][0] if shapes[0] else 0
+        for shape in shapes:
+            if shape != (L, L):
+                raise ValueError(f"{what} shape {shape} does not match L={L}")
+        stack = np.array(ops, dtype=complex)
         stack.setflags(write=False)
-        if windows is not None:
-            windows = np.array(windows, dtype=complex)
-            if windows.shape != (len(ks), 2, L):
-                raise ValueError(f"window pairs shape {windows.shape} does not match {(len(ks), 2, L)}")
-            windows.setflags(write=False)
-        self.__dict__.update(kernels=stack, windows=windows)
+        if windows is None:
+            self.__dict__.update(windows=None, kernels=stack)
+        else:
+            # row x of F(gt (x) g) is the DFT of the diagonal gt[(t + x) mod L] conj(g[t]),
+            # gt read through a strided view of [gt, gt]: no kernel and no L^2 gather
+            twice = np.concatenate([stack[:, 1], stack[:, 1]], axis=-1)
+            rows = np.ndarray((len(ops), L, L), complex, twice, 0, twice.strides + twice.strides[-1:])
+            F = np.fft.fft(rows * np.conj(stack[:, :1]), axis=-1)
+            F.setflags(write=False)
+            self.__dict__.update(windows=stack, spreading=F)
+
+    @cached_property
+    def kernels(self) -> np.ndarray:
+        """The (n, L, L) kernels, read-only; a stack of pairs forms them on first read."""
+        stack = self.windows[:, 1, :, None] * np.conj(self.windows[:, :1])
+        stack.setflags(write=False)
+        return stack
 
     def __len__(self) -> int:
-        return len(self.kernels)
+        return len(self.kernels if self.windows is None else self.windows)
 
     def __getitem__(self, index):
         return self.kernels[index]

@@ -50,15 +50,19 @@ when this module is imported.
 
 Production routes run in the spreading domain and on the fibers: every
 sample is a lattice pairing of F_T = fourier_wigner(T) with the scheme's
-cached averager transforms (a window scheme's averagers are gt_m (x) g_m,
-so :func:`diag_channel_samples` is :func:`avg_samples` after a check),
-that is the inverse symplectic series of an annihilator fold (see
-:mod:`opsis.phase_space`).  F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n), and
-reconstruction synthesizes the fiber data chat = Bhat shat over the
-generators with no H_m formed: one :func:`~opsis.phase_space.tile_product`
-each.  :func:`berezin` is the pairing on the full lattice
-Z_L x Z_L.  The per-translate loops and per-channel lattice convolutions
-survive as oracles in tests/oracle.py.
+cached averager transforms, that is the inverse symplectic series of an
+annihilator fold (see :mod:`opsis.phase_space`).  A window scheme's
+averagers are gt_m (x) g_m, so :func:`diag_channel_samples` is
+:func:`avg_samples` after a check; :func:`window_scheme` holds the pairs
+alone and transforms them with no kernel formed (see
+:class:`~opsis.hs_ops.OperatorStack`).
+F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n), and reconstruction synthesizes
+the fiber data chat = Bhat shat over the generators with no H_m formed:
+one :func:`~opsis.phase_space.tile_product` each.  Given F_T rather than
+samples, :func:`reconstruct_from_spreading` takes shat as the fold itself,
+so the samples and their two lattice series are skipped.  :func:`berezin`
+is the pairing on the full lattice Z_L x Z_L.  The per-translate loops and
+per-channel lattice convolutions survive as oracles in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -106,8 +110,8 @@ class NotAFrameError(RuntimeError):
 
 
 def window_scheme(pairs) -> OperatorStack:
-    pairs = tuple(pairs)
-    return OperatorStack([rank_one(gt, g) for g, gt in pairs], pairs, what="averager")
+    """The averagers gt_m (x) g_m of the pairs (g_m, gt_m), held as the pairs alone."""
+    return OperatorStack(windows=tuple(pairs), what="averager")
 
 
 def average_scheme(ops) -> OperatorStack:
@@ -390,14 +394,21 @@ def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
     Exact on the generator span.  Fed samples of an operator outside the
     span it returns the kit-induced consistent estimate, with no projection
     property claimed.  Computed as the synthesis of the fiber data
-    chat(xi) = Bhat(xi) shat(xi) over the generators.
+    chat(xi) = Bhat(xi) shat(xi) over the generators, sum_n tile(chat_n) F(S_n).
     """
-    return inverse_fourier_wigner(reconstruct_spreading(samples, kit))
+    return inverse_fourier_wigner(tile_product(_sample_fibers(samples, kit), kit.system.spreading, kit.system.lattice))
 
 
-def reconstruct_spreading(samples, kit: ReconstructionKit) -> np.ndarray:
-    """The spreading transform of :func:`reconstruct`'s operator, sum_n tile(chat_n) F(S_n)."""
-    return tile_product(_sample_fibers(samples, kit), kit.system.spreading, kit.system.lattice)
+def reconstruct_from_spreading(FT, kit: ReconstructionKit) -> np.ndarray:
+    """The spreading transform of the reconstruction of T from its samples, read from FT = F(T).
+
+    The sample fibers shat = symp_fourier(avg_samples(T)) are the fold of F_T conj(F_Q_m),
+    taken as they are, with no round trip through the samples: equal up to rounding.
+    Then as :func:`reconstruct`, with the fiber data chat(xi) = Bhat(xi) shat(xi).
+    """
+    lat = kit.system.lattice
+    shat = fold_cosets(cosets(FT, lat), cosets(kit.scheme.spreading, lat), lat)
+    return tile_product(np.einsum("knm,mk->nk", kit.dual_fibers, shat), kit.system.spreading, lat)
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:

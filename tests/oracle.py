@@ -3,9 +3,11 @@ spreading-domain engine replaces, the dense Gram matrix of all translates
 and the per-fiber periodized outer products that the Riesz fibers and
 riesz_check(route="gw") replace, the gather convolution and the
 per-channel lattice convolutions that the convolution theorem and the
-fiberwise coefficient expansion replace, the closure walk, exhaustive
-lattice duality, point-set membership and coset marking that the Hermite
-normal form replaces, the L x L grid series, the coset sums and the tiles
+fiberwise coefficient expansion replace, the closure walk, the
+annihilator read off the character sums of the enumerated points (one
+2-D FFT of the lattice's indicator), the dual transversal as the minimum
+of every annihilator coset, and point-set membership and coset marking,
+which the Hermite normal form replaces, the L x L grid series, the coset sums and the tiles
 on the grid that the lattice-size transforms and the one coset layout of
 fold_cosets and tile_product replace, the
 per-value SplitMix64/Box-Muller loop that the blocked uint64 draw of
@@ -51,27 +53,29 @@ def closure(generators, L):
 
 
 def annihilator(lat):
-    """Points mu with sigma(mu, lam) = 0 mod L for every lam, tested over all L^2 candidates."""
-    L = lat.modulus
-    cand_x = np.repeat(np.arange(L), L)
-    cand_w = np.tile(np.arange(L), L)
-    pair = (np.outer(cand_w, lat.xs) - np.outer(cand_x, lat.ws)) % L
-    keep = ~pair.any(axis=1)
-    return tuple((int(x), int(w)) for x, w in zip(cand_x[keep], cand_w[keep]))
+    """Points mu with sigma(mu, lam) = 0 mod L for every lam, sorted.
+
+    Those where the character sum sum_lam e^{2 pi i sigma(lam, mu)/L} over the
+    enumerated points reaches |lat|; elsewhere the character is not trivial
+    on the lattice, and the sum vanishes.  The sums at every grid point are
+    one 2-D FFT of the lattice's indicator (lattice_series).
+    """
+    x, w = np.nonzero(lattice_series(np.ones(lat.size), lat).real > lat.size / 2)
+    return tuple(zip(x.tolist(), w.tolist()))
 
 
 def dual_transversal(lat):
-    """Lexicographically smallest member of every annihilator coset, by marking the cosets."""
+    """Lexicographically smallest member of every annihilator coset, sorted.
+
+    The grid points z that are the minimum, in x-major flat index, of z + alpha
+    over every annihilator point alpha: one (L^2, |annihilator|) table.
+    """
     L = lat.modulus
-    ann = annihilator(lat)
-    seen = set()
-    reps = []
-    for x in range(L):
-        for w in range(L):
-            if (x, w) not in seen:
-                reps.append((x, w))
-                seen.update(((x + ax) % L, (w + aw) % L) for ax, aw in ann)
-    return tuple(reps)
+    ann = np.array(annihilator(lat))
+    x, w = np.divmod(np.arange(L * L), L)
+    coset = (x[:, None] + ann[:, 0]) % L * L + (w[:, None] + ann[:, 1]) % L
+    keep = coset.min(axis=1) == np.arange(L * L)
+    return tuple(zip(x[keep].tolist(), w[keep].tolist()))
 
 
 def coset_transversal(lat, sub):

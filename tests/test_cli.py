@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import opsis
-from opsis import cli, sampling, si_space
+from opsis import cli, config, sampling, si_space
 from opsis.cli import main
 from opsis.config import ConfigError, PortableRng, parse_config
 from opsis.hs_ops import hs_norm, inverse_fourier_wigner
@@ -546,6 +546,7 @@ PARSEVAL_CONFIGS = {
     "separable": dict(RECON_OK, L=12, lattice={"a": 2, "b": 3}),
     "sheared": dict(RECON_OK, L=12, lattice={"generators": [[2, 1], [0, 4]]}),
     "sublattice": dict(RECON_OK, generators=[{"kind": "random"}], sublattice={"generators": [[4, 0], [0, 2]]}),
+    "sweep_grid": dict(RECON_OK, sweep={"a": [1, 2], "b": [2, 4]}),
 }
 
 
@@ -564,6 +565,94 @@ def test_rel_hs_error_by_parseval_matches_the_kernel_domain(tmp_path, name):
     kernel = hs_norm(T - reconstruct(avg_samples(T, cfg.scheme, system.lattice), kit)) / hs_norm(T)
     parseval = read_metrics(out)["reconstruction"]["rel_hs_error"]
     assert abs(parseval - kernel) <= 1e-15 and max(parseval, kernel) < 1e-14
+
+
+# ---------------------------------------------------------------- the draw
+
+def recording_draws(monkeypatch):
+    """The size of every Box-Muller call, and every config main parses, as they happen."""
+    seen = {"draws": [], "configs": []}
+    box_muller, parse = config._box_muller, cli.parse_config
+
+    def counting(bits, out):
+        seen["draws"].append(len(out))
+        return box_muller(bits, out)
+
+    def parsing(*args, **kwargs):
+        seen["configs"].append(parse(*args, **kwargs))
+        return seen["configs"][-1]
+
+    monkeypatch.setattr(config, "_box_muller", counting)
+    monkeypatch.setattr(cli, "parse_config", parsing)
+    return seen
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_config_items_unchanged(cfg, raw):
+    """cfg's generators, windows and subseeds are those of parse_config(raw), which draws no coefficients."""
+    plain = parse_config(raw)
+    assert plain.coefficients is None
+    assert (cfg.coef_seed, cfg.dual_seed) == (plain.coef_seed, plain.dual_seed)
+    assert all(same_bits(a, b) for a, b in zip(cfg.generator_kernels, plain.generator_kernels, strict=True))
+    assert same_bits(cfg.scheme.windows, plain.scheme.windows)
+
+
+@pytest.mark.parametrize("name", PARSEVAL_CONFIGS)
+def test_reconstruct_draws_its_coefficients_in_the_config_pass(tmp_path, monkeypatch, name):
+    raw = PARSEVAL_CONFIGS[name]
+    seen = recording_draws(monkeypatch)
+    assert main(["reconstruct", "--config", write_config(tmp_path / "c.json", raw),
+                 "--out", str(tmp_path / "out")]) == 0
+    draws = list(seen["draws"])
+    (cfg,) = seen["configs"]
+    N, K = len(cfg.generator_kernels), cfg.lattice.size
+    # one kernel call for the config's items and the coefficients after them
+    assert draws == [N * cfg.L ** 2 + 2 * 2 * cfg.L + N * K]
+    assert same_bits(cfg.coefficients, PortableRng(cfg.coef_seed).complex_normal((N, K)))
+    assert_config_items_unchanged(cfg, raw)
+
+
+@pytest.mark.parametrize("command, extra, reads", [
+    ("riesz-check", {}, False),
+    ("frame-check", {}, False),
+    ("channel-demo", {}, True),
+    ("channel-demo", {"channel": {"kind": "synthesized"}}, True),
+    ("channel-demo", {"channel": {"kind": "identity"}}, False),
+    ("sweep", {"sweep": {"a": [1, 2], "b": [2, 4]}}, False),
+], ids=["riesz-check", "frame-check", "channel-demo", "synthesized", "identity", "sweep"])
+def test_other_commands_draw_the_values_they_read(tmp_path, monkeypatch, command, extra, reads):
+    raw = dict(RECON_OK, **extra)
+    seen = recording_draws(monkeypatch)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path / "c.json", raw), "--out", str(out)]) == 0
+    draws = list(seen["draws"])
+    (cfg,) = seen["configs"]
+    N, K = len(cfg.generator_kernels), cfg.lattice.size
+    config_pass = N * cfg.L ** 2 + 2 * 2 * cfg.L
+    if reads:
+        assert draws == [config_pass + N * K]
+        assert same_bits(cfg.coefficients, PortableRng(cfg.coef_seed).complex_normal((N, K)))
+    elif command == "sweep":
+        # each row that reconstructs draws its own stream, coef_seed + row index
+        rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+        ok = [N * (cfg.L // int(a)) * (cfg.L // int(b)) for _, a, b, *_, status in rows if status == "ok"]
+        assert cfg.coefficients is None and ok and draws == [config_pass] + ok
+    else:
+        assert cfg.coefficients is None and draws == [config_pass]
+    assert_config_items_unchanged(cfg, raw)
+
+
+def test_reconstruct_without_a_lattice_draws_no_coefficients(tmp_path, monkeypatch, capsys):
+    # a sweep grid lets the generators come without a lattice; reconstruct then needs one
+    seen = recording_draws(monkeypatch)
+    assert main(["reconstruct", "--config", write_config(tmp_path / "c.json", SWEEP),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "needs 'lattice + generators'" in capsys.readouterr().err
+    (cfg,) = seen["configs"]
+    assert cfg.coefficients is None and seen["draws"] == [cfg.L ** 2 + 2 * cfg.L]
 
 
 # ---------------------------------------------------------------- channel-demo

@@ -448,6 +448,16 @@ def test_separable_fold_past_the_product_bound_is_the_coset_sum():
     assert_agrees(fold_cosets(cosets(FT, lat), cosets(FQ, lat), lat), want)
 
 
+@pytest.mark.parametrize("desc", [(4, 1), [(4, 3), (0, 2)]], ids=["4Z_x_Z_L", "sheared"])
+@pytest.mark.parametrize("shapes", [((2, 1), (1, 3)), ((), (3,))])
+def test_fold_product_at_L_128(desc, shapes):
+    # the oracle's duality is one 2-D FFT and one coset minimum, so it reaches
+    # L = 128; on 4Z x Z_L one operator against 3 takes the two-stage fold and
+    # (2, 1) against (1, 3) the one einsum past FOLD_PRODUCTS, and the sheared
+    # lattice takes the gathered layout
+    check_fold_product(build_lattice(desc, 128), shapes, 128)
+
+
 @pytest.mark.parametrize("desc", [(4, 4), (16, 16)])
 def test_separable_fold_forms_no_product_of_the_operands(desc):
     # L = 256, (2, 1) against (1, 3): the fold holds at most the product

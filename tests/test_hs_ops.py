@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,19 @@ def test_gabor_multiplier_kernel_sum_equals_action(rng):
         mask[j] * V[p] * tf_shift(p, phi) for j, p in enumerate(lat.points)
     )
     assert np.abs(G @ eta - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("length", [1, 7, 9])
+def test_gabor_multiplier_refuses_windows_of_unequal_length(rng, length):
+    # the rank-one atom phi (x) psi must be square, as its kernel would be
+    L = 8
+    lat = build_lattice((2, 2), L)
+    phi, psi = rand_signal(rng, L), rand_signal(rng, length)
+    message = f"^{re.escape(f'kernels must be square in the last two axes, got shape {(L, length)}')}$"
+    with pytest.raises(ValueError, match=message):
+        fourier_wigner(rank_one(phi, psi))
+    with pytest.raises(ValueError, match=message):
+        gabor_multiplier(np.ones(lat.size), lat, psi, phi)
 
 
 # ---------------------------------------------------------------- convolution lemma

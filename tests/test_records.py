@@ -17,7 +17,7 @@ import pytest
 import opsis
 from opsis import cli, hs_ops, sampling, si_space
 from opsis.config import ExperimentConfig
-from opsis.hs_ops import OperatorStack
+from opsis.hs_ops import OperatorStack, fourier_wigner, rank_one
 from opsis.phase_space import build_lattice
 from opsis.sampling import (
     FrameBounds,
@@ -102,7 +102,7 @@ def test_keyword_construction_and_defaults():
     averagers = tuple(scheme)
     assert OperatorStack(kernels=averagers).windows is None
     # a scheme keeps its own read-only copy of the windows, equal to the given ones
-    kept = OperatorStack(averagers, scheme.windows).windows
+    kept = OperatorStack(windows=scheme.windows).windows
     assert kept is not scheme.windows
     assert np.array_equal(np.array(kept), np.array(scheme.windows))
 
@@ -151,19 +151,53 @@ def test_generator_system_validation(gens, message):
     (lambda: window_scheme([(np.ones(4), np.ones(5))]), "averager shape (5, 4) does not match L=5"),
     (lambda: window_scheme([(np.ones(4), np.ones(4)), (np.ones(5), np.ones(5))]),
      "averager shape (5, 5) does not match L=4"),
-    (lambda: OperatorStack([np.eye(4)], [(np.ones(5), np.ones(5))] * 2),
-     "window pairs shape (2, 2, 5) does not match (1, 2, 4)"),
+    (lambda: window_scheme([(np.ones(4), np.ones(4)), (np.ones(3), np.ones(4))]),
+     "averager shape (4, 3) does not match L=4"),
+    (lambda: window_scheme([]), "at least one averager is required"),
+    (lambda: window_scheme([(np.ones(4), np.ones((4, 1)))]), "averager shape (4, 1, 4) does not match L=4"),
     (lambda: OperatorStack([np.eye(4)], [(np.ones(4), np.ones(4))] * 2),
-     "window pairs shape (2, 2, 4) does not match (1, 2, 4)"),
+     "give the operators as kernels or as window pairs, not both or neither"),
     (lambda: OperatorStack([np.eye(4)], [np.ones(4)]),
-     "window pairs shape (1, 4) does not match (1, 2, 4)"),
+     "give the operators as kernels or as window pairs, not both or neither"),
+    (lambda: OperatorStack(what="averager"),
+     "give the averagers as kernels or as window pairs, not both or neither"),
 ], ids=["empty", "non-square", "mixed-sizes", "not-a-matrix", "unequal-pair", "mixed-pairs",
-        "windows-of-another-size", "more-windows-than-averagers", "not-pairs"])
+        "unequal-second-pair", "no-pairs", "windows-of-another-size", "more-windows-than-averagers", "not-pairs",
+        "neither"])
 def test_sampling_scheme_validates_its_averagers_when_built(build, message):
     # the kernels are checked at construction, as a GeneratorSystem's are,
     # not on the first read of a cached stage
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("L", [8, 12, 48, 60])
+def test_window_scheme_transforms_its_pairs_and_forms_kernels_on_read(L):
+    rng = np.random.default_rng(L)
+    pairs = [(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(3)]
+    scheme = window_scheme(pairs)
+    stack = np.array([rank_one(gt, g) for g, gt in pairs])
+    # the pairs are transformed with the record, and no kernel is formed
+    assert len(scheme) == 3 and "spreading" in vars(scheme) and "kernels" not in vars(scheme)
+    # the transforms of the pairs are those of the rank_one stack, bit for bit
+    assert scheme.spreading.tobytes() == fourier_wigner(stack).tobytes()
+    assert scheme.spreading.flags.c_contiguous
+    assert_read_only(scheme.spreading)
+    assert "kernels" not in vars(scheme)
+    # the kernels, formed on the first read, are that stack, once and read-only
+    assert scheme.kernels.tobytes() == stack.tobytes() and scheme.kernels is scheme.kernels
+    assert_read_only(scheme.kernels)
+    assert [S.tobytes() for S in scheme] == [S.tobytes() for S in stack]
+    assert np.array_equal(scheme[1], stack[1]) and np.array_equal(scheme[-2:], stack[-2:])
+    with pytest.raises(IndexError):
+        scheme[3]
+    # a record holding those kernels transforms them on first read, with the same bits
+    kernels = average_scheme(stack)
+    assert "spreading" not in vars(kernels) and kernels.kernels is not stack
+    assert kernels.spreading.tobytes() == scheme.spreading.tobytes()
+    # a pair of unequal lengths is refused with the message its kernel gives
+    with pytest.raises(ValueError, match=re.escape(f"averager shape {(L, L + 1)} does not match L={L}")):
+        window_scheme([(np.ones(L + 1), np.ones(L))])
 
 
 def assert_read_only(arrays):
@@ -241,8 +275,9 @@ def test_cached_stages_are_computed_once(monkeypatch):
         assert system.spreading_cosets is system.spreading_cosets
         assert (kit.alpha, kit.beta) == kit.transfer.bounds[:2]
     assert_read_only((system.spreading_cosets,))
-    # one spreading transform of each record, one coset layout of the generators, and one of every stage
-    assert calls == dict({name: 1 for name in calls}, **{"opsis.hs_ops.fourier_wigner": 2}) and len(calls) == 11
+    # one spreading transform of the generators (the window scheme transformed
+    # its pairs when built), one coset layout of them, and one of every stage
+    assert calls == {name: 1 for name in calls} and len(calls) == 11
 
 
 def test_one_spreading_transform_per_record(monkeypatch, tmp_path):
@@ -270,8 +305,8 @@ def test_one_spreading_transform_per_record(monkeypatch, tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"generator shape {(L, L)} does not match L={L + 2}")):
         GeneratorSystem(build_lattice((2, 2), L + 2), record)
 
-    # a sweep or a reconstruct command transforms the generators and the
-    # averagers once; T and its reconstructions stay in the spreading domain
+    # a sweep or a reconstruct command transforms the generators once, and the
+    # window pairs with no kernel; T and its reconstructions stay in the spreading domain
     scheme = {"windows": [{"g": {"kind": "random"}, "g_tilde": {"kind": "random"}},
                           {"g": {"kind": "gaussian"}, "g_tilde": {"kind": "gaussian"}}]}
     configs = {"sweep": {"sweep": {"a": [2, 4], "b": [2, 4]}}, "reconstruct": {"lattice": {"a": 2, "b": 2}}}
@@ -284,7 +319,7 @@ def test_one_spreading_transform_per_record(monkeypatch, tmp_path):
         if command == "sweep":
             rows = (out / "sweep.csv").read_text().splitlines()[1:]
             assert len(rows) == 4 and all(row.endswith(",ok") for row in rows)
-        assert (calls["fourier_wigner"], calls["inverse_fourier_wigner"]) == (2, 0)
+        assert (calls["fourier_wigner"], calls["inverse_fourier_wigner"]) == (1, 0)
 
 
 def test_riesz_report_stays_a_replaceable_dataclass():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opsis import sampling
-from opsis.hs_ops import hs_inner, hs_norm, identity, op_translate, rank_one
+from opsis.hs_ops import fourier_wigner, hs_inner, hs_norm, identity, op_translate, rank_one
 from opsis.phase_space import (
     build_lattice,
     coset_transversal,
@@ -24,6 +24,7 @@ from opsis.sampling import (
     inflate_coefficients,
     interpolation_deviation,
     reconstruct,
+    reconstruct_from_spreading,
     reconstruction_kit,
     sublattice_inflate,
     transfer_matrix,
@@ -162,6 +163,18 @@ def test_berezin_rank_one_origin_value():
     B = berezin(rank_one(gt, g), g, gt)
     expected = np.vdot(g, g) * np.vdot(gt, gt)
     assert abs(B[0, 0] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("length", [1, 5, 7])
+def test_berezin_refuses_windows_of_unequal_length(length):
+    L = 6
+    rng = np.random.default_rng(length)
+    g, gt = rand_signal(rng, L), rand_signal(rng, length)
+    message = f"^{re.escape(f'kernels must be square in the last two axes, got shape {(length, L)}')}$"
+    with pytest.raises(ValueError, match=message):
+        fourier_wigner(rank_one(gt, g))
+    with pytest.raises(ValueError, match=message):
+        berezin(rand_kernel(rng, L), g, gt)
 
 
 def test_channel_matrix_identity_is_gram_of_shifts():
@@ -465,6 +478,23 @@ def test_perfect_reconstruction():
     T = synthesize(system, c)
     T_rec = reconstruct(diag_channel_samples(T, scheme, lat), kit)
     assert hs_norm(T - T_rec) / hs_norm(T) < 1e-9
+
+
+@pytest.mark.parametrize("desc", [(2, 2), (4, 1), [(2, 1), (0, 4)], [(4, 2), (0, 4)]])
+@pytest.mark.parametrize("in_span", [True, False])
+def test_reconstruction_read_from_the_fold_is_the_samples_route(monkeypatch, desc, in_span):
+    # the sample fibers are the fold itself: no lattice series of the samples
+    system, scheme, rng = seeded_setup(21, desc=desc)
+    kit = reconstruction_kit(system, scheme)
+    T = synthesize(system, rand_seq(rng, (2, system.lattice.size))) if in_span else rand_kernel(rng, 8)
+    want = fourier_wigner(reconstruct(avg_samples(T, scheme, system.lattice), kit))
+    for name in ("symp_fourier", "inv_symp_fourier"):
+        monkeypatch.setattr(sampling, name, None)
+    got = reconstruct_from_spreading(fourier_wigner(T), kit)
+    assert got.shape == (8, 8)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    if in_span:
+        assert np.abs(got - fourier_wigner(T)).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_reconstruction_pointwise_action():

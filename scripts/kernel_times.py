@@ -12,7 +12,9 @@ the full lattice at L = 256.  Then the fold runs at these operand shapes:
   are long and it keeps one einsum, since contracting k' before j' was
   measured twice as slow there.
 
-Then gabor_multiplier runs at L = 256 on the sheared [(4, 2), (0, 4)].
+Then gabor_multiplier runs at L = 256 on the sheared [(4, 2), (0, 4)], and
+berezin at L = 256 on all of Z_L^2; both read their rank-one atom from a
+one-pair record, with no kernel formed.
 Last come two steps of an `opsis reconstruct` run on the benchmark's
 config (L = 48, 4Z x 4Z, 2 random generators, 3 random window pairs):
 parse_config with the coefficient draw, and window_scheme of 3 pairs,
@@ -30,7 +32,7 @@ import numpy as np
 from opsis.config import parse_config
 from opsis.hs_ops import fourier_wigner, gabor_multiplier
 from opsis.phase_space import build_lattice, cosets, fold_cosets, inv_symp_fourier, symp_fourier
-from opsis.sampling import window_scheme
+from opsis.sampling import berezin, window_scheme
 
 rng = np.random.default_rng(0)
 
@@ -65,6 +67,8 @@ L, desc = 256, [(4, 2), (0, 4)]
 lat = build_lattice(desc, L)
 mask, psi, phi = normal(lat.size), normal(L), normal(L)
 print(f"L = {L}, lattice {desc}: gabor_multiplier {best(lambda: gabor_multiplier(mask, lat, psi, phi)):.1f} us")
+T = normal(L, L)
+print(f"L = {L}: berezin {best(lambda: berezin(T, psi, phi)):.1f} us")
 
 raw = {"L": 48, "seed": 0, "lattice": {"a": 4, "b": 4}, "generators": [{"kind": "random"}] * 2,
        "scheme": {"windows": [{"g": {"kind": "random"}, "g_tilde": {"kind": "random"}}] * 3}}

@@ -21,10 +21,9 @@ coefficients with the spreading transform.  Every lattice Fourier step runs
 on the lattice's own size, never on an L x L grid FFT;
 :func:`fn_op_convolve` runs the same code on the full lattice Z_L^2, where
 it is the plain 2-D DFT.  :func:`op_translate` builds one translate as a
-dense kernel.  An :class:`OperatorStack` holds operators with no lattice and
-caches their spreading transforms, shared by every system or scheme built
-on it; a window scheme's record holds its pairs alone and transforms them
-with no kernel formed.
+dense kernel.  An :class:`OperatorStack` holds operators with no lattice,
+as kernels or window pairs, and transforms them when built; every system,
+scheme and rank-one atom reads those transforms alone.
 
 Normalizations are pinned by exact unitarity: with the L^{-1/2} prefactor
 below, kn_symbol satisfies <sigma_S, sigma_T> = <S, T> identically, and the
@@ -50,19 +49,20 @@ def _as_kernel(S) -> np.ndarray:
 
 
 class OperatorStack(Immutable):
-    """n >= 1 operators on Z_L with no lattice: a read-only (n, L, L) stack and its spreading transforms.
+    """n >= 1 operators on Z_L with no lattice: their spreading transforms and the operators as given.
 
-    Built from kernels, it takes a copy and transforms it on first read.
-    Built from window pairs (g_m, gt_m) instead, it holds the averagers
-    gt_m (x) g_m as the pairs, windows, read-only, shape (n, 2, L): it
-    transforms them at once, as every sampling stage reads the transforms,
-    and forms the kernels only when read.
-    windows is None for a stack of kernels.  Given both or neither, or any
-    operator shape but (L, L), L the first one's, it raises ValueError,
-    naming the operators by what.  Immutable; equal only to itself.
+    Either form is transformed when built: spreading, shape (n, L, L),
+    C-ordered and read-only, is a field, and every stage reads it and len()
+    alone.  Kernels are kept as a read-only copy, kernels, and windows is
+    None.  Window pairs (g_m, gt_m) stand for the averagers gt_m (x) g_m;
+    they are kept as windows, read-only, shape (n, 2, L), transformed with
+    no kernel formed, and form the kernels only when read.  Given both or
+    neither, or any operator shape but (L, L), L the first one's, it raises
+    ValueError, naming the operators by what.  Immutable; equal only to itself.
     """
 
     windows: np.ndarray | None
+    spreading: np.ndarray
 
     def __init__(self, kernels=None, windows=None, what: str = "operator"):
         if (kernels is None) == (windows is None):
@@ -79,35 +79,29 @@ class OperatorStack(Immutable):
         stack = np.array(ops, dtype=complex)
         stack.setflags(write=False)
         if windows is None:
-            self.__dict__.update(windows=None, kernels=stack)
+            self.__dict__.update(kernels=stack)
+            F = fourier_wigner(stack)
         else:
             # row x of F(gt (x) g) is the DFT of the diagonal gt[(t + x) mod L] conj(g[t]),
             # gt read through a strided view of [gt, gt]: no kernel and no L^2 gather
             twice = np.concatenate([stack[:, 1], stack[:, 1]], axis=-1)
             rows = np.ndarray((len(ops), L, L), complex, twice, 0, twice.strides + twice.strides[-1:])
             F = np.fft.fft(rows * np.conj(stack[:, :1]), axis=-1)
-            F.setflags(write=False)
-            self.__dict__.update(windows=stack, spreading=F)
+        F.setflags(write=False)
+        self.__dict__.update(windows=None if windows is None else stack, spreading=F)
 
     @cached_property
     def kernels(self) -> np.ndarray:
-        """The (n, L, L) kernels, read-only; a stack of pairs forms them on first read."""
+        """The (n, L, L) kernels, read-only: the stored copy, or formed from the pairs on first read."""
         stack = self.windows[:, 1, :, None] * np.conj(self.windows[:, :1])
         stack.setflags(write=False)
         return stack
 
     def __len__(self) -> int:
-        return len(self.kernels if self.windows is None else self.windows)
+        return len(self.spreading)
 
     def __getitem__(self, index):
         return self.kernels[index]
-
-    @cached_property
-    def spreading(self) -> np.ndarray:
-        """Spreading transforms of the kernels, shape (n, L, L), C-ordered and read-only."""
-        F = fourier_wigner(self.kernels)
-        F.setflags(write=False)
-        return F
 
 
 def identity(L: int) -> np.ndarray:
@@ -243,10 +237,11 @@ def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
 
     Acting on eta this is sum_lam mask(lam) V_psi eta(lam) shift(lam) phi:
     analyze with window psi, reweight on the lattice, resynthesize with
-    atom phi.
+    atom phi.  The atom is OperatorStack(windows=[(psi, phi)]): no kernel
+    is formed, and windows of unequal length raise that record's ValueError.
     """
     chat = symp_fourier(mask, lattice)[..., None, :]
-    return inverse_fourier_wigner(tile_product(chat, fourier_wigner(rank_one(phi, psi))[None], lattice))
+    return inverse_fourier_wigner(tile_product(chat, OperatorStack(windows=[(psi, phi)]).spreading, lattice))
 
 
 def fn_op_convolve(g, S) -> np.ndarray:

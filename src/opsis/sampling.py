@@ -41,28 +41,25 @@ samples a[m, n] that :func:`cross_seq` returns.  Both folds read the
 generators' cached coset layout
 (:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`), and the tiles
 their transforms.  A scheme is a lattice-free
-:class:`~opsis.hs_ops.OperatorStack` of averagers, whose cached transforms
-are laid out per call, as it serves many lattices.  :class:`TransferMatrix`
+:class:`~opsis.hs_ops.OperatorStack` of averagers, whose transforms are
+laid out per call, as it serves many lattices.  :class:`TransferMatrix`
 (its fibers alone) and :class:`ReconstructionKit` are plain immutable
 classes (:class:`~opsis.phase_space.Immutable`), equal only to themselves,
 and :class:`FrameBounds` is a NamedTuple: no dataclass code is generated
 when this module is imported.
 
-Production routes run in the spreading domain and on the fibers: every
-sample is a lattice pairing of F_T = fourier_wigner(T) with the scheme's
-cached averager transforms, that is the inverse symplectic series of an
-annihilator fold (see :mod:`opsis.phase_space`).  A window scheme's
-averagers are gt_m (x) g_m, so :func:`diag_channel_samples` is
-:func:`avg_samples` after a check; :func:`window_scheme` holds the pairs
-alone and transforms them with no kernel formed (see
-:class:`~opsis.hs_ops.OperatorStack`).
-F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n), and reconstruction synthesizes
-the fiber data chat = Bhat shat over the generators with no H_m formed:
-one :func:`~opsis.phase_space.tile_product` each.  Given F_T rather than
-samples, :func:`reconstruct_from_spreading` takes shat as the fold itself,
-so the samples and their two lattice series are skipped.  :func:`berezin`
-is the pairing on the full lattice Z_L x Z_L.  The per-translate loops and
-per-channel lattice convolutions survive as oracles in tests/oracle.py.
+Production routes run in the spreading domain and on the fibers, and read
+operator records through their transforms alone: every sample is a
+:func:`~opsis.hs_ops.lattice_pairing` of F_T = fourier_wigner(T) with the
+scheme's averager transforms.  A window scheme's averagers are
+gt_m (x) g_m, so :func:`diag_channel_samples` is :func:`avg_samples` after
+a check, and :func:`berezin` pairs with a one-pair scheme on all of Z_L^2.
+F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n); reconstruction synthesizes the
+fiber data chat = Bhat shat over the generators, one
+:func:`~opsis.phase_space.tile_product` with no H_m formed, and
+:func:`reconstruct_from_spreading` takes shat as the fold of F_T itself.
+Only :func:`sublattice_inflate` reads generator kernels.  The per-translate
+loops and per-channel lattice convolutions are oracles in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -78,7 +75,6 @@ from .hs_ops import (
     inverse_fourier_wigner,
     lattice_pairing,
     op_translate,
-    rank_one,
 )
 from .phase_space import (
     Immutable,
@@ -119,7 +115,7 @@ def average_scheme(ops) -> OperatorStack:
 
 
 def diag_channel_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarray:
-    """Samples s[m, j] = <translate(-lam_j, T) g_m, gt_m> for every channel.
+    """Samples s[..., m, j] = <translate(-lam_j, T) g_m, gt_m>, batched over T as by :func:`avg_samples`.
 
     Needs a window-pair scheme; averager-only schemes sample through
     :func:`avg_samples`.
@@ -130,20 +126,24 @@ def diag_channel_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarr
 
 
 def avg_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarray:
-    """Average samples s[m, j] = <T, translate(lam_j, Q_m)>."""
-    return lattice_pairing(fourier_wigner(T), scheme.spreading, lattice)
+    """Average samples s[..., m, j] = <T[...], translate(lam_j, Q_m)>, shape (..., M, |lattice|).
+
+    T's leading axes are batch axes; one operator gives what :func:`reconstruct` takes.
+    """
+    return lattice_pairing(fourier_wigner(T)[..., None, :, :], scheme.spreading, lattice)
 
 
 def berezin(T, g, gt) -> np.ndarray:
     """Lower-symbol table B[x, w] = <T shift((x, w)) g, shift((x, w)) gt> on all of Z_L^2.
 
     Restricted to a lattice this reproduces the diagonal channel samples.
+    The averager is window_scheme([(g, gt)]), which refuses unequal lengths.
     """
     L = np.shape(T)[0]
     # the full lattice Z_L^2 indexes its points x-major, as the [x, w] table;
     # it is built from its normal form and never lists them
     full = build_lattice((1, 1), L)
-    return lattice_pairing(fourier_wigner(T), fourier_wigner(rank_one(gt, g)), full).reshape(L, L)
+    return lattice_pairing(fourier_wigner(T), window_scheme([(g, gt)]).spreading[0], full).reshape(L, L)
 
 
 def channel_matrix(H, g, gt, lattice: Lattice) -> np.ndarray:
@@ -378,14 +378,19 @@ def reconstruction_kit(system: GeneratorSystem, scheme: OperatorStack,
     return kit
 
 
+def _dual_apply(shat, kit: ReconstructionKit) -> np.ndarray:
+    """Fiber data chat(xi) = Bhat(xi) shat(xi), shape (N, K), of sample fibers shat, shape (M, K)."""
+    return np.einsum("knm,mk->nk", kit.dual_fibers, shat)
+
+
 def _sample_fibers(samples, kit: ReconstructionKit) -> np.ndarray:
-    """Fiber data chat(xi) = Bhat(xi) shat(xi), shape (N, K), of samples checked to be (M, |lattice|)."""
+    """:func:`_dual_apply` of the series of samples checked to be (M, |lattice|)."""
     samples = np.asarray(samples, dtype=complex)
     lat = kit.system.lattice
     want = (len(kit.scheme), lat.size)
     if samples.shape != want:
         raise ValueError(f"sample array shape {samples.shape}, expected {want}")
-    return np.einsum("knm,mk->nk", kit.dual_fibers, symp_fourier(samples, lat))
+    return _dual_apply(symp_fourier(samples, lat), kit)
 
 
 def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
@@ -408,7 +413,7 @@ def reconstruct_from_spreading(FT, kit: ReconstructionKit) -> np.ndarray:
     """
     lat = kit.system.lattice
     shat = fold_cosets(cosets(FT, lat), cosets(kit.scheme.spreading, lat), lat)
-    return tile_product(np.einsum("knm,mk->nk", kit.dual_fibers, shat), kit.system.spreading, lat)
+    return tile_product(_dual_apply(shat, kit), kit.system.spreading, lat)
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:
@@ -426,12 +431,11 @@ def sublattice_inflate(system: GeneratorSystem, sub: Lattice) -> GeneratorSystem
     With coset representatives lam_1..lam_I of `sub` inside the system
     lattice, the new generators are translate(lam_i, S_n), ordered n-major,
     and the span is unchanged: re-indexed coefficients (see
-    :func:`inflate_coefficients`) synthesize the same operator.
+    :func:`inflate_coefficients`) synthesize the same operator.  The one
+    reader of generator kernels, so that the translates come out exact.
     """
     reps = coset_transversal(system.lattice, sub)
-    gens = tuple(
-        op_translate(rep, S) for S in system.generators for rep in reps
-    )
+    gens = tuple(op_translate(rep, S) for S in system.generators for rep in reps)
     return GeneratorSystem(sub, gens)
 
 

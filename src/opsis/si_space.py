@@ -28,10 +28,10 @@ one :func:`~opsis.phase_space.tile_product` on the transforms themselves,
 as are the kit's spreading transforms and reconstruction in
 :mod:`opsis.sampling`.  So the N^2 or N products on the L x L grid are
 never formed; no translate is ever formed and no lattice Fourier step runs
-on the L x L grid.  The spreading transforms are cached on the generators'
-lattice-free :class:`~opsis.hs_ops.OperatorStack`; a system caches their
-coset layout, its Riesz fibers and their spectrum, so :func:`riesz_check`,
-:func:`coefficients` and the reconstruction kit compute each of them once.
+on the L x L grid.  A system reads its generators' lattice-free
+:class:`~opsis.hs_ops.OperatorStack` through the transforms alone and
+caches their coset layout, its Riesz fibers and their spectrum, so
+:func:`riesz_check`, :func:`coefficients` and the kit compute each once.
 :func:`correlation_sequences`, the sequences behind the fibers, is the
 inverse symplectic series of the cached fibers.
 
@@ -216,8 +216,8 @@ def fiber_left_inverse(A) -> np.ndarray:
 class GeneratorSystem(Immutable):
     """A lattice plus its generators, an :class:`~opsis.hs_ops.OperatorStack` on the lattice's modulus.
 
-    generators may be a record, whose kernels and spreading transforms the
-    system shares, or kernels, which it stacks into a new record.  A record
+    generators may be a record, whose transforms the system shares and
+    reads alone, or kernels, which it stacks into a new record.  A record
     of another modulus raises ValueError.  Immutable; equal only to itself.
     """
 
@@ -228,8 +228,8 @@ class GeneratorSystem(Immutable):
         if not isinstance(generators, OperatorStack):
             generators = OperatorStack(generators, what="generator")
         L = lattice.modulus
-        if generators.kernels.shape[1:] != (L, L):
-            raise ValueError(f"generator shape {generators.kernels.shape[1:]} does not match L={L}")
+        if generators.spreading.shape[1:] != (L, L):
+            raise ValueError(f"generator shape {generators.spreading.shape[1:]} does not match L={L}")
         self.__dict__.update(lattice=lattice, generators=generators)
 
     @property

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opsis.hs_ops import (
+    OperatorStack,
     fn_op_convolve,
     fourier_wigner,
     gabor_multiplier,
@@ -291,13 +292,13 @@ def test_gabor_multiplier_kernel_sum_equals_action(rng):
 
 @pytest.mark.parametrize("length", [1, 7, 9])
 def test_gabor_multiplier_refuses_windows_of_unequal_length(rng, length):
-    # the rank-one atom phi (x) psi must be square, as its kernel would be
+    # the rank-one atom phi (x) psi must be square; its one-pair record says so
     L = 8
     lat = build_lattice((2, 2), L)
     phi, psi = rand_signal(rng, L), rand_signal(rng, length)
-    message = f"^{re.escape(f'kernels must be square in the last two axes, got shape {(L, length)}')}$"
+    message = f"^{re.escape(f'operator shape {(L, length)} does not match L={L}')}$"
     with pytest.raises(ValueError, match=message):
-        fourier_wigner(rank_one(phi, psi))
+        OperatorStack(windows=[(psi, phi)])
     with pytest.raises(ValueError, match=message):
         gabor_multiplier(np.ones(lat.size), lat, psi, phi)
 

@@ -24,9 +24,12 @@ from opsis.sampling import (
     ReconstructionKit,
     TransferMatrix,
     average_scheme,
+    avg_samples,
+    reconstruct,
+    reconstruct_from_spreading,
     window_scheme,
 )
-from opsis.si_space import GeneratorSystem, RieszReport, riesz_check
+from opsis.si_space import GeneratorSystem, RieszReport, coefficients, riesz_check, synthesize
 from conftest import rand_kernel, rand_signal
 
 SRC = Path(opsis.__file__).resolve().parent.parent
@@ -191,13 +194,48 @@ def test_window_scheme_transforms_its_pairs_and_forms_kernels_on_read(L):
     assert np.array_equal(scheme[1], stack[1]) and np.array_equal(scheme[-2:], stack[-2:])
     with pytest.raises(IndexError):
         scheme[3]
-    # a record holding those kernels transforms them on first read, with the same bits
+    # a record of those kernels keeps a copy and transforms it when built, with the same bits
     kernels = average_scheme(stack)
-    assert "spreading" not in vars(kernels) and kernels.kernels is not stack
+    assert {"kernels", "spreading"} <= vars(kernels).keys() and kernels.kernels is not stack
     assert kernels.spreading.tobytes() == scheme.spreading.tobytes()
+    assert_read_only(kernels.spreading)
     # a pair of unequal lengths is refused with the message its kernel gives
     with pytest.raises(ValueError, match=re.escape(f"averager shape {(L, L + 1)} does not match L={L}")):
         window_scheme([(np.ones(L + 1), np.ones(L))])
+
+
+@pytest.mark.parametrize("desc", [(2, 2), [(2, 1), (0, 4)]], ids=["separable", "sheared"])
+def test_a_pair_record_serves_every_stage_with_no_kernel(monkeypatch, desc):
+    rng = np.random.default_rng(12)
+    lat = build_lattice(desc, L)
+    gen_pairs = [(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(2)]
+    scheme = window_scheme([(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(3)])
+    coefs = rng.standard_normal((2, lat.size)) + 1j * rng.standard_normal((2, lat.size))
+
+    def run(generators):
+        system = GeneratorSystem(lat, generators)
+        assert riesz_check(system).is_riesz and riesz_check(system, route="gw").is_riesz
+        kit = ReconstructionKit(system, scheme)
+        T = synthesize(system, coefs)
+        samples = avg_samples(T, scheme, lat)
+        return (kit.dual_fibers, T, samples, coefficients(system, T), reconstruct(samples, kit),
+                reconstruct_from_spreading(fourier_wigner(T), kit))
+
+    # the same operators held as kernels give the reference, bit for bit
+    want = run([rank_one(gt, g) for g, gt in gen_pairs])
+
+    def refuse(self):
+        raise AssertionError("an operator record's kernels were read")
+    monkeypatch.setattr(OperatorStack, "kernels", property(refuse))
+    record = OperatorStack(windows=gen_pairs, what="generator")
+    got = run(record)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+    assert "kernels" not in vars(record) and "kernels" not in vars(scheme)
+    with pytest.raises(AssertionError, match="kernels were read"):
+        record[0]
+    # a record of another modulus is refused from its transforms alone
+    with pytest.raises(ValueError, match=re.escape(f"generator shape {(L, L)} does not match L={2 * L}")):
+        GeneratorSystem(build_lattice((2, 2), 2 * L), record)
 
 
 def assert_read_only(arrays):

@@ -1,14 +1,28 @@
 import re
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from opsis import sampling
-from opsis.hs_ops import fourier_wigner, hs_inner, hs_norm, identity, op_translate, rank_one
+from opsis.hs_ops import (
+    fourier_wigner,
+    gabor_multiplier,
+    hs_inner,
+    hs_norm,
+    identity,
+    inverse_fourier_wigner,
+    lattice_pairing,
+    op_translate,
+    rank_one,
+)
 from opsis.phase_space import (
     build_lattice,
     coset_transversal,
     dual_transversal,
+    symp_fourier,
+    tile_product,
 )
 from opsis.sampling import (
     NotAFrameError,
@@ -103,6 +117,29 @@ def test_avg_samples_reproduce_diagonal_channel_samples():
     assert np.abs(s_win - s_avg).max() < 1e-12
 
 
+@pytest.mark.parametrize("desc", [(2, 2), [(2, 1), (0, 4)]], ids=["separable", "sheared"])
+@pytest.mark.parametrize("kind", ["windows", "averagers"])
+@pytest.mark.parametrize("B", [1, 2, 3])
+def test_avg_samples_of_a_stack_sample_each_operator(desc, kind, B):
+    system, scheme, rng = seeded_setup(12, desc=desc)
+    lat = system.lattice
+    if kind == "averagers":
+        scheme = average_scheme(scheme)
+    M = len(scheme)
+    T = np.array([rand_kernel(rng, 8) for _ in range(B)])
+    stacked = avg_samples(T, scheme, lat)
+    assert stacked.shape == (B, M, lat.size)
+    assert all(stacked[i].tobytes() == avg_samples(T[i], scheme, lat).tobytes() for i in range(B))
+    if kind == "windows":
+        assert diag_channel_samples(T, scheme, lat).tobytes() == stacked.tobytes()
+    # reconstruction still takes the samples of one operator, (M, |lattice|)
+    kit = reconstruction_kit(system, scheme)
+    reconstruct(stacked[0], kit)
+    message = f"sample array shape {stacked.shape}, expected {(M, lat.size)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reconstruct(stacked, kit)
+
+
 def test_avg_samples_single_point_norm():
     L = 6
     rng = np.random.default_rng(5)
@@ -170,11 +207,43 @@ def test_berezin_refuses_windows_of_unequal_length(length):
     L = 6
     rng = np.random.default_rng(length)
     g, gt = rand_signal(rng, L), rand_signal(rng, length)
-    message = f"^{re.escape(f'kernels must be square in the last two axes, got shape {(length, L)}')}$"
+    # the averager gt (x) g must be square; its one-pair record says so
+    message = f"^{re.escape(f'averager shape {(length, L)} does not match L={length}')}$"
     with pytest.raises(ValueError, match=message):
-        fourier_wigner(rank_one(gt, g))
+        window_scheme([(g, gt)])
     with pytest.raises(ValueError, match=message):
         berezin(rand_kernel(rng, L), g, gt)
+
+
+@pytest.mark.parametrize("L, desc", [(5, (1, 5)), (8, (2, 2)), (12, [(2, 1), (0, 6)]), (60, (6, 4))],
+                         ids=["5", "8", "12-sheared", "60"])
+def test_rank_one_atoms_are_one_pair_records(monkeypatch, L, desc):
+    rng = np.random.default_rng(L)
+    T, g, gt = rand_kernel(rng, L), rand_signal(rng, L), rand_signal(rng, L)
+    lat = build_lattice(desc, L)
+    mask = rand_seq(rng, lat.size)
+    # the dense route: transform the rank-one kernel
+    full = build_lattice((1, 1), L)
+    want_berezin = lattice_pairing(fourier_wigner(T), fourier_wigner(rank_one(gt, g)), full).reshape(L, L)
+    chat = symp_fourier(mask, lat)[..., None, :]
+    want_multiplier = inverse_fourier_wigner(tile_product(chat, fourier_wigner(rank_one(gt, g))[None], lat))
+
+    def refuse(*args):
+        raise AssertionError("a rank-one kernel was formed")
+    calls = Counter()
+
+    def counting(*args):
+        calls["fourier_wigner"] += 1
+        return fourier_wigner(*args)
+    for module in [m for name, m in sys.modules.items() if name == "opsis" or name.startswith("opsis.")]:
+        if getattr(module, "rank_one", None) is rank_one:
+            monkeypatch.setattr(module, "rank_one", refuse)
+        if getattr(module, "fourier_wigner", None) is fourier_wigner:
+            monkeypatch.setattr(module, "fourier_wigner", counting)
+    assert gabor_multiplier(mask, lat, g, gt).tobytes() == want_multiplier.tobytes()
+    assert calls["fourier_wigner"] == 0
+    assert berezin(T, g, gt).tobytes() == want_berezin.tobytes()
+    assert calls["fourier_wigner"] == 1  # the transform of T
 
 
 def test_channel_matrix_identity_is_gram_of_shifts():

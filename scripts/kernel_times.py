@@ -15,10 +15,14 @@ the full lattice at L = 256.  Then the fold runs at these operand shapes:
 Then gabor_multiplier runs at L = 256 on the sheared [(4, 2), (0, 4)], and
 berezin at L = 256 on all of Z_L^2; both read their rank-one atom from a
 one-pair record, with no kernel formed.
-Last come two steps of an `opsis reconstruct` run on the benchmark's
+Then come two steps of an `opsis reconstruct` run on the benchmark's
 config (L = 48, 4Z x 4Z, 2 random generators, 3 random window pairs):
 parse_config with the coefficient draw, and window_scheme of 3 pairs,
 which transforms the pairs.
+Last, at the kit_stream shape (L = 64, 4Z x 4Z, N = 2 random generators,
+M = 3 random averagers), reconstruct plus coefficient_frame_expansion run
+on one (16, M, |lattice|) batch of samples, against 16 single calls: the
+leading axes of a sample array are batch axes.
 A kernel that regresses on one numpy build or platform shows in the log.
 Nothing is checked.
 
@@ -32,7 +36,9 @@ import numpy as np
 from opsis.config import parse_config
 from opsis.hs_ops import fourier_wigner, gabor_multiplier
 from opsis.phase_space import build_lattice, cosets, fold_cosets, inv_symp_fourier, symp_fourier
-from opsis.sampling import berezin, window_scheme
+from opsis.sampling import (average_scheme, avg_samples, berezin, coefficient_frame_expansion, reconstruct,
+                            reconstruction_kit, window_scheme)
+from opsis.si_space import GeneratorSystem
 
 rng = np.random.default_rng(0)
 
@@ -75,3 +81,16 @@ raw = {"L": 48, "seed": 0, "lattice": {"a": 4, "b": 4}, "generators": [{"kind": 
 print(f"L = 48, lattice (4, 4): parse_config {best(lambda: parse_config(raw, coefficients='always')):.1f} us")
 pairs = [(normal(48), normal(48)) for _ in range(3)]
 print(f"L = 48: window_scheme of 3 pairs {best(lambda: window_scheme(pairs)):.1f} us")
+
+L, desc = 64, (4, 4)
+lat = build_lattice(desc, L)
+kit = reconstruction_kit(GeneratorSystem(lat, normal(2, L, L)), average_scheme(normal(3, L, L)))
+samples = avg_samples(normal(16, L, L), kit.scheme, lat)
+
+
+def recover(s):
+    return reconstruct(s, kit), coefficient_frame_expansion(s, kit)
+
+
+print(f"L = {L}, lattice {desc}: reconstruct and coefficient_frame_expansion, one batch of 16 "
+      f"{best(lambda: recover(samples)):.1f} us, 16 single calls {best(lambda: [recover(s) for s in samples]):.1f} us")

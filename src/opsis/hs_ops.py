@@ -238,10 +238,14 @@ def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
     Acting on eta this is sum_lam mask(lam) V_psi eta(lam) shift(lam) phi:
     analyze with window psi, reweight on the lattice, resynthesize with
     atom phi.  The atom is OperatorStack(windows=[(psi, phi)]): no kernel
-    is formed, and windows of unequal length raise that record's ValueError.
+    is formed, windows of unequal length raise that record's ValueError, and
+    windows of another length than the lattice's modulus L raise ValueError.
     """
+    atom = OperatorStack(windows=[(psi, phi)]).spreading
+    if atom.shape[-1] != lattice.modulus:
+        raise ValueError(f"window length {atom.shape[-1]} does not match the modulus L={lattice.modulus}")
     chat = symp_fourier(mask, lattice)[..., None, :]
-    return inverse_fourier_wigner(tile_product(chat, OperatorStack(windows=[(psi, phi)]).spreading, lattice))
+    return inverse_fourier_wigner(tile_product(chat, atom, lattice))
 
 
 def fn_op_convolve(g, S) -> np.ndarray:

@@ -19,6 +19,13 @@ operators H_m, and
 
 recovers every T in the span exactly.
 
+One batch rule holds for every entry point here and in
+:mod:`opsis.si_space`: an operator T, or its transform F_T, is (..., L, L),
+a sample array (..., M, |lattice|) and a coefficient array
+(..., N, |lattice|).  The leading axes are batch axes, kept by every
+output, and each operator of a batch gets the values it gets alone; a
+wrong trailing shape raises a ValueError naming both shapes.
+
 The frame bounds are the extreme squared singular values over the
 transfer fibers Ahat(xi).  With at most 2 generators or 2 channels they
 are computed in closed form over all fibers at once, within a small
@@ -34,30 +41,29 @@ eps times the condition number; np.linalg.pinv serves every other case.
 report, the transfer matrix, the frame bounds, the dual fibers and the
 spreading transforms of the H_m are each computed once, on first use, and
 cached; the dual stage gates on the Riesz and frame tolerances the kit was
-built with.  The H_m and the sequences b are formed only when read.  The
-kit's transfer fibers are the fold of F(S_n) conj(F(Q_m))
-(:func:`transfer_fibers`), without the round trip through the generator
-samples a[m, n] that :func:`cross_seq` returns.  Both folds read the
-generators' cached coset layout
-(:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`), and the tiles
-their transforms.  A scheme is a lattice-free
-:class:`~opsis.hs_ops.OperatorStack` of averagers, whose transforms are
-laid out per call, as it serves many lattices.  :class:`TransferMatrix`
-(its fibers alone) and :class:`ReconstructionKit` are plain immutable
-classes (:class:`~opsis.phase_space.Immutable`), equal only to themselves,
-and :class:`FrameBounds` is a NamedTuple: no dataclass code is generated
-when this module is imported.
+built with.  The H_m and the sequences b are formed only when read.
+:class:`TransferMatrix` and :class:`ReconstructionKit` are
+:class:`~opsis.phase_space.Immutable` records, equal only to themselves,
+and :class:`FrameBounds` a NamedTuple: no dataclass code runs on import.
 
 Production routes run in the spreading domain and on the fibers, and read
-operator records through their transforms alone: every sample is a
+operator records through their transforms alone.  Every sample is a
 :func:`~opsis.hs_ops.lattice_pairing` of F_T = fourier_wigner(T) with the
-scheme's averager transforms.  A window scheme's averagers are
-gt_m (x) g_m, so :func:`diag_channel_samples` is :func:`avg_samples` after
-a check, and :func:`berezin` pairs with a one-pair scheme on all of Z_L^2.
-F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n); reconstruction synthesizes the
-fiber data chat = Bhat shat over the generators, one
-:func:`~opsis.phase_space.tile_product` with no H_m formed, and
-:func:`reconstruct_from_spreading` takes shat as the fold of F_T itself.
+scheme's averagers, and :func:`reconstruct_from_spreading` takes the
+fibers of that fold as they are.  Both give the batch of F_T one axis
+before its grid axes, F_T[..., None, :, :], or before its coset layout's,
+which pairs each operator with every averager, as
+:func:`~opsis.si_space.coefficients` does with every generator.  The kit's transfer fibers (:func:`transfer_fibers`) fold
+the generators' cached coset layout
+(:attr:`~opsis.si_space.GeneratorSystem.spreading_cosets`) against the
+averagers, with no round trip through the sequences a[m, n] of
+:func:`cross_seq`.  A scheme serves many lattices, so its layout is
+formed per call.  A window
+scheme's averagers are gt_m (x) g_m, so :func:`diag_channel_samples` is
+:func:`avg_samples` after a check, and :func:`berezin` samples with a
+one-pair scheme on all of Z_L^2.  F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n),
+and reconstruction synthesizes the fiber data chat = Bhat shat over the
+generators, one :func:`~opsis.phase_space.tile_product` with no H_m formed.
 Only :func:`sublattice_inflate` reads generator kernels.  The per-translate
 loops and per-channel lattice convolutions are oracles in tests/oracle.py.
 """
@@ -126,24 +132,23 @@ def diag_channel_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarr
 
 
 def avg_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarray:
-    """Average samples s[..., m, j] = <T[...], translate(lam_j, Q_m)>, shape (..., M, |lattice|).
-
-    T's leading axes are batch axes; one operator gives what :func:`reconstruct` takes.
-    """
+    """Average samples s[..., m, j] = <T[...], translate(lam_j, Q_m)>, shape (..., M, |lattice|)."""
     return lattice_pairing(fourier_wigner(T)[..., None, :, :], scheme.spreading, lattice)
 
 
 def berezin(T, g, gt) -> np.ndarray:
-    """Lower-symbol table B[x, w] = <T shift((x, w)) g, shift((x, w)) gt> on all of Z_L^2.
+    """Lower-symbol table B[..., x, w] = <T[...] shift((x, w)) g, shift((x, w)) gt> on all of Z_L^2.
 
     Restricted to a lattice this reproduces the diagonal channel samples.
-    The averager is window_scheme([(g, gt)]), which refuses unequal lengths.
+    The averager is window_scheme([(g, gt)]), which refuses unequal lengths;
+    windows of another length than T's modulus L raise ValueError.
     """
-    L = np.shape(T)[0]
-    # the full lattice Z_L^2 indexes its points x-major, as the [x, w] table;
-    # it is built from its normal form and never lists them
-    full = build_lattice((1, 1), L)
-    return lattice_pairing(fourier_wigner(T), window_scheme([(g, gt)]).spreading[0], full).reshape(L, L)
+    L = np.shape(T)[-1]
+    scheme = window_scheme([(g, gt)])
+    if scheme.windows.shape[-1] != L:
+        raise ValueError(f"window length {scheme.windows.shape[-1]} does not match the modulus L={L}")
+    # the full lattice Z_L^2, built from its normal form, indexes its points x-major, as the [x, w] table
+    return avg_samples(T, scheme, build_lattice((1, 1), L))[..., 0, :].reshape(np.shape(T))
 
 
 def channel_matrix(H, g, gt, lattice: Lattice) -> np.ndarray:
@@ -379,22 +384,21 @@ def reconstruction_kit(system: GeneratorSystem, scheme: OperatorStack,
 
 
 def _dual_apply(shat, kit: ReconstructionKit) -> np.ndarray:
-    """Fiber data chat(xi) = Bhat(xi) shat(xi), shape (N, K), of sample fibers shat, shape (M, K)."""
-    return np.einsum("knm,mk->nk", kit.dual_fibers, shat)
+    """Fiber data chat(xi) = Bhat(xi) shat(xi), shape (..., N, K), of sample fibers shat, shape (..., M, K)."""
+    return np.einsum("knm,...mk->...nk", kit.dual_fibers, shat)
 
 
 def _sample_fibers(samples, kit: ReconstructionKit) -> np.ndarray:
-    """:func:`_dual_apply` of the series of samples checked to be (M, |lattice|)."""
+    """:func:`_dual_apply` of the series of samples checked to be (..., M, |lattice|)."""
     samples = np.asarray(samples, dtype=complex)
-    lat = kit.system.lattice
-    want = (len(kit.scheme), lat.size)
-    if samples.shape != want:
-        raise ValueError(f"sample array shape {samples.shape}, expected {want}")
+    lat, M = kit.system.lattice, len(kit.scheme)
+    if samples.shape[-2:] != (M, lat.size):
+        raise ValueError(f"sample array shape {samples.shape}, expected (..., {M}, {lat.size})")
     return _dual_apply(symp_fourier(samples, lat), kit)
 
 
 def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:
-    """Evaluate sum_m sum_lam samples[m](lam) translate(lam, H_m).
+    """Evaluate sum_m sum_lam samples[..., m](lam) translate(lam, H_m), shape (..., L, L).
 
     Exact on the generator span.  Fed samples of an operator outside the
     span it returns the kit-induced consistent estimate, with no projection
@@ -409,15 +413,15 @@ def reconstruct_from_spreading(FT, kit: ReconstructionKit) -> np.ndarray:
 
     The sample fibers shat = symp_fourier(avg_samples(T)) are the fold of F_T conj(F_Q_m),
     taken as they are, with no round trip through the samples: equal up to rounding.
-    Then as :func:`reconstruct`, with the fiber data chat(xi) = Bhat(xi) shat(xi).
+    Then as :func:`reconstruct`, with the fiber data chat(xi) = Bhat(xi) shat(xi); shape (..., L, L).
     """
     lat = kit.system.lattice
-    shat = fold_cosets(cosets(FT, lat), cosets(kit.scheme.spreading, lat), lat)
+    shat = fold_cosets(cosets(FT, lat)[..., None, :, :, :, :], cosets(kit.scheme.spreading, lat), lat)
     return tile_product(_dual_apply(shat, kit), kit.system.spreading, lat)
 
 
 def coefficient_frame_expansion(samples, kit: ReconstructionKit) -> np.ndarray:
-    """Coefficient recovery c[n] = sum_m samples[m] * b[n, m] (lattice convolutions).
+    """Coefficient recovery c[..., n] = sum_m samples[..., m] * b[n, m] (lattice convolutions).
 
     Computed fiberwise, chat(xi) = Bhat(xi) shat(xi), between one batched
     symplectic series and its inverse.
@@ -440,13 +444,12 @@ def sublattice_inflate(system: GeneratorSystem, sub: Lattice) -> GeneratorSystem
 
 
 def inflate_coefficients(system: GeneratorSystem, sub: Lattice, coefs) -> np.ndarray:
-    """Re-index (N, |lattice|) coefficients for an inflated system: c'[n, i](mu) = c[n](lam_i + mu)."""
+    """Re-index (..., N, |lattice|) coefficients for an inflated system: c'[..., n, i](mu) = c[..., n](lam_i + mu)."""
     coefs = coefficient_array(system, coefs)
-    lat = system.lattice
-    L = lat.modulus
+    lat, L = system.lattice, system.lattice.modulus
     reps = np.array(coset_transversal(lat, sub))
     index, _ = lat.locate((reps[:, :1] + sub.xs) % L, (reps[:, 1:] + sub.ws) % L)
-    return coefs[:, index].reshape(-1, sub.size)
+    return coefs[..., index].reshape(coefs.shape[:-2] + (-1, sub.size))
 
 
 def interpolation_deviation(kit: ReconstructionKit) -> float:
@@ -456,9 +459,7 @@ def interpolation_deviation(kit: ReconstructionKit) -> float:
     of generators and the fibers are invertible.
     """
     lat = kit.system.lattice
-    s = lattice_pairing(kit.spreading[:, None], kit.scheme.spreading[None, :], lat)
-    target = np.zeros_like(s)
-    M = s.shape[0]
+    s = lattice_pairing(kit.spreading[..., None, :, :], kit.scheme.spreading, lat)
     # the origin is the first lattice point in lexicographic order
-    target[np.arange(M), np.arange(M), 0] = 1.0
-    return float(np.abs(s - target).max())
+    s[..., 0] -= np.eye(len(s))
+    return float(np.abs(s).max())

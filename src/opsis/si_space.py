@@ -22,48 +22,41 @@ system's cached coset layout, :attr:`GeneratorSystem.spreading_cosets`: a
 view of the spreading transforms when c' = 0, and on a sheared lattice one
 gather, an extra N L^2 complex copy held for the life of the system.  The
 Riesz fibers are the folds of F_n conj(F_n') and the analysis step of
-:func:`coefficients` the fold of F_T conj(F_n), each contracted by
-:func:`~opsis.phase_space.fold_cosets`; synthesis is sum_n tile(chat_n) F_n,
-one :func:`~opsis.phase_space.tile_product` on the transforms themselves,
+:func:`coefficients` the fold of F_T conj(F_n), an axis inserted before
+F_T's layout so that each operator of a batch meets every generator;
+synthesis is sum_n tile(chat_n) F_n, one tile_product on the transforms,
 as are the kit's spreading transforms and reconstruction in
-:mod:`opsis.sampling`.  So the N^2 or N products on the L x L grid are
-never formed; no translate is ever formed and no lattice Fourier step runs
-on the L x L grid.  A system reads its generators' lattice-free
-:class:`~opsis.hs_ops.OperatorStack` through the transforms alone and
-caches their coset layout, its Riesz fibers and their spectrum, so
-:func:`riesz_check`, :func:`coefficients` and the kit compute each once.
-:func:`correlation_sequences`, the sequences behind the fibers, is the
-inverse symplectic series of the cached fibers.
+:mod:`opsis.sampling`.  No product on the L x L grid and no translate is
+formed, and no lattice Fourier step runs on the L x L grid.  A system
+reads its generators' lattice-free :class:`~opsis.hs_ops.OperatorStack`
+through the transforms alone and caches their coset layout, its Riesz
+fibers and their spectrum, so :func:`riesz_check`, :func:`coefficients`
+and the kit compute each once.  :func:`correlation_sequences`, the
+sequences behind the fibers, is the inverse symplectic series of the
+cached fibers.  The coefficients and operators of :func:`synthesize`,
+:func:`synthesize_spreading` and :func:`coefficients` follow the batch
+rule of :mod:`opsis.sampling`: their leading axes are batch axes.
 
 The spectra of the fibers decide both sampling questions (the bracket
 product characterisation, Bownik, JFA 2000): the Riesz bounds are the
 extreme eigenvalues of the N x N Riesz fibers, and the frame bounds of
 :mod:`opsis.sampling` the extreme squared singular values of the M x N
-transfer fibers.  Both spectra are computed here, vectorised over all
-fibers at once, in closed form whenever the small dimension is at most 2
-(:func:`hermitian_spectrum`, :func:`fiber_singular_values`), and by LAPACK
-above that.  The closed forms have LAPACK's absolute error bound, a small
-multiple of eps times the fiber's largest value, whatever else is in the
-batch; the smaller singular value of an M x 2 fiber is read off the 2 x 2
-minors of its columns, not off det(A^* A), so an s_min of 1e-12 s_max
-stays resolvable.  A fiber with a NaN or inf entry never gives a finite
-pair of bounds.  riesz_check's route="gw" stays on np.linalg.eigvalsh, as
-an independent check.  The dual fibers of :mod:`opsis.sampling`, the left
-inverses of the transfer fibers, come from :func:`fiber_left_inverse` in
-the same closed form when N <= 2: each row is a column with the other
-projected out, divided by its squared norm.  Both kernels read one
-column layout, which rescales out-of-range fibers one by one.
+transfer fibers.  Both spectra, and the dual fibers of
+:mod:`opsis.sampling`, are computed here over all fibers at once, in
+closed form whenever the small dimension is at most 2
+(:func:`hermitian_spectrum`, :func:`fiber_singular_values`,
+:func:`fiber_left_inverse`) with LAPACK's absolute error bound, and by
+LAPACK above that.  riesz_check's route="gw" stays on np.linalg.eigvalsh,
+as an independent check.
 
 Apart from riesz_check's gw cross-check, every job has one route here.
 The dense Gram matrix of all translates, the periodized outer products
 fiber by fiber and the per-translate loops are oracles, in
 tests/oracle.py.
 
-:class:`GeneratorSystem` is a plain immutable class on
-:class:`~opsis.phase_space.Immutable`, equal only to itself, and not a
-frozen dataclass, whose generated methods are exec'd on every import.
-:class:`RieszReport` stays a frozen dataclass, with value equality and
-dataclasses.replace, for callers that build amended reports.
+:class:`GeneratorSystem` is an :class:`~opsis.phase_space.Immutable`
+record, equal only to itself; :class:`RieszReport` stays a frozen
+dataclass, with value equality and dataclasses.replace.
 """
 
 from __future__ import annotations
@@ -291,21 +284,21 @@ class RieszReport:
 
 
 def coefficient_array(system: GeneratorSystem, coefs) -> np.ndarray:
-    """coefs as a complex array, checked to have shape (N, |lattice|); ValueError otherwise."""
+    """coefs as a complex array, checked to have shape (..., N, |lattice|); ValueError otherwise."""
     coefs = np.asarray(coefs, dtype=complex)
-    want = (system.num_generators, system.lattice.size)
-    if coefs.shape != want:
-        raise ValueError(f"coefficient array shape {coefs.shape}, expected {want}")
+    N, K = system.num_generators, system.lattice.size
+    if coefs.shape[-2:] != (N, K):
+        raise ValueError(f"coefficient array shape {coefs.shape}, expected (..., {N}, {K})")
     return coefs
 
 
 def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
-    """Sum coefs[n, j] * translate(lattice.points[j], S_n) over all n, j."""
+    """Sum coefs[..., n, j] * translate(lattice.points[j], S_n) over all n, j, shape (..., L, L)."""
     return inverse_fourier_wigner(synthesize_spreading(system, coefs))
 
 
 def synthesize_spreading(system: GeneratorSystem, coefs) -> np.ndarray:
-    """The spreading transform of :func:`synthesize`'s sum, sum_n tile(symp_fourier(coefs[n])) F(S_n)."""
+    """The spreading transform of :func:`synthesize`'s sum, sum_n tile(symp_fourier(coefs[..., n])) F(S_n)."""
     lat = system.lattice
     return tile_product(symp_fourier(coefficient_array(system, coefs), lat), system.spreading, lat)
 
@@ -367,7 +360,7 @@ def riesz_check(system: GeneratorSystem, tol: float | None = None, route: str = 
 
 
 def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.ndarray:
-    """Coefficients of the orthogonal projection of T onto the generator span.
+    """Coefficients of the orthogonal projection of T[...] onto the generator span, shape (..., N, |lattice|).
 
     Analyzes T against every translate, then solves the Gram system fiber by
     fiber.  Round trip: synthesize(coefficients(T)) returns T whenever T lies
@@ -375,7 +368,7 @@ def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.nda
     """
     riesz_check(system, tol=tol).require()
     lat = system.lattice
-    qhat = fold_cosets(cosets(fourier_wigner(T), lat), system.spreading_cosets, lat)
-    # Ghat(xi)^T chat(xi) = qhat(xi), solved on every fiber at once
-    chat = np.linalg.solve(np.swapaxes(system.riesz_fibers, 1, 2), qhat.T[..., None])[..., 0]
-    return inv_symp_fourier(chat.T, lat)
+    qhat = fold_cosets(cosets(fourier_wigner(T), lat)[..., None, :, :, :, :], system.spreading_cosets, lat)
+    # Ghat(xi)^T chat(xi) = qhat(xi), solved on every fiber of every operator at once
+    chat = np.linalg.solve(np.swapaxes(system.riesz_fibers, 1, 2), np.swapaxes(qhat, -1, -2)[..., None])[..., 0]
+    return inv_symp_fourier(np.swapaxes(chat, -1, -2), lat)

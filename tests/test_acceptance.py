@@ -10,6 +10,7 @@ import pytest
 
 from opsis.cli import main
 from opsis.hs_ops import (
+    OperatorStack,
     fn_op_convolve,
     hs_inner,
     hs_norm,
@@ -32,7 +33,7 @@ from opsis.sampling import (
     window_scheme,
 )
 from opsis.si_space import GeneratorSystem, gram_fibers, riesz_check, synthesize
-from opsis.timefreq import tf_shift
+from opsis.timefreq import gaussian_window, tf_shift
 
 from conftest import rand_kernel, rand_seq, rand_signal
 from oracle import brute_gram, gw_fibers, lattice_convolve
@@ -277,3 +278,21 @@ def test_acceptance_11_negative_control(tmp_path):
     assert metrics["frame"]["alpha_A"] < 1e-20
     print("\nACCEPTANCE 11: PASS - delta-window full-lattice control yields "
           "alpha_A = 0 and exit code 2")
+
+
+@pytest.mark.parametrize("L, bound", [(36, 5e-12), (144, 1e-14), (576, 1e-14)])
+def test_acceptance_12_gaussian_riesz_bounds_are_theta_functions(L, bound):
+    # The continuous Gaussian g (x) g on Z x Z has Riesz bounds theta_4(0, e^-pi)^2 and
+    # theta_3(0, e^-pi)^2, computed by mpmath and by no route of opsis.  The finite model
+    # on sqrt(L)Z x sqrt(L)Z matches them up to its periodization error, which shrinks
+    # with L: measured 2.1e-12 relative on both bounds at L = 36 (hence its 5e-12 bound),
+    # and at most 1.9e-16 at L = 144 and 576.
+    mpmath = pytest.importorskip("mpmath")
+    q = mpmath.exp(-mpmath.pi)
+    want = [float(mpmath.jtheta(4, 0, q) ** 2), float(mpmath.jtheta(3, 0, q) ** 2)]
+    g, a = gaussian_window(L), round(L ** 0.5)
+    report = riesz_check(GeneratorSystem(build_lattice((a, a), L), OperatorStack(windows=[(g, g)])))
+    errors = [abs(got - ref) / ref for got, ref in zip([report.lower, report.upper], want, strict=True)]
+    assert report.is_riesz and max(errors) < bound, errors
+    print(f"\nACCEPTANCE 12: PASS - Gaussian Riesz bounds on {a}Z x {a}Z, L = {L}, match "
+          f"theta_4^2 and theta_3^2 to {max(errors):.1e} relative (< {bound:.0e})")

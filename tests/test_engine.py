@@ -796,8 +796,8 @@ def test_translate_sums_read_no_coset_layout(monkeypatch):
     assert_agrees(fn_op_convolve(g, S), oracle.fn_op_convolve(g, S))
 
 
-# entry points handed a grid stack whose size is not the lattice's: the
-# operator T, its rows and the system `other` are of modulus 14, system and scheme of 12
+# entry points handed a grid stack whose size is not the lattice's: the operator T
+# and the system `other` are of modulus 14, system and scheme of 12
 MISMATCHES = {
     "avg_samples operator": lambda system, other, scheme, T: avg_samples(T, scheme, system.lattice),
     "avg_samples scheme": lambda system, other, scheme, T: avg_samples(system.generators[0], average_scheme([T]),
@@ -806,8 +806,6 @@ MISMATCHES = {
     "cross_seq scheme": lambda system, other, scheme, T: cross_seq(system, average_scheme([T])),
     "cross_seq system": lambda system, other, scheme, T: cross_seq(other, scheme),
     "cosets": lambda system, other, scheme, T: cosets(np.zeros((6, 24)), system.lattice),
-    "gabor_multiplier": lambda system, other, scheme, T: gabor_multiplier(np.ones(system.lattice.size),
-                                                                          system.lattice, T[0], T[1]),
 }
 
 

@@ -303,6 +303,15 @@ def test_gabor_multiplier_refuses_windows_of_unequal_length(rng, length):
         gabor_multiplier(np.ones(lat.size), lat, psi, phi)
 
 
+@pytest.mark.parametrize("desc, L, length", [((2, 3), 6, 5), ((2, 3), 6, 7), ((2, 3), 6, 8),
+                                             ((2, 2), 12, 14), ([(2, 1), (0, 4)], 12, 14)])
+def test_gabor_multiplier_refuses_windows_that_do_not_fit_the_modulus(rng, desc, L, length):
+    lat = build_lattice(desc, L)
+    phi, psi = rand_signal(rng, length), rand_signal(rng, length)
+    with pytest.raises(ValueError, match=f"^window length {length} does not match the modulus L={L}$"):
+        gabor_multiplier(np.ones(lat.size), lat, psi, phi)
+
+
 # ---------------------------------------------------------------- convolution lemma
 
 def test_fn_op_convolve_delta_cases(rng):

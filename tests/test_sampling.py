@@ -44,7 +44,8 @@ from opsis.sampling import (
     transfer_matrix,
     window_scheme,
 )
-from opsis.si_space import GeneratorSystem, NotRieszError, coefficients, riesz_check, synthesize
+from opsis.si_space import (GeneratorSystem, NotRieszError, coefficients, riesz_check, synthesize,
+                            synthesize_spreading)
 from opsis.timefreq import stft, tf_shift
 
 from conftest import rand_kernel, rand_seq, rand_signal
@@ -132,12 +133,65 @@ def test_avg_samples_of_a_stack_sample_each_operator(desc, kind, B):
     assert all(stacked[i].tobytes() == avg_samples(T[i], scheme, lat).tobytes() for i in range(B))
     if kind == "windows":
         assert diag_channel_samples(T, scheme, lat).tobytes() == stacked.tobytes()
-    # reconstruction still takes the samples of one operator, (M, |lattice|)
+    # reconstruction takes the stack's samples as they are, one result per operator
     kit = reconstruction_kit(system, scheme)
-    reconstruct(stacked[0], kit)
-    message = f"sample array shape {stacked.shape}, expected {(M, lat.size)}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        reconstruct(stacked, kit)
+    R = reconstruct(stacked, kit)
+    assert R.shape == (B, 8, 8)
+    assert all(R[i].tobytes() == reconstruct(stacked[i], kit).tobytes() for i in range(B))
+
+
+# a lattice on L = 8 and a sub-lattice of it
+BATCH_LATTICES = pytest.mark.parametrize("desc, sub", [
+    ((2, 2), [(4, 0), (0, 2)]), ([(2, 1), (0, 4)], [(4, 2), (0, 4)])], ids=["separable", "sheared"])
+
+
+@pytest.mark.parametrize("entry", ["reconstruct", "coefficient_frame_expansion", "reconstruct_from_spreading",
+                                   "coefficients", "synthesize", "synthesize_spreading", "inflate_coefficients",
+                                   "berezin"])
+@BATCH_LATTICES
+@pytest.mark.parametrize("kind", ["windows", "averagers"])
+@pytest.mark.parametrize("B", [1, 2, 3])
+def test_every_entry_point_maps_a_batch_operator_by_operator(entry, desc, sub, kind, B):
+    # N = 2 generators and M = 3 channels, so that B = N and B = M both occur
+    system, scheme, rng = seeded_setup(37, desc=desc)
+    lat, sub, K = system.lattice, build_lattice(sub, 8), system.lattice.size
+    if kind == "averagers":
+        scheme = average_scheme(scheme)
+    kit = reconstruction_kit(system, scheme)
+    g, gt = rand_signal(rng, 8), rand_signal(rng, 8)
+    T = np.array([rand_kernel(rng, 8) for _ in range(B)])
+    samples, c, FT = avg_samples(T, scheme, lat), rand_seq(rng, (B, 2, K)), fourier_wigner(T)
+    # each entry's batch argument, and that argument cut to a wrong trailing shape with the error it raises
+    wrong_samples = (samples[:, :2], f"sample array shape {(B, 2, K)}, expected (..., 3, {K})")
+    wrong_coefs = (c[:, :1], f"coefficient array shape {(B, 1, K)}, expected (..., 2, {K})")
+    wrong_T = (T[:, :7], f"kernels must be square in the last two axes, got shape {(B, 7, 8)}")
+    run, batch, (wrong, message) = {
+        "reconstruct": (lambda x: reconstruct(x, kit), samples, wrong_samples),
+        "coefficient_frame_expansion": (lambda x: coefficient_frame_expansion(x, kit), samples, wrong_samples),
+        "reconstruct_from_spreading": (lambda x: reconstruct_from_spreading(x, kit), FT,
+                                       (FT[:, :7], f"grid stack shape {(B, 7, 8)} does not match L=8")),
+        "coefficients": (lambda x: coefficients(system, x), T, wrong_T),
+        "synthesize": (lambda x: synthesize(system, x), c, wrong_coefs),
+        "synthesize_spreading": (lambda x: synthesize_spreading(system, x), c, wrong_coefs),
+        "inflate_coefficients": (lambda x: inflate_coefficients(system, sub, x), c, wrong_coefs),
+        "berezin": (lambda x: berezin(x, g, gt), T, wrong_T),
+    }[entry]
+    out = run(batch)
+    singles = [run(x) for x in batch]
+    assert out.shape == (B,) + singles[0].shape
+    assert all(out[i].tobytes() == singles[i].tobytes() for i in range(B))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(wrong)
+
+
+@BATCH_LATTICES
+@pytest.mark.parametrize("B", [1, 2, 3])
+def test_coefficients_recover_a_batch_from_its_synthesis(desc, sub, B):
+    system, _, rng = seeded_setup(38, desc=desc)
+    c = rand_seq(rng, (B, 2, system.lattice.size))
+    recovered = coefficients(system, synthesize(system, c))
+    assert recovered.shape == c.shape
+    assert np.abs(recovered - c).max() < 1e-12 * np.abs(c).max()
 
 
 def test_avg_samples_single_point_norm():
@@ -213,6 +267,14 @@ def test_berezin_refuses_windows_of_unequal_length(length):
         window_scheme([(g, gt)])
     with pytest.raises(ValueError, match=message):
         berezin(rand_kernel(rng, L), g, gt)
+
+
+@pytest.mark.parametrize("length", [5, 7, 8])
+def test_berezin_refuses_windows_that_do_not_fit_the_modulus(length):
+    rng = np.random.default_rng(length)
+    g, gt = rand_signal(rng, length), rand_signal(rng, length)
+    with pytest.raises(ValueError, match=f"^window length {length} does not match the modulus L=6$"):
+        berezin(rand_kernel(rng, 6), g, gt)
 
 
 @pytest.mark.parametrize("L, desc", [(5, (1, 5)), (8, (2, 2)), (12, [(2, 1), (0, 6)]), (60, (6, 4))],
@@ -509,7 +571,7 @@ def test_kit_gates_on_riesz():
 def test_reconstruction_and_coefficient_expansion_check_the_sample_shape(shape):
     system, scheme, _ = seeded_setup(24, N=2, M=3)
     kit = reconstruction_kit(system, scheme)
-    message = f"sample array shape {shape}, expected {(3, 16)}"
+    message = f"sample array shape {shape}, expected (..., 3, 16)"
     for recover in (reconstruct, coefficient_frame_expansion):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             recover(np.ones(shape), kit)
@@ -677,7 +739,7 @@ def test_inflate_coefficients_rejects_a_wrong_shape(shape):
     assert system.lattice.size == 16
     sub = build_lattice([(4, 0), (0, 2)], 8)
     assert inflate_coefficients(system, sub, np.ones((1, 16))).shape == (2, 8)
-    with pytest.raises(ValueError, match=re.escape(f"coefficient array shape {shape}, expected (1, 16)")):
+    with pytest.raises(ValueError, match=re.escape(f"coefficient array shape {shape}, expected (..., 1, 16)")):
         inflate_coefficients(system, sub, np.ones(shape))
 
 

@@ -3,12 +3,14 @@
     opsis riesz-check|frame-check|reconstruct|channel-demo|sweep
           --config <path> --out <dir> [--seed N]
 
-Reads a JSON config (schema in the README), writes a metrics.json plus CSV
-tables into the output directory, and exits with
+or python -m opsis.cli with the same arguments.  Reads a JSON config
+(schema in the README), writes a metrics.json plus CSV tables into the
+output directory, and exits with
 
     0  success (a negative mathematical verdict is still a success),
     2  the pipeline needs a Riesz system and a frame; metrics.json says which failed,
-    3  invalid configuration, or one too large to fit in memory,
+    3  invalid configuration, one too large to fit in memory, or an output
+       directory that cannot be created or written,
     4  internal numerical failure (non-finite values detected).
 
 Identical config and seed produce byte-identical output files; wall time is
@@ -260,6 +262,8 @@ _COMMANDS = {
 }
 # the commands that read the coefficient stream, and when (parse_config's coefficients)
 _COEFFICIENTS = {"reconstruct": "always", "channel-demo": "channel"}
+# the one command that reads no scheme (parse_config's build_scheme)
+_SCHEMELESS = "riesz-check"
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,10 +287,18 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         raw = load_config(args.config)
-        cfg = parse_config(raw, seed_override=args.seed, coefficients=_COEFFICIENTS.get(args.command))
+        cfg = parse_config(raw, seed_override=args.seed, coefficients=_COEFFICIENTS.get(args.command),
+                           build_scheme=args.command != _SCHEMELESS)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         code, metrics = _COMMANDS[args.command](cfg, outdir)
+        metrics["command"] = args.command
+        metrics["seed"] = cfg.seed
+        (outdir / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        # the config is read by load_config, so this is the output directory or a file in it
+        print(f"opsis: cannot write output: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 3
     except ConfigError as exc:
         print(f"opsis: invalid configuration: {exc}", file=sys.stderr)
         return 3
@@ -296,9 +308,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"opsis: numerical failure: {exc}", file=sys.stderr)
         return 4
-    metrics["command"] = args.command
-    metrics["seed"] = cfg.seed
-    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     elapsed = time.perf_counter() - started
     print(f"opsis {args.command}: done in {elapsed:.3f}s -> {outdir}", file=sys.stderr)
     return code
@@ -306,3 +315,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

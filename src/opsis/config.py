@@ -63,7 +63,6 @@ import numpy as np
 from .hs_ops import OperatorStack, rank_one
 from .phase_space import Lattice, LatticeError, build_lattice
 from .sampling import average_scheme, window_scheme
-from .timefreq import gaussian_window
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -405,6 +404,8 @@ def _window(spec, L, master, draws, label):
     if kind == "random":
         return _random_item(spec, (L,), master, draws, label)
     if kind == "gaussian":
+        from .timefreq import gaussian_window
+
         return gaussian_window(L)
     if kind == "delta":
         vec = np.zeros(L, dtype=complex)
@@ -432,7 +433,7 @@ _TOP_KEYS = ("L", "seed", "lattice", "sublattice", "generators", "scheme", "chan
 
 
 def parse_config(raw: dict, seed_override: int | None = None,
-                 coefficients: str | None = None) -> ExperimentConfig:
+                 coefficients: str | None = None, build_scheme: bool = True) -> ExperimentConfig:
     """Validate a raw config dict and build the experiment objects it describes.
 
     Lattice, generators and scheme are optional at this stage; runners
@@ -442,7 +443,10 @@ def parse_config(raw: dict, seed_override: int | None = None,
     stream, that pass also draws the (N, |lattice|) coefficients of the
     generators, as PortableRng(coef_seed).complex_normal would, when the
     config has both and coefficients is 'always', or 'channel' and the
-    channel is synthesized; else they are None.
+    channel is synthesized; else they are None.  With build_scheme False,
+    for a command that does not read the scheme, the walk still checks the
+    scheme and takes its subseeds, but the pass draws none of its items and
+    the scheme is None.
     """
     _object(raw, "", _TOP_KEYS)
     L = _integer(raw.get("L"), "L", 2, _MAX_L)
@@ -463,6 +467,7 @@ def parse_config(raw: dict, seed_override: int | None = None,
 
     windows = averagers = None
     if "scheme" in raw:
+        first = len(draws)
         spec = _object(raw["scheme"], "scheme", ("windows", "averagers"))
         if len(spec) != 1:
             raise ConfigError("'scheme' must hold exactly one of 'windows' or 'averagers'")
@@ -476,6 +481,9 @@ def parse_config(raw: dict, seed_override: int | None = None,
         else:
             averagers = [_generator(item, L, master, draws, f"scheme.averagers[{i}]")
                          for i, item in enumerate(_items(spec["averagers"], "scheme.averagers"))]
+        if not build_scheme:
+            del draws[first:]
+            windows = averagers = None
 
     sublattice = None
     if "sublattice" in raw:

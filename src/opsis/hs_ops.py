@@ -36,9 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .phase_space import (Immutable, Point, build_lattice, cosets, diagonal_index, fold_cosets,
-                          inv_symp_fourier, symp_fourier, tile_product)
-from .timefreq import UnsupportedModulusError
+from .phase_space import (Immutable, Point, UnsupportedModulusError, build_lattice, cosets,
+                          diagonal_index, fold_cosets, inv_symp_fourier, symp_fourier, tile_product)
 
 
 def _as_kernel(S) -> np.ndarray:

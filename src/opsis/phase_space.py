@@ -72,6 +72,7 @@ Conventions relied on throughout the package:
 from __future__ import annotations
 
 import numbers
+from dataclasses import FrozenInstanceError
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -85,6 +86,10 @@ FOLD_ROW, FOLD_PRODUCTS = 32, 1 << 16
 
 class LatticeError(ValueError):
     """Invalid lattice descriptor, out-of-range point, or mismatched operands."""
+
+
+class UnsupportedModulusError(ValueError):
+    """Operation needs 2 to be invertible mod L, so L must be odd."""
 
 
 def _check_point(z, L: int) -> None:
@@ -111,18 +116,20 @@ def point_add(z: Point, zp: Point, L: int) -> Point:
 class Immutable:
     """Base of opsis's immutable records: fields are set once, through self.__dict__.
 
-    Assigning or deleting an attribute raises AttributeError.
-    functools.cached_property still caches, since it writes the instance
-    dict directly.  Records are plain classes and not frozen dataclasses,
-    because @dataclass generates and execs the source of its methods every
-    time the defining module runs, cached bytecode or not.
+    Assigning or deleting an attribute raises dataclasses.FrozenInstanceError,
+    an AttributeError, as a frozen dataclass does.  functools.cached_property
+    still caches, since it writes the instance dict directly.  Records are
+    plain classes, because @dataclass generates and execs the source of the
+    methods it writes every time the defining module runs, cached bytecode or
+    not; :class:`~opsis.si_space.RieszReport`, the one dataclass, writes its
+    own and lets @dataclass write none.
     """
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+        raise FrozenInstanceError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+        raise FrozenInstanceError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
 
 
 class Lattice(Immutable):

@@ -44,7 +44,8 @@ cached; the dual stage gates on the Riesz and frame tolerances the kit was
 built with.  The H_m and the sequences b are formed only when read.
 :class:`TransferMatrix` and :class:`ReconstructionKit` are
 :class:`~opsis.phase_space.Immutable` records, equal only to themselves,
-and :class:`FrameBounds` a NamedTuple: no dataclass code runs on import.
+and :class:`FrameBounds` a NamedTuple.  With :class:`~opsis.si_space.RieszReport`
+writing its own methods, importing the package generates no dataclass code.
 
 Production routes run in the spreading domain and on the fibers, and read
 operator records through their transforms alone.  Every sample is a
@@ -101,7 +102,6 @@ from .si_space import (
     fiber_singular_values,
     riesz_check,
 )
-from .timefreq import tf_shift
 
 
 PINV_RCOND = 1e-10
@@ -159,6 +159,8 @@ def channel_matrix(H, g, gt, lattice: Lattice) -> np.ndarray:
     transmitted coefficients c, and the diagonal equals the channel's
     diagonal samples for the pair (g, gt).
     """
+    from .timefreq import tf_shift
+
     H = np.asarray(H, dtype=complex)
     U = np.stack([tf_shift(p, g) for p in lattice.points], axis=1)
     V = np.stack([tf_shift(p, gt) for p in lattice.points], axis=1)

@@ -55,8 +55,9 @@ fiber by fiber and the per-translate loops are oracles, in
 tests/oracle.py.
 
 :class:`GeneratorSystem` is an :class:`~opsis.phase_space.Immutable`
-record, equal only to itself; :class:`RieszReport` stays a frozen
-dataclass, with value equality and dataclasses.replace.
+record, equal only to itself; :class:`RieszReport` is an Immutable
+dataclass with hand-written methods: value equality and dataclasses.replace,
+and no generated code.
 """
 
 from __future__ import annotations
@@ -266,15 +267,32 @@ class GeneratorSystem(Immutable):
         return eigs
 
 
-@dataclass(frozen=True)
-class RieszReport:
-    """Outcome of a Riesz-sequence test: extreme fiber eigenvalues and verdict."""
+@dataclass(init=False, repr=False, eq=False)
+class RieszReport(Immutable):
+    """Outcome of a Riesz-sequence test: extreme fiber eigenvalues and verdict.
+
+    A dataclass, for dataclasses.replace, that behaves as a frozen one: equal
+    and hashed by the tuple of its fields, with the dataclass repr, and
+    immutable.  Its methods are written here, so @dataclass generates none.
+    """
 
     is_riesz: bool
     lower: float
     upper: float
     route: str
     diagnostic: str | None = None
+
+    def __init__(self, is_riesz, lower, upper, route, diagnostic=None):
+        self.__dict__.update(is_riesz=is_riesz, lower=lower, upper=upper, route=route, diagnostic=diagnostic)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def require(self) -> None:
         """Raise NotRieszError unless the translates form a Riesz sequence."""

@@ -17,11 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .phase_space import Point
-
-
-class UnsupportedModulusError(ValueError):
-    """Operation needs 2 to be invertible mod L, so L must be odd."""
+from .phase_space import Point, UnsupportedModulusError
 
 
 def _as_signal(f) -> np.ndarray:

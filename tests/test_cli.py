@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opsis
-from opsis import cli, config, sampling, si_space
+from opsis import cli, config, hs_ops, sampling, si_space
 from opsis.cli import main
 from opsis.config import ConfigError, PortableRng, parse_config
 from opsis.hs_ops import hs_norm, inverse_fourier_wigner
@@ -493,7 +497,6 @@ def test_sweep_row_computes_each_stage_once(tmp_path, stage_calls):
 
 def test_console_script_is_installed(tmp_path):
     import shutil
-    import subprocess
 
     exe = shutil.which("opsis")
     if exe is None:
@@ -504,6 +507,81 @@ def test_console_script_is_installed(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "metrics.json").exists()
+
+
+def test_python_m_runs_the_command(tmp_path):
+    # runs on every CI leg, where the console script may not be on PATH
+    cfg = write_config(tmp_path / "c.json", GAUSSIAN_RIESZ)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(opsis.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "opsis.cli", "riesz-check", "--config", cfg,
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("opsis riesz-check: done in ")
+    assert read_metrics(out)["riesz"]["is_riesz"] is True
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("where", ["file", "below a file"])
+def test_an_unusable_output_directory_exits_3(tmp_path, capsys, command, where):
+    cfg = write_config(tmp_path / "c.json", dict(RECON_OK, sweep={"a": [2], "b": [2]}))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "file" else blocker / "sub"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("opsis: cannot write output: ") and str(out) in err
+
+
+def test_an_unwritable_table_exits_3(tmp_path, capsys):
+    # the directory is made, but a table's name is taken by a directory
+    out = tmp_path / "out"
+    (out / "riesz_fibers.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path / "c.json", GAUSSIAN_RIESZ)
+    assert main(["riesz-check", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out / "riesz_fibers.csv") in err
+    assert not (out / "metrics.json").exists()
+
+
+AVERAGERS_24 = {
+    "L": 24,
+    "seed": 5,
+    "lattice": {"a": 4, "b": 4},
+    "generators": [{"kind": "random"}] * 2,
+    "scheme": {"averagers": [{"kind": "random"}] * 3},
+}
+
+
+@pytest.mark.parametrize("command, stacks", [("riesz-check", [(2, 24, 24)]),
+                                             ("frame-check", [(2, 24, 24), (3, 24, 24)])])
+def test_only_commands_that_read_the_scheme_transform_it(tmp_path, monkeypatch, command, stacks):
+    calls = Counter()
+    transform = hs_ops.fourier_wigner
+
+    def counting(S):
+        calls[np.shape(S)] += 1
+        return transform(S)
+
+    monkeypatch.setattr(hs_ops, "fourier_wigner", counting)
+    assert main([command, "--config", write_config(tmp_path / "c.json", AVERAGERS_24),
+                 "--out", str(tmp_path / "out")]) == 0
+    # the generators' stack, and the averagers' only where the command reads them
+    assert calls == Counter(stacks)
+
+
+@pytest.mark.parametrize("scheme, label", [
+    ({"averagers": [{"kind": "random", "seed": -1.5}]}, "'scheme.averagers[0].seed' must be an integer"),
+    ({"averagers": [{"kind": "rank_one", "left": {"kind": "delta", "at": 24}, "right": {"kind": "delta"}}]},
+     "'scheme.averagers[0].left.at' must be an integer in [0, 23]"),
+    ({"windows": [{"g": {"kind": "explicit", "values": [[1, 0]]}, "g_tilde": {"kind": "gaussian"}}]},
+     "'scheme.windows[0].g.values' must have length 24"),
+    ({"windows": [], "averagers": []}, "'scheme' must hold exactly one of"),
+], ids=["seed", "delta", "length", "both"])
+def test_a_malformed_scheme_exits_3_on_riesz_check(tmp_path, capsys, scheme, label):
+    cfg = write_config(tmp_path / "c.json", dict(AVERAGERS_24, scheme=scheme))
+    assert main(["riesz-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert label in capsys.readouterr().err
 
 
 def test_reconstruct_underdetermined_exits_2(tmp_path):
@@ -597,7 +675,7 @@ def assert_config_items_unchanged(cfg, raw):
     assert plain.coefficients is None
     assert (cfg.coef_seed, cfg.dual_seed) == (plain.coef_seed, plain.dual_seed)
     assert all(same_bits(a, b) for a, b in zip(cfg.generator_kernels, plain.generator_kernels, strict=True))
-    assert same_bits(cfg.scheme.windows, plain.scheme.windows)
+    assert cfg.scheme is None or same_bits(cfg.scheme.windows, plain.scheme.windows)
 
 
 @pytest.mark.parametrize("name", PARSEVAL_CONFIGS)
@@ -631,7 +709,10 @@ def test_other_commands_draw_the_values_they_read(tmp_path, monkeypatch, command
     draws = list(seen["draws"])
     (cfg,) = seen["configs"]
     N, K = len(cfg.generator_kernels), cfg.lattice.size
-    config_pass = N * cfg.L ** 2 + 2 * 2 * cfg.L
+    # riesz-check reads no scheme, so its pass draws no window
+    reads_scheme = command != "riesz-check"
+    assert (cfg.scheme is not None) == reads_scheme
+    config_pass = N * cfg.L ** 2 + 2 * 2 * cfg.L * reads_scheme
     if reads:
         assert draws == [config_pass + N * K]
         assert same_bits(cfg.coefficients, PortableRng(cfg.coef_seed).complex_normal((N, K)))

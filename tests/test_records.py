@@ -366,6 +366,18 @@ def test_riesz_report_stays_a_replaceable_dataclass():
     assert moved == RieszReport(True, 0.5, 4.0, "fibers", None) != report
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.lower = 1.0
+    # the hand-written methods behave as those of the frozen dataclass @dataclass would write
+    frozen = dataclasses.make_dataclass(
+        "RieszReport", ["is_riesz", "lower", "upper", "route", ("diagnostic", "str | None", None)], frozen=True)
+    for fields in [(True, 0.25, 4.0, "fibers"), (False, 0.0, 1.5, "gw", "zero lower bound")]:
+        ours, theirs = RieszReport(*fields), frozen(*fields)
+        assert repr(ours) == repr(theirs) and hash(ours) == hash(theirs)
+        assert dataclasses.astuple(ours) == dataclasses.astuple(theirs)
+        assert ours == RieszReport(*fields) and ours != theirs
+    assert hash(moved) == hash(RieszReport(True, 0.5, 4.0, "fibers"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del report.lower
+    assert report.lower == 0.25
 
 
 def test_only_riesz_report_is_a_dataclass_after_a_fresh_cli_import():

@@ -34,11 +34,12 @@ import timeit
 import numpy as np
 
 from opsis.config import parse_config
-from opsis.hs_ops import fourier_wigner, gabor_multiplier
+from opsis.hs_ops import fourier_wigner
 from opsis.phase_space import build_lattice, cosets, fold_cosets, inv_symp_fourier, symp_fourier
-from opsis.sampling import (average_scheme, avg_samples, berezin, coefficient_frame_expansion, reconstruct,
+from opsis.sampling import (average_scheme, avg_samples, coefficient_frame_expansion, reconstruct,
                             reconstruction_kit, window_scheme)
 from opsis.si_space import GeneratorSystem
+from opsis.timefreq import berezin, gabor_multiplier
 
 rng = np.random.default_rng(0)
 

@@ -34,7 +34,6 @@ from .phase_space import LatticeError, build_lattice, dual_transversal
 from .sampling import (
     NotAFrameError,
     ReconstructionKit,
-    channel_matrix,
     diag_channel_samples,
     interpolation_deviation,
     reconstruct_from_spreading,
@@ -184,6 +183,8 @@ def run_reconstruct(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
 
 
 def run_channel_demo(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+    from .timefreq import channel_matrix
+
     lattice = _need(cfg, "lattice", "lattice")
     scheme = _need(cfg, "scheme", "scheme")
     if scheme.windows is None:

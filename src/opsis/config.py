@@ -35,10 +35,12 @@ records each random item's subseed and shape; for a command that reads
 the coefficient stream (parse_config's coefficients), it then appends
 that stream, of shape (N, |lattice|).  After it, one blocked pass of the
 kernel draws every item (see _complex_normals), and only then are the
-rank-one generators and the scheme formed; a window scheme keeps its pairs,
-and the generators stay kernels, which the runners put on a lattice.  The
-values are those of one PortableRng(subseed).complex_normal(shape) call
-per item, each config item scaled to unit norm and the coefficients not.
+Gaussian windows, the rank-one generators and the scheme formed, so a
+command that reads no scheme builds none of its windows.  A window scheme
+keeps its pairs, and the generators stay kernels, which the runners put on
+a lattice.  The values are those of one
+PortableRng(subseed).complex_normal(shape) call per item, each config
+item scaled to unit norm and the coefficients not.
 
 The walk checks every value where it reaches it, through four readers:
 _object (an object with its required keys and no key the schema does not
@@ -376,10 +378,14 @@ def _draw(draws, unit: int) -> list:
     return values
 
 
-def _built(item, values):
-    """The array a walk item stands for: an index into values, a rank_one pair, or itself."""
+def _built(item, values, L):
+    """The array a walk item stands for: an index into values, a rank_one pair, "gaussian", or itself."""
     if isinstance(item, tuple):
-        return rank_one(_built(item[0], values), _built(item[1], values))
+        return rank_one(_built(item[0], values, L), _built(item[1], values, L))
+    if isinstance(item, str):
+        from .timefreq import gaussian_window
+
+        return gaussian_window(L)
     return values[item] if isinstance(item, int) else item
 
 
@@ -399,14 +405,12 @@ def _kind(spec, label, keys_by_kind):
 
 
 def _window(spec, L, master, draws, label):
-    """The window's vector, or the index in draws of a random one."""
+    """The window's vector, the index in draws of a random one, or "gaussian", built after the draw."""
     kind = _kind(spec, label, _WINDOW_KEYS)
     if kind == "random":
         return _random_item(spec, (L,), master, draws, label)
     if kind == "gaussian":
-        from .timefreq import gaussian_window
-
-        return gaussian_window(L)
+        return kind
     if kind == "delta":
         vec = np.zeros(L, dtype=complex)
         vec[_integer(spec.get("at", 0), f"{label}.at", 0, L - 1)] = 1.0
@@ -520,11 +524,11 @@ def parse_config(raw: dict, seed_override: int | None = None,
     values = _draw(draws, unit)
     scheme = None
     if kernels is not None:
-        kernels = tuple(_built(k, values) for k in kernels)
+        kernels = tuple(_built(k, values, L) for k in kernels)
     if windows is not None:
-        scheme = window_scheme([(_built(g, values), _built(gt, values)) for g, gt in windows])
+        scheme = window_scheme([(_built(g, values, L), _built(gt, values, L)) for g, gt in windows])
     elif averagers is not None:
-        scheme = average_scheme([_built(q, values) for q in averagers])
+        scheme = average_scheme([_built(q, values, L) for q in averagers])
     return ExperimentConfig(L=L, seed=seed, lattice=lattice, sublattice=sublattice,
                             generator_kernels=kernels, scheme=scheme,
                             coef_seed=coef_seed, dual_seed=dual_seed, options=options,

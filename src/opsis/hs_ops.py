@@ -7,27 +7,20 @@ Operator translation conjugates with a time-frequency shift,
     translate(z, S) = shift(z) S shift(z)^*,
 
 an honest group action (the shift phases cancel).  The module provides the
-two unitary symbol transforms (Kohn-Nirenberg for every L, Weyl for odd L),
-the raw spreading transform tr[shift(-z) S] with its inverse, Gabor
-multipliers, and the convolution of a phase-space function with an operator.
+raw spreading transform tr[shift(-z) S] with its inverse, the trace inner
+product, the one dense translate :func:`op_translate`, and the lattice
+pairings of the sampling engine; the symbol transforms, Gabor multipliers
+and the convolution of a phase-space function with an operator are in the
+toolbox :mod:`opsis.timefreq`, which loads on first use.
 
-Translate sums and trace pairings over a lattice are computed in the
-spreading domain, where translation is a pointwise multiplication by a
-character and the lattice enters through the two grid-lattice maps of
-:mod:`opsis.phase_space`: :func:`lattice_pairing` is the inverse symplectic
-series of a fold (fold_cosets), and a translate sum (a Gabor multiplier, or
-:func:`fn_op_convolve`) is the tile_product of the symplectic series of its
-coefficients with the spreading transform.  Every lattice Fourier step runs
-on the lattice's own size, never on an L x L grid FFT;
-:func:`fn_op_convolve` runs the same code on the full lattice Z_L^2, where
-it is the plain 2-D DFT.  :func:`op_translate` builds one translate as a
-dense kernel.  An :class:`OperatorStack` holds operators with no lattice,
-as kernels or window pairs, and transforms them when built; every system,
-scheme and rank-one atom reads those transforms alone.
-
-Normalizations are pinned by exact unitarity: with the L^{-1/2} prefactor
-below, kn_symbol satisfies <sigma_S, sigma_T> = <S, T> identically, and the
-symbol of the identity operator is the constant L^{-1/2}.
+Trace pairings over a lattice are computed in the spreading domain, where
+translation is a pointwise multiplication by a character and the lattice
+enters through the grid-lattice maps of :mod:`opsis.phase_space`:
+:func:`lattice_pairing` is the inverse symplectic series of a fold
+(fold_cosets), run on the lattice's own size, never on an L x L grid FFT.
+An :class:`OperatorStack` holds operators with no lattice, as kernels or
+window pairs, and transforms them when built; every system, scheme and
+rank-one atom reads those transforms alone.
 """
 
 from __future__ import annotations
@@ -36,8 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .phase_space import (Immutable, Point, UnsupportedModulusError, build_lattice, cosets,
-                          diagonal_index, fold_cosets, inv_symp_fourier, symp_fourier, tile_product)
+from .phase_space import Immutable, Point, cosets, diagonal_index, fold_cosets, inv_symp_fourier
 
 
 def _as_kernel(S) -> np.ndarray:
@@ -130,60 +122,9 @@ def op_translate(z: Point, S) -> np.ndarray:
     S = _as_kernel(S)
     L = S.shape[0]
     x, w = z[0] % L, z[1] % L
-    ph = np.exp(2j * np.pi * w * np.arange(L) / L)
+    # w t is reduced mod L before it is scaled by 2 pi / L: a large angle loses bits of phase
+    ph = np.exp(2j * np.pi * (w * np.arange(L) % L) / L)
     return np.roll(S, (x, x), axis=(0, 1)) * np.outer(ph, ph.conj())
-
-
-def kn_symbol(S) -> np.ndarray:
-    """Kohn-Nirenberg symbol sigma[t, nu] = L^{-1/2} sum_s kernel[t, s] e^{-2 pi i nu (t-s)/L}.
-
-    A unitary map from kernels to phase-space functions; translating the
-    operator by z translates the symbol cyclically by z in both axes.
-    """
-    S = _as_kernel(S)
-    L = S.shape[0]
-    A = np.fft.ifft(S, axis=1) * L
-    tn = np.outer(np.arange(L), np.arange(L))
-    return A * np.exp(-2j * np.pi * tn / L) / np.sqrt(L)
-
-
-def kn_operator(sigma) -> np.ndarray:
-    """Inverse of :func:`kn_symbol`: kernel[t, s] = L^{-1/2} sum_nu sigma[t, nu] e^{2 pi i nu (t-s)/L}."""
-    sigma = _as_kernel(sigma)
-    L = sigma.shape[0]
-    tn = np.outer(np.arange(L), np.arange(L))
-    B = sigma * np.exp(2j * np.pi * tn / L)
-    return np.fft.fft(B, axis=1) / np.sqrt(L)
-
-
-def weyl_symbol(S) -> np.ndarray:
-    """Weyl symbol on odd L: a[x, w] = L^{-1/2} sum_t kernel[x + t h, x - t h] e^{-2 pi i w t/L}.
-
-    h = 2^{-1} mod L.  Unitary, with the same translation covariance as the
-    Kohn-Nirenberg symbol.
-    """
-    S = _as_kernel(S)
-    L = S.shape[0]
-    if L % 2 == 0:
-        raise UnsupportedModulusError(f"weyl_symbol needs odd modulus, got L={L}")
-    h = pow(2, -1, L)
-    x = np.arange(L)[:, None]
-    t = np.arange(L)[None, :]
-    D = S[(x + t * h) % L, (x - t * h) % L]
-    return np.fft.fft(D, axis=1) / np.sqrt(L)
-
-
-def weyl_operator(a) -> np.ndarray:
-    """Inverse of :func:`weyl_symbol` (odd L)."""
-    a = _as_kernel(a)
-    L = a.shape[0]
-    if L % 2 == 0:
-        raise UnsupportedModulusError(f"weyl_operator needs odd modulus, got L={L}")
-    h = pow(2, -1, L)
-    E = np.fft.ifft(a, axis=1) * L
-    u = np.arange(L)[:, None]
-    v = np.arange(L)[None, :]
-    return E[(h * (u + v)) % L, (u - v) % L] / np.sqrt(L)
 
 
 def _diagonals(A, step: int) -> np.ndarray:
@@ -229,38 +170,3 @@ def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
     other over leading axes.
     """
     return inv_symp_fourier(fold_cosets(cosets(FT, lattice), cosets(FQ, lattice), lattice), lattice)
-
-
-def gabor_multiplier(mask, lattice, psi, phi) -> np.ndarray:
-    """Operator sum_lam mask(lam) translate(lam, phi (x) psi) for a mask on a lattice.
-
-    Acting on eta this is sum_lam mask(lam) V_psi eta(lam) shift(lam) phi:
-    analyze with window psi, reweight on the lattice, resynthesize with
-    atom phi.  The atom is OperatorStack(windows=[(psi, phi)]): no kernel
-    is formed, windows of unequal length raise that record's ValueError, and
-    windows of another length than the lattice's modulus L raise ValueError.
-    """
-    atom = OperatorStack(windows=[(psi, phi)]).spreading
-    if atom.shape[-1] != lattice.modulus:
-        raise ValueError(f"window length {atom.shape[-1]} does not match the modulus L={lattice.modulus}")
-    chat = symp_fourier(mask, lattice)[..., None, :]
-    return inverse_fourier_wigner(tile_product(chat, atom, lattice))
-
-
-def fn_op_convolve(g, S) -> np.ndarray:
-    """Convolution of a phase-space function with an operator: sum_z g[z] translate(z, S).
-
-    On the symbol side this is plain cyclic convolution: the Kohn-Nirenberg
-    symbol of the result equals g convolved with the symbol of S.
-    """
-    g = np.asarray(g, dtype=complex)
-    S = _as_kernel(S)
-    L = S.shape[0]
-    if g.shape != (L, L):
-        raise ValueError(f"phase-space function shape {g.shape} does not match L={L}")
-    # the full lattice Z_L^2 indexes its points x-major, as the [x, w] table;
-    # it is built from its normal form and never lists them
-    full = build_lattice((1, 1), L)
-    chat = symp_fourier(g.reshape(1, L * L), full)
-    return inverse_fourier_wigner(tile_product(chat, fourier_wigner(S)[None], full))
-

@@ -9,7 +9,9 @@ the symplectic pairing
     sigma(z, z') = z.w * z'.x - z'.w * z.x   (mod L),
 
 whose characters lam -> exp(2 pi i sigma(lam, xi) / L) identify the group
-with its own dual.  For a lattice (subgroup) the annihilator collects the
+with its own dual.  The pairing of two points, and their sum and negation,
+are in the toolbox (:func:`opsis.timefreq.symplectic_form`); here it runs
+on whole lattices.  For a lattice (subgroup) the annihilator collects the
 points pairing trivially with every lattice element; one canonical
 representative per annihilator coset then serves as the dual group of the
 lattice, and there are exactly |lattice| of them.
@@ -90,27 +92,6 @@ class LatticeError(ValueError):
 
 class UnsupportedModulusError(ValueError):
     """Operation needs 2 to be invertible mod L, so L must be odd."""
-
-
-def _check_point(z, L: int) -> None:
-    x, w = z
-    if not (0 <= x < L and 0 <= w < L):
-        raise LatticeError(f"point {tuple(z)!r} is not a residue pair mod {L}")
-
-
-def symplectic_form(z: Point, zp: Point, L: int) -> int:
-    """Standard symplectic form sigma(z, z') = z.w*z'.x - z'.w*z.x, reduced mod L."""
-    _check_point(z, L)
-    _check_point(zp, L)
-    return (z[1] * zp[0] - zp[1] * z[0]) % L
-
-
-def point_neg(z: Point, L: int) -> Point:
-    return (-z[0]) % L, (-z[1]) % L
-
-
-def point_add(z: Point, zp: Point, L: int) -> Point:
-    return (z[0] + zp[0]) % L, (z[1] + zp[1]) % L
 
 
 class Immutable:

@@ -61,8 +61,10 @@ averagers, with no round trip through the sequences a[m, n] of
 :func:`cross_seq`.  A scheme serves many lattices, so its layout is
 formed per call.  A window
 scheme's averagers are gt_m (x) g_m, so :func:`diag_channel_samples` is
-:func:`avg_samples` after a check, and :func:`berezin` samples with a
-one-pair scheme on all of Z_L^2.  F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n),
+:func:`avg_samples` after a check; the toolbox's
+:func:`~opsis.timefreq.berezin` samples with a one-pair scheme on all of
+Z_L^2, and :func:`~opsis.timefreq.channel_matrix` forms the channel's full
+input-output matrix over shifted pulses.  F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n),
 and reconstruction synthesizes the fiber data chat = Bhat shat over the
 generators, one :func:`~opsis.phase_space.tile_product` with no H_m formed.
 Only :func:`sublattice_inflate` reads generator kernels.  The per-translate
@@ -86,7 +88,6 @@ from .hs_ops import (
 from .phase_space import (
     Immutable,
     Lattice,
-    build_lattice,
     coset_transversal,
     cosets,
     fold_cosets,
@@ -134,37 +135,6 @@ def diag_channel_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarr
 def avg_samples(T, scheme: OperatorStack, lattice: Lattice) -> np.ndarray:
     """Average samples s[..., m, j] = <T[...], translate(lam_j, Q_m)>, shape (..., M, |lattice|)."""
     return lattice_pairing(fourier_wigner(T)[..., None, :, :], scheme.spreading, lattice)
-
-
-def berezin(T, g, gt) -> np.ndarray:
-    """Lower-symbol table B[..., x, w] = <T[...] shift((x, w)) g, shift((x, w)) gt> on all of Z_L^2.
-
-    Restricted to a lattice this reproduces the diagonal channel samples.
-    The averager is window_scheme([(g, gt)]), which refuses unequal lengths;
-    windows of another length than T's modulus L raise ValueError.
-    """
-    L = np.shape(T)[-1]
-    scheme = window_scheme([(g, gt)])
-    if scheme.windows.shape[-1] != L:
-        raise ValueError(f"window length {scheme.windows.shape[-1]} does not match the modulus L={L}")
-    # the full lattice Z_L^2, built from its normal form, indexes its points x-major, as the [x, w] table
-    return avg_samples(T, scheme, build_lattice((1, 1), L))[..., 0, :].reshape(np.shape(T))
-
-
-def channel_matrix(H, g, gt, lattice: Lattice) -> np.ndarray:
-    """Input-output matrix of the channel H over shifted pulses.
-
-    A[i, j] = <H shift(mu_j) g, shift(lam_i) gt> with rows lam_i and columns
-    mu_j in the canonical lattice ordering: the received data is A @ c for
-    transmitted coefficients c, and the diagonal equals the channel's
-    diagonal samples for the pair (g, gt).
-    """
-    from .timefreq import tf_shift
-
-    H = np.asarray(H, dtype=complex)
-    U = np.stack([tf_shift(p, g) for p in lattice.points], axis=1)
-    V = np.stack([tf_shift(p, gt) for p in lattice.points], axis=1)
-    return V.conj().T @ (H @ U)
 
 
 def cross_seq(system: GeneratorSystem, scheme: OperatorStack) -> np.ndarray:

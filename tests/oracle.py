@@ -34,7 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from opsis.hs_ops import hs_inner, op_translate
-from opsis.phase_space import point_add, point_neg, symp_character_matrix
+from opsis.phase_space import symp_character_matrix
+from opsis.timefreq import point_add, point_neg
 
 
 def closure(generators, L):

@@ -11,10 +11,8 @@ import pytest
 from opsis.cli import main
 from opsis.hs_ops import (
     OperatorStack,
-    fn_op_convolve,
     hs_inner,
     hs_norm,
-    kn_symbol,
     op_translate,
     rank_one,
 )
@@ -33,7 +31,7 @@ from opsis.sampling import (
     window_scheme,
 )
 from opsis.si_space import GeneratorSystem, gram_fibers, riesz_check, synthesize
-from opsis.timefreq import gaussian_window, tf_shift
+from opsis.timefreq import fn_op_convolve, gaussian_window, kn_symbol, tf_shift
 
 from conftest import rand_kernel, rand_seq, rand_signal
 from oracle import brute_gram, gw_fibers, lattice_convolve

@@ -821,6 +821,30 @@ def test_reconstruct_outputs_are_byte_deterministic(tmp_path):
     assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_gaussian_window_writes_what_its_explicit_vector_writes(tmp_path, command):
+    # the config pass builds gaussian windows after its draw, which they take no subseed from
+    from opsis.timefreq import gaussian_window
+
+    L, gaussian = 8, {"kind": "gaussian"}
+    explicit = {"kind": "explicit", "values": [[v.real, v.imag] for v in gaussian_window(L).tolist()]}
+
+    def config(window):
+        return {"L": L, "seed": 5, "lattice": {"a": 2, "b": 2}, "sweep": {"a": [1, 2], "b": [2, 4]},
+                "generators": [{"kind": "random"}, {"kind": "rank_one", "left": window, "right": {"kind": "random"}}],
+                "scheme": {"windows": [{"g": window, "g_tilde": {"kind": "random"}},
+                                       {"g": {"kind": "random"}, "g_tilde": window},
+                                       {"g": window, "g_tilde": window}]}}
+    outs = []
+    for name, window in (("gaussian", gaussian), ("explicit", explicit)):
+        cfg = write_config(tmp_path / f"{name}.json", config(window))
+        outs.append(tmp_path / name)
+        assert main([command, "--config", cfg, "--out", str(outs[-1])]) == 0
+    files = sorted(path.name for path in outs[0].iterdir())
+    assert files == sorted(path.name for path in outs[1].iterdir())
+    assert all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files)
+
+
 def test_seed_override_changes_metrics(tmp_path):
     cfg = write_config(tmp_path / "c.json", RECON_OK)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -16,9 +16,7 @@ import opsis
 import oracle
 from opsis import hs_ops, phase_space, sampling, si_space
 from opsis.hs_ops import (
-    fn_op_convolve,
     fourier_wigner,
-    gabor_multiplier,
     inverse_fourier_wigner,
     lattice_pairing,
     rank_one,
@@ -57,6 +55,7 @@ from opsis.si_space import (
     riesz_check,
     synthesize,
 )
+from opsis.timefreq import fn_op_convolve, gabor_multiplier
 
 from conftest import rand_kernel, rand_seq, rand_signal
 

@@ -5,27 +5,28 @@ import pytest
 
 from opsis.hs_ops import (
     OperatorStack,
-    fn_op_convolve,
     fourier_wigner,
-    gabor_multiplier,
     hs_inner,
     hs_norm,
     identity,
-    kn_operator,
-    kn_symbol,
     op_translate,
     rank_one,
-    weyl_operator,
-    weyl_symbol,
 )
-from opsis.phase_space import build_lattice, symplectic_form
+from opsis.phase_space import build_lattice
 from opsis.timefreq import (
     UnsupportedModulusError,
     cross_wigner,
+    fn_op_convolve,
+    gabor_multiplier,
+    kn_operator,
+    kn_symbol,
     rihaczek,
     stft,
+    symplectic_form,
     tf_shift,
     tf_shift_matrix,
+    weyl_operator,
+    weyl_symbol,
 )
 
 from conftest import rand_kernel, rand_signal

@@ -1,7 +1,8 @@
 """What a fresh interpreter loads and generates when it imports opsis: the
 sampling engine alone, with the time-frequency toolbox loaded on first use
-and no dataclass method source generated."""
+and no dataclass method source generated; and what the commands load."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +14,10 @@ import opsis
 
 SRC = Path(opsis.__file__).resolve().parent.parent
 TOOLBOX = ("UnsupportedModulusError", "cross_wigner", "dft", "gaussian_window", "rihaczek",
-           "shift_composition_phase", "stft", "tf_shift", "tf_shift_adjoint", "tf_shift_matrix")
+           "shift_composition_phase", "stft", "tf_shift", "tf_shift_adjoint", "tf_shift_matrix",
+           "point_add", "point_neg", "symplectic_form",
+           "berezin", "channel_matrix", "fn_op_convolve", "gabor_multiplier", "kn_operator", "kn_symbol",
+           "weyl_operator", "weyl_symbol")
 
 
 def fresh(script: str) -> str:
@@ -51,7 +55,7 @@ def test_the_toolbox_names_resolve_from_the_package():
 def test_one_unsupported_modulus_error_for_every_module():
     out = fresh(
         "import numpy as np, opsis, opsis.phase_space, opsis.timefreq\n"
-        "from opsis.hs_ops import weyl_symbol\n"
+        "from opsis.timefreq import weyl_symbol\n"
         "E = opsis.phase_space.UnsupportedModulusError\n"
         "print(opsis.UnsupportedModulusError is E is opsis.timefreq.UnsupportedModulusError)\n"
         "for call in (lambda: weyl_symbol(np.eye(4)), lambda: opsis.cross_wigner(np.ones(4), np.ones(4))):\n"
@@ -75,3 +79,27 @@ def test_a_fresh_cli_import_generates_no_dataclass_methods():
         "import opsis.cli\n"
         "print(len(made), dataclasses.is_dataclass(opsis.si_space.RieszReport))\n")
     assert out == "0 True"
+
+
+def test_only_channel_demo_loads_the_toolbox(tmp_path):
+    # a gaussian window in the scheme of riesz-check, which reads no scheme, is never built
+    window = {"g": {"kind": "random"}, "g_tilde": {"kind": "random"}}
+    gaussian = {"g": {"kind": "gaussian"}, "g_tilde": {"kind": "gaussian"}}
+    base = {"L": 12, "seed": 3, "lattice": {"a": 2, "b": 2}, "sublattice": {"a": 4, "b": 2},
+            "generators": [{"kind": "random"}] * 2, "sweep": {"a": [1, 2], "b": [2, 3]}}
+    runs = [("riesz-check", dict(base, scheme={"windows": [gaussian] + [window] * 4}))]
+    runs += [(command, dict(base, scheme={"windows": [window] * 5}))
+             for command in ("riesz-check", "frame-check", "reconstruct", "sweep", "channel-demo")]
+    for i, (_, cfg) in enumerate(runs):
+        (tmp_path / f"{i}.json").write_text(json.dumps(cfg))
+    calls = [[command, "--config", str(tmp_path / f"{i}.json"), "--out", str(tmp_path / f"out{i}")]
+             for i, (command, _) in enumerate(runs)]
+    out = fresh(
+        "import contextlib, io, sys\n"
+        "from opsis.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, 'opsis.timefreq' in sys.modules)\n")
+    assert out.splitlines() == ["riesz-check 0 False", "riesz-check 0 False", "frame-check 0 False",
+                                "reconstruct 0 False", "sweep 0 False", "channel-demo 0 True"]

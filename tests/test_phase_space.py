@@ -14,8 +14,8 @@ from opsis.phase_space import (
     lattice_convolve,
     symp_character_matrix,
     symp_fourier,
-    symplectic_form,
 )
+from opsis.timefreq import symplectic_form
 
 from conftest import rand_seq
 

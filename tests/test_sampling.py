@@ -8,7 +8,6 @@ import pytest
 from opsis import sampling
 from opsis.hs_ops import (
     fourier_wigner,
-    gabor_multiplier,
     hs_inner,
     hs_norm,
     identity,
@@ -28,8 +27,6 @@ from opsis.sampling import (
     NotAFrameError,
     average_scheme,
     avg_samples,
-    berezin,
-    channel_matrix,
     coefficient_frame_expansion,
     cross_seq,
     diag_channel_samples,
@@ -46,7 +43,7 @@ from opsis.sampling import (
 )
 from opsis.si_space import (GeneratorSystem, NotRieszError, coefficients, riesz_check, synthesize,
                             synthesize_spreading)
-from opsis.timefreq import stft, tf_shift
+from opsis.timefreq import berezin, channel_matrix, gabor_multiplier, stft, symplectic_form, tf_shift
 
 from conftest import rand_kernel, rand_seq, rand_signal
 from oracle import lattice_convolve, translate_stack
@@ -426,7 +423,7 @@ def test_transfer_matrix_coset_invariance():
     lat = system.lattice
     A = cross_seq(system, scheme)
     tm = transfer_matrix(A, lat)
-    from opsis.phase_space import annihilator, symplectic_form
+    from opsis.phase_space import annihilator
 
     # recompute a fiber at a shifted representative by hand
     ann = annihilator(lat)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opsis.hs_ops import hs_norm, kn_symbol, op_translate, rank_one
+from opsis.hs_ops import hs_norm, op_translate, rank_one
 from opsis.phase_space import build_lattice
 from opsis.si_space import (
     GeneratorSystem,
@@ -12,7 +12,7 @@ from opsis.si_space import (
     riesz_check,
     synthesize,
 )
-from opsis.timefreq import gaussian_window, stft
+from opsis.timefreq import gaussian_window, kn_symbol, point_add, stft
 
 from conftest import rand_kernel, rand_seq
 from oracle import brute_gram, gw_fibers, gw_matrix, translate_stack
@@ -162,7 +162,7 @@ def test_gw_matrix_full_lattice_single_term(rng):
 
 def test_gw_matrix_periodic_on_annihilator_cosets():
     system, _ = seeded_system(10, 8, (2, 2), 2)
-    from opsis.phase_space import annihilator, point_add
+    from opsis.phase_space import annihilator
 
     ann = annihilator(system.lattice)
     xi = (1, 1)

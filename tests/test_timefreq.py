@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from opsis.hs_ops import kn_operator, weyl_operator
+from opsis.hs_ops import op_translate
 from opsis.timefreq import (
     UnsupportedModulusError,
     cross_wigner,
     dft,
     gaussian_window,
+    kn_operator,
+    kn_symbol,
     rihaczek,
     shift_composition_phase,
     stft,
     tf_shift,
     tf_shift_adjoint,
     tf_shift_matrix,
+    weyl_operator,
 )
 
 from conftest import rand_signal
@@ -238,3 +241,48 @@ def test_gaussian_monotone_decay():
     g = gaussian_window(12).real
     for t in range(6):
         assert g[t] > g[t + 1]
+
+
+# ---------------------------------------------------------------- phase characters
+
+PHASE_ROUTINES = ("tf_shift", "tf_shift_adjoint", "tf_shift_matrix", "rihaczek", "kn_symbol", "kn_operator",
+                  "op_translate", "covariance")
+
+
+def _phase_case(name, L):
+    """(computed, exact) of one routine at L, the exact value a table of L-th roots of unity or an identity.
+
+    z = (L - 3, L - 1) makes the integer m of each exp(2 pi i m / L) as large as
+    it gets, up to L^2; an unreduced m loses about log2(m / L) bits of phase.
+    """
+    roots = np.exp(2j * np.pi * np.arange(L) / L)
+    t = np.arange(L)
+    x, w = z = (L - 3, L - 1)
+    ones = np.ones(L, dtype=complex)
+    delta = np.zeros(L, dtype=complex)
+    delta[0] = 1.0
+    symbol = np.conj(roots[np.multiply.outer(t, t) % L]) / np.sqrt(L)
+    cases = {
+        "tf_shift": lambda: (tf_shift(z, ones), roots[w * t % L]),
+        "tf_shift_adjoint": lambda: (tf_shift_adjoint(z, ones), np.conj(roots[(x * w + w * t) % L])),
+        "tf_shift_matrix": lambda: (tf_shift_matrix(z, L)[t, (t - x) % L], roots[w * t % L]),
+        "rihaczek": lambda: (rihaczek(ones, delta), symbol),
+        # the kernel whose first column is ones
+        "kn_symbol": lambda: (kn_symbol(np.outer(ones, delta)), symbol),
+        "kn_operator": lambda: (kn_operator(np.outer(ones, ones)), np.sqrt(L) * np.eye(L)),
+        "op_translate": lambda: (op_translate(z, np.outer(ones, ones)), roots[w * np.subtract.outer(t, t) % L]),
+        # translating an operator translates its symbol
+        "covariance": lambda: (kn_symbol(op_translate(z, np.outer(ones, t))),
+                               np.roll(kn_symbol(np.outer(ones, t)), z, axis=(0, 1))),
+    }
+    return cases[name]()
+
+
+@pytest.mark.parametrize("L", [64, 1024, 2048])
+@pytest.mark.parametrize("name", PHASE_ROUTINES)
+def test_phase_characters_stay_exact_as_L_grows(name, L):
+    # each routine reduces its integer mod L before forming exp(2 pi i m / L); the
+    # unreduced products (w t, x w, t n) deviated by 1e-14 at L = 64 and 1e-12 at L = 2048
+    got, want = _phase_case(name, L)
+    err = float(np.linalg.norm(got - want) / np.linalg.norm(want))
+    assert err <= 4e-15, f"relative deviation {err:.1e}"

@@ -25,11 +25,9 @@ rank-one atom reads those transforms alone.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .phase_space import Immutable, Point, cosets, diagonal_index, fold_cosets, inv_symp_fourier
+from .phase_space import Immutable, Point, cosets, diagonal_index, fold_cosets, inv_symp_fourier, read_only, stage
 
 
 def _as_kernel(S) -> np.ndarray:
@@ -42,14 +40,15 @@ def _as_kernel(S) -> np.ndarray:
 class OperatorStack(Immutable):
     """n >= 1 operators on Z_L with no lattice: their spreading transforms and the operators as given.
 
-    Either form is transformed when built: spreading, shape (n, L, L),
-    C-ordered and read-only, is a field, and every stage reads it and len()
-    alone.  Kernels are kept as a read-only copy, kernels, and windows is
-    None.  Window pairs (g_m, gt_m) stand for the averagers gt_m (x) g_m;
-    they are kept as windows, read-only, shape (n, 2, L), transformed with
-    no kernel formed, and form the kernels only when read.  Given both or
-    neither, or any operator shape but (L, L), L the first one's, it raises
-    ValueError, naming the operators by what.  Immutable; equal only to itself.
+    Either form is copied and transformed when built, and every array kept
+    is read-only: spreading, shape (n, L, L) and C-ordered, is a field, and
+    every stage reads it and len() alone.  Kernels are kept as kernels, and
+    windows is None.  Window pairs (g_m, gt_m) stand for the averagers
+    gt_m (x) g_m; they are kept as windows, shape (n, 2, L), transformed
+    with no kernel formed, and form the kernels only when read.  Given both
+    or neither, or any operator shape but (L, L), L the first one's, it
+    raises ValueError, naming the operators by what.  Immutable; equal only
+    to itself.
     """
 
     windows: np.ndarray | None
@@ -67,8 +66,7 @@ class OperatorStack(Immutable):
         for shape in shapes:
             if shape != (L, L):
                 raise ValueError(f"{what} shape {shape} does not match L={L}")
-        stack = np.array(ops, dtype=complex)
-        stack.setflags(write=False)
+        stack = read_only(np.array(ops, dtype=complex))
         if windows is None:
             self.__dict__.update(kernels=stack)
             F = fourier_wigner(stack)
@@ -78,15 +76,12 @@ class OperatorStack(Immutable):
             twice = np.concatenate([stack[:, 1], stack[:, 1]], axis=-1)
             rows = np.ndarray((len(ops), L, L), complex, twice, 0, twice.strides + twice.strides[-1:])
             F = np.fft.fft(rows * np.conj(stack[:, :1]), axis=-1)
-        F.setflags(write=False)
-        self.__dict__.update(windows=None if windows is None else stack, spreading=F)
+        self.__dict__.update(windows=None if windows is None else stack, spreading=read_only(F))
 
-    @cached_property
+    @stage
     def kernels(self) -> np.ndarray:
         """The (n, L, L) kernels, read-only: the stored copy, or formed from the pairs on first read."""
-        stack = self.windows[:, 1, :, None] * np.conj(self.windows[:, :1])
-        stack.setflags(write=False)
-        return stack
+        return self.windows[:, 1, :, None] * np.conj(self.windows[:, :1])
 
     def __len__(self) -> int:
         return len(self.spreading)
@@ -154,19 +149,14 @@ def inverse_fourier_wigner(F) -> np.ndarray:
     return _diagonals(np.fft.ifft(np.asarray(F, dtype=complex), axis=-1), -1)
 
 
-# The spreading-domain engine.  By covariance, the spreading transform of
-# sum_lam c(lam) translate(lam, H) is tile(symp_fourier(c)) * F(H), which
-# :func:`opsis.phase_space.tile_product` forms on the grid, and by Parseval
-# <T, translate(lam, Q)> = (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L},
-# which Poisson summation over the annihilator turns into the inverse
-# symplectic series of the fold of F_T conj(F_Q).  That fold is contracted
-# coset by coset (:func:`opsis.phase_space.fold_cosets`), so the product
-# F_T conj(F_Q) over all pairs is never formed.
-
 def lattice_pairing(FT, FQ, lattice) -> np.ndarray:
     """Trace pairings <T, translate(lam, Q)> for every lam of the lattice, shape (..., |lattice|).
 
     Takes the spreading transforms F_T and F_Q, which broadcast against each
-    other over leading axes.
+    other over leading axes.  By Parseval the pairing is
+    (1/L) sum_z F_T(z) conj(F_Q(z)) e^{-2 pi i sigma(lam, z)/L}, which Poisson
+    summation over the annihilator turns into the inverse symplectic series
+    of the fold of F_T conj(F_Q), contracted coset by coset
+    (:func:`~opsis.phase_space.fold_cosets`): the product is never formed.
     """
     return inv_symp_fourier(fold_cosets(cosets(FT, lattice), cosets(FQ, lattice), lattice), lattice)

@@ -51,12 +51,9 @@ The annihilator is generated by (Q, c') and (0, P), c' = c L/(a b), so
 (x0, w0) + k'(Q, c') + j'(0, P): the grid's own reshape when c' = 0, else
 one shear gather by a cached index, neither copying a C-ordered stack.
 :func:`fold_cosets` contracts two layouts coset by coset, a bracket product
-(de Boor, DeVore and Ron, JFA 1994), in memory order: over k' and then j'
-on a reshape with short rows, else over (k', j') at once, as on a gathered
-layout, which holds each coset innermost.  :func:`tile_product` multiplies
-on the grid's reshape for every lattice, where the tile of row block k' is
-the fiber data rolled along w0 by k' c' mod P, so the sum lands in grid
-order.  A generator system of :mod:`opsis.si_space` keeps its stack's
+(de Boor, DeVore and Ron, JFA 1994), in memory order.  :func:`tile_product`
+multiplies on the grid's reshape for every lattice, so the sum lands in
+grid order.  A generator system of :mod:`opsis.si_space` keeps its stack's
 layout for its folds.  The dense :func:`symp_character_matrix` serves only
 the tests' reference series.  :func:`diagonal_index` caches the flat
 indices of the cyclic diagonals of one modulus, both directions, for the
@@ -94,17 +91,42 @@ class UnsupportedModulusError(ValueError):
     """Operation needs 2 to be invertible mod L, so L must be odd."""
 
 
+def read_only(value):
+    """value, an array or a tuple, with every array in it made read-only in place: opsis's one freeze."""
+    for item in value if isinstance(value, tuple) else (value,):
+        if isinstance(item, np.ndarray):
+            item.setflags(write=False)
+    return value
+
+
+class stage(cached_property):
+    """A record's cached stage: a functools.cached_property whose value goes through :func:`read_only`."""
+
+    def __init__(self, func):
+        super().__init__(func)
+        self.func = lambda record: read_only(func(record))
+
+
 class Immutable:
     """Base of opsis's immutable records: fields are set once, through self.__dict__.
 
     Assigning or deleting an attribute raises dataclasses.FrozenInstanceError,
-    an AttributeError, as a frozen dataclass does.  functools.cached_property
-    still caches, since it writes the instance dict directly.  Records are
+    an AttributeError, as a frozen dataclass does.  Every cached stage is a
+    :class:`stage`, which writes the instance dict directly and returns its
+    arrays read-only.  A record copies the arrays a caller hands it; one the
+    pipeline builds (:meth:`_of`) freezes its arrays in place.  Records are
     plain classes, because @dataclass generates and execs the source of the
     methods it writes every time the defining module runs, cached bytecode or
     not; :class:`~opsis.si_space.RieszReport`, the one dataclass, writes its
     own and lets @dataclass write none.
     """
+
+    @classmethod
+    def _of(cls, **fields):
+        """The record of fields the pipeline computed: set with no check and no copy, their arrays made read-only."""
+        record = object.__new__(cls)
+        record.__dict__.update({name: read_only(value) for name, value in fields.items()})
+        return record
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
@@ -117,17 +139,17 @@ class Lattice(Immutable):
     """A subgroup of Z_L x Z_L with elements in lexicographic order.
 
     Built only by :func:`build_lattice`, from its normal form, so every
-    lattice is a subgroup by construction; Lattice(...) itself takes no
-    arguments and raises TypeError.  A lattice enumerates its points only
-    when they are first read.  Lattices are immutable.
+    lattice is a subgroup by construction: Lattice(...) raises TypeError.
+    A lattice enumerates its points only on first read.  Immutable.
     """
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Lattice is built by build_lattice(descriptor, L)")
 
     @classmethod
     def _from_hnf(cls, L: int, a: int, b: int, c: int) -> Lattice:
         """The lattice of a valid normal form, with no check and no enumeration."""
-        lat = object.__new__(cls)
-        lat.__dict__.update(modulus=L, _hnf=(a, b, c))
-        return lat
+        return cls._of(modulus=L, _hnf=(a, b, c))
 
     def __eq__(self, other):
         # equal lattices have equal normal forms
@@ -146,15 +168,15 @@ class Lattice(Immutable):
         a, b, _ = self._hnf
         return (self.modulus // a) * (self.modulus // b)
 
-    @cached_property
+    @stage
     def points(self) -> tuple[Point, ...]:
         return tuple(zip(self.xs.tolist(), self.ws.tolist()))
 
-    @cached_property
+    @stage
     def index(self) -> dict[Point, int]:
         return {p: i for i, p in enumerate(self.points)}
 
-    @cached_property
+    @stage
     def _xy(self) -> tuple[np.ndarray, np.ndarray]:
         return _hnf_points(self.modulus, *self._hnf)
 
@@ -166,21 +188,18 @@ class Lattice(Immutable):
     def ws(self) -> np.ndarray:
         return self._xy[1]
 
-    @cached_property
+    @stage
     def _twiddles(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lattice transforms' twiddle e^{2 pi i (k c mod b) x/L}: transposed [x, k], conjugated [k, x]; read-only."""
+        """The lattice transforms' twiddle e^{2 pi i (k c mod b) x/L}: transposed [x, k], conjugated [k, x]."""
         L = self.modulus
         a, b, c = self._hnf
         k = np.arange(L // a)[:, None]
         twiddle = np.exp(2j * np.pi * ((k * c % b) * np.arange(L // b) % L) / L)
-        pair = (twiddle.T.copy(), np.conj(twiddle))
-        for t in pair:
-            t.setflags(write=False)
-        return pair
+        return twiddle.T.copy(), np.conj(twiddle)
 
-    @cached_property
+    @stage
     def _coset_gather(self) -> np.ndarray:
-        """Flat grid index of :func:`cosets` when c' != 0, read-only.
+        """Flat grid index of :func:`cosets` when c' != 0.
 
         Entry [x0, w0, k', j'] is the grid point (x0, w0) + k'(Q, c') + j'(0, P),
         c' = c L/(a b): the transversal runs outermost and each coset innermost.
@@ -190,9 +209,7 @@ class Lattice(Immutable):
         P, Q = L // a, L // b
         k = np.arange(b)[:, None]
         w = (np.arange(P)[:, None, None] + k * (P * c // b) + np.arange(a) * P) % L
-        gather = (np.arange(Q)[:, None, None, None] + k * Q) * L + w
-        gather.setflags(write=False)
-        return gather
+        return (np.arange(Q)[:, None, None, None] + k * Q) * L + w
 
     def locate(self, x, w):
         """(index, is a point) of each (x, w), elementwise over broadcast integer arrays.
@@ -232,9 +249,7 @@ def _hnf_points(L: int, a: int, b: int, c: int) -> tuple[np.ndarray, np.ndarray]
     k = np.arange(L // a)[:, None]
     xs = np.repeat(np.arange(0, L, a), L // b)
     ws = (k * c % b + np.arange(0, L, b)).ravel()
-    xs.setflags(write=False)
-    ws.setflags(write=False)
-    return xs, ws
+    return read_only((xs, ws))
 
 
 def build_lattice(descriptor, L: int) -> Lattice:
@@ -313,9 +328,7 @@ def diagonal_index(L: int, step: int) -> np.ndarray:
     # for step = -1 the window at L - 1 - x of the reversed table: one strided view
     table = np.arange(2 * L)[::step] % L * L
     s = table.itemsize
-    index = np.ndarray((L, L), table.dtype, table, (L - 1) * s * (step < 0), (step * s, s)) + np.arange(L)
-    index.setflags(write=False)
-    return index
+    return read_only(np.ndarray((L, L), table.dtype, table, (L - 1) * s * (step < 0), (step * s, s)) + np.arange(L))
 
 
 @lru_cache(maxsize=4)
@@ -324,15 +337,12 @@ def symp_character_matrix(lat: Lattice) -> np.ndarray:
 
     Row k is the character attached to transversal point xi_k, column j runs
     over the lattice elements; `Phi @ seq` is the dense reference for
-    :func:`symp_fourier`.
+    :func:`symp_fourier`.  Read-only, as the cache shares it.
     """
     L = lat.modulus
     tx, tw = np.array(dual_transversal(lat)).T
     s = (tx[:, None] * lat.ws[None, :] - tw[:, None] * lat.xs[None, :]) % L
-    phi = np.exp(2j * np.pi * s / L)
-    # shared by every caller through the cache
-    phi.setflags(write=False)
-    return phi
+    return read_only(np.exp(2j * np.pi * s / L))
 
 
 def _as_seqs(c, lat: Lattice, what: str) -> np.ndarray:

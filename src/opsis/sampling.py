@@ -40,9 +40,9 @@ eps times the condition number; np.linalg.pinv serves every other case.
 :class:`ReconstructionKit` is this chain as one staged pipeline: the Riesz
 report, the transfer matrix, the frame bounds, the dual fibers and the
 spreading transforms of the H_m are each computed once, on first use, and
-cached; the dual stage gates on the Riesz and frame tolerances the kit was
-built with.  The H_m and the sequences b are formed only when read.
-:class:`TransferMatrix` and :class:`ReconstructionKit` are
+cached read-only; the dual stage gates on the Riesz and frame tolerances
+the kit was built with.  The H_m and the sequences b are formed only when
+read.  :class:`TransferMatrix` and :class:`ReconstructionKit` are
 :class:`~opsis.phase_space.Immutable` records, equal only to themselves,
 and :class:`FrameBounds` a NamedTuple.  With :class:`~opsis.si_space.RieszReport`
 writing its own methods, importing the package generates no dataclass code.
@@ -73,7 +73,6 @@ loops and per-channel lattice convolutions are oracles in tests/oracle.py.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -92,6 +91,8 @@ from .phase_space import (
     cosets,
     fold_cosets,
     inv_symp_fourier,
+    read_only,
+    stage,
     symp_fourier,
     tile_product,
 )
@@ -152,14 +153,14 @@ class TransferMatrix(Immutable):
     """Fiberwise transform of the generator sample sequences.
 
     fibers[k] is the M x N matrix [symp_fourier(a[m, n])(xi_k)] at the k-th
-    dual-transversal point, constant on annihilator cosets; the lattice is
-    not kept.  Immutable; equal only to itself.
+    dual-transversal point, constant on annihilator cosets, read-only and a
+    copy of a caller's; the lattice is not kept.  Immutable; equal only to itself.
     """
 
     fibers: np.ndarray  # (K, M, N)
 
-    def __init__(self, fibers: np.ndarray):
-        self.__dict__.update(fibers=fibers)
+    def __init__(self, fibers):
+        self.__dict__.update(fibers=read_only(np.array(fibers, dtype=complex)))
 
     @property
     def num_channels(self) -> int:
@@ -169,7 +170,7 @@ class TransferMatrix(Immutable):
     def num_generators(self) -> int:
         return self.fibers.shape[2]
 
-    @cached_property
+    @stage
     def singular_values(self) -> np.ndarray:
         """Singular values of every fiber, descending, shape (K, min(M, N)), read-only.
 
@@ -177,11 +178,9 @@ class TransferMatrix(Immutable):
         min(M, N) <= 2, within a small multiple of eps times the fiber's
         largest singular value, and by np.linalg.svd above that.
         """
-        sv = fiber_singular_values(self.fibers)
-        sv.setflags(write=False)
-        return sv
+        return fiber_singular_values(self.fibers)
 
-    @cached_property
+    @stage
     def bounds(self) -> FrameBounds:
         """The frame bounds of :func:`frame_bounds`."""
         return frame_bounds(self)
@@ -189,7 +188,7 @@ class TransferMatrix(Immutable):
 
 def transfer_matrix(A, lattice: Lattice) -> TransferMatrix:
     """Fiber matrices Ahat[k, m, n] = symp_fourier(a[m, n])(xi_k)."""
-    return TransferMatrix(symp_fourier(A, lattice).transpose(2, 0, 1))
+    return TransferMatrix._of(fibers=symp_fourier(A, lattice).transpose(2, 0, 1))
 
 
 def transfer_fibers(system: GeneratorSystem, scheme: OperatorStack) -> np.ndarray:
@@ -271,15 +270,16 @@ def dual_left_inverse(tm: TransferMatrix, C=None, tol: float | None = None,
 class ReconstructionKit(Immutable):
     """The staged pipeline from a generator system and a scheme to the H_m.
 
-    Each stage is a cached attribute, computed on first use.  dual_fibers
-    (the left inverse selected by C) raises NotRieszError unless the system
-    passes riesz_check at riesz_tol, and NotAFrameError unless
+    Each stage is computed on first use, cached and read-only (a
+    :class:`~opsis.phase_space.stage`), and C is kept as a read-only copy.
+    dual_fibers (the left inverse selected by C) raises NotRieszError unless
+    the system passes riesz_check at riesz_tol, and NotAFrameError unless
     dual_left_inverse succeeds at the frame tolerance tol; None means the
     default of either.  left_inverse_residual is the residual that gate
     measured.  spreading holds the transforms of the H_m, read off
     the dual fibers; b[n, m] are the inverse transforms of the Bhat entries,
-    and recon_ops the H_m themselves, both formed only when read.
-    Immutable; equal only to itself.
+    and recon_ops the H_m themselves, both formed only when read.  A scheme
+    of another modulus raises ValueError.  Immutable; equal only to itself.
     """
 
     system: GeneratorSystem
@@ -290,15 +290,19 @@ class ReconstructionKit(Immutable):
 
     def __init__(self, system: GeneratorSystem, scheme: OperatorStack, C=None,
                  tol: float | None = None, riesz_tol: float | None = None):
+        L = system.lattice.modulus
+        if scheme.spreading.shape[1:] != (L, L):
+            raise ValueError(f"averager shape {scheme.spreading.shape[1:]} does not match L={L}")
+        C = None if C is None else read_only(np.array(C, dtype=complex))
         self.__dict__.update(system=system, scheme=scheme, C=C, tol=tol, riesz_tol=riesz_tol)
 
-    @cached_property
+    @stage
     def riesz(self) -> RieszReport:
         return riesz_check(self.system, tol=self.riesz_tol)
 
-    @cached_property
+    @stage
     def transfer(self) -> TransferMatrix:
-        return TransferMatrix(transfer_fibers(self.system, self.scheme))
+        return TransferMatrix._of(fibers=transfer_fibers(self.system, self.scheme))
 
     @property
     def alpha(self) -> float:
@@ -308,7 +312,7 @@ class ReconstructionKit(Immutable):
     def beta(self) -> float:
         return self.transfer.bounds.beta
 
-    @cached_property
+    @stage
     def _dual(self) -> tuple[np.ndarray, float]:
         self.riesz.require()
         return dual_left_inverse(self.transfer, C=self.C, tol=self.tol, return_residual=True)
@@ -323,22 +327,20 @@ class ReconstructionKit(Immutable):
         """max |Bhat(xi) Ahat(xi) - I_N| over all fibers and entries, as gated at 1e-10."""
         return self._dual[1]
 
-    @cached_property
+    @stage
     def b(self) -> np.ndarray:
         """Dual coefficient sequences, shape (N, M, |lattice|)."""
         return inv_symp_fourier(self.dual_fibers.transpose(1, 2, 0), self.system.lattice)
 
-    @cached_property
+    @stage
     def spreading(self) -> np.ndarray:
-        """Spreading transforms of the reconstruction operators H_m, shape (M, L, L), read-only.
+        """Spreading transforms of the reconstruction operators H_m, shape (M, L, L).
 
         F(H_m) = sum_n tile(Bhat[:, n, m]) F(S_n).
         """
-        F = tile_product(self.dual_fibers.transpose(2, 1, 0), self.system.spreading, self.system.lattice)
-        F.setflags(write=False)
-        return F
+        return tile_product(self.dual_fibers.transpose(2, 1, 0), self.system.spreading, self.system.lattice)
 
-    @cached_property
+    @stage
     def recon_ops(self) -> tuple[np.ndarray, ...]:
         return tuple(inverse_fourier_wigner(self.spreading))
 

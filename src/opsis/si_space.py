@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -77,6 +76,7 @@ from .phase_space import (
     cosets,
     fold_cosets,
     inv_symp_fourier,
+    stage,
     symp_fourier,
     tile_product,
 )
@@ -235,7 +235,7 @@ class GeneratorSystem(Immutable):
         """Spreading transforms of the generators, shape (N, L, L), read-only: the record's."""
         return self.generators.spreading
 
-    @cached_property
+    @stage
     def spreading_cosets(self) -> np.ndarray:
         """The spreading transforms in the lattice's coset layout, shape (N, b, Q, a, P), read-only.
 
@@ -243,18 +243,14 @@ class GeneratorSystem(Immutable):
         fold over the generators reads: a view of it when c' = 0, and one
         gather, an extra N L^2 copy, on a sheared lattice.
         """
-        C = cosets(self.spreading, self.lattice)
-        C.setflags(write=False)
-        return C
+        return cosets(self.spreading, self.lattice)
 
-    @cached_property
+    @stage
     def riesz_fibers(self) -> np.ndarray:
         """The fibers of :func:`gram_fibers`, shape (K, N, N), read-only."""
-        G = gram_fibers(self)
-        G.setflags(write=False)
-        return G
+        return gram_fibers(self)
 
-    @cached_property
+    @stage
     def riesz_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of every Riesz fiber, shape (K, N), read-only.
 
@@ -262,9 +258,7 @@ class GeneratorSystem(Immutable):
         small multiple of eps times the fiber's largest eigenvalue, and by
         np.linalg.eigvalsh for N >= 3.
         """
-        eigs = hermitian_spectrum(self.riesz_fibers)
-        eigs.setflags(write=False)
-        return eigs
+        return hermitian_spectrum(self.riesz_fibers)
 
 
 @dataclass(init=False, repr=False, eq=False)

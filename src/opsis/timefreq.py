@@ -64,6 +64,14 @@ def _as_signal(f) -> np.ndarray:
     return f
 
 
+def _as_signals(f, g) -> tuple[np.ndarray, np.ndarray]:
+    """Two signals of one length; ValueError naming both lengths otherwise."""
+    f, g = _as_signal(f), _as_signal(g)
+    if len(f) != len(g):
+        raise ValueError(f"signal lengths {len(f)} and {len(g)} differ")
+    return f, g
+
+
 def dft(f) -> np.ndarray:
     """Unitary discrete Fourier transform, fhat(w) = L^{-1/2} sum_t f(t) e^{-2 pi i w t/L}."""
     f = _as_signal(f)
@@ -108,15 +116,11 @@ def stft(phi, psi) -> np.ndarray:
     """Short-time Fourier transform V[x, w] = <phi, shift((x, w)) psi>.
 
     `psi` is the analysis window.  Row x of the output is the DFT (without
-    prefactor) of phi(t) conj(psi(t - x)).
+    prefactor) of phi(t) conj(psi(t - x)): one gather and one batched FFT.
     """
-    phi = _as_signal(phi)
-    psi = _as_signal(psi)
-    L = len(phi)
-    V = np.empty((L, L), dtype=complex)
-    for x in range(L):
-        V[x] = np.fft.fft(phi * np.conj(np.roll(psi, x)))
-    return V
+    phi, psi = _as_signals(phi, psi)
+    t = np.arange(len(phi))
+    return np.fft.fft(phi * np.conj(psi[(t - t[:, None]) % len(phi)]), axis=1)
 
 
 def rihaczek(psi, phi) -> np.ndarray:
@@ -125,8 +129,7 @@ def rihaczek(psi, phi) -> np.ndarray:
     This is exactly the Kohn-Nirenberg symbol of the rank-one operator
     built from (psi, phi).
     """
-    psi = _as_signal(psi)
-    phi = _as_signal(phi)
+    psi, phi = _as_signals(psi, phi)
     L = len(psi)
     xw = np.outer(np.arange(L), np.arange(L))
     return psi[:, None] * np.conj(dft(phi))[None, :] * _character(-xw, L)
@@ -139,8 +142,7 @@ def cross_wigner(psi, phi) -> np.ndarray:
     h = 2^{-1} mod L.  Even moduli are rejected: the half shift t/2 has no
     canonical meaning there.
     """
-    psi = _as_signal(psi)
-    phi = _as_signal(phi)
+    psi, phi = _as_signals(psi, phi)
     L = len(psi)
     if L % 2 == 0:
         raise UnsupportedModulusError(f"cross_wigner needs odd modulus, got L={L}")
@@ -296,6 +298,7 @@ def channel_matrix(H, g, gt, lattice: Lattice) -> np.ndarray:
     transmitted coefficients c, and the diagonal equals the channel's
     diagonal samples for the pair (g, gt).
     """
+    g, gt = _as_signals(g, gt)
     H = np.asarray(H, dtype=complex)
     U = np.stack([tf_shift(p, g) for p in lattice.points], axis=1)
     V = np.stack([tf_shift(p, gt) for p in lattice.points], axis=1)

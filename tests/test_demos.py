@@ -18,6 +18,7 @@ def test_demos_are_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    # as for the tests (pyproject.toml), a RuntimeWarning is an error
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

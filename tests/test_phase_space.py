@@ -102,6 +102,15 @@ def test_direct_construction_rejects_non_subgroup():
     assert build_lattice([(1, 1)], 4).points == ((0, 0), (1, 1), (2, 2), (3, 3))
 
 
+@pytest.mark.parametrize("args, kwargs", [((), {}), ((8,), {}), ((), {"modulus": 8})])
+def test_a_lattice_is_built_only_by_build_lattice(args, kwargs):
+    # with no arguments too: a Lattice with no fields would fail on .size, == and hash()
+    with pytest.raises(TypeError, match=r"build_lattice\(descriptor, L\)"):
+        Lattice(*args, **kwargs)
+    lat, same = build_lattice((2, 4), 8), build_lattice([(2, 0), (0, 4)], 8)
+    assert lat.size == 8 and lat == same and hash(lat) == hash(same)
+
+
 @pytest.mark.parametrize("points", [
     (),
     ((0, 2), (0, 0)),                  # (0, 0) not first

@@ -9,24 +9,29 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opsis
-from opsis import cli, hs_ops, sampling, si_space
+from opsis import cli, hs_ops, phase_space, sampling, si_space
 from opsis.config import ExperimentConfig
 from opsis.hs_ops import OperatorStack, fourier_wigner, rank_one
-from opsis.phase_space import build_lattice
+from opsis.phase_space import Immutable, build_lattice, stage
 from opsis.sampling import (
     FrameBounds,
     ReconstructionKit,
     TransferMatrix,
     average_scheme,
     avg_samples,
+    cross_seq,
     reconstruct,
     reconstruct_from_spreading,
+    reconstruction_kit,
+    transfer_fibers,
+    transfer_matrix,
     window_scheme,
 )
 from opsis.si_space import GeneratorSystem, RieszReport, coefficients, riesz_check, synthesize
@@ -111,12 +116,18 @@ def test_keyword_construction_and_defaults():
 
     C = np.zeros((lat.size, 2, 3))
     kit = ReconstructionKit(system=system, scheme=scheme, C=C, tol=1e-9, riesz_tol=1e-8)
-    assert (kit.system, kit.scheme, kit.C, kit.tol, kit.riesz_tol) == (system, scheme, C, 1e-9, 1e-8)
+    assert (kit.system, kit.scheme, kit.tol, kit.riesz_tol) == (system, scheme, 1e-9, 1e-8)
+    # the kit keeps an equal, read-only copy of the caller's C
+    assert kit.C is not C and np.array_equal(kit.C, C)
+    assert_read_only(kit.C)
     plain = ReconstructionKit(system, scheme)
     assert (plain.C, plain.tol, plain.riesz_tol) == (None, None, None)
 
+    # so does a transfer matrix of the caller's fibers
     tm = TransferMatrix(fibers=kit.transfer.fibers)
-    assert (tm.fibers, tm.num_channels, tm.num_generators) == (kit.transfer.fibers, 3, 2)
+    assert tm.fibers is not kit.transfer.fibers and np.array_equal(tm.fibers, kit.transfer.fibers)
+    assert_read_only(tm.fibers)
+    assert (tm.num_channels, tm.num_generators) == (3, 2)
 
     cfg = ExperimentConfig(L=L, seed=1, lattice=lat, sublattice=None, generator_kernels=gens,
                            scheme=scheme, coef_seed=2, dual_seed=3, options={})
@@ -144,6 +155,17 @@ def test_generator_system_validation(gens, message):
         GeneratorSystem(lat, gens)
     with pytest.raises(ValueError):
         GeneratorSystem(lattice=lat, generators=gens)
+
+
+@pytest.mark.parametrize("build", [ReconstructionKit, reconstruction_kit])
+def test_a_kit_refuses_a_scheme_of_another_modulus(build):
+    # checked where the kit is built, as a GeneratorSystem checks its generators,
+    # not by the first stage that folds the scheme against the lattice
+    system, _ = setup()
+    rng = np.random.default_rng(6)
+    scheme = window_scheme([(rand_signal(rng, 6), rand_signal(rng, 6)) for _ in range(3)])
+    with pytest.raises(ValueError, match=f"^{re.escape('averager shape (6, 6) does not match L=8')}$"):
+        build(system, scheme)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -281,6 +303,78 @@ def test_sampling_scheme_keeps_its_own_read_only_arrays(kind):
     assert np.array_equal(scheme.spreading, spreading)
     kept = scheme.windows[0] if kind == "windows" else scheme
     assert all(a is not b and np.array_equal(a, b0) for a, b, b0 in zip(kept, given, before))
+
+
+def record_stages():
+    """(class name, stage name, descriptor) of every cached_property of every Immutable record of the engine."""
+    return [(cls.__name__, name, attr)
+            for module in (phase_space, hs_ops, si_space, sampling)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and issubclass(cls, Immutable) and cls.__module__ == module.__name__
+            for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
+
+
+def reached_arrays(value):
+    """The arrays in value: itself, those in a tuple, and the fields and stages of a record, recursively."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from reached_arrays(item)
+    elif isinstance(value, Immutable):
+        for item in vars(value).values():
+            yield from reached_arrays(item)
+
+
+@pytest.mark.parametrize("desc", [(2, 2), [(2, 1), (0, 4)]], ids=["separable", "sheared"])
+def test_every_cached_stage_of_every_record_is_read_only(desc):
+    found = record_stages()
+    # every cached property of a record is a stage, and the list holds the known stages
+    assert all(isinstance(attr, stage) for _, _, attr in found)
+    names = {(kind, name) for kind, name, _ in found}
+    assert {("Lattice", "_xy"), ("Lattice", "_twiddles"), ("Lattice", "_coset_gather"), ("OperatorStack", "kernels"),
+            ("GeneratorSystem", "spreading_cosets"), ("GeneratorSystem", "riesz_fibers"),
+            ("GeneratorSystem", "riesz_spectrum"), ("TransferMatrix", "singular_values"),
+            ("ReconstructionKit", "transfer"), ("ReconstructionKit", "_dual"), ("ReconstructionKit", "b"),
+            ("ReconstructionKit", "spreading"), ("ReconstructionKit", "recon_ops")} <= names
+
+    rng = np.random.default_rng(13)
+    lat = build_lattice(desc, L)
+    pairs = OperatorStack(windows=[(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(2)], what="generator")
+    kernels = OperatorStack([rand_kernel(rng, L) for _ in range(2)], what="generator")
+    scheme = window_scheme([(rand_signal(rng, L), rand_signal(rng, L)) for _ in range(3)])
+    records = [lat, pairs, kernels, scheme, average_scheme(tuple(scheme))]
+    for generators in (pairs, kernels):
+        system = GeneratorSystem(lat, generators)
+        C = 0.1 * (rng.standard_normal((lat.size, 2, 3)) + 1j * rng.standard_normal((lat.size, 2, 3)))
+        records += [system, ReconstructionKit(system, scheme), ReconstructionKit(system, scheme, C),
+                    transfer_matrix(cross_seq(system, scheme), lat), TransferMatrix(transfer_fibers(system, scheme))]
+    read, arrays = set(), []
+    for record in records:
+        for kind, name, _ in found:
+            if kind == type(record).__name__:
+                arrays += reached_arrays(getattr(record, name))
+                read.add((kind, name))
+        arrays += reached_arrays(record)
+    assert read == names and len(arrays) > 100
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_a_kit_is_safe_from_writes_and_from_its_callers_c():
+    system, scheme = setup()
+    rng = np.random.default_rng(14)
+    C = 0.1 * (rng.standard_normal((system.lattice.size, 2, 3)) + 1j * rng.standard_normal((system.lattice.size, 2, 3)))
+    kit = ReconstructionKit(system, scheme, C)
+    want = ReconstructionKit(system, scheme, C.copy()).dual_fibers
+    # the caller reuses its buffer before the dual stage runs
+    C[:] = 1e6
+    assert np.array_equal(kit.dual_fibers, want)
+    with pytest.raises(ValueError, match="read-only"):
+        kit.dual_fibers[:] = 0
+    assert np.array_equal(kit.dual_fibers, want)
 
 
 def test_cached_stages_are_computed_once(monkeypatch):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from opsis.hs_ops import op_translate
+from opsis.phase_space import build_lattice
 from opsis.timefreq import (
     UnsupportedModulusError,
+    channel_matrix,
     cross_wigner,
     dft,
     gaussian_window,
@@ -146,6 +148,28 @@ def test_stft_moyal_identity(rng):
     total = (np.abs(stft(phi, psi)) ** 2).sum()
     expected = L * np.linalg.norm(phi) ** 2 * np.linalg.norm(psi) ** 2
     assert abs(total - expected) < 1e-10 * expected
+
+
+@pytest.mark.parametrize("L", [8, 60, 512])
+def test_stft_rows_are_the_ffts_of_the_shifted_window_products(L):
+    # the batched FFT of one gather gives the row-by-row loop's values
+    rng = np.random.default_rng(L)
+    phi, psi = rand_signal(rng, L, unit=False), rand_signal(rng, L, unit=False)
+    rows = np.array([np.fft.fft(phi * np.conj(np.roll(psi, x))) for x in range(L)])
+    np.testing.assert_allclose(stft(phi, psi), rows, rtol=0, atol=1e-13 * np.abs(rows).max())
+
+
+@pytest.mark.parametrize("lengths", [(5, 7), (7, 1), (7, 5)])
+@pytest.mark.parametrize("name", ["stft", "rihaczek", "cross_wigner", "channel_matrix"])
+def test_two_signal_routines_refuse_signals_of_two_lengths(name, lengths):
+    # before the check, cross_wigner read 5 samples of a 7-sample phi and rihaczek
+    # broadcast a 1-sample phi; stft and channel_matrix raised numpy's errors
+    f, g = (np.ones(n, dtype=complex) for n in lengths)
+    L = lengths[0]
+    run = {"stft": stft, "rihaczek": rihaczek, "cross_wigner": cross_wigner,
+           "channel_matrix": lambda f, g: channel_matrix(np.eye(L), f, g, build_lattice((1, 1), L))}[name]
+    with pytest.raises(ValueError, match=f"^signal lengths {lengths[0]} and {lengths[1]} differ$"):
+        run(f, g)
 
 
 # ---------------------------------------------------------------- rihaczek

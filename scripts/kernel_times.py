@@ -12,6 +12,15 @@ the full lattice at L = 256.  Then the fold runs at these operand shapes:
   are long and it keeps one einsum, since contracting k' before j' was
   measured twice as slow there.
 
+Then the fiber layer of opsis.si_space runs on random transfer fibers at
+the workloads' shapes, K fibers of 3 channels against 2 generators with
+K = 144 (cli_reconstruct), 256 (kit_stream) and 240 (lattice_scan):
+* hermitian_spectrum of the K 2 x 2 Gram fibers A^* A, the Riesz spectrum;
+* fiber_singular_values of the (K, 3, 2) fibers, the frame bounds;
+* fiber_left_inverse on its closed-form route, given those singular values;
+* fiber_left_inverse on its np.linalg.pinv route, the same fibers with a
+  zero s_min passed, which sends every batch to pinv.
+
 Then gabor_multiplier runs at L = 256 on the sheared [(4, 2), (0, 4)], and
 berezin at L = 256 on all of Z_L^2; both read their rank-one atom from a
 one-pair record, with no kernel formed.
@@ -38,7 +47,7 @@ from opsis.hs_ops import fourier_wigner
 from opsis.phase_space import build_lattice, cosets, fold_cosets, inv_symp_fourier, symp_fourier
 from opsis.sampling import (average_scheme, avg_samples, coefficient_frame_expansion, reconstruct,
                             reconstruction_kit, window_scheme)
-from opsis.si_space import GeneratorSystem
+from opsis.si_space import GeneratorSystem, fiber_left_inverse, fiber_singular_values, hermitian_spectrum
 from opsis.timefreq import berezin, gabor_multiplier
 
 rng = np.random.default_rng(0)
@@ -69,6 +78,17 @@ for L, desc, lead_T, lead_Q in [(48, (4, 4), (1, 2), (3, 1)), (48, (4, 4), (2, 1
     lat = build_lattice(desc, L)
     CT, CQ = cosets(normal(*lead_T, L, L), lat), cosets(normal(*lead_Q, L, L), lat)
     print(f"L = {L}, lattice {desc}: fold_cosets {lead_T} against {lead_Q} {best(lambda: fold_cosets(CT, CQ, lat)):.1f} us")
+
+for K, workload in [(144, "cli_reconstruct"), (256, "kit_stream"), (240, "lattice_scan")]:
+    A = normal(K, 3, 2)
+    G = A.conj().transpose(0, 2, 1) @ A
+    s = fiber_singular_values(A)
+    s_pinv = s * [1.0, 0.0]
+    times = {"hermitian_spectrum": best(lambda: hermitian_spectrum(G)),
+             "fiber_singular_values": best(lambda: fiber_singular_values(A)),
+             "fiber_left_inverse closed form": best(lambda: fiber_left_inverse(A, s)),
+             "fiber_left_inverse pinv": best(lambda: fiber_left_inverse(A, s_pinv))}
+    print(f"fibers ({K}, 3, 2), {workload}: " + ", ".join(f"{k} {t:.1f} us" for k, t in times.items()))
 
 L, desc = 256, [(4, 2), (0, 4)]
 lat = build_lattice(desc, L)

@@ -46,9 +46,9 @@ class OperatorStack(Immutable):
     windows is None.  Window pairs (g_m, gt_m) stand for the averagers
     gt_m (x) g_m; they are kept as windows, shape (n, 2, L), transformed
     with no kernel formed, and form the kernels only when read.  Given both
-    or neither, or any operator shape but (L, L), L the first one's, it
-    raises ValueError, naming the operators by what.  Immutable; equal only
-    to itself.
+    or neither, a window item that is not a pair, or any operator shape but
+    (L, L), L the first one's, it raises ValueError, naming the operators
+    by what.  Immutable; equal only to itself.
     """
 
     windows: np.ndarray | None
@@ -58,6 +58,9 @@ class OperatorStack(Immutable):
         if (kernels is None) == (windows is None):
             raise ValueError(f"give the {what}s as kernels or as window pairs, not both or neither")
         ops = tuple(kernels if windows is None else windows)
+        for op in () if windows is None else ops:
+            if len(op) != 2:
+                raise ValueError(f"{what} window item of length {len(op)} is not a pair (g, gt)")
         # a pair (g, gt) stands for the kernel gt (x) g, of shape gt.shape + g.shape
         shapes = [np.shape(op) if windows is None else np.shape(op[1]) + np.shape(op[0]) for op in ops]
         if not shapes:

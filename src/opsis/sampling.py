@@ -32,10 +32,9 @@ are computed in closed form over all fibers at once, within a small
 multiple of eps times the fiber's largest singular value, LAPACK's bound;
 np.linalg.svd serves larger fibers (see
 :func:`~opsis.si_space.fiber_singular_values`).  The Moore-Penrose left
-inverses are in closed form too when N <= 2 and those singular values show
-that no fiber falls below pinv's cutoff (PINV_RCOND)
-(:func:`~opsis.si_space.fiber_left_inverse`), with pinv's residual bound of
-eps times the condition number; np.linalg.pinv serves every other case.
+inverses, their route and pinv's cutoff PINV_RCOND are
+:func:`~opsis.si_space.fiber_left_inverse`'s; :func:`dual_left_inverse`
+holds only the gates: the frame bound, the C family and the residual.
 
 :class:`ReconstructionKit` is this chain as one staged pipeline: the Riesz
 report, the transfer matrix, the frame bounds, the dual fibers and the
@@ -97,6 +96,7 @@ from .phase_space import (
     tile_product,
 )
 from .si_space import (
+    PINV_RCOND,  # unused here; kept so that opsis.sampling.PINV_RCOND resolves
     GeneratorSystem,
     RieszReport,
     coefficient_array,
@@ -104,9 +104,6 @@ from .si_space import (
     fiber_singular_values,
     riesz_check,
 )
-
-
-PINV_RCOND = 1e-10
 
 
 class NotAFrameError(RuntimeError):
@@ -154,13 +151,18 @@ class TransferMatrix(Immutable):
 
     fibers[k] is the M x N matrix [symp_fourier(a[m, n])(xi_k)] at the k-th
     dual-transversal point, constant on annihilator cosets, read-only and a
-    copy of a caller's; the lattice is not kept.  Immutable; equal only to itself.
+    copy of a caller's; the lattice is not kept.  Fibers of any shape but
+    (K, M, N), every size at least 1, raise ValueError.  Immutable; equal
+    only to itself.
     """
 
     fibers: np.ndarray  # (K, M, N)
 
     def __init__(self, fibers):
-        self.__dict__.update(fibers=read_only(np.array(fibers, dtype=complex)))
+        fibers = np.array(fibers, dtype=complex)
+        if fibers.ndim != 3 or not fibers.size:
+            raise ValueError(f"transfer fibers must have shape (K, M, N), each at least 1, got {fibers.shape}")
+        self.__dict__.update(fibers=read_only(fibers))
 
     @property
     def num_channels(self) -> int:
@@ -231,19 +233,16 @@ def frame_bounds(tm: TransferMatrix) -> FrameBounds:
 
 def dual_left_inverse(tm: TransferMatrix, C=None, tol: float | None = None,
                       return_residual: bool = False):
-    """Fiberwise left inverses Bhat[k] with Bhat[k] @ Ahat[k] = I_N.
+    """Fiberwise left inverses Bhat[k] with Bhat[k] @ Ahat[k] = I_N, behind the frame and residual gates.
 
-    Default is the Moore-Penrose pseudoinverse (singular values below
-    PINV_RCOND = 1e-10 times the largest are treated as zero).  When
-    N <= min(M, 2) and the cached singular values show
-    s_min > PINV_RCOND * s_max on every fiber, the cutoff removes nothing
-    and it is taken in closed form
-    (:func:`~opsis.si_space.fiber_left_inverse`); otherwise from
-    np.linalg.pinv.  An optional C of shape (K, N, M) selects the family
-    member Ahat+ + C (I_M - Ahat Ahat+).  Raises NotAFrameError when the
-    lower frame bound does not exceed tol (default 1e-10 times the upper
-    bound), or when the result misses I_N by more than 1e-10 in some entry.
-    With return_residual, returns (Bhat, that largest miss).
+    Default is the Moore-Penrose pseudoinverse with pinv's cutoff
+    PINV_RCOND, by :func:`~opsis.si_space.fiber_left_inverse` on the cached
+    singular values, which owns the route: closed form or np.linalg.pinv.
+    An optional C of shape (K, N, M) selects the family member
+    Ahat+ + C (I_M - Ahat Ahat+).  Raises NotAFrameError when the lower
+    frame bound does not exceed tol (default 1e-10 times the upper bound),
+    or when the result misses I_N by more than 1e-10 in some entry.  With
+    return_residual, returns (Bhat, that largest miss).
     """
     fb = tm.bounds
     if tol is None:
@@ -251,20 +250,21 @@ def dual_left_inverse(tm: TransferMatrix, C=None, tol: float | None = None,
     if not fb.alpha > tol:
         raise NotAFrameError(fb.diagnostic or f"alpha_A = {fb.alpha:.3e}")
     K, M, N = tm.fibers.shape
-    sv = tm.singular_values
-    if N <= min(M, 2) and (sv[:, -1] > PINV_RCOND * sv[:, 0]).all():
-        B = fiber_left_inverse(tm.fibers)
-    else:
-        B = np.linalg.pinv(tm.fibers, rcond=PINV_RCOND)
+    B = fiber_left_inverse(tm.fibers, tm.singular_values)
     if C is not None:
-        C = np.asarray(C, dtype=complex)
-        if C.shape != (K, N, M):
-            raise ValueError(f"C must have shape {(K, N, M)}, got {C.shape}")
-        B = B + C @ (np.eye(M) - tm.fibers @ B)
+        B = B + _selector(C, (K, N, M)) @ (np.eye(M) - tm.fibers @ B)
     worst = float(np.abs((B[..., None] * tm.fibers[:, None]).sum(2) - np.eye(N)).max())
     if not worst <= 1e-10:
         raise NotAFrameError(f"left-inverse residual {worst:.3e} exceeds 1e-10")
     return (B, worst) if return_residual else B
+
+
+def _selector(C, shape) -> np.ndarray:
+    """C as a complex array of shape (K, N, M), the selector of a left inverse; ValueError otherwise."""
+    C = np.asarray(C, dtype=complex)
+    if C.shape != shape:
+        raise ValueError(f"C must have shape {shape}, got {C.shape}")
+    return C
 
 
 class ReconstructionKit(Immutable):
@@ -293,7 +293,8 @@ class ReconstructionKit(Immutable):
         L = system.lattice.modulus
         if scheme.spreading.shape[1:] != (L, L):
             raise ValueError(f"averager shape {scheme.spreading.shape[1:]} does not match L={L}")
-        C = None if C is None else read_only(np.array(C, dtype=complex))
+        if C is not None:
+            C = read_only(_selector(C, (system.lattice.size, system.num_generators, len(scheme))).copy())
         self.__dict__.update(system=system, scheme=scheme, C=C, tol=tol, riesz_tol=riesz_tol)
 
     @stage

@@ -46,8 +46,9 @@ transfer fibers.  Both spectra, and the dual fibers of
 closed form whenever the small dimension is at most 2
 (:func:`hermitian_spectrum`, :func:`fiber_singular_values`,
 :func:`fiber_left_inverse`) with LAPACK's absolute error bound, and by
-LAPACK above that.  riesz_check's route="gw" stays on np.linalg.eigvalsh,
-as an independent check.
+LAPACK above that; the left inverse's route and pinv's cutoff PINV_RCOND
+are here, and :func:`~opsis.sampling.dual_left_inverse` holds its gates.
+riesz_check's route="gw" stays on np.linalg.eigvalsh, an independent check.
 
 Apart from riesz_check's gw cross-check, every job has one route here.
 The dense Gram matrix of all translates, the periodized outer products
@@ -175,24 +176,27 @@ def fiber_singular_values(A) -> np.ndarray:
     return np.stack(s if e is None else [np.ldexp(v, e) for v in s], axis=-1)
 
 
-def fiber_left_inverse(A) -> np.ndarray:
-    """Moore-Penrose pseudoinverses of full-column-rank A[..., M, N], N <= min(M, 2), shape (..., N, M).
+PINV_RCOND = 1e-10
 
-    In closed form, vectorised over the leading axes.  Row n of the
-    pseudoinverse is p_n^* / ||p_n||^2, where p_n is column n with the other
-    column projected out: classical Gram-Schmidt plus one
-    reorthogonalisation, so p_n is orthogonal to it to rounding ("twice is
-    enough").  For N = 1, p_0 is the column itself.  The residual
-    B A - I_N is then a small multiple of eps times the condition number,
-    as for np.linalg.pinv; (A^* A)^{-1} A^* would give eps times its
-    square.  So that the squared norms neither overflow nor underflow, the
-    fibers are rescaled as by :func:`fiber_singular_values`.  The caller
-    decides the rank: a fiber with dependent columns gives non-finite rows.
+
+def fiber_left_inverse(A, s) -> np.ndarray:
+    """Moore-Penrose pseudoinverses of A[..., M, N] with pinv's cutoff PINV_RCOND, shape (..., N, M).
+
+    s holds A's descending singular values, as :func:`fiber_singular_values`
+    gives them.  When N <= min(M, 2) and s_min > PINV_RCOND * s_max on every
+    fiber, the cutoff removes nothing and the closed form serves, vectorised
+    over the leading axes: row n is p_n^* / ||p_n||^2, p_n column n with the
+    other column, if any, projected out by classical Gram-Schmidt plus one
+    reorthogonalisation ("twice is enough").  So B A - I_N is a small
+    multiple of eps times the condition number, as for np.linalg.pinv;
+    (A^* A)^{-1} A^* would give eps times its square.  The fibers are
+    rescaled as by :func:`fiber_singular_values`.  Every other shape and
+    batch takes np.linalg.pinv(A, rcond=PINV_RCOND).
     """
     A = np.asarray(A)
     M, N = A.shape[-2:]
-    if not 1 <= N <= min(M, 2):
-        raise ValueError(f"closed-form left inverse needs 1 <= N <= min(M, 2), got M={M}, N={N}")
+    if not (0 < N <= min(M, 2) and (s[..., -1] > PINV_RCOND * s[..., 0]).all()):
+        return np.linalg.pinv(A, rcond=PINV_RCOND)
     X, norms2, e = _fiber_columns(A)
     P = X
     if N == 2:

@@ -296,10 +296,15 @@ def channel_matrix(H, g, gt, lattice: Lattice) -> np.ndarray:
     A[i, j] = <H shift(mu_j) g, shift(lam_i) gt> with rows lam_i and columns
     mu_j in the canonical lattice ordering: the received data is A @ c for
     transmitted coefficients c, and the diagonal equals the channel's
-    diagonal samples for the pair (g, gt).
+    diagonal samples for the pair (g, gt).  Windows of unequal length, or
+    an H that is not L x L for their length L and the lattice's modulus,
+    raise ValueError naming the sizes.
     """
     g, gt = _as_signals(g, gt)
     H = np.asarray(H, dtype=complex)
+    L = len(g)
+    if H.shape != (L, L) or lattice.modulus != L:
+        raise ValueError(f"channel shape {H.shape}, window length {L} and modulus L={lattice.modulus} do not agree")
     U = np.stack([tf_shift(p, g) for p in lattice.points], axis=1)
     V = np.stack([tf_shift(p, gt) for p in lattice.points], axis=1)
     return V.conj().T @ (H @ U)

@@ -4,7 +4,9 @@ random batches of 1 x 1 to 3 x 3 fibers, ill-conditioned, rank-deficient
 and zero ones included; non-finite fibers in riesz_check and frame_bounds;
 the size rule that keeps the Riesz and frame checks off LAPACK when the
 small dimension is at most 2; and fiber_left_inverse against np.linalg.pinv,
-with the rule that keeps the dual fibers off LAPACK for N <= 2."""
+with its route: the closed form, bit for bit, on N <= 2 batches that pinv's
+cutoff leaves whole, and np.linalg.pinv(rcond=1e-10), bit for bit, on every
+other batch, which keeps the dual fibers off LAPACK for N <= 2."""
 
 import math
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opsis import sampling, si_space
 from opsis.phase_space import build_lattice
 from opsis.sampling import (
     NotAFrameError,
@@ -28,6 +31,8 @@ from opsis.sampling import (
 )
 from opsis.si_space import (
     GeneratorSystem,
+    _abs2,
+    _fiber_columns,
     fiber_left_inverse,
     fiber_singular_values,
     hermitian_spectrum,
@@ -307,7 +312,7 @@ def residual(B, A):
 def test_fiber_left_inverse_matches_pinv(batch):
     A, cond = batch
     with np.errstate(all="raise", under="ignore"):
-        B = fiber_left_inverse(A)
+        B = fiber_left_inverse(A, fiber_singular_values(A))
     P = np.linalg.pinv(A)
     assert B.shape == P.shape
     assert float(np.abs(B - P).max()) <= 16 * EPS * cond * float(np.abs(P).max())
@@ -323,7 +328,7 @@ def test_left_inverse_of_tiny_and_huge_fibers(scales, M, N):
     rng = np.random.default_rng(13)
     A = np.array([fiber(rng, M, N, 1e-3) * s for s in scales for _ in range(3)])
     with np.errstate(all="raise", under="ignore"):
-        B = fiber_left_inverse(A)
+        B = fiber_left_inverse(A, fiber_singular_values(A))
     for B_k, A_k in zip(B, A):
         P_k = np.linalg.pinv(A_k)
         assert float(np.abs(B_k - P_k).max()) <= 1e-12 * float(np.abs(P_k).max())
@@ -331,9 +336,66 @@ def test_left_inverse_of_tiny_and_huge_fibers(scales, M, N):
 
 def test_fiber_left_inverse_accepts_a_single_matrix():
     A = np.array([[2.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
-    assert np.array_equal(fiber_left_inverse(A), [[0.5, 0.0, 0.0], [0.0, 0.25, 0.0]])
-    with pytest.raises(ValueError, match="N <= min"):
-        fiber_left_inverse(A.T)
+    assert np.array_equal(fiber_left_inverse(A, fiber_singular_values(A)), [[0.5, 0.0, 0.0], [0.0, 0.25, 0.0]])
+    # the transpose has more columns than rows, so pinv serves it
+    B = fiber_left_inverse(A.T, fiber_singular_values(A.T))
+    assert B.tobytes() == np.linalg.pinv(A.T, rcond=1e-10).tobytes()
+    assert np.array_equal(B, [[0.5, 0.0], [0.0, 0.25], [0.0, 0.0]])
+
+
+def closed_form_left_inverse(A):
+    """The closed-form route of fiber_left_inverse written out alone, for N <= min(M, 2).
+
+    The same operations in the same order, so the route must match it bit
+    for bit: Gram-Schmidt twice against the other column, on the layout and
+    rescale of _fiber_columns.
+    """
+    X, norms2, e = _fiber_columns(A)
+    P = X
+    if A.shape[-1] == 2:
+        Q = X[:, ::-1]
+        for _ in range(2):
+            P = P - Q * ((Q.conj() * P).sum(axis=0) / norms2[::-1])
+        norms2 = _abs2(P).sum(axis=0)
+    B = P.conj() / (norms2 if e is None else np.ldexp(norms2, e))
+    return B.transpose(*range(2, B.ndim), 1, 0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+@pytest.mark.parametrize("M, N", [(1, 1), (3, 1), (2, 2), (3, 2), (4, 2)])
+def test_fiber_left_inverse_is_the_closed_form_on_well_conditioned_fibers(monkeypatch, M, N, scale):
+    rng = np.random.default_rng(16)
+    A = np.array([fiber(rng, M, N, 1e-6) for _ in range(7)]) * scale
+    s = fiber_singular_values(A)
+    calls = counting_pinv(monkeypatch)
+    B = fiber_left_inverse(A, s)
+    assert calls == []
+    assert B.shape == (7, N, M) and B.tobytes() == closed_form_left_inverse(A).tobytes()
+
+
+def pinv_batches():
+    rng = np.random.default_rng(17)
+    below = np.array([fiber(rng, 3, 2, 1e-2) for _ in range(5)])
+    below[2] = fiber(rng, 3, 2, 1e-12)
+    return {"N = 3": np.array([fiber(rng, 4, 3, 1e-2) for _ in range(5)]),
+            "M < N": np.array([fiber(rng, 1, 2, "gaussian") for _ in range(5)]),
+            "M < N, N = 3": np.array([fiber(rng, 2, 3, "gaussian") for _ in range(5)]),
+            "one fiber at 1e-12": below,
+            "rank deficient": np.array([fiber(rng, 3, 2, "rank_deficient") for _ in range(5)])}
+
+
+@pytest.mark.parametrize("name", list(pinv_batches()))
+def test_fiber_left_inverse_takes_pinv_outside_the_closed_form(monkeypatch, name):
+    A = pinv_batches()[name]
+    s = fiber_singular_values(A)
+    calls = counting_pinv(monkeypatch)
+    B = fiber_left_inverse(A, s)
+    assert calls == ["pinv"]
+    monkeypatch.undo()
+    assert B.tobytes() == np.linalg.pinv(A, rcond=1e-10).tobytes()
+    assert B.shape == A.shape[:-2] + A.shape[:-3:-1]
+    # one cutoff, which sampling imports
+    assert sampling.PINV_RCOND is si_space.PINV_RCOND == 1e-10
 
 
 def counting_pinv(monkeypatch):

@@ -168,6 +168,19 @@ def test_a_kit_refuses_a_scheme_of_another_modulus(build):
         build(system, scheme)
 
 
+@pytest.mark.parametrize("build", [ReconstructionKit, reconstruction_kit])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (16, 3, 2), (2, 3), (16, 2, 3, 1)])
+def test_a_kit_refuses_a_c_of_another_shape(build, shape):
+    # checked where the kit is built, with the message of dual_left_inverse's
+    # check, not on the first read of the dual fibers
+    system, scheme = setup()
+    message = f"C must have shape {(16, 2, 3)}, got {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(system, scheme, C=np.zeros(shape))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sampling.dual_left_inverse(ReconstructionKit(system, scheme).transfer, C=np.zeros(shape))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: average_scheme([]), "at least one averager is required"),
     (lambda: average_scheme([np.ones((4, 3))]), "averager shape (4, 3) does not match L=4"),
@@ -186,12 +199,26 @@ def test_a_kit_refuses_a_scheme_of_another_modulus(build):
      "give the operators as kernels or as window pairs, not both or neither"),
     (lambda: OperatorStack(what="averager"),
      "give the averagers as kernels or as window pairs, not both or neither"),
+    (lambda: window_scheme([(np.ones(4), np.ones(4), np.ones(4))]),
+     "averager window item of length 3 is not a pair (g, gt)"),
+    (lambda: window_scheme([(np.ones(4), np.ones(4)), (np.ones(4),)]),
+     "averager window item of length 1 is not a pair (g, gt)"),
+    (lambda: OperatorStack(windows=[(np.ones(4), np.ones(5), np.ones(6))]),
+     "operator window item of length 3 is not a pair (g, gt)"),
+    (lambda: TransferMatrix(np.ones((3, 2))), "transfer fibers must have shape (K, M, N), each at least 1, got (3, 2)"),
+    (lambda: TransferMatrix(np.ones((2, 3, 2, 1))),
+     "transfer fibers must have shape (K, M, N), each at least 1, got (2, 3, 2, 1)"),
+    (lambda: TransferMatrix(np.ones((4, 0, 2))),
+     "transfer fibers must have shape (K, M, N), each at least 1, got (4, 0, 2)"),
+    (lambda: TransferMatrix(np.ones((0, 3, 2))),
+     "transfer fibers must have shape (K, M, N), each at least 1, got (0, 3, 2)"),
 ], ids=["empty", "non-square", "mixed-sizes", "not-a-matrix", "unequal-pair", "mixed-pairs",
         "unequal-second-pair", "no-pairs", "windows-of-another-size", "more-windows-than-averagers", "not-pairs",
-        "neither"])
+        "neither", "a-triple", "a-single", "a-ragged-triple", "transfer-fibers-2d", "transfer-fibers-4d",
+        "transfer-fibers-no-channel", "transfer-fibers-no-fiber"])
 def test_sampling_scheme_validates_its_averagers_when_built(build, message):
-    # the kernels are checked at construction, as a GeneratorSystem's are,
-    # not on the first read of a cached stage
+    # the kernels, window pairs and transfer fibers are checked at construction,
+    # as a GeneratorSystem's generators are, not on the first read of a cached stage
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
@@ -391,7 +418,8 @@ def test_cached_stages_are_computed_once(monkeypatch):
     for module, name in ((hs_ops, "fourier_wigner"), (si_space, "cosets"),
                          (si_space, "gram_fibers"), (si_space, "hermitian_spectrum"),
                          (sampling, "transfer_fibers"), (sampling, "riesz_check"),
-                         (sampling, "fiber_singular_values"), (sampling, "frame_bounds"),
+                         (sampling, "fiber_singular_values"), (si_space, "fiber_singular_values"),
+                         (sampling, "frame_bounds"),
                          (sampling, "dual_left_inverse"), (sampling, "tile_product"),
                          (sampling, "inverse_fourier_wigner")):
         counting(module, name)
@@ -408,8 +436,11 @@ def test_cached_stages_are_computed_once(monkeypatch):
         assert (kit.alpha, kit.beta) == kit.transfer.bounds[:2]
     assert_read_only((system.spreading_cosets,))
     # one spreading transform of the generators (the window scheme transformed
-    # its pairs when built), one coset layout of them, and one of every stage
+    # its pairs when built), one coset layout of them, and one of every stage;
+    # the left inverse reads the transfer matrix's cached singular values and
+    # takes no second pass of its own
     assert calls == {name: 1 for name in calls} and len(calls) == 11
+    assert "opsis.si_space.fiber_singular_values" not in calls
 
 
 def test_one_spreading_transform_per_record(monkeypatch, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,15 @@ def test_two_signal_routines_refuse_signals_of_two_lengths(name, lengths):
            "channel_matrix": lambda f, g: channel_matrix(np.eye(L), f, g, build_lattice((1, 1), L))}[name]
     with pytest.raises(ValueError, match=f"^signal lengths {lengths[0]} and {lengths[1]} differ$"):
         run(f, g)
+
+
+@pytest.mark.parametrize("H_shape, modulus", [((5, 5), 7), ((7, 5), 7), ((7, 7), 5), ((1, 7, 7), 7)])
+def test_channel_matrix_names_the_sizes_it_needs(H_shape, modulus):
+    # checked before any product, so that the error names all three sizes
+    g = np.ones(7, dtype=complex)
+    message = f"channel shape {H_shape}, window length 7 and modulus L={modulus} do not agree"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        channel_matrix(np.ones(H_shape), g, g, build_lattice((1, 1), modulus))
 
 
 # ---------------------------------------------------------------- rihaczek

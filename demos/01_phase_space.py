@@ -48,6 +48,6 @@ print("Parseval  sum|F|^2 - |lat| sum|c|^2 =",
 # value against the group convolution sum_mu c(mu) d(lam - mu)
 conv = lattice_convolve(c, d, lat)
 lam = lat.points[5]
-direct = sum(c[j] * d[lat.index[((lam[0] - mu[0]) % L, (lam[1] - mu[1]) % L)]]
+direct = sum(c[j] * d[lat.locate((lam[0] - mu[0]) % L, (lam[1] - mu[1]) % L)[0]]
              for j, mu in enumerate(lat.points))
 print(f"convolution at {lam}: via F {conv[5]:.6f}, direct sum {direct:.6f}")

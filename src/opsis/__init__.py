@@ -6,10 +6,8 @@ operator subspaces, and sampling / perfect reconstruction kits.
 The time-frequency toolbox :mod:`opsis.timefreq` (signals, point
 arithmetic, symbols, Gabor multipliers, Berezin symbols, channel matrices)
 is on no import path of the sampling pipeline and loads on first use:
-``opsis.kn_symbol`` and ``from opsis import kn_symbol`` import it then.  A
-fresh ``import opsis`` compiles only the engine: its ``compile()`` took
-7.8 ms, against 8.6 ms while it held the operator toolbox too (CPython
-3.11.7, 2-core VM, median of 30).
+``opsis.kn_symbol`` and ``from opsis import kn_symbol`` import it then, so
+a fresh ``import opsis`` compiles only the engine.
 """
 
 from .phase_space import (

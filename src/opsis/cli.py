@@ -90,8 +90,8 @@ def _gate(kit: ReconstructionKit) -> dict | None:
     """The metrics error entry of the first gate the kit fails, or None."""
     try:
         kit.dual_fibers
-    except NotRieszError:
-        return {"kind": "not_riesz", "detail": kit.riesz.diagnostic or "zero lower bound"}
+    except NotRieszError as exc:
+        return {"kind": "not_riesz", "detail": str(exc)}
     except NotAFrameError as exc:
         return {"kind": "not_a_frame", "detail": str(exc)}
     return None

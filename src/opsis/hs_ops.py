@@ -59,8 +59,13 @@ class OperatorStack(Immutable):
             raise ValueError(f"give the {what}s as kernels or as window pairs, not both or neither")
         ops = tuple(kernels if windows is None else windows)
         for op in () if windows is None else ops:
-            if len(op) != 2:
-                raise ValueError(f"{what} window item of length {len(op)} is not a pair (g, gt)")
+            try:
+                length = len(op)
+            except TypeError:  # no length: 3, None, a 0-d array
+                length = None
+            if length != 2:
+                item = repr(op) if length is None else f"of length {length}"
+                raise ValueError(f"{what} window item {item} is not a pair (g, gt)")
         # a pair (g, gt) stands for the kernel gt (x) g, of shape gt.shape + g.shape
         shapes = [np.shape(op) if windows is None else np.shape(op[1]) + np.shape(op[0]) for op in ops]
         if not shapes:

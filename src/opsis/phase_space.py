@@ -173,10 +173,6 @@ class Lattice(Immutable):
         return tuple(zip(self.xs.tolist(), self.ws.tolist()))
 
     @stage
-    def index(self) -> dict[Point, int]:
-        return {p: i for i, p in enumerate(self.points)}
-
-    @stage
     def _xy(self) -> tuple[np.ndarray, np.ndarray]:
         return _hnf_points(self.modulus, *self._hnf)
 
@@ -238,10 +234,19 @@ class Lattice(Immutable):
             return False
 
 
-def _as_int(v) -> int:
+def _as_int(v, what: str = "a lattice descriptor entry") -> int:
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise LatticeError(f"lattice descriptor entries must be integers, got {v!r}")
+        raise LatticeError(f"{what} must be an integer, got {v!r}")
     return int(v)
+
+
+def _as_point(p, L: int) -> Point:
+    """A generator (x, w) of integers, reduced mod L; LatticeError naming p otherwise."""
+    try:
+        x, w = p
+    except (TypeError, ValueError):
+        raise LatticeError(f"lattice generator {p!r} is not an (x, w) pair of integers") from None
+    return _as_int(x) % L, _as_int(w) % L
 
 
 def _hnf_points(L: int, a: int, b: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +261,15 @@ def build_lattice(descriptor, L: int) -> Lattice:
     """Build a lattice from a separable pair (a, b) or from a generator list.
 
     The separable pair means the subgroup aZ_L x bZ_L, which requires a | L
-    and b | L; a generator list produces the subgroup it generates.
+    and b | L; a generator list produces the subgroup it generates, each
+    generator an (x, w) pair of integers.  L must be an integer, a numpy
+    one included.
     """
-    descriptor = tuple(descriptor)
+    try:
+        descriptor = tuple(descriptor)
+    except TypeError:
+        raise LatticeError(f"lattice descriptor {descriptor!r} is neither a pair (a, b) nor a generator list") from None
+    L = _as_int(L, "the modulus L")
     if L < 2:
         raise LatticeError(f"modulus must be >= 2, got {L}")
     if len(descriptor) == 2 and all(isinstance(d, numbers.Integral) for d in descriptor):
@@ -266,7 +277,7 @@ def build_lattice(descriptor, L: int) -> Lattice:
         if a < 1 or b < 1 or L % a or L % b:
             raise LatticeError(f"separable descriptor ({a}, {b}) needs a | L and b | L with L={L}")
         return Lattice._from_hnf(L, a, b, 0)
-    gens = [(_as_int(x) % L, _as_int(w) % L) for x, w in descriptor]
+    gens = [_as_point(p, L) for p in descriptor]
     # Row-reduce (L, 0), (0, L) and the generators over Z: Euclid on the x
     # coordinates keeps the row (a, c) and leaves (0, w), which joins (0, b).
     a, b, c = L, L, 0
@@ -345,12 +356,12 @@ def symp_character_matrix(lat: Lattice) -> np.ndarray:
     return read_only(np.exp(2j * np.pi * s / L))
 
 
-def _as_seqs(c, lat: Lattice, what: str) -> np.ndarray:
-    """c as a complex array whose last axis runs over |lat| points."""
-    c = np.asarray(c, dtype=complex)
-    if c.shape[-1:] != (lat.size,):
-        raise LatticeError(f"{what} shape {c.shape} does not match lattice of size {lat.size}")
-    return c
+def _batch(x, trailing: tuple[int, ...], what: str) -> np.ndarray:
+    """x as a complex array of shape (..., *trailing), the batch rule's one check; LatticeError otherwise."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-len(trailing):] != trailing:
+        raise LatticeError(f"{what} shape {x.shape}, expected (..., {', '.join(map(str, trailing))})")
+    return x
 
 
 def symp_fourier(c, lat: Lattice) -> np.ndarray:
@@ -362,7 +373,7 @@ def symp_fourier(c, lat: Lattice) -> np.ndarray:
     leading axes are kept.  An FFT over j, one pass to the C-ordered
     transpose [x, k] (times the twiddle unless c = 0), an FFT over k.
     """
-    c = _as_seqs(c, lat, "sequence")
+    c = _batch(c, (lat.size,), "sequence")
     L = lat.modulus
     a, b, shear = lat._hnf
     # D[x, k] = sum_j c[k, j] e^{2 pi i j x/Q}, then F[x, w] by a DFT over k
@@ -377,7 +388,7 @@ def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
     The last axis of F runs over the dual transversal; leading axes are kept.
     The steps of :func:`symp_fourier` run backwards, with the conjugate twiddle.
     """
-    F = _as_seqs(F, lat, "fiber data")
+    F = _batch(F, (lat.size,), "fiber data")
     L = lat.modulus
     a, b, shear = lat._hnf
     # E[k, x] = (1/P) sum_w F[x, w] e^{2 pi i k w/P}, then c[k, j] by a DFT over x
@@ -453,8 +464,8 @@ def tile_product(chat, F, lat: Lattice) -> np.ndarray:
     the (b, P) index (w0 - k' c') mod P.  The sum lands in grid order, and
     neither the tiles on the grid nor the N products are formed.
     """
-    chat = _as_seqs(chat, lat, "fiber data")
     G = _grid_view(F, lat)
+    chat = _batch(chat, (len(G), lat.size), "fiber data")
     b, Q, a, P = G.shape[-4:]
     c = lat._hnf[2]
     tiles = chat.reshape(chat.shape[:-1] + (1, Q, 1, P))

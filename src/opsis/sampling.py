@@ -24,7 +24,8 @@ One batch rule holds for every entry point here and in
 a sample array (..., M, |lattice|) and a coefficient array
 (..., N, |lattice|).  The leading axes are batch axes, kept by every
 output, and each operator of a batch gets the values it gets alone; a
-wrong trailing shape raises a ValueError naming both shapes.
+wrong trailing shape raises a ValueError naming both shapes, from the
+one check of :mod:`opsis.phase_space` that the lattice series share.
 
 The frame bounds are the extreme squared singular values over the
 transfer fibers Ahat(xi).  With at most 2 generators or 2 channels they
@@ -86,6 +87,7 @@ from .hs_ops import (
 from .phase_space import (
     Immutable,
     Lattice,
+    _batch,
     coset_transversal,
     cosets,
     fold_cosets,
@@ -99,6 +101,7 @@ from .si_space import (
     PINV_RCOND,  # unused here; kept so that opsis.sampling.PINV_RCOND resolves
     GeneratorSystem,
     RieszReport,
+    _clears_gate,
     coefficient_array,
     fiber_left_inverse,
     fiber_singular_values,
@@ -231,32 +234,33 @@ def frame_bounds(tm: TransferMatrix) -> FrameBounds:
     return FrameBounds(alpha, beta)
 
 
-def dual_left_inverse(tm: TransferMatrix, C=None, tol: float | None = None,
-                      return_residual: bool = False):
+def dual_left_inverse(tm: TransferMatrix, C=None, tol: float | None = None) -> np.ndarray:
     """Fiberwise left inverses Bhat[k] with Bhat[k] @ Ahat[k] = I_N, behind the frame and residual gates.
 
     Default is the Moore-Penrose pseudoinverse with pinv's cutoff
     PINV_RCOND, by :func:`~opsis.si_space.fiber_left_inverse` on the cached
     singular values, which owns the route: closed form or np.linalg.pinv.
     An optional C of shape (K, N, M) selects the family member
-    Ahat+ + C (I_M - Ahat Ahat+).  Raises NotAFrameError when the lower
-    frame bound does not exceed tol (default 1e-10 times the upper bound),
-    or when the result misses I_N by more than 1e-10 in some entry.  With
-    return_residual, returns (Bhat, that largest miss).
+    Ahat+ + C (I_M - Ahat Ahat+).  Raises NotAFrameError when the frame
+    bounds fail riesz_check's gate (alpha > tol, default 1e-10 beta, and a
+    finite beta), or when the result misses I_N by more than 1e-10 in some entry.
     """
     fb = tm.bounds
-    if tol is None:
-        tol = 1e-10 * fb.beta
-    if not fb.alpha > tol:
+    if not _clears_gate(fb.alpha, fb.beta, tol):
         raise NotAFrameError(fb.diagnostic or f"alpha_A = {fb.alpha:.3e}")
     K, M, N = tm.fibers.shape
     B = fiber_left_inverse(tm.fibers, tm.singular_values)
     if C is not None:
         B = B + _selector(C, (K, N, M)) @ (np.eye(M) - tm.fibers @ B)
-    worst = float(np.abs((B[..., None] * tm.fibers[:, None]).sum(2) - np.eye(N)).max())
+    worst = _residual(B, tm.fibers)
     if not worst <= 1e-10:
         raise NotAFrameError(f"left-inverse residual {worst:.3e} exceeds 1e-10")
-    return (B, worst) if return_residual else B
+    return B
+
+
+def _residual(B, A) -> float:
+    """max |B(xi) A(xi) - I_N| over all fibers and entries, the sum over m of a broadcast product."""
+    return float(np.abs((B[..., None] * A[:, None]).sum(2) - np.eye(A.shape[-1])).max())
 
 
 def _selector(C, shape) -> np.ndarray:
@@ -314,19 +318,15 @@ class ReconstructionKit(Immutable):
         return self.transfer.bounds.beta
 
     @stage
-    def _dual(self) -> tuple[np.ndarray, float]:
-        self.riesz.require()
-        return dual_left_inverse(self.transfer, C=self.C, tol=self.tol, return_residual=True)
-
-    @property
     def dual_fibers(self) -> np.ndarray:
         """Left inverses Bhat of the transfer fibers, shape (K, N, M)."""
-        return self._dual[0]
+        self.riesz.require()
+        return dual_left_inverse(self.transfer, C=self.C, tol=self.tol)
 
     @property
     def left_inverse_residual(self) -> float:
-        """max |Bhat(xi) Ahat(xi) - I_N| over all fibers and entries, as gated at 1e-10."""
-        return self._dual[1]
+        """max |Bhat(xi) Ahat(xi) - I_N| over all fibers and entries: the residual gated at 1e-10, bit for bit."""
+        return _residual(self.dual_fibers, self.transfer.fibers)
 
     @stage
     def b(self) -> np.ndarray:
@@ -365,11 +365,8 @@ def _dual_apply(shat, kit: ReconstructionKit) -> np.ndarray:
 
 def _sample_fibers(samples, kit: ReconstructionKit) -> np.ndarray:
     """:func:`_dual_apply` of the series of samples checked to be (..., M, |lattice|)."""
-    samples = np.asarray(samples, dtype=complex)
-    lat, M = kit.system.lattice, len(kit.scheme)
-    if samples.shape[-2:] != (M, lat.size):
-        raise ValueError(f"sample array shape {samples.shape}, expected (..., {M}, {lat.size})")
-    return _dual_apply(symp_fourier(samples, lat), kit)
+    lat = kit.system.lattice
+    return _dual_apply(symp_fourier(_batch(samples, (len(kit.scheme), lat.size), "sample array"), lat), kit)
 
 
 def reconstruct(samples, kit: ReconstructionKit) -> np.ndarray:

@@ -48,6 +48,9 @@ closed form whenever the small dimension is at most 2
 :func:`fiber_left_inverse`) with LAPACK's absolute error bound, and by
 LAPACK above that; the left inverse's route and pinv's cutoff PINV_RCOND
 are here, and :func:`~opsis.sampling.dual_left_inverse` holds its gates.
+Both stability gates, the Riesz bound of :func:`riesz_check` and that
+frame bound, pass one check here: lower > tol, tol 1e-10 upper by
+default, and a finite upper.
 riesz_check's route="gw" stays on np.linalg.eigvalsh, an independent check.
 
 Apart from riesz_check's gw cross-check, every job has one route here.
@@ -73,6 +76,7 @@ from .hs_ops import OperatorStack, fourier_wigner, inverse_fourier_wigner
 from .phase_space import (
     Immutable,
     Lattice,
+    _batch,
     annihilator,
     cosets,
     fold_cosets,
@@ -177,6 +181,11 @@ def fiber_singular_values(A) -> np.ndarray:
 
 
 PINV_RCOND = 1e-10
+
+
+def _clears_gate(lower: float, upper: float, tol: float | None = None) -> bool:
+    """The one stability gate of both checks: lower > tol (default 1e-10 upper) and a finite upper."""
+    return bool(lower > (1e-10 * upper if tol is None else tol) and math.isfinite(upper))
 
 
 def fiber_left_inverse(A, s) -> np.ndarray:
@@ -301,11 +310,7 @@ class RieszReport(Immutable):
 
 def coefficient_array(system: GeneratorSystem, coefs) -> np.ndarray:
     """coefs as a complex array, checked to have shape (..., N, |lattice|); ValueError otherwise."""
-    coefs = np.asarray(coefs, dtype=complex)
-    N, K = system.num_generators, system.lattice.size
-    if coefs.shape[-2:] != (N, K):
-        raise ValueError(f"coefficient array shape {coefs.shape}, expected (..., {N}, {K})")
-    return coefs
+    return _batch(coefs, (system.num_generators, system.lattice.size), "coefficient array")
 
 
 def synthesize(system: GeneratorSystem, coefs) -> np.ndarray:
@@ -367,12 +372,10 @@ def riesz_check(system: GeneratorSystem, tol: float | None = None, route: str = 
     # non-finite bound from a NaN or inf fiber stays non-finite
     if math.isfinite(lower):
         lower = max(lower, 0.0)
-    if tol is None:
-        tol = 1e-10 * upper
     if N * K > L * L:
         return RieszReport(False, 0.0, upper, route,
                            f"dimension count: N*|lattice| = {N * K} exceeds L^2 = {L * L}")
-    return RieszReport(bool(lower > tol and math.isfinite(upper)), lower, upper, route)
+    return RieszReport(_clears_gate(lower, upper, tol), lower, upper, route)
 
 
 def coefficients(system: GeneratorSystem, T, tol: float | None = None) -> np.ndarray:

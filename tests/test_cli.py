@@ -245,6 +245,21 @@ def test_reconstruct_respects_frame_tolerance_override(tmp_path):
     assert read_metrics(out)["error"]["kind"] == "not_a_frame"
 
 
+def test_a_failed_riesz_gate_reports_the_librarys_message(tmp_path):
+    strict = dict(RECON_OK, tolerances={"riesz": 1e6})
+    cfg = write_config(tmp_path / "c.json", strict)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+    metrics = read_metrics(out)
+    # the same system at the same tolerance in the library: its message names the positive bound
+    parsed = parse_config(strict)
+    kit = ReconstructionKit(GeneratorSystem(parsed.lattice, parsed.generator_kernels), parsed.scheme, riesz_tol=1e6)
+    with pytest.raises(si_space.NotRieszError) as failure:
+        kit.riesz.require()
+    assert metrics["error"] == {"kind": "not_riesz", "detail": str(failure.value)}
+    assert 0 < metrics["riesz"]["m"] < 1e6 and f"lower fiber bound {metrics['riesz']['m']:.3e}" in str(failure.value)
+
+
 def spreading_kernel(L, point, value):
     """explicit_kernel spec of an operator whose spreading transform is 1 except at `point`."""
     F = np.ones((L, L), dtype=complex)

@@ -854,7 +854,7 @@ def test_membership_index_and_transversal_match_the_point_sets(pair):
     grid = list(zip(x.tolist(), w.tolist()))
     assert inside.tolist() == [p in points for p in grid]
     # the grid runs lexicographically, so the members come in index order
-    assert index[inside].tolist() == [lat.index[p] for p in lat.points] == list(range(lat.size))
+    assert index[inside].tolist() == [lat.locate(*p)[0] for p in lat.points] == list(range(lat.size))
     assert [p in lat for p in grid[::7]] == [p in points for p in grid[::7]]
     assert not any((x + L, w) in lat or (x, w - L) in lat for x, w in lat.points)
     contained = set(sub.points) <= points
@@ -876,7 +876,7 @@ def test_origin_is_the_first_point(case):
     lat = build_lattice(gens, L)
     assert lat.points[0] == (0, 0)
     assert list(lat.points) == sorted(lat.points)
-    assert lat.index[(0, 0)] == 0
+    assert lat.locate(0, 0)[0] == 0
 
 
 def test_lattices_enumerate_the_normal_form_once_on_first_read(monkeypatch):

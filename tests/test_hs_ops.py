@@ -268,11 +268,11 @@ def test_gabor_multiplier_delta_masks(rng):
     lat = build_lattice((2, 2), L)
     phi, psi = rand_signal(rng, L), rand_signal(rng, L)
     mask = np.zeros(lat.size)
-    mask[lat.index[(0, 0)]] = 1.0
+    mask[lat.locate(0, 0)[0]] = 1.0
     assert np.abs(gabor_multiplier(mask, lat, psi, phi) - rank_one(phi, psi)).max() < 1e-14
     lam = (4, 6)
     mask = np.zeros(lat.size)
-    mask[lat.index[lam]] = 1.0
+    mask[lat.locate(*lam)[0]] = 1.0
     expected = op_translate(lam, rank_one(phi, psi))
     assert np.abs(gabor_multiplier(mask, lat, psi, phi) - expected).max() < 1e-13
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from opsis.phase_space import (
     lattice_convolve,
     symp_character_matrix,
     symp_fourier,
+    tile_product,
 )
 from opsis.timefreq import symplectic_form
 
@@ -85,12 +87,29 @@ def test_descriptor_accepts_numpy_integers():
     assert lat == build_lattice((4, 4), 16)
     assert all(type(v) is int for p in lat.points for v in p)
     assert build_lattice([(np.int32(2), np.int64(6))], 16) == build_lattice([(2, 6)], 16)
+    assert build_lattice((2, 2), np.int64(8)) == build_lattice((2, 2), 8)
 
 
 @pytest.mark.parametrize("desc", [(True, 2), (2, False), [(1, True)], [(1.0, 2)]])
 def test_descriptor_rejects_booleans_and_floats(desc):
     with pytest.raises(LatticeError):
         build_lattice(desc, 4)
+
+
+@pytest.mark.parametrize("desc, L, message", [
+    ((2, 2), 8.0, "the modulus L must be an integer, got 8.0"),
+    ((2, 2), True, "the modulus L must be an integer, got True"),
+    ((2,), 8, "lattice generator 2 is not an (x, w) pair of integers"),
+    ((2, 2.0), 8, "lattice generator 2 is not an (x, w) pair of integers"),
+    ([(1, 2, 3)], 8, "lattice generator (1, 2, 3) is not an (x, w) pair of integers"),
+    ([(2, 0), None], 8, "lattice generator None is not an (x, w) pair of integers"),
+    ([(2, 0.5)], 8, "a lattice descriptor entry must be an integer, got 0.5"),
+    (5, 8, "lattice descriptor 5 is neither a pair (a, b) nor a generator list"),
+], ids=["float-modulus", "bool-modulus", "a-single", "a-float-entry", "a-triple", "none", "a-float-in-a-pair",
+        "not-iterable"])
+def test_build_lattice_names_what_it_cannot_build(desc, L, message):
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        build_lattice(desc, L)
 
 
 def test_direct_construction_rejects_non_subgroup():
@@ -216,10 +235,25 @@ def test_symp_character_matrix_is_read_only():
         phi[0, 0] = 0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda lat: symp_fourier(np.ones((2, 5)), lat), "sequence shape (2, 5), expected (..., 16)"),
+    (lambda lat: symp_fourier(1.0, lat), "sequence shape (), expected (..., 16)"),
+    (lambda lat: inv_symp_fourier(np.ones((3, 17)), lat), "fiber data shape (3, 17), expected (..., 16)"),
+    (lambda lat: tile_product(np.ones((2, 3, 16)), np.ones((2, 8, 8)), lat),
+     "fiber data shape (2, 3, 16), expected (..., 2, 16)"),
+    (lambda lat: tile_product(np.ones((2, 15)), np.ones((2, 8, 8)), lat),
+     "fiber data shape (2, 15), expected (..., 2, 16)"),
+], ids=["symp_fourier", "symp_fourier-scalar", "inv_symp_fourier", "tile_product-rows", "tile_product-size"])
+def test_lattice_series_and_tile_name_both_shapes(call, message):
+    # the batch rule's one check: a LatticeError, a ValueError, in the form of every entry point
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        call(build_lattice((2, 2), 8))
+
+
 def test_symp_fourier_delta_at_origin():
     lat = build_lattice((2, 2), 4)
     c = np.zeros(lat.size)
-    c[lat.index[(0, 0)]] = 1.0
+    c[lat.locate(0, 0)[0]] = 1.0
     assert np.abs(symp_fourier(c, lat) - 1.0).max() < 1e-14
 
 
@@ -234,7 +268,7 @@ def test_symp_fourier_constant_sequence():
 def test_symp_fourier_shifted_delta():
     lat = build_lattice((2, 2), 4)
     c = np.zeros(lat.size)
-    c[lat.index[(2, 0)]] = 1.0
+    c[lat.locate(2, 0)[0]] = 1.0
     F = symp_fourier(c, lat)
     expected = np.array([np.exp(-1j * np.pi * xi[1]) for xi in dual_transversal(lat)])
     assert np.abs(F - expected).max() < 1e-12
@@ -261,7 +295,7 @@ def test_inv_symp_fourier_constant_gives_delta():
     lat = build_lattice((2, 2), 4)
     c = inv_symp_fourier(np.ones(lat.size), lat)
     expected = np.zeros(lat.size, complex)
-    expected[lat.index[(0, 0)]] = 1.0
+    expected[lat.locate(0, 0)[0]] = 1.0
     assert np.abs(c - expected).max() < 1e-14
 
 
@@ -274,7 +308,7 @@ def test_symp_fourier_round_trip(rng):
 def test_symp_fourier_round_trip_delta():
     lat = build_lattice((2, 2), 4)
     c = np.zeros(lat.size)
-    c[lat.index[(2, 0)]] = 1.0
+    c[lat.locate(2, 0)[0]] = 1.0
     back = inv_symp_fourier(symp_fourier(c, lat), lat)
     assert np.abs(back - c).max() < 1e-13
 
@@ -295,7 +329,7 @@ def test_convolve_identity():
     rng = np.random.default_rng(5)
     c = rand_seq(rng, lat.size)
     delta = np.zeros(lat.size)
-    delta[lat.index[(0, 0)]] = 1.0
+    delta[lat.locate(0, 0)[0]] = 1.0
     assert np.abs(lattice_convolve(c, delta, lat) - c).max() < 1e-14
 
 
@@ -303,12 +337,12 @@ def test_convolve_deltas_add_points():
     lat = build_lattice((2, 2), 8)
     mu, nu = (2, 4), (6, 2)
     dm = np.zeros(lat.size)
-    dm[lat.index[mu]] = 1.0
+    dm[lat.locate(*mu)[0]] = 1.0
     dn = np.zeros(lat.size)
-    dn[lat.index[nu]] = 1.0
+    dn[lat.locate(*nu)[0]] = 1.0
     out = lattice_convolve(dm, dn, lat)
     expected = np.zeros(lat.size)
-    expected[lat.index[(0, 6)]] = 1.0  # mu + nu mod 8
+    expected[lat.locate(0, 6)[0]] = 1.0  # mu + nu mod 8
     assert np.abs(out - expected).max() == 0
 
 
@@ -330,7 +364,7 @@ def test_membership_is_read_off_the_normal_form():
     # points outside the range stay outside, and so does anything that is not a pair
     for p in [(8, 0), (0, 8), (10, 1), (-2, 7), (2, -3), (4,), (0, 0, 0), "ab", (0.5, 0)]:
         assert p not in lat
-    assert lat.locate(6, 7) == (lat.index[(6, 7)], True)
+    assert lat.locate(6, 7) == (lat.points.index((6, 7)), True)
 
 
 def test_coset_transversal_identity_case():

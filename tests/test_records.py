@@ -205,6 +205,8 @@ def test_a_kit_refuses_a_c_of_another_shape(build, shape):
      "averager window item of length 1 is not a pair (g, gt)"),
     (lambda: OperatorStack(windows=[(np.ones(4), np.ones(5), np.ones(6))]),
      "operator window item of length 3 is not a pair (g, gt)"),
+    (lambda: window_scheme([3]), "averager window item 3 is not a pair (g, gt)"),
+    (lambda: window_scheme([None]), "averager window item None is not a pair (g, gt)"),
     (lambda: TransferMatrix(np.ones((3, 2))), "transfer fibers must have shape (K, M, N), each at least 1, got (3, 2)"),
     (lambda: TransferMatrix(np.ones((2, 3, 2, 1))),
      "transfer fibers must have shape (K, M, N), each at least 1, got (2, 3, 2, 1)"),
@@ -214,7 +216,7 @@ def test_a_kit_refuses_a_c_of_another_shape(build, shape):
      "transfer fibers must have shape (K, M, N), each at least 1, got (0, 3, 2)"),
 ], ids=["empty", "non-square", "mixed-sizes", "not-a-matrix", "unequal-pair", "mixed-pairs",
         "unequal-second-pair", "no-pairs", "windows-of-another-size", "more-windows-than-averagers", "not-pairs",
-        "neither", "a-triple", "a-single", "a-ragged-triple", "transfer-fibers-2d", "transfer-fibers-4d",
+        "neither", "a-triple", "a-single", "a-ragged-triple", "no-length", "none", "transfer-fibers-2d", "transfer-fibers-4d",
         "transfer-fibers-no-channel", "transfer-fibers-no-fiber"])
 def test_sampling_scheme_validates_its_averagers_when_built(build, message):
     # the kernels, window pairs and transfer fibers are checked at construction,
@@ -362,7 +364,7 @@ def test_every_cached_stage_of_every_record_is_read_only(desc):
     assert {("Lattice", "_xy"), ("Lattice", "_twiddles"), ("Lattice", "_coset_gather"), ("OperatorStack", "kernels"),
             ("GeneratorSystem", "spreading_cosets"), ("GeneratorSystem", "riesz_fibers"),
             ("GeneratorSystem", "riesz_spectrum"), ("TransferMatrix", "singular_values"),
-            ("ReconstructionKit", "transfer"), ("ReconstructionKit", "_dual"), ("ReconstructionKit", "b"),
+            ("ReconstructionKit", "transfer"), ("ReconstructionKit", "dual_fibers"), ("ReconstructionKit", "b"),
             ("ReconstructionKit", "spreading"), ("ReconstructionKit", "recon_ops")} <= names
 
     rng = np.random.default_rng(13)
@@ -425,7 +427,7 @@ def test_cached_stages_are_computed_once(monkeypatch):
         counting(module, name)
     system, scheme = setup()
     kit = ReconstructionKit(system, scheme)
-    stages = ("riesz", "transfer", "_dual", "b", "spreading", "recon_ops")
+    stages = ("riesz", "transfer", "dual_fibers", "b", "spreading", "recon_ops")
     first = {name: getattr(kit, name) for name in stages}
     for _ in range(2):
         assert all(getattr(kit, name) is first[name] for name in stages)

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from opsis import sampling
+from opsis import sampling, si_space
 from opsis.hs_ops import (
     fourier_wigner,
     hs_inner,
@@ -25,6 +25,7 @@ from opsis.phase_space import (
 )
 from opsis.sampling import (
     NotAFrameError,
+    ReconstructionKit,
     average_scheme,
     avg_samples,
     coefficient_frame_expansion,
@@ -69,7 +70,7 @@ def test_samples_at_origin_are_plain_pairings():
     system, scheme, _ = seeded_setup(0)
     lat = system.lattice
     s = diag_channel_samples(system.generators[0], scheme, lat)
-    j0 = lat.index[(0, 0)]
+    j0 = lat.locate(0, 0)[0]
     for m, (g, gt) in enumerate(scheme.windows):
         assert abs(s[m, j0] - np.vdot(gt, system.generators[0] @ g)) < 1e-13
 
@@ -95,7 +96,7 @@ def test_samples_of_translated_generator_are_shifted():
     a = diag_channel_samples(system.generators[0], scheme, lat)[0]
     s = diag_channel_samples(op_translate(mu, system.generators[0]), scheme, lat)[0]
     dmu = np.zeros(lat.size)
-    dmu[lat.index[mu]] = 1.0
+    dmu[lat.locate(*mu)[0]] = 1.0
     assert np.abs(s - lattice_convolve(dmu, a, lat)).max() < 1e-12
 
 
@@ -393,7 +394,7 @@ def test_transfer_matrix_delta_sequence():
     L = 8
     lat = build_lattice((2, 2), L)
     A = np.zeros((1, 1, lat.size), complex)
-    A[0, 0, lat.index[(0, 0)]] = 1.0
+    A[0, 0, lat.locate(0, 0)[0]] = 1.0
     tm = transfer_matrix(A, lat)
     assert np.abs(tm.fibers - 1.0).max() < 1e-13
 
@@ -459,7 +460,7 @@ def test_frame_bounds_delta_transfer():
     L = 8
     lat = build_lattice((2, 2), L)
     A = np.zeros((1, 1, lat.size), complex)
-    A[0, 0, lat.index[(0, 0)]] = 1.0
+    A[0, 0, lat.locate(0, 0)[0]] = 1.0
     fb = frame_bounds(transfer_matrix(A, lat))
     assert abs(fb.alpha - 1.0) < 1e-12 and abs(fb.beta - 1.0) < 1e-12
 
@@ -578,22 +579,70 @@ def test_reconstruction_and_coefficient_expansion_check_the_sample_shape(shape):
 def test_kit_keeps_the_residual_its_left_inverse_gate_measured(monkeypatch, perturbed):
     system, scheme, rng = seeded_setup(23, N=2, M=3)
     C = rand_seq(rng, (system.lattice.size, 2, 3)) if perturbed else None
-    calls = []
-    original = sampling.dual_left_inverse
+    duals, residuals = [], []
+    dual_left_inverse, residual_of = sampling.dual_left_inverse, sampling._residual
 
-    def counting(*args, **kwargs):
-        calls.append(original(*args, **kwargs))
-        return calls[-1]
-    monkeypatch.setattr(sampling, "dual_left_inverse", counting)
+    def recording(record, original):
+        def wrapper(*args, **kwargs):
+            record.append(original(*args, **kwargs))
+            return record[-1]
+        return wrapper
+    monkeypatch.setattr(sampling, "dual_left_inverse", recording(duals, dual_left_inverse))
+    monkeypatch.setattr(sampling, "_residual", recording(residuals, residual_of))
     kit = reconstruction_kit(system, scheme, C=C)
     B, A = kit.dual_fibers, kit.transfer.fibers
-    [(gate_B, gate_residual)] = calls
+    # the gate ran once and measured one residual; the kit reads it again off the same bits
+    [gate_B], [gate_residual] = duals, residuals
     assert gate_B is B and kit.left_inverse_residual == gate_residual
     # the gate sums the broadcast product over m; a batched matmul rounds differently
     residual = float(np.abs((B[..., None] * A[:, None]).sum(2) - np.eye(2)).max())
     assert kit.left_inverse_residual == residual <= 1e-10
     matmul = float(np.abs(B @ A - np.eye(2)).max())  # N = 2
     assert abs(residual - matmul) <= 4 * 2 * np.finfo(float).eps * np.abs(B).max() * np.abs(A).max()
+
+
+# the default tolerance of an upper bound of 2 is 1e-10 * 2.0; every triple is (lower, upper, tol)
+DEFAULT_TOL = 1e-10 * 2.0
+GATE_VERDICTS = [
+    ((DEFAULT_TOL, 2.0, None), False),
+    ((np.nextafter(DEFAULT_TOL, 0), 2.0, None), False),
+    ((np.nextafter(DEFAULT_TOL, 1), 2.0, None), True),
+    ((0.5, 2.0, 0.5), False),
+    ((np.nextafter(0.5, 0), 2.0, 0.5), False),
+    ((np.nextafter(0.5, 1), 2.0, 0.5), True),
+    ((0.0, 2.0, 0), False),
+    ((5e-324, 2.0, 0), True),
+    ((np.nan, 2.0, None), False),
+    ((np.nan, 2.0, 0), False),
+    ((1.0, np.nan, None), False),
+    ((1.0, np.nan, 0), False),
+    ((1.0, np.inf, 0), False),
+]
+
+
+@pytest.mark.parametrize("triple, verdict", GATE_VERDICTS,
+                         ids=["at-default", "below-default", "above-default", "at-tol", "below-tol", "above-tol",
+                              "zero-at-zero", "tiny-above-zero", "nan-lower", "nan-lower-zero-tol", "nan-upper",
+                              "nan-upper-zero-tol", "inf-upper"])
+def test_one_stability_gate_decides_on_lower_upper_and_tol(triple, verdict):
+    assert si_space._clears_gate(*triple) is verdict
+
+
+def test_riesz_check_and_the_frame_gate_give_the_gates_verdict():
+    system, scheme, _ = seeded_setup(25)
+    report, tm = riesz_check(system), ReconstructionKit(system, scheme).transfer
+    (alpha, beta, _), verdicts = tm.bounds, []
+    for tol in (report.lower, np.nextafter(report.lower, 0), np.nextafter(report.lower, np.inf), None, 0.0):
+        verdicts.append(si_space._clears_gate(report.lower, report.upper, tol))
+        assert riesz_check(system, tol=tol).is_riesz is verdicts[-1]
+    for tol in (alpha, np.nextafter(alpha, 0), np.nextafter(alpha, np.inf), None, 0.0):
+        verdicts.append(si_space._clears_gate(alpha, beta, tol))
+        if verdicts[-1]:
+            assert dual_left_inverse(tm, tol=tol).shape == (system.lattice.size, 2, 3)
+        else:
+            with pytest.raises(NotAFrameError, match=re.escape(f"alpha_A = {alpha:.3e}")):
+                dual_left_inverse(tm, tol=tol)
+    assert verdicts == 2 * [False, True, False, True, True]
 
 
 # ---------------------------------------------------------------- reconstruction
@@ -662,7 +711,7 @@ def test_delta_samples_select_dual_column():
     kit = reconstruction_kit(system, scheme)
     for m in range(len(scheme)):
         s = np.zeros((len(scheme), lat.size), complex)
-        s[m, lat.index[(0, 0)]] = 1.0
+        s[m, lat.locate(0, 0)[0]] = 1.0
         c = coefficient_frame_expansion(s, kit)
         assert np.abs(c - kit.b[:, m, :]).max() < 1e-12
 

@@ -43,7 +43,7 @@ def project_out(T, system):
 def test_synthesize_delta_returns_generator():
     system, _ = seeded_system(0, 8, (2, 2), 2)
     c = np.zeros((2, system.lattice.size))
-    c[0, system.lattice.index[(0, 0)]] = 1.0
+    c[0, system.lattice.locate(0, 0)[0]] = 1.0
     assert np.abs(synthesize(system, c) - system.generators[0]).max() < 1e-14
 
 
@@ -60,7 +60,7 @@ def test_synthesize_single_delta_translate():
     system, _ = seeded_system(2, 8, (2, 2), 1)
     lam = (6, 4)
     c = np.zeros((1, system.lattice.size))
-    c[0, system.lattice.index[lam]] = 1.0
+    c[0, system.lattice.locate(*lam)[0]] = 1.0
     expected = op_translate(lam, system.generators[0])
     assert np.abs(synthesize(system, c) - expected).max() < 1e-13
 
@@ -92,7 +92,7 @@ def test_gram_fibers_orthogonal_translates():
     system = GeneratorSystem(lat, (S,))
     r = correlation_sequences(system)[0, 0]
     expected = np.zeros(lat.size)
-    expected[lat.index[(0, 0)]] = 1.0
+    expected[lat.locate(0, 0)[0]] = 1.0
     assert np.abs(r - expected).max() < 1e-12
     fibers = gram_fibers(system)
     assert np.abs(fibers - 1.0).max() < 1e-11
@@ -265,7 +265,7 @@ def test_coefficients_of_generator_is_delta():
     system, _ = seeded_system(19, 8, (2, 2), 2)
     c = coefficients(system, system.generators[0])
     expected = np.zeros((2, system.lattice.size), complex)
-    expected[0, system.lattice.index[(0, 0)]] = 1.0
+    expected[0, system.lattice.locate(0, 0)[0]] = 1.0
     assert np.abs(c - expected).max() < 1e-10
 
 

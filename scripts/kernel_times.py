@@ -2,7 +2,15 @@
 
 The lattice series, the fold and the spreading transform run at the three
 benchmark workload shapes (N = 2 generators against M = 3 channels) and on
-the full lattice at L = 256.  Then the fold runs at these operand shapes:
+the full lattice at L = 256.  Then both lattice series run on 4Z x 4Z
+at L = 4 n, whose sides are P = Q = n for n = 8, 16, 32, 48 and 64, on
+batches of 3 and 6 sequences: once by DFT-matrix products on both sides
+and once by FFTs on both sides (phase_space.DFT_SIDE set to 64, then to 0,
+for the timing only).  Where the routes cross is where DFT_SIDE belongs.
+On a 2-core Xeon VM with one OpenBLAS thread the products took half to
+two thirds of the FFTs' time at sides 8 and 16, three quarters at 32, as
+long at 48 and twice as long at 64.
+Then the fold runs at these operand shapes:
 
 * the three folds of an `opsis reconstruct` run at L = 48 on 4Z x 4Z: the
   transfer fibers (1, 2) against (3, 1), the Gram fibers (2, 1) against
@@ -42,6 +50,7 @@ import timeit
 
 import numpy as np
 
+from opsis import phase_space
 from opsis.config import parse_config
 from opsis.hs_ops import fourier_wigner
 from opsis.phase_space import build_lattice, cosets, fold_cosets, inv_symp_fourier, symp_fourier
@@ -71,6 +80,19 @@ for L, desc in [(48, (4, 4)), (64, (4, 4)), (60, [(3, 7), (0, 5)]), (256, (1, 1)
              "fold_cosets": best(lambda: fold_cosets(CT, CQ, lat)),
              "fourier_wigner": best(lambda: fourier_wigner(FQ))}
     print(f"L = {L}, lattice {desc}: " + ", ".join(f"{k} {t:.1f} us" for k, t in times.items()))
+
+dft_side = phase_space.DFT_SIDE
+for n in (8, 16, 32, 48, 64):
+    lat = build_lattice((4, 4), 4 * n)
+    for batch in (3, 6):
+        c = normal(batch, lat.size)
+        times = {}
+        for route, side in (("matrix", 64), ("fft", 0)):
+            phase_space.DFT_SIDE = side
+            times[f"symp_fourier {route}"] = best(lambda: symp_fourier(c, lat))
+            times[f"inv_symp_fourier {route}"] = best(lambda: inv_symp_fourier(c, lat))
+        print(f"sides {n}, batch {batch}: " + ", ".join(f"{k} {t:.1f} us" for k, t in times.items()))
+phase_space.DFT_SIDE = dft_side
 
 for L, desc, lead_T, lead_Q in [(48, (4, 4), (1, 2), (3, 1)), (48, (4, 4), (2, 1), (1, 2)),
                                 (48, (4, 4), (), (3,)), (60, (6, 4), (2, 1), (1, 3)),

@@ -29,12 +29,16 @@ below needs them.
 
 The Fourier analysis of a lattice runs on the lattice's own size K = P Q.
 With xi = (x, w) in the transversal, sigma(lam, xi)/L splits as
-j x/Q + (k c mod b) x/L - k w/P, so :func:`symp_fourier` is a length-Q FFT
+j x/Q + (k c mod b) x/L - k w/P, so :func:`symp_fourier` is a length-Q DFT
 over j, one pass that writes the transpose [x, k] times the twiddle
 e^{2 pi i (k c mod b) x/L} (a plain copy when c = 0, where the twiddle is 1)
-and a length-P FFT over k, and :func:`inv_symp_fourier` runs the same steps
-backwards with the conjugate twiddle: O(K log K) each.  Both FFTs run along
-the last axis, so the output is C-ordered in transversal (lattice) order.
+and a length-P DFT over k, and :func:`inv_symp_fourier` runs the same steps
+backwards with the conjugate twiddle.  A DFT of length n <= DFT_SIDE is
+one product per sequence with the n x n DFT matrix, O(K n): the matrix is
+cached per length, sign and scaling, its roots of unity exact at the
+quarter turns, and at such lengths numpy's per-call cost made an FFT the
+slower route.  A longer DFT is an np.fft call, O(K log K).  Both DFTs run
+along the last axis, so the output is C-ordered in transversal (lattice) order.
 Functions on the L x L grid meet the lattice through two maps (Poisson
 summation over the annihilator), each run only inside a product:
 
@@ -81,6 +85,9 @@ Point = tuple[int, int]
 # a separable fold with a > 1 contracts k' first while its rows of P = L/a and its
 # k'-contracted products stay this short; otherwise one einsum was faster (up to L = 1024)
 FOLD_ROW, FOLD_PRODUCTS = 32, 1 << 16
+# a lattice series side this short is a product with a cached DFT matrix, a longer one an
+# np.fft call: on batches of 3 and 6 the product was faster up to 32, even at 48, twice as slow at 64
+DFT_SIDE = 32
 
 
 class LatticeError(ValueError):
@@ -356,12 +363,56 @@ def symp_character_matrix(lat: Lattice) -> np.ndarray:
     return read_only(np.exp(2j * np.pi * s / L))
 
 
-def _batch(x, trailing: tuple[int, ...], what: str) -> np.ndarray:
-    """x as a complex array of shape (..., *trailing), the batch rule's one check; LatticeError otherwise."""
-    x = np.asarray(x, dtype=complex)
+def _batch(x, trailing: tuple[int, ...], what: str, dtype=complex) -> np.ndarray:
+    """x as an array of shape (..., *trailing), the batch rule's one check; LatticeError otherwise.
+
+    Converted to complex, or with dtype=None kept in the caller's dtype.
+    """
+    x = np.asarray(x, dtype=dtype)
     if x.shape[-len(trailing):] != trailing:
         raise LatticeError(f"{what} shape {x.shape}, expected (..., {', '.join(map(str, trailing))})")
     return x
+
+
+@lru_cache(maxsize=32)
+def _dft_matrix(n: int, sign: int, scaled: bool) -> np.ndarray:
+    """The n x n DFT matrix e^{sign 2 pi i j x/n}, divided by n when scaled, in real form; read-only.
+
+    Entry (j, x) is the 2 x 2 block [[re, im], [-im, re]] at rows 2j, 2j + 1
+    and columns 2x, 2x + 1, so a complex row read as its (re, im) pairs times
+    this matrix is the row times the complex one: a real product, which was
+    faster than numpy's complex one at these sizes.  The entries are the roots
+    of unity indexed by (j x) mod n.  Root m is i^q e^{i pi r/(2n)} with
+    4m = q n + r, 0 <= r < n: exact at the quarter turns (r = 0), as
+    pocketfft's twiddles are, and its angle at most pi/2.  The complex matrix
+    is symmetric, so the real form of its conjugate (sign -1) is the transpose.
+    """
+    if scaled:
+        return read_only(_dft_matrix(n, sign, False) * (1 / n))
+    if sign < 0:
+        return read_only(_dft_matrix(n, 1, False).T.copy())
+    m = np.arange(n)
+    q, r = np.divmod(4 * m, n)
+    roots = np.exp(1j * (np.pi / (2 * n)) * r) * np.array([1, 1j, -1, -1j])[q]
+    M = np.empty((n, 2, n), complex)
+    M[:, 0] = roots[m[:, None] * m % n]
+    np.multiply(M[:, 0], 1j, out=M[:, 1])
+    return read_only(M.view(float).reshape(2 * n, 2 * n))
+
+
+def _dft(x: np.ndarray, sign: int, scaled: bool = False) -> np.ndarray:
+    """The DFT sum_j x[..., j] e^{sign 2 pi i j k/n} along the last axis, of length n, divided by n when scaled.
+
+    Up to DFT_SIDE, x of shape (..., rows, n) is read as (re, im) pairs and
+    multiplied by the cached :func:`_dft_matrix`, one real product per
+    trailing (rows, n) table, so each table gets the bits it gets alone.
+    Else np.fft's ifft (sign +1) or fft (sign -1), whose norm="backward" scales the ifft.
+    """
+    n = x.shape[-1]
+    if n > DFT_SIDE:
+        fft = np.fft.ifft if sign > 0 else np.fft.fft
+        return fft(x, axis=-1, norm="backward" if scaled == (sign > 0) else "forward")
+    return (np.ascontiguousarray(x).view(float) @ _dft_matrix(n, sign, scaled)).view(complex)
 
 
 def symp_fourier(c, lat: Lattice) -> np.ndarray:
@@ -370,40 +421,41 @@ def symp_fourier(c, lat: Lattice) -> np.ndarray:
     F(xi) = sum_lam c(lam) exp(2 pi i sigma(lam, xi) / L); the value depends
     only on the annihilator coset of xi.  The last axis of c runs over the
     lattice, that of the output is aligned with :func:`dual_transversal`;
-    leading axes are kept.  An FFT over j, one pass to the C-ordered
-    transpose [x, k] (times the twiddle unless c = 0), an FFT over k.
+    leading axes are kept.  A DFT over j, one pass to the C-ordered
+    transpose [x, k] (times the twiddle unless c = 0), a DFT over k.  Each
+    DFT is one product with a cached matrix on a side up to DFT_SIDE, so
+    O(K (P + Q)), and an FFT on a longer side, O(K log K).
     """
     c = _batch(c, (lat.size,), "sequence")
     L = lat.modulus
     a, b, shear = lat._hnf
     # D[x, k] = sum_j c[k, j] e^{2 pi i j x/Q}, then F[x, w] by a DFT over k
-    D = np.fft.ifft(c.reshape(c.shape[:-1] + (L // a, L // b)), axis=-1, norm="forward").swapaxes(-1, -2)
+    D = _dft(c.reshape(c.shape[:-1] + (L // a, L // b)), 1).swapaxes(-1, -2)
     D = D.copy() if shear == 0 else np.multiply(D, lat._twiddles[0], order="C")
-    return np.fft.fft(D, axis=-1).reshape(c.shape)
+    return _dft(D, -1).reshape(c.shape)
 
 
 def inv_symp_fourier(F, lat: Lattice) -> np.ndarray:
     """Inverse of :func:`symp_fourier`: c(lam) = (1/|lat|) sum_xi F(xi) e^{-2 pi i sigma(lam, xi)/L}.
 
     The last axis of F runs over the dual transversal; leading axes are kept.
-    The steps of :func:`symp_fourier` run backwards, with the conjugate twiddle.
+    The steps of :func:`symp_fourier` run backwards, with the conjugate
+    twiddle, each DFT scaled by 1/(its length), by the same two routes.
     """
     F = _batch(F, (lat.size,), "fiber data")
     L = lat.modulus
     a, b, shear = lat._hnf
     # E[k, x] = (1/P) sum_w F[x, w] e^{2 pi i k w/P}, then c[k, j] by a DFT over x
-    E = np.fft.ifft(F.reshape(F.shape[:-1] + (L // b, L // a)), axis=-1).swapaxes(-1, -2)
+    E = _dft(F.reshape(F.shape[:-1] + (L // b, L // a)), 1, scaled=True).swapaxes(-1, -2)
     E = E.copy() if shear == 0 else np.multiply(E, lat._twiddles[1], order="C")
-    return np.fft.fft(E, axis=-1, norm="forward").reshape(F.shape)
+    return _dft(E, -1, scaled=True).reshape(F.shape)
 
 
 def _grid_view(G, lat: Lattice) -> np.ndarray:
-    """G of shape (..., L, L) as its (..., b, Q, a, P) reshape; LatticeError on another shape."""
-    G = np.asarray(G)
+    """G of shape (..., L, L), in its own dtype, as its (..., b, Q, a, P) reshape; LatticeError on another shape."""
     L = lat.modulus
+    G = _batch(G, (L, L), "grid stack", dtype=None)
     a, b, _ = lat._hnf
-    if G.shape[-2:] != (L, L):
-        raise LatticeError(f"grid stack shape {G.shape} does not match L={L}")
     return G.reshape(G.shape[:-2] + (b, L // b, a, L // a))
 
 

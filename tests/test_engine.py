@@ -6,6 +6,7 @@ lists, odd, even and prime L, the edge shapes {0}, Z_L^2 and a diagonal
 lattice, and random numbers of generators and channels."""
 
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
@@ -304,15 +305,104 @@ batches = st.lists(st.integers(1, 3), max_size=2)
 seeds = st.integers(0, 2**32 - 1)
 
 
+@st.composite
+def normal_form_lattices(draw, max_L=40):
+    """The lattice of a random normal form (a, b, c) on L <= max_L: separable when c = 0, else sheared."""
+    L = draw(st.integers(2, max_L))
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    a, b = draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors))
+    # c with b | (L/a) c, 0 <= c < b
+    c = draw(st.sampled_from(range(0, b, b // gcd(b, L // a))))
+    lat = build_lattice([(a, c), (0, b)], L)
+    assert lat._hnf == (a, b, c)
+    return lat
+
+
+def assert_relative(fast, slow, tol=1e-14):
+    assert fast.shape == slow.shape
+    assert float(np.abs(fast - slow).max()) <= tol * float(np.abs(slow).max())
+
+
 @SETTINGS
-@given(engine_lattices(), batches, seeds)
+@given(st.one_of(engine_lattices(), normal_form_lattices()), batches, seeds)
 def test_symp_fourier_matches_character_matrix(lat, batch, seed):
+    # sides up to DFT_SIDE run as DFT-matrix products, longer ones as FFTs
     rng = np.random.default_rng(seed)
     c = rand_seq(rng, (*batch, lat.size))
     F = symp_fourier(c, lat)
-    assert_agrees(F, oracle.symp_fourier(c, lat))
-    assert_agrees(inv_symp_fourier(F, lat), oracle.inv_symp_fourier(F, lat))
+    assert_relative(F, oracle.symp_fourier(c, lat))
+    assert_relative(inv_symp_fourier(F, lat), oracle.inv_symp_fourier(F, lat))
     assert_agrees(inv_symp_fourier(F, lat), c)
+
+
+# (L, descriptor) whose sides P = L/a and Q = L/b are both at most DFT_SIDE,
+# both above it, or one of each, separable and sheared
+ROUTE_LATTICES = {"short": [(64, (4, 4)), (48, [(4, 1), (0, 4)])],
+                  "long": [(66, (2, 2)), (68, [(2, 1), (0, 2)])],
+                  "mixed": [(60, (1, 20)), (60, [(1, 7), (0, 20)]), (60, (20, 1))]}
+
+
+@pytest.mark.parametrize("route, L, desc", [(route, L, desc) for route, cases in ROUTE_LATTICES.items()
+                                            for L, desc in cases])
+def test_each_route_agrees_with_the_character_matrix(route, L, desc):
+    lat = build_lattice(desc, L)
+    a, b, shear = lat._hnf
+    long_sides = sum(side > phase_space.DFT_SIDE for side in (L // a, L // b))
+    assert long_sides == {"short": 0, "mixed": 1, "long": 2}[route] and (shear != 0) == isinstance(desc, list)
+    rng = np.random.default_rng(L + shear)
+    c = rand_seq(rng, (2, 3, lat.size))
+    F = symp_fourier(c, lat)
+    assert_relative(F, oracle.symp_fourier(c, lat))
+    assert_relative(inv_symp_fourier(F, lat), oracle.inv_symp_fourier(F, lat))
+    assert_relative(inv_symp_fourier(F, lat), c, 1e-13)
+
+
+@pytest.mark.parametrize("L, desc", ROUTE_LATTICES["long"])
+def test_long_sides_are_the_two_ffts_bit_for_bit(L, desc):
+    # both series written out with np.fft on both sides and the cached twiddles
+    lat = build_lattice(desc, L)
+    a, b, shear = lat._hnf
+    P, Q = L // a, L // b
+    rng = np.random.default_rng(L)
+    c = rand_seq(rng, (2, lat.size))
+    D = np.fft.ifft(c.reshape(2, P, Q), axis=-1, norm="forward").swapaxes(-1, -2)
+    D = D.copy() if shear == 0 else np.multiply(D, lat._twiddles[0], order="C")
+    F = np.fft.fft(D, axis=-1).reshape(c.shape)
+    assert symp_fourier(c, lat).tobytes() == F.tobytes()
+    E = np.fft.ifft(F.reshape(2, Q, P), axis=-1).swapaxes(-1, -2)
+    E = E.copy() if shear == 0 else np.multiply(E, lat._twiddles[1], order="C")
+    assert inv_symp_fourier(F, lat).tobytes() == np.fft.fft(E, axis=-1, norm="forward").reshape(c.shape).tobytes()
+
+
+@pytest.mark.parametrize("L, desc", [(12, (12, 1)), (12, (1, 12)), (21, (3, 7)), (35, [(5, 2), (0, 7)]),
+                                     (64, (4, 4)), (60, (2, 3)), (60, (20, 1))])
+def test_each_sequence_of_a_batch_gets_the_series_it_gets_alone(L, desc):
+    # one product per (rows, n) table: a single product over the whole batch,
+    # whose rows a BLAS may tile differently, changed the bits of these lattices
+    lat = build_lattice(desc, L)
+    rng = np.random.default_rng(L)
+    for lead in [(7,), (4, 3), (1, 5)]:
+        c = rand_seq(rng, (*lead, lat.size))
+        for series in (symp_fourier, inv_symp_fourier):
+            alone = np.array([series(x, lat) for x in c.reshape(-1, lat.size)])
+            assert series(c, lat).tobytes() == alone.tobytes()
+
+
+def test_short_dft_matrices_are_exact_at_quarter_turns():
+    for n in range(1, phase_space.DFT_SIDE + 1):
+        R = phase_space._dft_matrix(n, 1, False)
+        assert R.shape == (2 * n, 2 * n)
+        # rows 2j hold the (re, im) pairs of row j of the complex matrix, rows 2j + 1 those of i times it
+        M = R[0::2].view(complex)
+        assert np.array_equal(R[1::2].view(complex), 1j * M)
+        j = np.arange(n)
+        turns = np.multiply.outer(j, j) % n
+        # e^{2 pi i m/n} exactly 1, i, -1, -i where 4 m is a multiple of n
+        quarter = 4 * turns % n == 0
+        assert np.array_equal(M[quarter], np.array([1, 1j, -1, -1j])[4 * turns[quarter] // n])
+        assert np.abs(M - np.exp(2j * np.pi * turns / n)).max() < 2e-15
+        assert np.array_equal(phase_space._dft_matrix(n, -1, False)[0::2].view(complex), M.conj())
+        assert np.array_equal(phase_space._dft_matrix(n, 1, True), R * (1 / n))
 
 
 @SETTINGS
@@ -585,14 +675,9 @@ def test_fourier_wigner_holds_no_doubled_stack():
 
 
 def test_lattice_transforms_run_ffts_of_lattice_size(monkeypatch):
+    # no length-L FFT runs on lattice data: a side of P = L/a or Q = L/b above
+    # DFT_SIDE is an FFT of that length, a shorter one a product with a DFT matrix
     rng = np.random.default_rng(11)
-    L = 24
-    lat = build_lattice([(2, 5), (0, 6)], L)
-    a, b, _ = lat._hnf
-    assert 1 < a < L and 1 < b < L
-    system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(2)))
-    scheme = average_scheme([rand_kernel(rng, L) for _ in range(3)])
-    system.spreading, scheme.spreading  # the operator transforms are length-L FFTs
     lengths = []
 
     def recording(f):
@@ -601,16 +686,28 @@ def test_lattice_transforms_run_ffts_of_lattice_size(monkeypatch):
             return f(x, *args, axis=axis, **kwargs)
         return wrapper
 
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
-    c = rand_seq(rng, (2, lat.size))
-    tile_product(symp_fourier(c, lat), system.spreading, lat)
-    inv_symp_fourier(symp_fourier(c, lat), lat)
-    lattice_pairing(system.spreading, scheme.spreading[:, None], lat)
-    gram_fibers(system)
-    kit = reconstruction_kit(system, scheme)
-    kit.spreading
-    assert lengths and set(lengths) <= {L // a, L // b}
+    fft = {name: getattr(np.fft, name) for name in ("fft", "ifft")}
+    for L, desc, long_sides in [(24, [(2, 5), (0, 6)], set()), (80, [(2, 2), (0, 16)], {40}),
+                                (120, [(2, 1), (0, 3)], {60, 40})]:
+        lat = build_lattice(desc, L)
+        a, b, shear = lat._hnf
+        assert 1 < a < L and 1 < b < L and shear
+        assert {side for side in (L // a, L // b) if side > phase_space.DFT_SIDE} == long_sides
+        system = GeneratorSystem(lat, tuple(rand_kernel(rng, L) for _ in range(2)))
+        scheme = average_scheme([rand_kernel(rng, L) for _ in range(3)])
+        system.spreading, scheme.spreading  # the operator transforms are length-L FFTs
+        for name, f in fft.items():
+            monkeypatch.setattr(np.fft, name, recording(f))
+        lengths.clear()
+        c = rand_seq(rng, (2, lat.size))
+        tile_product(symp_fourier(c, lat), system.spreading, lat)
+        inv_symp_fourier(symp_fourier(c, lat), lat)
+        lattice_pairing(system.spreading, scheme.spreading[:, None], lat)
+        gram_fibers(system)
+        kit = reconstruction_kit(system, scheme)
+        kit.spreading
+        assert set(lengths) == long_sides
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("desc", [(4, 4), [(4, 3), (0, 4)]])
@@ -816,7 +913,7 @@ def test_a_grid_stack_of_another_size_is_a_lattice_error(entry, desc):
     scheme = average_scheme([rand_kernel(rng, 12) for _ in range(2)])
     T = rand_kernel(rng, 14)
     other = GeneratorSystem(build_lattice(desc, 14), (T,))
-    with pytest.raises(LatticeError, match=r"^grid stack shape \(.+\) does not match L=1[24]$"):
+    with pytest.raises(LatticeError, match=r"^grid stack shape \(.+\), expected \(\.\.\., (12, 12|14, 14)\)$"):
         MISMATCHES[entry](system, other, scheme, T)
 
 

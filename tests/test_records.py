@@ -386,6 +386,9 @@ def test_every_cached_stage_of_every_record_is_read_only(desc):
                 read.add((kind, name))
         arrays += reached_arrays(record)
     assert read == names and len(arrays) > 100
+    # the series above cached the DFT matrices of the lattice's sides, which every lattice shares
+    arrays += [phase_space._dft_matrix(L // d, sign, scaled) for d in lat._hnf[:2] for sign in (1, -1)
+               for scaled in (False, True)]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

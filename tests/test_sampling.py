@@ -167,7 +167,7 @@ def test_every_entry_point_maps_a_batch_operator_by_operator(entry, desc, sub, k
         "reconstruct": (lambda x: reconstruct(x, kit), samples, wrong_samples),
         "coefficient_frame_expansion": (lambda x: coefficient_frame_expansion(x, kit), samples, wrong_samples),
         "reconstruct_from_spreading": (lambda x: reconstruct_from_spreading(x, kit), FT,
-                                       (FT[:, :7], f"grid stack shape {(B, 7, 8)} does not match L=8")),
+                                       (FT[:, :7], f"grid stack shape {(B, 7, 8)}, expected (..., 8, 8)")),
         "coefficients": (lambda x: coefficients(system, x), T, wrong_T),
         "synthesize": (lambda x: synthesize(system, x), c, wrong_coefs),
         "synthesize_spreading": (lambda x: synthesize_spreading(system, x), c, wrong_coefs),
